@@ -15,9 +15,8 @@ from .fixpoint import (
     cosim_check, immediate_consequence, least_fixpoint,
 )
 from .encode import (
-    EncodedProgram, EncodingConfig, apply_caching, apply_scope_vars,
-    apply_tagging, enc_n, enc_r, enc_rw, enc_rwfun, enc_rwmem, encode,
-    remove_arguments,
+    EncodedProgram, EncodingConfig, apply_scope_vars, enc_n, enc_r, enc_rw,
+    enc_rwfun, enc_rwmem, remove_arguments,
 )
 from .chc import ClauseSet, emit_smtlib, solve, to_chc
 from .formula import FormulaInterpretation, load_interpretation
@@ -33,9 +32,8 @@ __all__ = [
     "heap_write", "run_program",
     "InputDomain", "Interpretation", "check_equisafety", "check_safety",
     "cosim_check", "immediate_consequence", "least_fixpoint",
-    "EncodedProgram", "EncodingConfig", "apply_caching", "apply_scope_vars",
-    "apply_tagging", "enc_n", "enc_r", "enc_rw", "enc_rwfun", "enc_rwmem",
-    "encode", "remove_arguments",
+    "EncodedProgram", "EncodingConfig", "apply_scope_vars", "enc_n",
+    "enc_r", "enc_rw", "enc_rwfun", "enc_rwmem", "remove_arguments",
     "ClauseSet", "emit_smtlib", "solve", "to_chc",
     "FormulaInterpretation", "load_interpretation",
     "CorpusEntry", "load_corpus",

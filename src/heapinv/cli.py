@@ -12,11 +12,12 @@ import argparse
 import json
 import sys
 
-from . import chc, encode as enc_mod, fixpoint as fp
-from .corpus import load_corpus
-from .encode import EncodingConfig, enc_n, encode
+from . import chc, fixpoint as fp
+from .corpus import VARIANTS, encode_variant, load_corpus
+from .encode import EncodingConfig, EncodingError, enc_n, encode
+from .fixpoint import _value_json
 from .formula import load_interpretation
-from .interp import Bot, CompiledProgram, ObjVal, Top
+from .interp import Bot, CompiledProgram, Top
 from .lang import (
     Program, SourceError, parse_program, pretty_print, typecheck,
 )
@@ -67,8 +68,15 @@ def _add_domain_args(p: argparse.ArgumentParser):
     p.add_argument("--iteration-cap", type=int, default=None)
 
 
+def _input_domain(**kw) -> fp.InputDomain:
+    try:
+        return fp.InputDomain(**kw)
+    except ValueError as exc:
+        raise CliError(str(exc))
+
+
 def _domain(args) -> fp.InputDomain:
-    return fp.InputDomain(
+    return _input_domain(
         in_range=_parse_range(args.in_range),
         seed_range=_parse_range(args.seed_range),
         last_addr_range=_parse_range(args.last_addr_range),
@@ -114,10 +122,7 @@ def _config(args) -> EncodingConfig:
 def _encode_program(prog: Program, args) -> Program:
     if args.enc == "n":
         return enc_n(prog)
-    try:
-        return encode(prog, _config(args)).program
-    except enc_mod.EncodingError as exc:
-        raise CliError(str(exc))
+    return encode(prog, _config(args)).program
 
 
 def _emit(text: str, out: str | None):
@@ -138,12 +143,6 @@ def cmd_encode(args) -> int:
     return EXIT_OK
 
 
-def _value_json(v):
-    if isinstance(v, ObjVal):
-        return {"ctor": v.ctor, "fields": [_value_json(f) for f in v.fields]}
-    return v
-
-
 def _outcome_json(o):
     if isinstance(o, Top):
         return {"kind": "top"}
@@ -154,8 +153,8 @@ def _outcome_json(o):
 
 def cmd_run(args) -> int:
     prog = _load_program(args.file)
-    domain = fp.InputDomain(loop_fuel=args.loop_fuel,
-                            heap_op_fuel=args.heap_op_fuel)
+    domain = _input_domain(loop_fuel=args.loop_fuel,
+                           heap_op_fuel=args.heap_op_fuel)
     if args.interp == "empty":
         interp = fp.Interpretation.empty()
     elif args.interp == "fixpoint":
@@ -169,18 +168,13 @@ def cmd_run(args) -> int:
     compiled = CompiledProgram(prog, mode=mode)
 
     def one(in_v, seed, la) -> dict:
-        inputs = {}
-        if prog.input_var is not None:
-            inputs[prog.input_var] = in_v
-        if prog.seed_var is not None:
-            inputs[prog.seed_var] = seed
-        if fp.LAST_ADDR_VAR in prog.var_types:
-            inputs[fp.LAST_ADDR_VAR] = la
-        if fp.COUNTER_VAR in prog.var_types:
-            inputs[fp.COUNTER_VAR] = args.heap_op_fuel
-        res = compiled.run(inputs=inputs, interp=interp,
-                           loop_fuel=args.loop_fuel,
-                           heap_fuel=args.heap_op_fuel)
+        inputs = fp.initial_stack(prog, in_v, seed, la, args.heap_op_fuel)
+        try:
+            res = compiled.run(inputs=inputs, interp=interp,
+                               loop_fuel=args.loop_fuel,
+                               heap_fuel=args.heap_op_fuel)
+        except ValueError as exc:
+            raise CliError(str(exc))
         dump = {
             "outcome": _outcome_json(res.outcome),
             "stack": {k: _value_json(v) for k, v in sorted(res.env.items())},
@@ -211,11 +205,7 @@ def cmd_run(args) -> int:
 
 def cmd_fixpoint(args) -> int:
     prog = _load_program(args.file)
-    domain = _domain(args)
-    try:
-        verdict = fp.check_safety(prog, domain)
-    except fp.IterationCapExceeded as exc:
-        raise CliError(str(exc))
+    verdict = fp.check_safety(prog, _domain(args))
     report = verdict.to_json()
     if args.format == "json":
         print(json.dumps(report, sort_keys=True))
@@ -267,11 +257,7 @@ def cmd_emit_chc(args) -> int:
     prog = _load_program(args.file)
     if args.enc is not None:
         prog = _encode_program(prog, args)
-    try:
-        clause_set = chc.to_chc(prog)
-    except chc.ChcError as exc:
-        raise CliError(str(exc))
-    _emit(chc.emit_smtlib(clause_set), args.output)
+    _emit(chc.emit_smtlib(chc.to_chc(prog)), args.output)
     return EXIT_OK
 
 
@@ -284,30 +270,14 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-_CORPUS_VARIANTS = {
-    "n": lambda p, e: enc_n(p),
-    "r": lambda p, e: encode(p, EncodingConfig(base="r")).program,
-    "rw": lambda p, e: encode(p, EncodingConfig(base="rw")).program,
-    "rwfun": lambda p, e: encode(p, EncodingConfig(
-        base="rwfun", assume_memsafe=True)).program,
-    "rwmem": lambda p, e: encode(p, EncodingConfig(
-        base="rwmem", strip_asserts=True)).program,
-    "r_t": lambda p, e: encode(p, EncodingConfig(base="r", tagging=True)).program,
-    "r_c": lambda p, e: encode(p, EncodingConfig(base="r", caching=True)).program,
-    "rw_c": lambda p, e: encode(p, EncodingConfig(base="rw", caching=True)).program,
-    "rw_ct": lambda p, e: encode(p, EncodingConfig(
-        base="rw", caching=True, tagging=True)).program,
-}
-
-
 def cmd_corpus(args) -> int:
     if args.filter is not None and args.filter == "":
         raise CliError("--filter needs a nonempty substring")
     variants = [v for v in args.enc.split(",") if v]
     for v in variants:
-        if v not in _CORPUS_VARIANTS:
+        if v not in VARIANTS:
             raise CliError(f"unknown corpus variant {v!r}; "
-                           f"choose from {', '.join(sorted(_CORPUS_VARIANTS))}")
+                           f"choose from {', '.join(sorted(VARIANTS))}")
     domain = _domain(args)
     entries = load_corpus()
     if args.filter:
@@ -324,10 +294,10 @@ def cmd_corpus(args) -> int:
         if verdict.kind != entry.expected:
             row["ok"] = False
         for vname in variants:
-            if vname == "rwfun" and not entry.memory_safe:
+            encoded = encode_variant(entry, prog, vname)
+            if encoded is None:
                 row["variants"][vname] = "skipped"
                 continue
-            encoded = _CORPUS_VARIANTS[vname](prog, entry)
             ev = fp.check_safety(encoded, domain)
             row["variants"][vname] = ev.kind
             if vname == "rwmem":
@@ -413,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus", help="run the bundled corpus")
     p.add_argument("--enc", default="r",
                    help="comma-separated variants "
-                        f"({', '.join(sorted(_CORPUS_VARIANTS))})")
+                        f"({', '.join(sorted(VARIANTS))})")
     p.add_argument("--filter", default=None)
     _add_domain_args(p)
     p.add_argument("--format", choices=["human", "json"], default="human")
@@ -426,10 +396,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except fp.IterationCapExceeded as exc:
+    except (CliError, EncodingError, chc.ChcError,
+            fp.IterationCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except BrokenPipeError:

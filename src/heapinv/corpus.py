@@ -8,9 +8,10 @@ acceptance suite; none is hand-entered.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
+from .encode import EncodingConfig, enc_n, encode
 from .lang import Program, parse_and_check
 
 
@@ -49,3 +50,35 @@ def load_corpus() -> list[CorpusEntry]:
 
 def corpus_by_name() -> dict[str, CorpusEntry]:
     return {e.name: e for e in load_corpus()}
+
+
+# The encoding variants of the acceptance matrix: name -> (encoding, the
+# CorpusEntry flag an entry needs to be eligible, or None for every entry).
+VARIANTS = {
+    "n": (enc_n, None),
+    "r": (EncodingConfig(base="r"), None),
+    "rw": (EncodingConfig(base="rw"), None),
+    "r_t": (EncodingConfig(base="r", tagging=True), None),
+    "r_c": (EncodingConfig(base="r", caching=True), None),
+    "rw_c": (EncodingConfig(base="rw", caching=True), None),
+    "rw_ct": (EncodingConfig(base="rw", caching=True, tagging=True), None),
+    "rw_t": (EncodingConfig(base="rw", tagging=True), "rw_tagged_visible"),
+    "rwfun": (EncodingConfig(base="rwfun", assume_memsafe=True), "memory_safe"),
+    "rwmem": (EncodingConfig(base="rwmem", strip_asserts=True), None),
+    "r_scope": (EncodingConfig(base="r"), "scope_var"),
+}
+
+
+def encode_variant(entry: CorpusEntry, program: Program,
+                   variant: str) -> Program | None:
+    """The entry's parsed program under the named variant, or None when the
+    entry is not eligible for it.  ``r_scope`` adds the entry's scope
+    variable as an extra predicate argument."""
+    encoding, flag = VARIANTS[variant]
+    if flag is not None and not getattr(entry, flag):
+        return None
+    if not isinstance(encoding, EncodingConfig):
+        return encoding(program)
+    if flag == "scope_var":
+        encoding = replace(encoding, scope_vars=(entry.scope_var,))
+    return encode(program, encoding).program

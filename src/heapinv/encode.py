@@ -30,7 +30,8 @@ from .lang import (
     AssumePred, Binary, Block, CtorApp, CtorDecl, DefObj, Expr, HavocStmt,
     If, IntLit, NondetStmt, Null, PredDecl, Program, Read, SelApp, Skip,
     Stmt, TestApp, Type, Unary, Var, While, Write, assign_locations,
-    contains_heap_statements, obj_type, typecheck,
+    contains_heap_statements, expr_children, map_statements, obj_type,
+    typecheck,
 )
 
 READ_PRED = "R"
@@ -170,14 +171,7 @@ def _expr_vars(e: Expr) -> set[str]:
         x = stack.pop()
         if isinstance(x, Var):
             out.add(x.name)
-        elif isinstance(x, Unary):
-            stack.append(x.operand)
-        elif isinstance(x, Binary):
-            stack.extend((x.left, x.right))
-        elif isinstance(x, CtorApp):
-            stack.extend(x.args)
-        elif isinstance(x, (SelApp, TestApp)):
-            stack.append(x.arg)
+        stack.extend(expr_children(x))
     return out
 
 
@@ -541,20 +535,6 @@ def enc_rwmem(program: Program, **kw) -> EncodedProgram:
 # extension passes
 
 
-def apply_tagging(enc: EncodedProgram) -> EncodedProgram:
-    """Re-encode the source with location tagging enabled."""
-    if enc.config.tagging:
-        return enc
-    return encode(enc.source, replace(enc.config, tagging=True))
-
-
-def apply_caching(enc: EncodedProgram) -> EncodedProgram:
-    """Re-encode the source with the one-element cache enabled."""
-    if enc.config.caching:
-        return enc
-    return encode(enc.source, replace(enc.config, caching=True))
-
-
 def apply_scope_vars(enc: EncodedProgram, names: list[str]) -> EncodedProgram:
     """Append the current values of the named Int variables as extra
     arguments at every occurrence of the encoding predicates.  The extras
@@ -573,12 +553,6 @@ def apply_scope_vars(enc: EncodedProgram, names: list[str]) -> EncodedProgram:
     targets = set(enc.pred_sigs)
 
     def tx(s: Stmt) -> Stmt:
-        if isinstance(s, Block):
-            return Block(tuple(tx(c) for c in s.stmts), loc=s.loc, pos=s.pos)
-        if isinstance(s, If):
-            return If(s.cond, tx(s.then), tx(s.els), loc=s.loc, pos=s.pos)
-        if isinstance(s, While):
-            return While(s.cond, tx(s.body), loc=s.loc, pos=s.pos)
         if isinstance(s, (AssumePred, AssertPred)) and s.pred in targets:
             cls = type(s)
             return cls(s.pred, list(s.args) + [Var(nm) for nm in names],
@@ -589,7 +563,7 @@ def apply_scope_vars(enc: EncodedProgram, names: list[str]) -> EncodedProgram:
              if p.name in targets else p for p in prog.preds]
     new_sigs = {name: sig + [INT] * len(names)
                 for name, sig in enc.pred_sigs.items()}
-    out = replace(prog, preds=preds, body=tx(prog.body))
+    out = replace(prog, preds=preds, body=map_statements(prog.body, tx))
     assign_locations(out)
     diags = typecheck(out)
     if diags:
@@ -624,12 +598,6 @@ def remove_arguments(enc: EncodedProgram,
         return [x for i, x in enumerate(xs) if i not in dead]
 
     def tx(s: Stmt) -> Stmt:
-        if isinstance(s, Block):
-            return Block(tuple(tx(c) for c in s.stmts), loc=s.loc, pos=s.pos)
-        if isinstance(s, If):
-            return If(s.cond, tx(s.then), tx(s.els), loc=s.loc, pos=s.pos)
-        if isinstance(s, While):
-            return While(s.cond, tx(s.body), loc=s.loc, pos=s.pos)
         if isinstance(s, (AssumePred, AssertPred)) and s.pred in by_pred:
             cls = type(s)
             return cls(s.pred, keep(s.pred, s.args), loc=s.loc, pos=s.pos)
@@ -637,7 +605,7 @@ def remove_arguments(enc: EncodedProgram,
 
     preds = [PredDecl(p.name, keep(p.name, p.arg_types)) for p in prog.preds]
     new_sigs = {name: keep(name, sig) for name, sig in enc.pred_sigs.items()}
-    out = replace(prog, preds=preds, body=tx(prog.body))
+    out = replace(prog, preds=preds, body=map_statements(prog.body, tx))
     assign_locations(out)
     diags = typecheck(out)
     if diags:

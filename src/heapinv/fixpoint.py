@@ -116,6 +116,10 @@ class InputDomain:
             raise ValueError("seeds must be nonnegative")
         if self.last_addr_range[0] < 0:
             raise ValueError("addresses are naturals")
+        for name in ("loop_fuel", "heap_op_fuel", "iteration_cap"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be nonnegative")
 
     def grid_size(self) -> int:
         return ((self.in_range[1] - self.in_range[0] + 1)
@@ -142,6 +146,22 @@ def program_uses_seed(program: Program) -> bool:
 def program_uses_input(program: Program) -> bool:
     return (program.input_var is not None
             and program.input_var in variables_read(program))
+
+
+def initial_stack(program: Program, in_v: int | None, seed: int | None,
+                  last_addr: int | None, counter: int | None) -> dict:
+    """The inputs of one grid point: each value that is not None is bound
+    to its variable when the program declares that variable."""
+    inputs = {}
+    if in_v is not None and program.input_var is not None:
+        inputs[program.input_var] = in_v
+    if seed is not None and program.seed_var is not None:
+        inputs[program.seed_var] = seed
+    if last_addr is not None and LAST_ADDR_VAR in program.var_types:
+        inputs[LAST_ADDR_VAR] = last_addr
+    if counter is not None and COUNTER_VAR in program.var_types:
+        inputs[COUNTER_VAR] = counter
+    return inputs
 
 
 def _class_count(lo: int, hi: int, residue: int, bits: int) -> int:
@@ -181,14 +201,12 @@ class GridExecutor:
     """Runs a compiled program over the bounded input grid with per-cell
     memoisation between fixpoint iterations."""
 
-    def __init__(self, program: Program, domain: InputDomain,
-                 mode: str = "heap"):
+    def __init__(self, program: Program, domain: InputDomain):
         self.program = program
         self.domain = domain
-        self.compiled = CompiledProgram(program, mode=mode)
+        self.compiled = CompiledProgram(program)
         self.enumerate_in = program_uses_input(program)
         self.enumerate_last_addr = LAST_ADDR_VAR in program.var_types
-        self.has_counter = COUNTER_VAR in program.var_types
         # seed classing is sound only when the seed variable is never read
         # by ordinary expressions (draws are not expression reads)
         self.seed_var = program.seed_var
@@ -210,44 +228,33 @@ class GridExecutor:
             return list(range(lo, hi + 1))
         return [None]
 
-    def _inputs(self, in_v, la, seed) -> dict:
-        inputs = {}
-        if in_v is not None:
-            inputs[self.program.input_var] = in_v
-        if la is not None:
-            inputs[LAST_ADDR_VAR] = la
-        if self.seed_var is not None:
-            inputs[self.seed_var] = seed
-        if self.has_counter:
-            inputs[COUNTER_VAR] = self.domain.heap_op_fuel
-        return inputs
-
-    def _run_one(self, in_v, la, seed, interp):
+    def _run_one(self, inputs, interp):
         return self.compiled.run(
-            inputs=self._inputs(in_v, la, seed), interp=interp,
-            loop_fuel=self.domain.loop_fuel,
+            inputs=inputs, interp=interp, loop_fuel=self.domain.loop_fuel,
             heap_fuel=self.domain.heap_op_fuel)
 
     def run_cell(self, in_v, la, interp) -> Cell:
         cell = Cell(in_v, la)
         lo, hi = self.domain.seed_range
+        # the runs of a cell differ only in the seed, set in place per run
+        inputs = initial_stack(self.program, in_v, None, la,
+                               self.domain.heap_op_fuel)
         if self.seed_var is None:
-            res = self.compiled.run(
-                inputs=self._inputs(in_v, la, 0), interp=interp,
-                loop_fuel=self.domain.loop_fuel,
-                heap_fuel=self.domain.heap_op_fuel)
+            res = self._run_one(inputs, interp)
             cell.leaves.append(Leaf(0, 0, res.outcome, res.blocker, 1))
             return cell
         if not self.seed_classing:
             for s in range(lo, hi + 1):
-                res = self._run_one(in_v, la, s, interp)
+                inputs[self.seed_var] = s
+                res = self._run_one(inputs, interp)
                 cell.leaves.append(Leaf(s, 0, res.outcome, res.blocker, 1))
             return cell
         covered: list[tuple[int, int]] = []  # (mask, residue)
         for s in range(lo, hi + 1):
             if any(s & mask == residue for mask, residue in covered):
                 continue
-            res = self._run_one(in_v, la, s, interp)
+            inputs[self.seed_var] = s
+            res = self._run_one(inputs, interp)
             bits = res.bits_consumed
             mask = (1 << bits) - 1
             covered.append((mask, s & mask))
@@ -310,6 +317,15 @@ class GridExecutor:
                         leaf.outcome.reason == FUEL_EXHAUSTED:
                     n += leaf.weight
         return n * self.collapsed_multiplier()
+
+    def witness(self, in_v, seed, la, pred: str, args: tuple) -> "Witness":
+        """Witness at a grid point; a collapsed dimension reports the lowest
+        value of its range."""
+        d = self.domain
+        inputs = initial_stack(
+            self.program, d.in_range[0] if in_v is None else in_v, seed,
+            d.last_addr_range[0] if la is None else la, d.heap_op_fuel)
+        return Witness(inputs, pred, args)
 
     def predicate_bot_leaves(self) -> list:
         out = []
@@ -415,20 +431,6 @@ def _value_json(v: Value):
     return v
 
 
-def _witness_inputs(program: Program, domain: InputDomain,
-                    in_v, seed, la) -> dict:
-    inputs = {}
-    if program.input_var is not None:
-        inputs[program.input_var] = in_v if in_v is not None else domain.in_range[0]
-    if program.seed_var is not None:
-        inputs[program.seed_var] = seed
-    if LAST_ADDR_VAR in program.var_types:
-        inputs[LAST_ADDR_VAR] = la if la is not None else domain.last_addr_range[0]
-    if COUNTER_VAR in program.var_types:
-        inputs[COUNTER_VAR] = domain.heap_op_fuel
-    return inputs
-
-
 def verdict_from_executor(program: Program, domain: InputDomain,
                           info: FixpointInfo) -> SafetyVerdict:
     ex = info.executor
@@ -441,9 +443,7 @@ def verdict_from_executor(program: Program, domain: InputDomain,
     fuel = ex.fuel_exhausted_weight()
     sizes = info.interp.sizes()
     if failures:
-        in_v, seed, la = failures[0]
-        w = Witness(_witness_inputs(program, domain, in_v, seed, la),
-                    FAILURE_PRED, ())
+        w = ex.witness(*failures[0], FAILURE_PRED, ())
         return SafetyVerdict("unsafe", w, fuel, info.iterations, sizes)
     if fuel:
         return SafetyVerdict("inconclusive", None, fuel, info.iterations, sizes)
@@ -471,7 +471,7 @@ def sweep_under(program: Program, domain: InputDomain, interp) -> SafetyVerdict:
     if bots:
         bots.sort(key=lambda w: tuple(-(10 ** 9) if v is None else v for v in w[:3]))
         in_v, seed, la, o = bots[0]
-        w = Witness(_witness_inputs(program, domain, in_v, seed, la), o.pred, o.args)
+        w = ex.witness(in_v, seed, la, o.pred, o.args)
         return SafetyVerdict("unsafe", w, fuel, 0, {})
     if fuel:
         return SafetyVerdict("inconclusive", None, fuel, 0, {})
@@ -575,21 +575,19 @@ def pack_bits(bits: list[int]) -> int:
 
 def read_trace_interpretation(program: Program, domain: InputDomain,
                               pred: str = "R",
-                              counter_value: int | None = None) -> Interpretation:
+                              counter_value: int | None = None,
+                              source_seed: int = 0) -> Interpretation:
     """The limit interpretation of the read predicate for a deterministic
     program: for every input, tuple (input, k, v) where v is the value
     returned by the k-th read.  Derived directly from the heap-model read
     trace; the grid fixed point is always a subset of this."""
     cp = CompiledProgram(program, record_reads=True)
     interp = Interpretation.empty()
+    if counter_value is None:
+        counter_value = domain.heap_op_fuel
     lo, hi = domain.in_range
     for in_v in range(lo, hi + 1):
-        inputs = {}
-        if program.input_var is not None:
-            inputs[program.input_var] = in_v
-        if COUNTER_VAR in program.var_types:
-            inputs[COUNTER_VAR] = (counter_value if counter_value is not None
-                                   else domain.heap_op_fuel)
+        inputs = initial_stack(program, in_v, source_seed, None, counter_value)
         res = cp.run(inputs=inputs, loop_fuel=domain.loop_fuel,
                      heap_fuel=domain.heap_op_fuel)
         for k, (_, v) in enumerate(res.reads, start=1):
@@ -629,28 +627,6 @@ def _draw_bits(raw: int, nbits: int) -> list[int]:
     return [(raw >> i) & 1 for i in range(nbits)]
 
 
-def read_trace_interpretation_for(program: Program, domain: InputDomain,
-                                  counter_value: int | None,
-                                  source_seed: int) -> Interpretation:
-    cp = CompiledProgram(program, record_reads=True)
-    interp = Interpretation.empty()
-    lo, hi = domain.in_range
-    for in_v in range(lo, hi + 1):
-        inputs = {}
-        if program.input_var is not None:
-            inputs[program.input_var] = in_v
-        if program.seed_var is not None:
-            inputs[program.seed_var] = source_seed
-        if COUNTER_VAR in program.var_types:
-            inputs[COUNTER_VAR] = (counter_value if counter_value is not None
-                                   else domain.heap_op_fuel)
-        res = cp.run(inputs=inputs, loop_fuel=domain.loop_fuel,
-                     heap_fuel=domain.heap_op_fuel)
-        for k, (_, v) in enumerate(res.reads, start=1):
-            interp.add("R", (in_v, k, v))
-    return interp
-
-
 def cosim_check(p_star: Program, p_encoded: Program, domain: InputDomain,
                 *, last_var: str = "$last", cnt_alloc_var: str = "$cnt_alloc",
                 counter_values: tuple[int, ...] | None = None,
@@ -685,14 +661,10 @@ def cosim_check(p_star: Program, p_encoded: Program, domain: InputDomain,
     la_lo, la_hi = domain.last_addr_range
     for n in counter_values:
         for s0 in source_seeds:
-            interp = read_trace_interpretation_for(p_star, domain, n, s0)
+            interp = read_trace_interpretation(p_star, domain,
+                                               counter_value=n, source_seed=s0)
             for in_v in range(in_lo, in_hi + 1):
-                inputs1 = {}
-                if p_star.input_var is not None:
-                    inputs1[p_star.input_var] = in_v
-                inputs1[p_star.seed_var] = s0
-                if COUNTER_VAR in p_star.var_types:
-                    inputs1[COUNTER_VAR] = n
+                inputs1 = initial_stack(p_star, in_v, s0, None, n)
                 res1 = star.run(inputs=inputs1, loop_fuel=domain.loop_fuel,
                                 heap_fuel=max(domain.heap_op_fuel, n + 1))
                 for la in range(la_lo, la_hi + 1):
@@ -702,10 +674,8 @@ def cosim_check(p_star: Program, p_encoded: Program, domain: InputDomain,
                             bits.extend(_draw_bits(ev[1], ev[2]))
                         elif ev[1] != la:
                             bits.extend(encode_value_bits(ev[2], heap_ty, adts))
-                    seed = pack_bits(bits)
-                    inputs2 = dict(inputs1)
-                    inputs2[p_encoded.seed_var] = seed
-                    inputs2[LAST_ADDR_VAR] = la
+                    inputs2 = initial_stack(p_encoded, in_v, pack_bits(bits),
+                                            la, n)
                     res2 = enc.run(inputs=inputs2, interp=interp,
                                    loop_fuel=max(domain.loop_fuel,
                                                  4 * len(bits) + 8),

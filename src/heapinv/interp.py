@@ -18,10 +18,9 @@ ObjVal tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, NamedTuple
 
-from . import lang
 from .lang import (
     AdtDecl, Alloc, Assign, AssertExpr, AssertPred, AssumeExpr, AssumePred,
     Binary, Block, CtorApp, DefObj, Expr, FAILURE_PRED, HavocStmt, If,
@@ -133,10 +132,6 @@ TOP = Top()
 class Fuel:
     loop: int
     heap_ops: int
-
-
-def is_defined(outcome: Outcome) -> bool:
-    return not isinstance(outcome, Undefined)
 
 
 # Truncating (C-style) integer division and remainder.
@@ -583,6 +578,12 @@ class CompiledProgram:
 # Spec-level entry points
 
 
+def _with_body(program: Program, stmt: Stmt) -> Program:
+    """The program's declarations around a single statement."""
+    return replace(program,
+                   body=stmt if isinstance(stmt, Block) else Block((stmt,)))
+
+
 def eval_stmt(stmt: Stmt, stack: dict, heap: list, interp, fuel: Fuel,
               program: Program) -> tuple[Outcome, dict, list]:
     """Big-step evaluation of a statement against an explicit stack & heap.
@@ -590,12 +591,7 @@ def eval_stmt(stmt: Stmt, stack: dict, heap: list, interp, fuel: Fuel,
     The program supplies declarations (types, ADTs, seed variable); the
     inputs are not mutated.
     """
-    prog = lang.Program(
-        adts=program.adts, heap_adt=program.heap_adt, preds=program.preds,
-        input_var=program.input_var, seed_var=program.seed_var,
-        var_types=program.var_types, body=stmt if isinstance(stmt, Block) else Block((stmt,)),
-    )
-    cp = CompiledProgram(prog)
+    cp = CompiledProgram(_with_body(program, stmt))
     res = cp.run(inputs=dict(stack), interp=interp,
                  loop_fuel=fuel.loop, heap_fuel=fuel.heap_ops,
                  initial_heap=heap)
@@ -606,12 +602,7 @@ def eval_trace_mode(stmt: Stmt, stack: dict, trace: list, interp, fuel: Fuel,
                     program: Program,
                     allocs: int = 0) -> tuple[Outcome, dict, list]:
     """Trace-mode twin of eval_stmt; the heap is a list of write events."""
-    prog = lang.Program(
-        adts=program.adts, heap_adt=program.heap_adt, preds=program.preds,
-        input_var=program.input_var, seed_var=program.seed_var,
-        var_types=program.var_types, body=stmt if isinstance(stmt, Block) else Block((stmt,)),
-    )
-    cp = CompiledProgram(prog, mode="trace")
+    cp = CompiledProgram(_with_body(program, stmt), mode="trace")
     res = cp.run(inputs=dict(stack), interp=interp,
                  loop_fuel=fuel.loop, heap_fuel=fuel.heap_ops,
                  initial_trace=trace, initial_allocs=allocs)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 # ---------------------------------------------------------------------------
 # Types
@@ -753,6 +754,22 @@ def statement_locations(program: Program) -> list[int]:
 # Expression/statement utilities
 
 
+def map_statements(stmt: Stmt, leaf: Callable[[Stmt], Stmt]) -> Stmt:
+    """Rebuild the Block/If/While structure of a statement tree with ``leaf``
+    applied to every other statement; conditions, locations and positions
+    are kept."""
+    if isinstance(stmt, Block):
+        return Block(tuple(map_statements(c, leaf) for c in stmt.stmts),
+                     loc=stmt.loc, pos=stmt.pos)
+    if isinstance(stmt, If):
+        return If(stmt.cond, map_statements(stmt.then, leaf),
+                  map_statements(stmt.els, leaf), loc=stmt.loc, pos=stmt.pos)
+    if isinstance(stmt, While):
+        return While(stmt.cond, map_statements(stmt.body, leaf),
+                     loc=stmt.loc, pos=stmt.pos)
+    return leaf(stmt)
+
+
 def expr_children(e: Expr) -> list[Expr]:
     if isinstance(e, Unary):
         return [e.operand]
@@ -1304,24 +1321,13 @@ def expand_program_havocs(program: Program) -> Program:
     new_vars: dict[str, Type] = {}
 
     def tx(s: Stmt) -> Stmt:
-        if isinstance(s, Block):
-            return Block(tuple(tx(c) for c in s.stmts), loc=s.loc, pos=s.pos)
-        if isinstance(s, If):
-            return If(s.cond, tx(s.then), tx(s.els), loc=s.loc, pos=s.pos)
-        if isinstance(s, While):
-            return While(s.cond, tx(s.body), loc=s.loc, pos=s.pos)
         if isinstance(s, HavocStmt):
             return expand_havoc(s, program, fresh, new_vars)
         return s
 
-    body = tx(program.body)
+    body = map_statements(program.body, tx)
     var_types = dict(program.var_types)
     var_types.update(new_vars)
     out = replace(program, var_types=var_types, body=body)
     assign_locations(out)
     return out
-
-
-def clone_program(program: Program) -> Program:
-    """Structural deep copy (type annotations and locations reset)."""
-    return parse_program(pretty_print(program))

@@ -2,8 +2,7 @@ import time
 
 import pytest
 
-from heapinv.corpus import load_corpus
-from heapinv.encode import EncodingConfig, enc_n, encode
+from heapinv.corpus import VARIANTS, encode_variant, load_corpus
 from heapinv.fixpoint import InputDomain, least_fixpoint_info, verdict_from_executor
 
 
@@ -15,19 +14,6 @@ def domain():
 @pytest.fixture(scope="session")
 def corpus():
     return load_corpus()
-
-
-VARIANTS = {
-    "r": EncodingConfig(base="r"),
-    "rw": EncodingConfig(base="rw"),
-    "r_t": EncodingConfig(base="r", tagging=True),
-    "r_c": EncodingConfig(base="r", caching=True),
-    "rw_c": EncodingConfig(base="rw", caching=True),
-    "rw_ct": EncodingConfig(base="rw", caching=True, tagging=True),
-    "rw_t": EncodingConfig(base="rw", tagging=True),
-    "rwfun": EncodingConfig(base="rwfun", assume_memsafe=True),
-    "rwmem": EncodingConfig(base="rwmem", strip_asserts=True),
-}
 
 
 class MatrixRow:
@@ -54,19 +40,11 @@ def corpus_matrix(corpus, domain):
             row.verdicts[key] = verdict_from_executor(program, domain, info)
 
         run("orig", row.program)
-        row.encoded["n"] = enc_n(row.program)
-        run("n", row.encoded["n"])
-        for name, cfg in VARIANTS.items():
-            if name == "rwfun" and not entry.memory_safe:
-                continue
-            if name == "rw_t" and not entry.rw_tagged_visible:
-                continue
-            row.encoded[name] = encode(row.program, cfg).program
-            run(name, row.encoded[name])
-        if entry.scope_var:
-            cfg = EncodingConfig(base="r", scope_vars=(entry.scope_var,))
-            row.encoded["r_scope"] = encode(row.program, cfg).program
-            run("r_scope", row.encoded["r_scope"])
+        for name in VARIANTS:
+            program = encode_variant(entry, row.program, name)
+            if program is not None:
+                row.encoded[name] = program
+                run(name, program)
         rows[entry.name] = row
     rows["__build_seconds__"] = time.time() - t0
     return rows

@@ -1,10 +1,17 @@
 import json
 import pathlib
+import pkgutil
+import random
+import types
 
 import jsonschema
+import pytest
 
+import progen
 from heapinv.cli import EXIT_DISAGREE, EXIT_ERROR, EXIT_OK, main
-from heapinv.corpus import corpus_by_name
+from heapinv.corpus import VARIANTS, corpus_by_name
+from heapinv.encode import enc_n, enc_r
+from heapinv.lang import pretty_print
 
 SCHEMA = json.loads(
     (pathlib.Path(__file__).parent.parent / "docs" / "report-schema.json")
@@ -192,3 +199,160 @@ def test_run_all_inputs_jsonl(capsys):
         payload = json.loads(line)
         validate(payload)
         assert payload["outcome"] == {"kind": "top"}
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract: bad input is a one-line error and exit 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("encode", "write-read-false", "--enc", "r", "--scope-vars", "nosuch"),
+    ("encode", "write-read-false", "--enc", "r", "--drop", "R:9"),
+    ("equisafe", "write-read-false", "--enc", "rwfun"),
+    ("fixpoint", "write-read-false", "--seed-range", "5:1"),
+    ("fixpoint", "write-read-false", "--loop-fuel", "-1"),
+    ("fixpoint", "write-read-false", "--heap-op-fuel", "-1"),
+    ("fixpoint", "write-read-false", "--iteration-cap", "-1"),
+    ("run", "write-read-false", "--seed", "-3"),
+], ids=["unknown-scope-var", "drop-out-of-range", "rwfun-unacknowledged",
+        "empty-seed-range", "negative-loop-fuel", "negative-heap-op-fuel",
+        "negative-iteration-cap", "negative-seed"])
+def test_bad_input_is_one_line_error(capsys, argv):
+    command, name, *rest = argv
+    code, out, err = run_cli(capsys, command, corpus_path(name), *rest)
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_package_exports_do_not_shadow_submodules():
+    import heapinv
+    submodules = {m.name for m in pkgutil.iter_modules(heapinv.__path__)}
+    assert isinstance(heapinv.encode, types.ModuleType)
+    assert not submodules & set(heapinv.__all__)
+
+
+# ---------------------------------------------------------------------------
+# the corpus variant registry
+
+
+SMALL_DOMAIN = ("--in-range", "0:1", "--seed-range", "0:3",
+                "--last-addr-range", "0:2", "--loop-fuel", "6",
+                "--heap-op-fuel", "6")
+
+
+def test_corpus_accepts_every_registry_variant(capsys):
+    code, out, _ = run_cli(capsys, "corpus", "--enc", ",".join(VARIANTS),
+                           "--format", "json", *SMALL_DOMAIN)
+    # the domain is too small for every label to hold; only the shape and
+    # the eligibility of each entry are checked here
+    assert code in (EXIT_OK, EXIT_DISAGREE)
+    payload = json.loads(out)
+    validate(payload)
+    entries = corpus_by_name()
+    assert len(payload["entries"]) == len(entries)
+    for row in payload["entries"]:
+        entry = entries[row["name"]]
+        assert list(row["variants"]) == sorted(VARIANTS)
+        for variant, (_, flag) in VARIANTS.items():
+            eligible = flag is None or bool(getattr(entry, flag))
+            skipped = row["variants"][variant] == "skipped"
+            assert skipped != eligible, (entry.name, variant)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: generated programs and mutated arguments never crash the CLI
+
+
+def _fuzz_programs(tmp_path, rng) -> list[str]:
+    paths = []
+    for i in range(8):
+        program = progen.gen_program(rng.randrange(10 ** 6))
+        text = pretty_print(program)
+        if i % 3 == 0:
+            text = text.replace("  seed seed;\n", "")
+        paths.append(tmp_path / f"gen{i}.up")
+        paths[-1].write_text(text)
+    # an encoded program declares the prophecy address and the budget counter
+    encoded = enc_r(enc_n(progen.gen_program(rng.randrange(10 ** 6))))
+    paths.append(tmp_path / "encoded.up")
+    paths[-1].write_text(pretty_print(encoded.program))
+    return [str(p) for p in paths]
+
+
+def _fuzz_domain(rng) -> list[str]:
+    argv = list(SMALL_DOMAIN)
+    if rng.random() < 0.5:
+        flag = rng.choice(["--in-range", "--seed-range", "--last-addr-range",
+                           "--loop-fuel", "--heap-op-fuel", "--iteration-cap"])
+        if flag.endswith("-range"):
+            value = rng.choice(["5:1", "", "3", "a:b", "-2:-1", "0:0"])
+        else:
+            value = rng.choice(["-1", "0", "x", "2"])
+        argv += [flag, value]  # the last occurrence wins
+    return argv
+
+
+def _fuzz_encoding(rng) -> list[str]:
+    argv = ["--enc", rng.choice(["n", "r", "rw", "rwfun", "rwmem", "bogus"])]
+    for flag in ("--tag", "--cache", "--assume-memsafe", "--native-havoc",
+                 "--strip-asserts", "--alloc-init-write"):
+        if rng.random() < 0.3:
+            argv.append(flag)
+    if rng.random() < 0.3:
+        argv += ["--scope-vars", rng.choice(["nosuch", "i", "in", "x", ""])]
+    if rng.random() < 0.3:
+        argv += ["--drop", rng.choice(["R:9", "R:0", "W:1", "P:0", "Q:1",
+                                       "R", "R:x"])]
+    return argv
+
+
+def _fuzz_argv(rng, files, tmp_path) -> list[str]:
+    command = rng.choice(["encode", "run", "fixpoint", "equisafe",
+                          "emit-chc", "corpus"])
+    if command == "corpus":
+        names = list(VARIANTS) + ["bogus"]
+        return [command, "--filter", rng.choice(["cell-pair", "trivially",
+                                                 "nomatch", ""]),
+                "--enc", ",".join(rng.sample(names, rng.randint(0, 3))),
+                "--format", rng.choice(["human", "json"]),
+                *_fuzz_domain(rng)]
+    argv = [command, rng.choice(files)]
+    if command == "encode":
+        return argv + _fuzz_encoding(rng) + ["-o", str(tmp_path / "out.up")]
+    if command == "emit-chc":
+        enc = _fuzz_encoding(rng) if rng.random() < 0.7 else []
+        return argv + enc + ["-o", str(tmp_path / "out.smt2")]
+    if command == "run":
+        for flag, values in (("--in", ["0", "2", "-1"]),
+                             ("--seed", ["0", "5", "-3"]),
+                             ("--last-addr", ["0", "2", "-1"]),
+                             ("--loop-fuel", ["6", "0", "-1"]),
+                             ("--heap-op-fuel", ["6", "0", "-1"])):
+            if rng.random() < 0.4:
+                argv += [flag, rng.choice(values)]
+        if rng.random() < 0.3:
+            argv.append("--trace-mode")
+        return argv
+    if command == "equisafe":
+        argv += _fuzz_encoding(rng)
+        if rng.random() < 0.2:
+            argv.append("--cosim")
+    return argv + _fuzz_domain(rng) + ["--format",
+                                       rng.choice(["human", "json"])]
+
+
+def test_cli_fuzz_exit_codes(capsys, tmp_path):
+    rng = random.Random(20260417)
+    files = _fuzz_programs(tmp_path, rng)
+    for _ in range(1000):
+        argv = _fuzz_argv(rng, files, tmp_path)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (EXIT_OK, EXIT_DISAGREE, EXIT_ERROR), argv
+        assert "Traceback" not in err, argv
+        if code == EXIT_DISAGREE:
+            assert argv[0] in ("equisafe", "corpus"), argv

@@ -1,9 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
 from heapinv.encode import (
-    EncodingConfig, EncodingError, apply_caching, apply_scope_vars,
-    apply_tagging, enc_n, enc_r, enc_rw, enc_rwfun, enc_rwmem, encode,
-    encoding_is_heap_free, remove_arguments,
+    EncodingConfig, EncodingError, apply_scope_vars, enc_n, enc_r, enc_rw,
+    enc_rwfun, enc_rwmem, encode, encoding_is_heap_free, remove_arguments,
 )
 from heapinv.fixpoint import InputDomain, check_equisafety, check_safety
 from heapinv.lang import (
@@ -413,7 +414,7 @@ def test_rw_tagging_adds_one_write_location():
 
 def test_apply_tagging_reencodes():
     e = enc_r(parse_and_check(SINGLE_READ))
-    t = apply_tagging(e)
+    t = encode(e.source, replace(e.config, tagging=True))
     assert t.config.tagging
     assert t.program == enc_r(parse_and_check(SINGLE_READ), tagging=True).program
 
@@ -456,12 +457,15 @@ def test_cache_serves_written_value(corpus, domain):
 
 def test_extension_order_is_immaterial():
     p = parse_and_check(SINGLE_READ)
-    e = enc_r(p)
-    a = apply_caching(apply_tagging(e))
-    b = apply_tagging(apply_caching(e))
-    assert a.program == b.program
+    both = encode(p, EncodingConfig(base="r", tagging=True, caching=True))
+    # adding the other extension to either single one gives the same program
+    for single in (enc_r(p, tagging=True), enc_r(p, caching=True)):
+        again = encode(single.source,
+                       replace(single.config, tagging=True, caching=True))
+        assert again.program == both.program
     d = InputDomain()
-    assert check_safety(a.program, d).kind == check_safety(b.program, d).kind
+    assert check_safety(both.program, d).kind == \
+        check_safety(enc_r(p).program, d).kind
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from .lang import (
 )
 from .interp import (
     Bot, CompiledProgram, Fuel, ObjVal, Top, Undefined, eval_stmt,
-    eval_trace_mode, heap_allocate, heap_read, heap_write, run_program,
+    eval_trace_mode, heap_allocate, heap_read, heap_write,
 )
 from .fixpoint import (
     InputDomain, Interpretation, check_equisafety, check_safety,
@@ -29,7 +29,7 @@ __all__ = [
     "parse_and_check", "parse_program", "pretty_print", "typecheck",
     "Bot", "CompiledProgram", "Fuel", "ObjVal", "Top", "Undefined",
     "eval_stmt", "eval_trace_mode", "heap_allocate", "heap_read",
-    "heap_write", "run_program",
+    "heap_write",
     "InputDomain", "Interpretation", "check_equisafety", "check_safety",
     "cosim_check", "immediate_consequence", "least_fixpoint",
     "EncodedProgram", "EncodingConfig", "apply_scope_vars", "enc_n",

@@ -535,6 +535,32 @@ def enc_rwmem(program: Program, **kw) -> EncodedProgram:
 # extension passes
 
 
+def _rewrite_pred_args(enc: EncodedProgram, preds: set[str], args, types,
+                       what: str) -> EncodedProgram:
+    """Rewrite each predicate in ``preds``: ``args(pred, exprs)`` gives the
+    arguments of every application, ``types(pred, arg_types)`` its
+    declaration and signature."""
+    prog = enc.program
+
+    def tx(s: Stmt) -> Stmt:
+        if isinstance(s, (AssumePred, AssertPred)) and s.pred in preds:
+            cls = type(s)
+            return cls(s.pred, args(s.pred, s.args), loc=s.loc, pos=s.pos)
+        return s
+
+    decls = [PredDecl(p.name, types(p.name, p.arg_types))
+             if p.name in preds else p for p in prog.preds]
+    new_sigs = {name: types(name, sig) if name in preds else sig
+                for name, sig in enc.pred_sigs.items()}
+    out = replace(prog, preds=decls, body=map_statements(prog.body, tx))
+    assign_locations(out)
+    diags = typecheck(out)
+    if diags:
+        raise AssertionError(f"{what} broke typing: {diags[0]}")
+    return EncodedProgram(out, enc.source, enc.config, dict(enc.introduced),
+                          new_sigs)
+
+
 def apply_scope_vars(enc: EncodedProgram, names: list[str]) -> EncodedProgram:
     """Append the current values of the named Int variables as extra
     arguments at every occurrence of the encoding predicates.  The extras
@@ -549,27 +575,11 @@ def apply_scope_vars(enc: EncodedProgram, names: list[str]) -> EncodedProgram:
             raise EncodingError(f"unknown scope variable {nm!r}")
         if ty != INT:
             raise EncodingError(f"scope variable {nm!r} must have type Int, has {ty}")
-
-    targets = set(enc.pred_sigs)
-
-    def tx(s: Stmt) -> Stmt:
-        if isinstance(s, (AssumePred, AssertPred)) and s.pred in targets:
-            cls = type(s)
-            return cls(s.pred, list(s.args) + [Var(nm) for nm in names],
-                       loc=s.loc, pos=s.pos)
-        return s
-
-    preds = [PredDecl(p.name, list(p.arg_types) + [INT] * len(names))
-             if p.name in targets else p for p in prog.preds]
-    new_sigs = {name: sig + [INT] * len(names)
-                for name, sig in enc.pred_sigs.items()}
-    out = replace(prog, preds=preds, body=map_statements(prog.body, tx))
-    assign_locations(out)
-    diags = typecheck(out)
-    if diags:
-        raise AssertionError(f"scope augmentation broke typing: {diags[0]}")
-    return EncodedProgram(out, enc.source, enc.config, dict(enc.introduced),
-                          new_sigs)
+    return _rewrite_pred_args(
+        enc, set(enc.pred_sigs),
+        lambda _, xs: list(xs) + [Var(nm) for nm in names],
+        lambda _, tys: list(tys) + [INT] * len(names),
+        "scope augmentation")
 
 
 def remove_arguments(enc: EncodedProgram,
@@ -578,9 +588,8 @@ def remove_arguments(enc: EncodedProgram,
     every application.  Sound but possibly incomplete."""
     if not drop:
         return enc
-    prog = enc.program
     by_pred: dict[str, set[int]] = {}
-    decl = {p.name: p for p in prog.preds}
+    decl = {p.name: p for p in enc.program.preds}
     for pred, idxs in drop.items():
         if pred not in decl:
             raise EncodingError(f"unknown predicate {pred!r}")
@@ -592,26 +601,10 @@ def remove_arguments(enc: EncodedProgram,
         by_pred[pred] = set(idxs)
 
     def keep(pred: str, xs: list) -> list:
-        dead = by_pred.get(pred)
-        if not dead:
-            return list(xs)
-        return [x for i, x in enumerate(xs) if i not in dead]
+        return [x for i, x in enumerate(xs) if i not in by_pred[pred]]
 
-    def tx(s: Stmt) -> Stmt:
-        if isinstance(s, (AssumePred, AssertPred)) and s.pred in by_pred:
-            cls = type(s)
-            return cls(s.pred, keep(s.pred, s.args), loc=s.loc, pos=s.pos)
-        return s
-
-    preds = [PredDecl(p.name, keep(p.name, p.arg_types)) for p in prog.preds]
-    new_sigs = {name: keep(name, sig) for name, sig in enc.pred_sigs.items()}
-    out = replace(prog, preds=preds, body=map_statements(prog.body, tx))
-    assign_locations(out)
-    diags = typecheck(out)
-    if diags:
-        raise AssertionError(f"argument removal broke typing: {diags[0]}")
-    return EncodedProgram(out, enc.source, enc.config, dict(enc.introduced),
-                          new_sigs)
+    return _rewrite_pred_args(enc, set(by_pred), keep, keep,
+                              "argument removal")
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,14 @@ fail there.
 Executions are deterministic given (input, seed, prophecy address, fuel),
 which allows two big savings without changing the computed sets:
 
-* seeds are enumerated by equivalence classes of consumed bit prefixes
-  whenever the seed variable is only touched by havoc/nondet draws;
+* when the seed variable is only touched by havoc/nondet draws, a run that
+  consumed b seed bits behaves the same for every seed congruent to its own
+  mod 2^b.  Each cell keeps one mark per seed of its range and visits the
+  seeds in increasing order: an unmarked seed is run and then marks every
+  seed of its class up to the top of the range; marked seeds are skipped.
+  Any seed of a run's class reads the same first b bits and stops there,
+  so the classes are disjoint, each run starts at the smallest seed of its
+  class, and its leaf weighs the seeds it marked;
 * between iterations only the executions blocked on a newly added tuple
   are rerun (an execution stops at its first negative predicate query, so
   one blocked tuple per execution suffices).
@@ -21,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .encode import READ_PRED, V_CNT_ALLOC, V_LAST
 from .interp import (
     Bot, CompiledProgram, FUEL_EXHAUSTED, ObjVal, Undefined, Value,
     default_obj, heap_read,
@@ -164,16 +171,6 @@ def initial_stack(program: Program, in_v: int | None, seed: int | None,
     return inputs
 
 
-def _class_count(lo: int, hi: int, residue: int, bits: int) -> int:
-    """Number of seeds in [lo, hi] congruent to residue mod 2**bits."""
-    step = 1 << bits
-    r = residue % step
-    first = lo + ((r - lo) % step)
-    if first > hi:
-        return 0
-    return (hi - first) // step + 1
-
-
 # ---------------------------------------------------------------------------
 # Grid executor
 
@@ -181,7 +178,6 @@ def _class_count(lo: int, hi: int, residue: int, bits: int) -> int:
 @dataclass
 class Leaf:
     seed: int            # representative (smallest in class)
-    bits: int            # consumed seed bits; class = seeds matching mod 2^bits
     outcome: object
     blocker: tuple | None
     weight: int          # number of seeds in the class within range
@@ -228,38 +224,27 @@ class GridExecutor:
             return list(range(lo, hi + 1))
         return [None]
 
-    def _run_one(self, inputs, interp):
-        return self.compiled.run(
-            inputs=inputs, interp=interp, loop_fuel=self.domain.loop_fuel,
-            heap_fuel=self.domain.heap_op_fuel)
-
     def run_cell(self, in_v, la, interp) -> Cell:
         cell = Cell(in_v, la)
-        lo, hi = self.domain.seed_range
+        seed_var = self.seed_var
+        lo, hi = self.domain.seed_range if seed_var is not None else (0, 0)
+        n = hi - lo + 1
+        marked = bytearray(n)
         # the runs of a cell differ only in the seed, set in place per run
         inputs = initial_stack(self.program, in_v, None, la,
                                self.domain.heap_op_fuel)
-        if self.seed_var is None:
-            res = self._run_one(inputs, interp)
-            cell.leaves.append(Leaf(0, 0, res.outcome, res.blocker, 1))
-            return cell
-        if not self.seed_classing:
-            for s in range(lo, hi + 1):
-                inputs[self.seed_var] = s
-                res = self._run_one(inputs, interp)
-                cell.leaves.append(Leaf(s, 0, res.outcome, res.blocker, 1))
-            return cell
-        covered: list[tuple[int, int]] = []  # (mask, residue)
-        for s in range(lo, hi + 1):
-            if any(s & mask == residue for mask, residue in covered):
+        for i in range(n):
+            if marked[i]:
                 continue
-            inputs[self.seed_var] = s
-            res = self._run_one(inputs, interp)
-            bits = res.bits_consumed
-            mask = (1 << bits) - 1
-            covered.append((mask, s & mask))
-            cell.leaves.append(Leaf(s, bits, res.outcome, res.blocker,
-                                    _class_count(lo, hi, s & mask, bits)))
+            if seed_var is not None:
+                inputs[seed_var] = lo + i
+            res = self.compiled.run(
+                inputs=inputs, interp=interp, loop_fuel=self.domain.loop_fuel,
+                heap_fuel=self.domain.heap_op_fuel)
+            step = 1 << res.bits_consumed if self.seed_classing else n
+            weight = len(range(i, n, step))
+            marked[i::step] = b"\x01" * weight
+            cell.leaves.append(Leaf(lo + i, res.outcome, res.blocker, weight))
         return cell
 
     def run_all(self, interp):
@@ -274,27 +259,23 @@ class GridExecutor:
 
     # harvesting
 
+    def leaves(self):
+        """Every (cell, leaf) pair of the grid."""
+        return ((cell, leaf) for cell in self.cells.values()
+                for leaf in cell.leaves)
+
     def failing_tuples(self) -> set[tuple]:
         """(pred, args) pairs from failed predicate assertions."""
-        out = set()
-        for cell in self.cells.values():
-            for leaf in cell.leaves:
-                o = leaf.outcome
-                if isinstance(o, Bot) and o.pred != FAILURE_PRED:
-                    out.add((o.pred, o.args))
-        return out
+        return {(leaf.outcome.pred, leaf.outcome.args)
+                for _, leaf in self.leaves()
+                if isinstance(leaf.outcome, Bot)
+                and leaf.outcome.pred != FAILURE_PRED}
 
-    def expression_failures(self) -> list[tuple]:
-        """Witnesses (in, seed, last_addr) of expression assertion failures,
-        lexicographically sorted."""
-        out = []
-        for cell in self.cells.values():
-            for leaf in cell.leaves:
-                if isinstance(leaf.outcome, Bot) and leaf.outcome.pred == FAILURE_PRED:
-                    out.append((cell.in_v, leaf.seed, cell.last_addr))
-        def key(w):
-            return tuple(-(10 ** 9) if v is None else v for v in w)
-        return sorted(out, key=key)
+    def failures(self) -> list[tuple]:
+        """(in, seed, last_addr, outcome) of every run that ended in Bot."""
+        return [(cell.in_v, leaf.seed, cell.last_addr, leaf.outcome)
+                for cell, leaf in self.leaves()
+                if isinstance(leaf.outcome, Bot)]
 
     def collapsed_multiplier(self) -> int:
         """Grid points represented by each run through unenumerated
@@ -310,12 +291,9 @@ class GridExecutor:
         return m
 
     def fuel_exhausted_weight(self) -> int:
-        n = 0
-        for cell in self.cells.values():
-            for leaf in cell.leaves:
-                if isinstance(leaf.outcome, Undefined) and \
-                        leaf.outcome.reason == FUEL_EXHAUSTED:
-                    n += leaf.weight
+        n = sum(leaf.weight for _, leaf in self.leaves()
+                if isinstance(leaf.outcome, Undefined)
+                and leaf.outcome.reason == FUEL_EXHAUSTED)
         return n * self.collapsed_multiplier()
 
     def witness(self, in_v, seed, la, pred: str, args: tuple) -> "Witness":
@@ -326,14 +304,6 @@ class GridExecutor:
             self.program, d.in_range[0] if in_v is None else in_v, seed,
             d.last_addr_range[0] if la is None else la, d.heap_op_fuel)
         return Witness(inputs, pred, args)
-
-    def predicate_bot_leaves(self) -> list:
-        out = []
-        for cell in self.cells.values():
-            for leaf in cell.leaves:
-                if isinstance(leaf.outcome, Bot) and leaf.outcome.pred != FAILURE_PRED:
-                    out.append((cell, leaf))
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -431,23 +401,36 @@ def _value_json(v: Value):
     return v
 
 
+def _grid_order(failure: tuple) -> tuple:
+    """Sort key of an (in, seed, last_addr, ...) failure: lexicographic on
+    the grid point, a collapsed dimension (None) first."""
+    return tuple(-(10 ** 9) if v is None else v for v in failure[:3])
+
+
+def _verdict(ex: GridExecutor, failures: list[tuple], iterations: int,
+             sizes: dict) -> SafetyVerdict:
+    """Unsafe with a witness at the least failure, else inconclusive when
+    some run exhausted its fuel, else safe."""
+    fuel = ex.fuel_exhausted_weight()
+    if failures:
+        in_v, seed, la, o = min(failures, key=_grid_order)
+        w = ex.witness(in_v, seed, la, o.pred, o.args)
+        return SafetyVerdict("unsafe", w, fuel, iterations, sizes)
+    if fuel:
+        return SafetyVerdict("inconclusive", None, fuel, iterations, sizes)
+    return SafetyVerdict("safe", None, 0, iterations, sizes)
+
+
 def verdict_from_executor(program: Program, domain: InputDomain,
                           info: FixpointInfo) -> SafetyVerdict:
-    ex = info.executor
+    failures = info.executor.failures()
     # under the fixed point no predicate assertion can still fail
-    leftovers = ex.predicate_bot_leaves()
-    if leftovers:
+    leftover = next((f for f in failures if f[3].pred != FAILURE_PRED), None)
+    if leftover is not None:
         raise AssertionError(
-            f"predicate assertion failing under the fixed point: {leftovers[0]}")
-    failures = ex.expression_failures()
-    fuel = ex.fuel_exhausted_weight()
-    sizes = info.interp.sizes()
-    if failures:
-        w = ex.witness(*failures[0], FAILURE_PRED, ())
-        return SafetyVerdict("unsafe", w, fuel, info.iterations, sizes)
-    if fuel:
-        return SafetyVerdict("inconclusive", None, fuel, info.iterations, sizes)
-    return SafetyVerdict("safe", None, 0, info.iterations, sizes)
+            f"predicate assertion failing under the fixed point: {leftover}")
+    return _verdict(info.executor, failures, info.iterations,
+                    info.interp.sizes())
 
 
 def check_safety(program: Program, domain: InputDomain) -> SafetyVerdict:
@@ -462,20 +445,7 @@ def sweep_under(program: Program, domain: InputDomain, interp) -> SafetyVerdict:
     Predicate assertion failures count as unsafe here."""
     ex = GridExecutor(program, domain)
     ex.run_all(interp)
-    bots = []
-    for cell in ex.cells.values():
-        for leaf in cell.leaves:
-            if isinstance(leaf.outcome, Bot):
-                bots.append((cell.in_v, leaf.seed, cell.last_addr, leaf.outcome))
-    fuel = ex.fuel_exhausted_weight()
-    if bots:
-        bots.sort(key=lambda w: tuple(-(10 ** 9) if v is None else v for v in w[:3]))
-        in_v, seed, la, o = bots[0]
-        w = ex.witness(in_v, seed, la, o.pred, o.args)
-        return SafetyVerdict("unsafe", w, fuel, 0, {})
-    if fuel:
-        return SafetyVerdict("inconclusive", None, fuel, 0, {})
-    return SafetyVerdict("safe", None, 0, 0, {})
+    return _verdict(ex, ex.failures(), 0, {})
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +544,6 @@ def pack_bits(bits: list[int]) -> int:
 # Read-trace interpretation and co-simulation
 
 def read_trace_interpretation(program: Program, domain: InputDomain,
-                              pred: str = "R",
                               counter_value: int | None = None,
                               source_seed: int = 0) -> Interpretation:
     """The limit interpretation of the read predicate for a deterministic
@@ -591,7 +560,7 @@ def read_trace_interpretation(program: Program, domain: InputDomain,
         res = cp.run(inputs=inputs, loop_fuel=domain.loop_fuel,
                      heap_fuel=domain.heap_op_fuel)
         for k, (_, v) in enumerate(res.reads, start=1):
-            interp.add(pred, (in_v, k, v))
+            interp.add(READ_PRED, (in_v, k, v))
     return interp
 
 
@@ -628,8 +597,7 @@ def _draw_bits(raw: int, nbits: int) -> list[int]:
 
 
 def cosim_check(p_star: Program, p_encoded: Program, domain: InputDomain,
-                *, last_var: str = "$last", cnt_alloc_var: str = "$cnt_alloc",
-                counter_values: tuple[int, ...] | None = None,
+                *, counter_values: tuple[int, ...] | None = None,
                 source_seeds: tuple[int, ...] = (0,)) -> CosimReport:
     """Pointwise final-state preservation between a heap program (with the
     budget counter inserted) and its read-invariant encoding.
@@ -680,15 +648,14 @@ def cosim_check(p_star: Program, p_encoded: Program, domain: InputDomain,
                                    loop_fuel=max(domain.loop_fuel,
                                                  4 * len(bits) + 8),
                                    heap_fuel=domain.heap_op_fuel)
-                    detail = _compare_point(res1, res2, common, la, def_obj,
-                                            last_var, cnt_alloc_var)
+                    detail = _compare_point(res1, res2, common, la, def_obj)
                     if detail:
                         detail = f"[c={n} seed0={s0}] {detail}"
                     points.append(CosimPoint(in_v, la, detail == "", detail))
     return CosimReport(points)
 
 
-def _compare_point(res1, res2, common, la, def_obj, last_var, cnt_alloc_var) -> str:
+def _compare_point(res1, res2, common, la, def_obj) -> str:
     o1, o2 = res1.outcome, res2.outcome
     if isinstance(o1, Undefined) or isinstance(o2, Undefined):
         if isinstance(o1, Undefined) and isinstance(o2, Undefined):
@@ -701,9 +668,9 @@ def _compare_point(res1, res2, common, la, def_obj, last_var, cnt_alloc_var) -> 
             return (f"stack mismatch on {v!r}: "
                     f"{res1.env[v]!r} vs {res2.env[v]!r}")
     want = heap_read(res1.heap, la, def_obj)
-    if res2.env[last_var] != want:
-        return f"read tracking mismatch: heap[{la}]={want!r} vs {res2.env[last_var]!r}"
-    if res2.env[cnt_alloc_var] != len(res1.heap):
+    if res2.env[V_LAST] != want:
+        return f"read tracking mismatch: heap[{la}]={want!r} vs {res2.env[V_LAST]!r}"
+    if res2.env[V_CNT_ALLOC] != len(res1.heap):
         return (f"allocation count mismatch: |heap|={len(res1.heap)} vs "
-                f"{res2.env[cnt_alloc_var]!r}")
+                f"{res2.env[V_CNT_ALLOC]!r}")
     return ""

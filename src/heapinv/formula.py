@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 
-from .interp import _Compiler
+from .interp import _BotSignal, _Compiler
 from .lang import INT, Program, SourceError, TypeChecker, parse_expr_text
 
 
@@ -67,7 +67,13 @@ class FormulaInterpretation:
         if fn is None:
             return False
         env = dict(zip(self.params[name], args))
-        return fn(env) != 0
+        try:
+            return fn(env) != 0
+        except _BotSignal:
+            # the only failure of a formula is a division by zero; it must
+            # not pass for an assertion failure of the program under test
+            raise ValueError(
+                f"formula for {name!r} divides by zero at {args!r}") from None
 
 
 def load_interpretation(source: str | dict,

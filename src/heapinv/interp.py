@@ -163,7 +163,7 @@ class _UndefSignal(Exception):
 
 class _State:
     __slots__ = ("env", "heap", "trace", "allocs", "loop_fuel", "heap_fuel",
-                 "interp", "bits", "reads", "events")
+                 "interp", "bits", "events")
 
     def __init__(self):
         self.env: dict = {}
@@ -174,7 +174,6 @@ class _State:
         self.heap_fuel = 0
         self.interp = None
         self.bits = 0  # seed bits consumed by havoc/nondet draws
-        self.reads: list | None = None
         self.events: list | None = None  # ("read", addr, value) | ("draw", raw, nbits)
 
 
@@ -185,9 +184,15 @@ class RunResult:
     heap: list          # sequence mode: objects; trace mode: (addr, obj) events
     heap_len: int       # allocation count in either mode
     bits_consumed: int
-    reads: list | None  # (addr, value) per read, when recording
     blocker: tuple | None  # (pred, args) that ended the run, if any
-    events: list | None = None  # interleaved reads and seed draws
+    events: list | None = None  # interleaved reads and seed draws, when recording
+
+    @property
+    def reads(self) -> list | None:
+        """(addr, value) per read, when recording."""
+        if self.events is None:
+            return None
+        return [(ev[1], ev[2]) for ev in self.events if ev[0] == "read"]
 
 
 class EmptyInterpretation:
@@ -460,7 +465,6 @@ class _Compiler:
                     v = h[a - 1] if 0 < a <= len(h) else d
                     st.env[t] = v
                     if rec:
-                        st.reads.append((a, v))
                         st.events.append(("read", a, v))
                 return fread
 
@@ -472,7 +476,6 @@ class _Compiler:
                 v = trace_read(st.trace, st.allocs, a, d)
                 st.env[t] = v
                 if rec:
-                    st.reads.append((a, v))
                     st.events.append(("read", a, v))
             return fread_t
         if isinstance(s, Write):
@@ -553,7 +556,6 @@ class CompiledProgram:
         st.heap_fuel = heap_fuel
         st.interp = interp
         if self.record_reads:
-            st.reads = []
             st.events = []
         outcome: Outcome = TOP
         blocker = None
@@ -570,8 +572,8 @@ class CompiledProgram:
             heap, heap_len = st.heap, len(st.heap)
         else:
             heap, heap_len = st.trace, st.allocs
-        return RunResult(outcome, st.env, heap, heap_len, st.bits, st.reads,
-                         blocker, st.events)
+        return RunResult(outcome, st.env, heap, heap_len, st.bits, blocker,
+                         st.events)
 
 
 # ---------------------------------------------------------------------------
@@ -608,9 +610,3 @@ def eval_trace_mode(stmt: Stmt, stack: dict, trace: list, interp, fuel: Fuel,
                  initial_trace=trace, initial_allocs=allocs)
     return res.outcome, res.env, res.heap
 
-
-def run_program(program: Program, inputs: dict[str, Value] | None = None,
-                interp=EMPTY_INTERP, loop_fuel: int = 64,
-                heap_fuel: int = 32, mode: str = "heap") -> RunResult:
-    return CompiledProgram(program, mode=mode).run(
-        inputs=inputs, interp=interp, loop_fuel=loop_fuel, heap_fuel=heap_fuel)

@@ -204,6 +204,13 @@ def test_run_all_inputs_jsonl(capsys):
 # ---------------------------------------------------------------------------
 # exit-code contract: bad input is a one-line error and exit 2
 
+# inputs written to a temporary directory; any other name is a corpus entry
+BAD_INPUT_FILES = {
+    "assume-p.up": "prog { pred P(Int); input in; assume(P(in)); }",
+    "div-zero.json": json.dumps(
+        {"preds": {"P": {"params": ["a"], "formula": "1 / (a - a)"}}}),
+}
+
 
 @pytest.mark.parametrize("argv", [
     ("encode", "write-read-false", "--enc", "r", "--scope-vars", "nosuch"),
@@ -214,12 +221,18 @@ def test_run_all_inputs_jsonl(capsys):
     ("fixpoint", "write-read-false", "--heap-op-fuel", "-1"),
     ("fixpoint", "write-read-false", "--iteration-cap", "-1"),
     ("run", "write-read-false", "--seed", "-3"),
+    ("run", "assume-p.up", "--interp", "div-zero.json"),
 ], ids=["unknown-scope-var", "drop-out-of-range", "rwfun-unacknowledged",
         "empty-seed-range", "negative-loop-fuel", "negative-heap-op-fuel",
-        "negative-iteration-cap", "negative-seed"])
-def test_bad_input_is_one_line_error(capsys, argv):
+        "negative-iteration-cap", "negative-seed", "formula-divides-by-zero"])
+def test_bad_input_is_one_line_error(capsys, tmp_path, argv):
+    for name, text in BAD_INPUT_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
     command, name, *rest = argv
-    code, out, err = run_cli(capsys, command, corpus_path(name), *rest)
+    rest = [str(tmp_path / a) if a in BAD_INPUT_FILES else a for a in rest]
+    path = (str(tmp_path / name) if name in BAD_INPUT_FILES
+            else corpus_path(name))
+    code, out, err = run_cli(capsys, command, path, *rest)
     assert code == EXIT_ERROR
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -1,4 +1,8 @@
-from heapinv.fixpoint import check_safety
+import hashlib
+import json
+import pathlib
+
+from heapinv.fixpoint import _value_json, check_safety
 from heapinv.lang import parse_and_check, parse_program, pretty_print, typecheck
 
 
@@ -49,3 +53,34 @@ def test_readme_language_sketch_typechecks():
     assert m, "README language sketch not found"
     src = re.sub(r"//[^\n]*", "", "prog {\n" + m.group(1))
     parse_and_check(src)
+
+
+def matrix_golden(corpus_matrix) -> dict:
+    """Verdict JSON and a digest of the sorted fixed point for every task
+    of the corpus matrix, keyed ``entry/variant``."""
+    out = {}
+    for name, row in corpus_matrix.items():
+        if name == "__build_seconds__":
+            continue
+        for variant, info in row.fixinfo.items():
+            facts = sorted(json.dumps([pred, [_value_json(v) for v in args]])
+                           for pred, rel in info.interp.rels.items()
+                           for args in rel)
+            digest = hashlib.sha256("\n".join(facts).encode()).hexdigest()
+            out[f"{name}/{variant}"] = {
+                "verdict": row.verdicts[variant].to_json(),
+                "fixpoint_sha256": digest,
+            }
+    return out
+
+
+def test_matrix_matches_golden(corpus_matrix):
+    # every verdict and fixed point of the acceptance matrix, as recorded
+    # in tests/golden/matrix.json
+    golden = pathlib.Path(__file__).parent / "golden" / "matrix.json"
+    want = json.loads(golden.read_text(encoding="utf-8"))
+    got = json.loads(json.dumps(matrix_golden(corpus_matrix)))
+    assert len(want) == 242
+    assert sorted(got) == sorted(want)
+    for key in want:
+        assert got[key] == want[key], key

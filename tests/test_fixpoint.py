@@ -163,16 +163,23 @@ def test_seed_classing_matches_full_enumeration():
       assert(P(x + in));
     }"""
     p = prog(src)
-    d = InputDomain(seed_range=(0, 63))
-    classed = immediate_consequence(p, Interpretation.empty(), d)
     # defeat classing by touching the seed variable in an expression
     p2 = prog(src.replace("havoc(x);", "havoc(x); x := x + 0 * seed;"))
-    full = immediate_consequence(p2, Interpretation.empty(), d)
-    assert classed == full
-    ex = GridExecutor(p, d)
-    assert ex.seed_classing
-    ex2 = GridExecutor(p2, d)
-    assert not ex2.seed_classing
+    # offset ranges whose size is not a power of two catch an off-by-lo
+    # error in the per-cell seed marks
+    for lo, hi in [(0, 63), (5, 200), (7, 300), (3, 3)]:
+        d = InputDomain(seed_range=(lo, hi))
+        classed = immediate_consequence(p, Interpretation.empty(), d)
+        full = immediate_consequence(p2, Interpretation.empty(), d)
+        assert classed == full, (lo, hi)
+        ex = GridExecutor(p, d)
+        assert ex.seed_classing
+        ex2 = GridExecutor(p2, d)
+        assert not ex2.seed_classing
+        for e in (ex, ex2):
+            e.run_all(Interpretation.empty())
+            for cell in e.cells.values():
+                assert sum(l.weight for l in cell.leaves) == hi - lo + 1
 
 
 def test_unused_input_dimension_collapses():

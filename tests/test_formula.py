@@ -55,6 +55,16 @@ def test_validation_errors():
         load_interpretation({"nope": {}}, PROG)
 
 
+def test_division_by_zero_is_a_value_error():
+    # a formula's division by zero must not read as an assertion failure
+    fi = FormulaInterpretation(PROG, {"P": (["a"], "1 / (a - a)")})
+    with pytest.raises(ValueError, match="'P'"):
+        fi.contains("P", (0,))
+    fi = FormulaInterpretation(PROG, {"P": (["a"], "a % 0 = 0")})
+    with pytest.raises(ValueError, match="'P'"):
+        fi.contains("P", (3,))
+
+
 def test_bundled_invariant_fixture_loads(corpus):
     from importlib import resources
     from heapinv.encode import enc_r

@@ -18,14 +18,23 @@ which allows two big savings without changing the computed sets:
   Any seed of a run's class reads the same first b bits and stops there,
   so the classes are disjoint, each run starts at the smallest seed of its
   class, and its leaf weighs the seeds it marked;
-* between iterations only the executions blocked on a newly added tuple
-  are rerun (an execution stops at its first negative predicate query, so
-  one blocked tuple per execution suffices).
+* between iterations only the seed classes blocked on a newly added tuple
+  are rerun.  A run stops at its first negative predicate query, and
+  predicates occur only in assumptions and assertions of a growing
+  interpretation, so a leaf whose blocker was not added stays as it is.
+  A blocked leaf stands for the seeds ``seed, seed + step, ...`` of the
+  range; its class is rerun with the same marking loop, restricted to the
+  class.  Every seed of the class reads the same first b bits up to the
+  blocked query, so a run that now gets past it consumes at least b bits
+  and marks a sub-class inside the class: the leaves equal those of
+  rerunning the whole cell.  Every failing tuple of a kept leaf is already
+  in the interpretation, so only the new leaves are harvested.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .encode import READ_PRED, V_CNT_ALLOC, V_LAST
 from .interp import (
@@ -175,12 +184,13 @@ def initial_stack(program: Program, in_v: int | None, seed: int | None,
 # Grid executor
 
 
-@dataclass
+@dataclass(slots=True)
 class Leaf:
     seed: int            # representative (smallest in class)
     outcome: object
     blocker: tuple | None
     weight: int          # number of seeds in the class within range
+    step: int            # spacing of the class: 2^bits, at most the range size
 
 
 @dataclass
@@ -191,6 +201,13 @@ class Cell:
 
     def blockers(self) -> set[tuple]:
         return {l.blocker for l in self.leaves if l.blocker is not None}
+
+
+def _failing(leaves) -> set[tuple]:
+    """(pred, args) pairs of the leaves that failed a predicate assertion."""
+    return {(leaf.outcome.pred, leaf.outcome.args) for leaf in leaves
+            if isinstance(leaf.outcome, Bot)
+            and leaf.outcome.pred != FAILURE_PRED}
 
 
 class GridExecutor:
@@ -208,6 +225,9 @@ class GridExecutor:
         self.seed_var = program.seed_var
         self.seed_classing = (self.seed_var is not None
                               and self.seed_var not in variables_read(program))
+        # a program without a seed runs once per cell, at seed 0
+        self.seed_range = domain.seed_range if self.seed_var is not None \
+            else (0, 0)
         self.cells: dict[tuple, Cell] = {}
 
     # enumeration dimensions
@@ -224,16 +244,21 @@ class GridExecutor:
             return list(range(lo, hi + 1))
         return [None]
 
-    def run_cell(self, in_v, la, interp) -> Cell:
-        cell = Cell(in_v, la)
+    def _cell_inputs(self, in_v, la) -> dict:
+        # the runs of a cell differ only in the seed, set in place per run
+        return initial_stack(self.program, in_v, None, la,
+                             self.domain.heap_op_fuel)
+
+    def _run_seeds(self, inputs, interp, start: int, stride: int) -> list[Leaf]:
+        """Leaves of the seeds at offsets ``start, start + stride, ...`` of
+        the seed range, in seed order: an unmarked seed is run and marks its
+        class."""
         seed_var = self.seed_var
-        lo, hi = self.domain.seed_range if seed_var is not None else (0, 0)
+        lo, hi = self.seed_range
         n = hi - lo + 1
         marked = bytearray(n)
-        # the runs of a cell differ only in the seed, set in place per run
-        inputs = initial_stack(self.program, in_v, None, la,
-                               self.domain.heap_op_fuel)
-        for i in range(n):
+        leaves = []
+        for i in range(start, n, stride):
             if marked[i]:
                 continue
             if seed_var is not None:
@@ -241,21 +266,39 @@ class GridExecutor:
             res = self.compiled.run(
                 inputs=inputs, interp=interp, loop_fuel=self.domain.loop_fuel,
                 heap_fuel=self.domain.heap_op_fuel)
-            step = 1 << res.bits_consumed if self.seed_classing else n
+            step = min(1 << res.bits_consumed, n) if self.seed_classing else n
             weight = len(range(i, n, step))
             marked[i::step] = b"\x01" * weight
-            cell.leaves.append(Leaf(lo + i, res.outcome, res.blocker, weight))
-        return cell
+            leaves.append(Leaf(lo + i, res.outcome, res.blocker, weight, step))
+        return leaves
+
+    def run_cell(self, in_v, la, interp) -> Cell:
+        return Cell(in_v, la,
+                    self._run_seeds(self._cell_inputs(in_v, la), interp, 0, 1))
 
     def run_all(self, interp):
         for in_v in self.in_values():
             for la in self.last_addr_values():
                 self.cells[(in_v, la)] = self.run_cell(in_v, la, interp)
 
-    def rerun_blocked(self, interp, added: set[tuple]):
-        for key, cell in list(self.cells.items()):
-            if cell.blockers() & added:
-                self.cells[key] = self.run_cell(cell.in_v, cell.last_addr, interp)
+    def rerun_blocked(self, interp, added: set[tuple]) -> set[tuple]:
+        """Rerun the seed class of every leaf blocked on a tuple of ``added``
+        and return the failing tuples of the leaves that replace them."""
+        lo = self.seed_range[0]
+        fresh: list[Leaf] = []
+        for cell in self.cells.values():
+            blocked = [leaf for leaf in cell.leaves if leaf.blocker in added]
+            if not blocked:
+                continue
+            inputs = self._cell_inputs(cell.in_v, cell.last_addr)
+            leaves = [leaf for leaf in cell.leaves if leaf.blocker not in added]
+            for leaf in blocked:
+                new = self._run_seeds(inputs, interp, leaf.seed - lo, leaf.step)
+                leaves += new
+                fresh += new
+            leaves.sort(key=attrgetter("seed"))
+            cell.leaves = leaves
+        return _failing(fresh)
 
     # harvesting
 
@@ -266,10 +309,7 @@ class GridExecutor:
 
     def failing_tuples(self) -> set[tuple]:
         """(pred, args) pairs from failed predicate assertions."""
-        return {(leaf.outcome.pred, leaf.outcome.args)
-                for _, leaf in self.leaves()
-                if isinstance(leaf.outcome, Bot)
-                and leaf.outcome.pred != FAILURE_PRED}
+        return _failing(leaf for _, leaf in self.leaves())
 
     def failures(self) -> list[tuple]:
         """(in, seed, last_addr, outcome) of every run that ended in Bot."""
@@ -352,8 +392,8 @@ def least_fixpoint_info(program: Program, domain: InputDomain) -> FixpointInfo:
         iterations += 1
         if iterations > cap:
             raise IterationCapExceeded(cap, interp.sizes())
-        ex.rerun_blocked(interp, added)
-        added = {t for t in ex.failing_tuples() if not interp.contains(*t)}
+        added = {t for t in ex.rerun_blocked(interp, added)
+                 if not interp.contains(*t)}
     return FixpointInfo(interp, iterations, ex)
 
 
@@ -550,7 +590,17 @@ def read_trace_interpretation(program: Program, domain: InputDomain,
     program: for every input, tuple (input, k, v) where v is the value
     returned by the k-th read.  Derived directly from the heap-model read
     trace; the grid fixed point is always a subset of this."""
-    cp = CompiledProgram(program, record_reads=True)
+    return _read_trace_interpretation(
+        CompiledProgram(program, record_reads=True), domain, counter_value,
+        source_seed)
+
+
+def _read_trace_interpretation(cp: CompiledProgram, domain: InputDomain,
+                               counter_value: int | None,
+                               source_seed: int) -> Interpretation:
+    """``read_trace_interpretation`` of a program compiled with
+    ``record_reads``."""
+    program = cp.program
     interp = Interpretation.empty()
     if counter_value is None:
         counter_value = domain.heap_op_fuel
@@ -629,8 +679,7 @@ def cosim_check(p_star: Program, p_encoded: Program, domain: InputDomain,
     la_lo, la_hi = domain.last_addr_range
     for n in counter_values:
         for s0 in source_seeds:
-            interp = read_trace_interpretation(p_star, domain,
-                                               counter_value=n, source_seed=s0)
+            interp = _read_trace_interpretation(star, domain, n, s0)
             for in_v in range(in_lo, in_hi + 1):
                 inputs1 = initial_stack(p_star, in_v, s0, None, n)
                 res1 = star.run(inputs=inputs1, loop_fuel=domain.loop_fuel,

@@ -179,18 +179,21 @@ def gen_program(seed: int, **kw) -> Program:
 def compare_heap_and_trace(program: Program, in_values, seed_range,
                            loop_fuel=64, heap_fuel=32) -> int:
     """Run both heap models over the input grid (seeds enumerated by
-    consumed-prefix classes) and check observable agreement.  Returns the
-    number of executions compared."""
+    consumed-prefix classes: a run marks every seed of the range that
+    shares the bits it consumed) and check observable agreement.  Returns
+    the number of executions compared."""
     from heapinv.interp import CompiledProgram
     heap_cp = CompiledProgram(program, mode="heap")
     trace_cp = CompiledProgram(program, mode="trace")
     lo, hi = seed_range
+    n = hi - lo + 1
     compared = 0
     for in_v in in_values:
-        covered = []
-        for s in range(lo, hi + 1):
-            if any(s & mask == residue for mask, residue in covered):
+        marked = bytearray(n)
+        for i in range(n):
+            if marked[i]:
                 continue
+            s = lo + i
             ins = {"in": in_v, "seed": s}
             rh = heap_cp.run(inputs=ins, loop_fuel=loop_fuel, heap_fuel=heap_fuel)
             rt = trace_cp.run(inputs=ins, loop_fuel=loop_fuel, heap_fuel=heap_fuel)
@@ -199,6 +202,6 @@ def compare_heap_and_trace(program: Program, in_values, seed_range,
             assert rh.heap_len == rt.heap_len, (in_v, s)
             assert rh.bits_consumed == rt.bits_consumed, (in_v, s)
             compared += 1
-            mask = (1 << rh.bits_consumed) - 1
-            covered.append((mask, s & mask))
+            step = 1 << rh.bits_consumed
+            marked[i::step] = b"\x01" * len(range(i, n, step))
     return compared

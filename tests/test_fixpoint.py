@@ -1,8 +1,9 @@
 import random
+from dataclasses import replace
 
 import pytest
 
-from heapinv.encode import enc_n, enc_r
+from heapinv.encode import enc_n, enc_r, enc_rw
 from heapinv.fixpoint import (
     GridExecutor, InputDomain, Interpretation, IterationCapExceeded,
     check_equisafety, check_safety, encode_int_bits, immediate_consequence,
@@ -228,7 +229,7 @@ def test_sweep_under_fixed_interpretation():
     assert v.kind == "unsafe" and v.witness.pred == "P"
 
 
-def test_cosim_replays_source_draws():
+def test_cosim_replays_source_draws(monkeypatch):
     # a source program that itself consumes seed bits: the constructed seed
     # interleaves the original draws with the read draws
     src = """prog {
@@ -250,9 +251,19 @@ def test_cosim_replays_source_draws():
     p = parse_and_check(src)
     p_star = enc_n(p)
     encoded = enc_r(p_star).program
+    compiles = []
+    init = CompiledProgram.__init__
+
+    def counting_init(self, program, *args, **kwargs):
+        compiles.append(program)
+        init(self, program, *args, **kwargs)
+
+    monkeypatch.setattr(CompiledProgram, "__init__", counting_init)
     rep = cosim_check(p_star, encoded, InputDomain(),
                       counter_values=(32, 0, 3), source_seeds=(0, 1, 6, 14))
     assert rep.ok, rep.failures()[:3]
+    # each side is compiled once, not once per (counter value, source seed)
+    assert len(compiles) == 2
 
 
 def naive_least_fixpoint(program, domain):
@@ -284,3 +295,63 @@ def test_memoised_fixpoint_matches_reference_generated(domain):
     for seed in (3, 11, 27, 40):
         p = progen.gen_program(seed)
         assert least_fixpoint(p, domain) == naive_least_fixpoint(p, domain)
+
+
+def leaf_rows(cell):
+    return [(l.seed, l.outcome, l.blocker, l.weight) for l in cell.leaves]
+
+
+def test_delta_rerun_matches_fresh_cells(corpus, domain):
+    # after the per-class reruns every cell must hold exactly the leaves of
+    # running it from scratch under the final interpretation
+    picks = ("cell-pair-indexed-bad", "write-read-false", "two-cells-copy",
+             "branch-write")
+    programs = []
+    for name in picks:
+        p = next(e for e in corpus if e.name == name).load()
+        programs += [(name, enc_r(p).program), (name, enc_rw(p).program)]
+    programs += [(seed, progen.gen_program(seed)) for seed in (3, 11, 27, 40)]
+    for d in (domain, replace(domain, seed_range=(5, 200))):
+        for name, p in programs:
+            info = least_fixpoint_info(p, d)
+            ex = info.executor
+            for (in_v, la), cell in ex.cells.items():
+                fresh = ex.run_cell(in_v, la, info.interp)
+                assert leaf_rows(cell) == leaf_rows(fresh), \
+                    (name, d.seed_range, in_v, la)
+
+
+def test_delta_rerun_runs_only_blocked_classes():
+    # the two leaves of the cell are blocked on different tuples; adding one
+    # of them reruns only the seeds of the classes blocked on it
+    p = prog("""prog {
+      pred P(Int);
+      seed seed;
+      var x: Int;
+      havoc(x);
+      assume(0 <= x && x <= 1);
+      assume(P(x));
+      assert(x = 0);
+    }""")
+    ex = GridExecutor(p, InputDomain())
+    ex.run_all(Interpretation.empty())
+    (cell,) = ex.cells.values()
+    assert cell.blockers() == {("P", (0,)), ("P", (1,))}
+    target = ("P", (0,))
+    classes = [(l.seed, l.step) for l in cell.leaves if l.blocker == target]
+    seeds = []
+    run = ex.compiled.run
+
+    def counting_run(*args, **kwargs):
+        seeds.append(kwargs["inputs"]["seed"])
+        return run(*args, **kwargs)
+
+    ex.compiled.run = counting_run
+    interp = Interpretation({"P": {(0,)}})
+    assert ex.rerun_blocked(interp, {target}) == set()
+    assert seeds
+    for s in seeds:
+        assert any(s >= seed and (s - seed) % step == 0
+                   for seed, step in classes), s
+    fresh = ex.run_cell(None, None, interp)
+    assert leaf_rows(cell) == leaf_rows(fresh)

@@ -86,30 +86,10 @@ def test_eval_trace_mode_entry_point():
     assert trace == [(1, ObjVal("node", (3, 0)))]
 
 
-def compare_modes(program, in_values, seed_range=(0, 255)):
-    heap_cp = CompiledProgram(program, mode="heap")
-    trace_cp = CompiledProgram(program, mode="trace")
-    lo, hi = seed_range
-    for in_v in in_values:
-        covered = []
-        for s in range(lo, hi + 1):
-            if any(s & mask == residue for mask, residue in covered):
-                continue
-            ins = {"in": in_v, "seed": s}
-            rh = heap_cp.run(inputs=ins)
-            rt = trace_cp.run(inputs=ins)
-            assert rh.outcome == rt.outcome, (in_v, s)
-            assert rh.env == rt.env, (in_v, s)
-            assert rh.heap_len == rt.heap_len, (in_v, s)
-            assert rh.bits_consumed == rt.bits_consumed
-            mask = (1 << rh.bits_consumed) - 1
-            covered.append((mask, s & mask))
-
-
 def test_modes_agree_on_sample():
     for seed in range(30):
         p = progen.gen_program(seed, allow_havoc=(seed % 3 == 0))
-        compare_modes(p, (-2, 0, 1, 3))
+        progen.compare_heap_and_trace(p, (-2, 0, 1, 3), (0, 255))
 
 
 def test_modes_agree_on_corpus(corpus, domain):

@@ -252,24 +252,30 @@ class GridExecutor:
     def _run_seeds(self, inputs, interp, start: int, stride: int) -> list[Leaf]:
         """Leaves of the seeds at offsets ``start, start + stride, ...`` of
         the seed range, in seed order: an unmarked seed is run and marks its
-        class."""
+        class.  The classes are disjoint and lie among these seeds, so the
+        loop stops once their weights add up to the number of seeds."""
         seed_var = self.seed_var
         lo, hi = self.seed_range
         n = hi - lo + 1
+        loop_fuel, heap_fuel = self.domain.loop_fuel, self.domain.heap_op_fuel
         marked = bytearray(n)
+        seeds = range(start, n, stride)
+        left = len(seeds)
         leaves = []
-        for i in range(start, n, stride):
+        for i in seeds:
             if marked[i]:
                 continue
             if seed_var is not None:
                 inputs[seed_var] = lo + i
-            res = self.compiled.run(
-                inputs=inputs, interp=interp, loop_fuel=self.domain.loop_fuel,
-                heap_fuel=self.domain.heap_op_fuel)
+            res = self.compiled.run(inputs=inputs, interp=interp,
+                                    loop_fuel=loop_fuel, heap_fuel=heap_fuel)
             step = min(1 << res.bits_consumed, n) if self.seed_classing else n
             weight = len(range(i, n, step))
-            marked[i::step] = b"\x01" * weight
             leaves.append(Leaf(lo + i, res.outcome, res.blocker, weight, step))
+            left -= weight
+            if not left:
+                break
+            marked[i::step] = b"\x01" * weight
         return leaves
 
     def run_cell(self, in_v, la, interp) -> Cell:

@@ -7,18 +7,36 @@ Two heap models are provided:
   range return the distinguished default object; writes outside it leave
   the heap unchanged.
 * trace mode: the heap is a chronological list of (address, object) write
-  events; a read returns the most recent event for a valid address.  Both
-  modes are observably equivalent and cross-checked in the test suite.
+  events; an allocation and a write at a valid address append one, and a
+  read returns the most recent event for a valid address.  Both modes are
+  observably equivalent and cross-checked in the test suite.
 
-Statements are compiled once into Python closures; evaluation is a pure
-function of (program, initial stack, interpretation, fuel).  Int and Addr
-values are plain Python ints (Addr values are naturals), objects are
-ObjVal tuples.
+Statements are compiled once into Python closures (Feeley & Lapalme, "Using
+closures for code generation", 1987); evaluation is a pure function of
+(program, initial stack, interpretation, fuel).  Int and Addr values are
+plain Python ints (Addr values are naturals), objects are ObjVal tuples.
+
+The closures are shaped to make few Python calls per executed node:
+
+* a binary operator gets one closure per shape of its operands (variable,
+  constant or sub-expression) that calls the ``operator`` function on them
+  directly;
+* a condition (``if``, ``while``, assume, assert and the operands of ``!``,
+  ``&&`` and ``||``) compiles to a closure whose truth value is the
+  condition's, so comparisons are not turned into 1/0 first; ``&&`` and
+  ``||`` evaluate their right operand only when the left one does not
+  decide;
+* argument tuples of predicate queries and constructors are built in one
+  step (an ``itemgetter`` when every argument is a variable);
+* statement closures take ``(state, env)``, and an ``if`` without ``else``
+  has a one-branch closure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
+from operator import add, eq, ge, gt, itemgetter, le, lt, mul, ne, sub
 from typing import Callable, Iterable, NamedTuple
 
 from .lang import (
@@ -142,39 +160,46 @@ def trunc_div(a: int, b: int) -> int:
 
 
 def trunc_mod(a: int, b: int) -> int:
-    return a - b * trunc_div(a, b)
+    r = abs(a) % abs(b)  # the remainder takes the sign of the dividend
+    return -r if a < 0 else r
 
 
 # ---------------------------------------------------------------------------
-# Control-flow signals used by the compiled closures
+# Control-flow signals used by the compiled closures.  Both are raised with
+# positional arguments only, so building one runs no Python code.
 
 
 class _BotSignal(Exception):
-    def __init__(self, pred: str, args: tuple):
-        self.pred = pred
-        self.args = args
+    """``_BotSignal(pred, args)``: an assertion failed.  Expression
+    assertions and division by zero use the reserved predicate with ``()``."""
 
 
 class _UndefSignal(Exception):
-    def __init__(self, reason: str, blocker: tuple | None = None):
-        self.reason = reason
-        self.blocker = blocker  # (pred, args) for predicate-assume misses
+    """``_UndefSignal(outcome, blocker)``: the run is undefined; the blocker
+    is the (pred, args) of a predicate assumption that did not hold, else
+    None."""
+
+
+_UNDEF_ASSUME = Undefined(ASSUME_FAILED)
+_UNDEF_FUEL = Undefined(FUEL_EXHAUSTED)
 
 
 class _State:
-    __slots__ = ("env", "heap", "trace", "allocs", "loop_fuel", "heap_fuel",
-                 "interp", "bits", "events")
+    """What a run changes besides its env.  ``heap`` holds the objects in
+    sequence mode and the (addr, obj) write events in trace mode."""
 
-    def __init__(self):
-        self.env: dict = {}
-        self.heap: list = []
-        self.trace: list = []
-        self.allocs = 0
-        self.loop_fuel = 0
-        self.heap_fuel = 0
-        self.interp = None
+    __slots__ = ("heap", "allocs", "loop_fuel", "heap_fuel", "contains",
+                 "bits", "events")
+
+    def __init__(self, heap: list, allocs: int, loop_fuel: int,
+                 heap_fuel: int, contains, events: list | None):
+        self.heap = heap
+        self.allocs = allocs
+        self.loop_fuel = loop_fuel
+        self.heap_fuel = heap_fuel
+        self.contains = contains  # the interpretation's membership test
         self.bits = 0  # seed bits consumed by havoc/nondet draws
-        self.events: list | None = None  # ("read", addr, value) | ("draw", raw, nbits)
+        self.events = events  # ("read", addr, value) | ("draw", raw, nbits)
 
 
 @dataclass
@@ -205,21 +230,75 @@ EMPTY_INTERP = EmptyInterpretation()
 
 # ---------------------------------------------------------------------------
 # Compilation of expressions
+#
+# Closures index ObjVal values directly: ``o[0]`` is the constructor name
+# and ``o[1]`` the field tuple.
 
-_ARITH = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
+
+def _div(a: int, b: int) -> int:
+    if b == 0:
+        raise _BotSignal(FAILURE_PRED, ())
+    return trunc_div(a, b)
+
+
+def _mod(a: int, b: int) -> int:
+    if b == 0:
+        raise _BotSignal(FAILURE_PRED, ())
+    return trunc_mod(a, b)
+
+
+_OPS = {"+": add, "-": sub, "*": mul, "/": _div, "%": _mod,
+        "<": lt, "<=": le, ">": gt, ">=": ge, "=": eq, "!=": ne}
+# a nonzero constant divisor needs no check
+_UNCHECKED = {"/": trunc_div, "%": trunc_mod}
+# the comparison that holds exactly when the key does not (Int and Addr
+# values are totally ordered; objects are compared only with = and !=)
+_NEGATED = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "=": "!=", "!=": "="}
+
+# One closure per operand shape of a binary operator ``g``: V a variable,
+# C a constant, F a compiled sub-expression.  An evaluation makes one call
+# of ``g`` besides those of its F operands.
+_SHAPES = {
+    "VV": lambda g, a, b: lambda env: g(env[a], env[b]),
+    "VC": lambda g, a, b: lambda env: g(env[a], b),
+    "VF": lambda g, a, b: lambda env: g(env[a], b(env)),
+    "CV": lambda g, a, b: lambda env: g(a, env[b]),
+    "CC": lambda g, a, b: lambda env: g(a, b),
+    "CF": lambda g, a, b: lambda env: g(a, b(env)),
+    "FV": lambda g, a, b: lambda env: g(a(env), env[b]),
+    "FC": lambda g, a, b: lambda env: g(a(env), b),
+    "FF": lambda g, a, b: lambda env: g(a(env), b(env)),
 }
 
-_CMP = {
-    "<": lambda a, b: 1 if a < b else 0,
-    "<=": lambda a, b: 1 if a <= b else 0,
-    ">": lambda a, b: 1 if a > b else 0,
-    ">=": lambda a, b: 1 if a >= b else 0,
-    "=": lambda a, b: 1 if a == b else 0,
-    "!=": lambda a, b: 1 if a != b else 0,
-}
+_new_tuple = tuple.__new__  # ObjVal(ctor, fields) without its Python __new__
+
+
+def _skip(st: _State, env: dict) -> None:
+    pass
+
+
+def _draw_int(seed_var: str, charge_loop_fuel: bool, st: _State,
+              env: dict) -> int:
+    """Extract one value from the seed variable, bit by bit; exactly the
+    semantics of the expanded macro, including loop fuel use."""
+    s = env[seed_var]
+    x = -(s & 1)
+    s >>= 1
+    bits = 2  # sign bit + terminating division
+    while s & 1:
+        if charge_loop_fuel:
+            if st.loop_fuel <= 0:
+                env[seed_var] = s
+                st.bits += bits
+                raise _UndefSignal(_UNDEF_FUEL, None)
+            st.loop_fuel -= 1
+        s >>= 1
+        x = 2 * x + (s & 1)
+        s >>= 1
+        bits += 2
+    env[seed_var] = s >> 1
+    st.bits += bits
+    return x
 
 
 class _Compiler:
@@ -239,191 +318,251 @@ class _Compiler:
                 for i, (fname, fty) in enumerate(ctor.fields):
                     self.sel_index[fname] = (
                         ctor.name, i, default_value(fty, self.adts))
+        # every value of a one-constructor ADT is built by that constructor
+        self.sole_ctors = {adt.ctors[0].name for adt in program.adts
+                           if len(adt.ctors) == 1}
 
     # expressions --------------------------------------------------------
 
-    def expr(self, e: Expr) -> Callable[[dict], Value]:
+    def constant(self, e: Expr) -> Value:
         if isinstance(e, IntLit):
-            v = e.value
-            return lambda env: v
-        if isinstance(e, Var):
-            n = e.name
-            return lambda env: env[n]
+            return e.value
         if isinstance(e, Null):
-            return lambda env: 0
-        if isinstance(e, DefObj):
-            d = self.def_obj
-            if d is None:
-                raise ValueError("defObj used without heaptype")
-            return lambda env: d
-        if isinstance(e, Unary):
-            f = self.expr(e.operand)
-            if e.op == "-":
-                return lambda env: -f(env)
-            return lambda env: 1 if f(env) == 0 else 0
+            return 0
+        if self.def_obj is None:
+            raise ValueError("defObj used without heaptype")
+        return self.def_obj
+
+    def operand(self, e: Expr) -> tuple[str, object]:
+        """The shape of an operand (see ``_SHAPES``) with its variable
+        name, constant value or closure."""
+        if isinstance(e, Var):
+            return "V", e.name
+        if isinstance(e, (IntLit, Null, DefObj)):
+            return "C", self.constant(e)
+        return "F", self.expr(e)
+
+    def binary(self, op: str, left: Expr, right: Expr) -> Callable:
+        ls, a = self.operand(left)
+        rs, b = self.operand(right)
+        g = _OPS[op]
+        if op in _UNCHECKED and rs == "C" and b != 0:
+            g = _UNCHECKED[op]
+        return _SHAPES[ls + rs](g, a, b)
+
+    def expr(self, e: Expr) -> Callable[[dict], Value]:
+        if isinstance(e, Var):
+            return itemgetter(e.name)
+        if isinstance(e, (IntLit, Null, DefObj)):
+            v = self.constant(e)
+            return lambda env: v
         if isinstance(e, Binary):
-            lf = self.expr(e.left)
-            rf = self.expr(e.right)
-            op = e.op
-            if op in _ARITH:
-                g = _ARITH[op]
-                return lambda env: g(lf(env), rf(env))
-            if op in _CMP:
-                g = _CMP[op]
-                return lambda env: g(lf(env), rf(env))
-            if op == "/":
-                def fdiv(env):
-                    b = rf(env)
-                    if b == 0:
-                        raise _BotSignal(FAILURE_PRED, ())
-                    return trunc_div(lf(env), b)
-                return fdiv
-            if op == "%":
-                def fmod(env):
-                    b = rf(env)
-                    if b == 0:
-                        raise _BotSignal(FAILURE_PRED, ())
-                    return trunc_mod(lf(env), b)
-                return fmod
-            if op == "&&":
-                # strict: both sides evaluated, nonzero means true
-                return lambda env: 1 if lf(env) != 0 and rf(env) != 0 else 0
-            if op == "||":
-                return lambda env: 1 if lf(env) != 0 or rf(env) != 0 else 0
-            raise ValueError(f"unknown operator {op!r}")
+            if e.op in _NEGATED or e.op in ("&&", "||"):
+                c = self.cond(e)
+                return lambda env: 1 if c(env) else 0
+            if e.op not in _OPS:
+                raise ValueError(f"unknown operator {e.op!r}")
+            return self.binary(e.op, e.left, e.right)
+        if isinstance(e, Unary):
+            if e.op == "!":
+                c = self.cond(e.operand)
+                return lambda env: 0 if c(env) else 1
+            if isinstance(e.operand, Var):
+                n = e.operand.name
+                return lambda env: -env[n]
+            f = self.expr(e.operand)
+            return lambda env: -f(env)
         if isinstance(e, CtorApp):
-            fs = [self.expr(a) for a in e.args]
             name = e.ctor
-            return lambda env: ObjVal(name, tuple(f(env) for f in fs))
+            if all(isinstance(a, (IntLit, Null, DefObj)) for a in e.args):
+                v = ObjVal(name, tuple(map(self.constant, e.args)))
+                return lambda env: v
+            fields = self.tuple_of(e.args)
+            return lambda env: _new_tuple(ObjVal, (name, fields(env)))
         if isinstance(e, SelApp):
             ctor_name, idx, dflt = self.sel_index[e.sel]
+            if ctor_name in self.sole_ctors and isinstance(e.arg, Var):
+                n = e.arg.name
+                return lambda env: env[n][1][idx]
             f = self.expr(e.arg)
+            if ctor_name in self.sole_ctors:
+                return lambda env: f(env)[1][idx]
 
             def fsel(env):
                 o = f(env)
                 # selector applied to a different constructor yields the
                 # field-type default, keeping evaluation total
-                if o.ctor == ctor_name:
-                    return o.fields[idx]
-                return dflt
+                return o[1][idx] if o[0] == ctor_name else dflt
             return fsel
         if isinstance(e, TestApp):
-            name = e.ctor
-            f = self.expr(e.arg)
-            return lambda env: 1 if f(env).ctor == name else 0
+            c = self.cond(e)
+            return lambda env: 1 if c(env) else 0
         raise ValueError(f"cannot compile expression {e!r}")
+
+    def cond(self, e: Expr) -> Callable[[dict], object]:
+        """Closure whose truth value is the Int expression's: true when
+        nonzero.  Comparisons are tested directly, and ``&&`` and ``||``
+        evaluate their right operand only when the left one does not
+        decide the result."""
+        if isinstance(e, Binary):
+            if e.op in _NEGATED:
+                return self.binary(e.op, e.left, e.right)
+            if e.op == "&&":
+                lc, rc = self.cond(e.left), self.cond(e.right)
+                return lambda env: lc(env) and rc(env)
+            if e.op == "||":
+                lc, rc = self.cond(e.left), self.cond(e.right)
+                return lambda env: lc(env) or rc(env)
+        elif isinstance(e, Unary) and e.op == "!":
+            inner = e.operand
+            if isinstance(inner, Binary) and inner.op in _NEGATED:
+                return self.binary(_NEGATED[inner.op], inner.left, inner.right)
+            c = self.cond(inner)
+            return lambda env: not c(env)
+        elif isinstance(e, TestApp):
+            name = e.ctor
+            if isinstance(e.arg, Var):
+                n = e.arg.name
+                return lambda env: env[n][0] == name
+            f = self.expr(e.arg)
+            return lambda env: f(env)[0] == name
+        return self.expr(e)
+
+    def tuple_of(self, exprs) -> Callable[[dict], tuple]:
+        """Closure building the tuple of the expressions' values in one
+        step: an itemgetter when all are variables, else a fixed-arity
+        tuple display."""
+        if len(exprs) >= 2 and all(isinstance(x, Var) for x in exprs):
+            return itemgetter(*(x.name for x in exprs))
+        if len(exprs) == 1 and isinstance(exprs[0], Var):
+            n = exprs[0].name
+            return lambda env: (env[n],)
+        fs = [self.expr(x) for x in exprs]
+        if not fs:
+            return lambda env: ()
+        if len(fs) == 1:
+            (f0,) = fs
+            return lambda env: (f0(env),)
+        if len(fs) == 2:
+            f0, f1 = fs
+            return lambda env: (f0(env), f1(env))
+        if len(fs) == 3:
+            f0, f1, f2 = fs
+            return lambda env: (f0(env), f1(env), f2(env))
+        if len(fs) == 4:
+            f0, f1, f2, f3 = fs
+            return lambda env: (f0(env), f1(env), f2(env), f3(env))
+        return lambda env: tuple([f(env) for f in fs])
 
     # havoc draws --------------------------------------------------------
 
-    def _draw_int(self, st: _State, charge_loop_fuel: bool) -> int:
-        """Extract one value from the seed variable, bit by bit; exactly the
-        semantics of the expanded macro, including loop fuel use."""
-        seed_var = self.program.seed_var
-        s = st.env[seed_var]
-        x = -(s & 1)
-        s >>= 1
-        st.bits += 2  # sign bit + terminating division
-        while s & 1:
-            if charge_loop_fuel:
-                if st.loop_fuel <= 0:
-                    st.env[seed_var] = s
-                    raise _UndefSignal(FUEL_EXHAUSTED)
-                st.loop_fuel -= 1
-            s >>= 1
-            x = 2 * x + (s & 1)
-            s >>= 1
-            st.bits += 2
-        s >>= 1
-        st.env[seed_var] = s
-        return x
-
-    def _draw_value(self, st: _State, ty: Type, charge: bool) -> Value:
+    def _drawer(self, ty: Type, charge_loop_fuel: bool) -> Callable:
+        """Closure drawing one value of the type from the seed variable."""
+        draw_int = partial(_draw_int, self.program.seed_var, charge_loop_fuel)
         if ty.kind != "Obj":
-            return self._draw_int(st, charge)
-        adt = self.adts[ty.adt]
-        if len(adt.ctors) == 1:
-            ctor = adt.ctors[0]
-        else:
-            c = self._draw_int(st, charge)
-            ctor = adt.ctors[c] if 1 <= c < len(adt.ctors) else adt.ctors[0]
-        flds = tuple(self._draw_value(st, fty, charge) for _, fty in ctor.fields)
-        return ObjVal(ctor.name, flds)
+            return draw_int
+        ctors = [(c.name, [self._drawer(fty, charge_loop_fuel)
+                           for _, fty in c.fields])
+                 for c in self.adts[ty.adt].ctors]
+        if len(ctors) == 1:
+            ((name, ds),) = ctors
+            return lambda st, env: _new_tuple(
+                ObjVal, (name, tuple([d(st, env) for d in ds])))
+
+        def draw_obj(st, env):
+            c = draw_int(st, env)
+            name, ds = ctors[c] if 1 <= c < len(ctors) else ctors[0]
+            return _new_tuple(ObjVal, (name, tuple([d(st, env) for d in ds])))
+        return draw_obj
 
     # statements ---------------------------------------------------------
 
-    def stmt(self, s: Stmt) -> Callable[[_State], None]:
+    def stmt(self, s: Stmt) -> Callable[[_State, dict], None]:
         if isinstance(s, Block):
-            fs = [self.stmt(c) for c in s.stmts]
+            fs = tuple(f for f in map(self.stmt, s.stmts) if f is not _skip)
             if not fs:
-                return lambda st: None
+                return _skip
             if len(fs) == 1:
                 return fs[0]
 
-            def fblock(st, fs=tuple(fs)):
+            def fblock(st, env):
                 for f in fs:
-                    f(st)
+                    f(st, env)
             return fblock
         if isinstance(s, Assign):
             t = s.target
-            f = self.expr(s.expr)
+            kind, a = self.operand(s.expr)
+            if kind == "V":
+                def fcopy(st, env):
+                    env[t] = env[a]
+                return fcopy
+            if kind == "C":
+                def fset(st, env):
+                    env[t] = a
+                return fset
 
-            def fassign(st):
-                st.env[t] = f(st.env)
+            def fassign(st, env):
+                env[t] = a(env)
             return fassign
         if isinstance(s, Skip):
-            return lambda st: None
+            return _skip
         if isinstance(s, If):
-            c = self.expr(s.cond)
+            c = self.cond(s.cond)
             ft = self.stmt(s.then)
             fe = self.stmt(s.els)
+            if fe is _skip:
+                def fthen(st, env):
+                    if c(env):
+                        ft(st, env)
+                return fthen
 
-            def fif(st):
-                if c(st.env) != 0:
-                    ft(st)
+            def fif(st, env):
+                if c(env):
+                    ft(st, env)
                 else:
-                    fe(st)
+                    fe(st, env)
             return fif
         if isinstance(s, While):
-            c = self.expr(s.cond)
+            c = self.cond(s.cond)
             fb = self.stmt(s.body)
 
-            def fwhile(st):
-                while c(st.env) != 0:
+            def fwhile(st, env):
+                while c(env):
                     if st.loop_fuel <= 0:
-                        raise _UndefSignal(FUEL_EXHAUSTED)
+                        raise _UndefSignal(_UNDEF_FUEL, None)
                     st.loop_fuel -= 1
-                    fb(st)
+                    fb(st, env)
             return fwhile
         if isinstance(s, AssumeExpr):
-            f = self.expr(s.expr)
+            c = self.cond(s.expr)
 
-            def fassume(st):
-                if f(st.env) == 0:
-                    raise _UndefSignal(ASSUME_FAILED)
+            def fassume(st, env):
+                if not c(env):
+                    raise _UndefSignal(_UNDEF_ASSUME, None)
             return fassume
         if isinstance(s, AssertExpr):
-            f = self.expr(s.expr)
+            c = self.cond(s.expr)
 
-            def fassert(st):
-                if f(st.env) == 0:
+            def fassert(st, env):
+                if not c(env):
                     raise _BotSignal(FAILURE_PRED, ())
             return fassert
         if isinstance(s, AssumePred):
             name = s.pred
-            fs = [self.expr(a) for a in s.args]
+            args_of = self.tuple_of(s.args)
 
-            def fassume_p(st):
-                args = tuple(f(st.env) for f in fs)
-                if not st.interp.contains(name, args):
-                    raise _UndefSignal(ASSUME_FAILED, blocker=(name, args))
+            def fassume_p(st, env):
+                args = args_of(env)
+                if not st.contains(name, args):
+                    raise _UndefSignal(_UNDEF_ASSUME, (name, args))
             return fassume_p
         if isinstance(s, AssertPred):
             name = s.pred
-            fs = [self.expr(a) for a in s.args]
+            args_of = self.tuple_of(s.args)
 
-            def fassert_p(st):
-                args = tuple(f(st.env) for f in fs)
-                if not st.interp.contains(name, args):
+            def fassert_p(st, env):
+                args = args_of(env)
+                if not st.contains(name, args):
                     raise _BotSignal(name, args)
             return fassert_p
         if isinstance(s, HavocStmt):
@@ -434,21 +573,23 @@ class _Compiler:
             t = s.target
             f = self.expr(s.expr)
             if self.mode == "heap":
-                def falloc(st):
+                def falloc(st, env):
                     if st.heap_fuel <= 0:
-                        raise _UndefSignal(FUEL_EXHAUSTED)
+                        raise _UndefSignal(_UNDEF_FUEL, None)
                     st.heap_fuel -= 1
-                    st.heap.append(f(st.env))
-                    st.env[t] = len(st.heap)
+                    h = st.heap
+                    h.append(f(env))
+                    env[t] = len(h)
                 return falloc
 
-            def falloc_t(st):
+            def falloc_t(st, env):
                 if st.heap_fuel <= 0:
-                    raise _UndefSignal(FUEL_EXHAUSTED)
+                    raise _UndefSignal(_UNDEF_FUEL, None)
                 st.heap_fuel -= 1
-                st.allocs += 1
-                st.trace.append((st.allocs, f(st.env)))
-                st.env[t] = st.allocs
+                v = f(env)
+                st.allocs = a = st.allocs + 1
+                st.heap.append((a, v))
+                env[t] = a
             return falloc_t
         if isinstance(s, Read):
             t = s.target
@@ -456,25 +597,23 @@ class _Compiler:
             d = self.def_obj
             rec = self.record_reads
             if self.mode == "heap":
-                def fread(st):
+                def fread(st, env):
                     if st.heap_fuel <= 0:
-                        raise _UndefSignal(FUEL_EXHAUSTED)
+                        raise _UndefSignal(_UNDEF_FUEL, None)
                     st.heap_fuel -= 1
-                    a = st.env[p]
+                    a = env[p]
                     h = st.heap
-                    v = h[a - 1] if 0 < a <= len(h) else d
-                    st.env[t] = v
+                    env[t] = v = h[a - 1] if 0 < a <= len(h) else d
                     if rec:
                         st.events.append(("read", a, v))
                 return fread
 
-            def fread_t(st):
+            def fread_t(st, env):
                 if st.heap_fuel <= 0:
-                    raise _UndefSignal(FUEL_EXHAUSTED)
+                    raise _UndefSignal(_UNDEF_FUEL, None)
                 st.heap_fuel -= 1
-                a = st.env[p]
-                v = trace_read(st.trace, st.allocs, a, d)
-                st.env[t] = v
+                a = env[p]
+                env[t] = v = trace_read(st.heap, st.allocs, a, d)
                 if rec:
                     st.events.append(("read", a, v))
             return fread_t
@@ -482,39 +621,45 @@ class _Compiler:
             p = s.addr
             f = self.expr(s.expr)
             if self.mode == "heap":
-                def fwrite(st):
+                def fwrite(st, env):
                     if st.heap_fuel <= 0:
-                        raise _UndefSignal(FUEL_EXHAUSTED)
+                        raise _UndefSignal(_UNDEF_FUEL, None)
                     st.heap_fuel -= 1
-                    a = st.env[p]
-                    if 0 < a <= len(st.heap):
-                        st.heap[a - 1] = f(st.env)
+                    a = env[p]
+                    h = st.heap
+                    if 0 < a <= len(h):
+                        h[a - 1] = f(env)
                 return fwrite
 
-            def fwrite_t(st):
+            def fwrite_t(st, env):
                 if st.heap_fuel <= 0:
-                    raise _UndefSignal(FUEL_EXHAUSTED)
+                    raise _UndefSignal(_UNDEF_FUEL, None)
                 st.heap_fuel -= 1
-                st.trace.append((st.env[p], f(st.env)))
+                a = env[p]
+                # as in sequence mode, the value is evaluated only at a
+                # valid address
+                if 0 < a <= st.allocs:
+                    st.heap.append((a, f(env)))
             return fwrite_t
         raise ValueError(f"cannot compile statement {type(s).__name__}")
 
     def _havoc(self, target: str, charge_loop_fuel: bool):
-        if self.program.seed_var is None:
-            raise ValueError("havoc/nondet requires a seed declaration")
-        ty = self.program.var_types[target]
         seed_var = self.program.seed_var
+        if seed_var is None:
+            raise ValueError("havoc/nondet requires a seed declaration")
+        draw = self._drawer(self.program.var_types[target], charge_loop_fuel)
+        if not self.record_reads:
+            def fhavoc(st, env):
+                env[target] = draw(st, env)
+            return fhavoc
 
-        def fhavoc(st):
-            if st.events is None:
-                st.env[target] = self._draw_value(st, ty, charge_loop_fuel)
-                return
-            seed_before = st.env[seed_var]
+        def fhavoc_rec(st, env):
+            seed_before = env[seed_var]
             bits_before = st.bits
-            st.env[target] = self._draw_value(st, ty, charge_loop_fuel)
+            env[target] = draw(st, env)
             used = st.bits - bits_before
             st.events.append(("draw", seed_before & ((1 << used) - 1), used))
-        return fhavoc
+        return fhavoc_rec
 
 
 class CompiledProgram:
@@ -533,47 +678,46 @@ class CompiledProgram:
             name: default_value(ty, self.adts)
             for name, ty in program.var_types.items()
         }
+        self.seed_var = program.seed_var
+        self.trace_mode = mode == "trace"
+        # Bot outcomes by (pred, args): frozen, so one object serves every
+        # run that fails the same way
+        self.bots: dict[tuple, Bot] = {}
 
     def run(self, inputs: dict[str, Value] | None = None,
             interp=EMPTY_INTERP, loop_fuel: int = 64, heap_fuel: int = 32,
             initial_heap: Iterable[ObjVal] = (),
             initial_trace: Iterable[tuple[int, ObjVal]] = (),
             initial_allocs: int = 0) -> RunResult:
-        st = _State()
-        st.env = dict(self.env_template)
+        env = self.env_template.copy()
         if inputs:
-            for k, v in inputs.items():
-                if k not in st.env:
-                    raise KeyError(f"unknown input variable {k!r}")
-                st.env[k] = v
-        seed_var = self.program.seed_var
-        if seed_var is not None and st.env[seed_var] < 0:
+            if not inputs.keys() <= env.keys():
+                unknown = next(k for k in inputs if k not in env)
+                raise KeyError(f"unknown input variable {unknown!r}")
+            env.update(inputs)
+        seed_var = self.seed_var
+        if seed_var is not None and env[seed_var] < 0:
             raise ValueError("seed must be nonnegative")
-        st.heap = list(initial_heap)
-        st.trace = list(initial_trace)
-        st.allocs = initial_allocs
-        st.loop_fuel = loop_fuel
-        st.heap_fuel = heap_fuel
-        st.interp = interp
-        if self.record_reads:
-            st.events = []
+        trace = self.trace_mode
+        st = _State(list(initial_trace if trace else initial_heap),
+                    initial_allocs, loop_fuel, heap_fuel, interp.contains,
+                    [] if self.record_reads else None)
         outcome: Outcome = TOP
         blocker = None
         try:
-            self.body(st)
+            self.body(st, env)
         except _BotSignal as b:
-            outcome = Bot(b.pred, b.args)
-            if b.pred != FAILURE_PRED:
-                blocker = (b.pred, b.args)
+            blocker = b.args
+            outcome = self.bots.get(blocker)
+            if outcome is None:
+                outcome = self.bots[blocker] = Bot(*blocker)
+            if blocker[0] == FAILURE_PRED:
+                blocker = None
         except _UndefSignal as u:
-            outcome = Undefined(u.reason)
-            blocker = u.blocker
-        if self.mode == "heap":
-            heap, heap_len = st.heap, len(st.heap)
-        else:
-            heap, heap_len = st.trace, st.allocs
-        return RunResult(outcome, st.env, heap, heap_len, st.bits, blocker,
-                         st.events)
+            outcome, blocker = u.args
+        heap = st.heap
+        return RunResult(outcome, env, heap, st.allocs if trace else len(heap),
+                         st.bits, blocker, st.events)
 
 
 # ---------------------------------------------------------------------------

@@ -345,6 +345,12 @@ _BIN_LEVELS = [
     {"+", "-"},
     {"*", "/", "%"},
 ]
+_PRECEDENCE = {op: level for level, ops in enumerate(_BIN_LEVELS) for op in ops}
+
+# Blocks, brackets and operators nest at most this deep, counted together:
+# every pass over a program recurses on its nesting, and a deeper program
+# would exhaust the Python stack instead of ending in a SourceError.
+MAX_NESTING = 200
 
 
 class _Parser:
@@ -354,6 +360,8 @@ class _Parser:
         self.prog = Program()
         self._ctors: dict[str, str] = {}  # ctor name -> adt name
         self._sels: dict[str, tuple[str, str, Type]] = {}  # sel -> (adt, ctor, type)
+        self.depth = 0   # blocks, brackets and operators around the position
+        self.height = 0  # operator nesting inside the last parsed expression
 
     # token helpers
 
@@ -389,6 +397,15 @@ class _Parser:
 
     def err(self, tok: Token, msg: str):
         raise SourceError(tok.line, tok.col, msg)
+
+    def check_nesting(self, tok: Token, levels: int) -> None:
+        if self.depth + levels > MAX_NESTING:
+            self.err(tok, f"nesting deeper than {MAX_NESTING} levels")
+
+    def enter(self, tok: Token) -> None:
+        """Open one level of nesting at ``tok``; the caller closes it."""
+        self.check_nesting(tok, 1)
+        self.depth += 1
 
     # declarations
 
@@ -592,10 +609,11 @@ class _Parser:
         self.err(t, f"expected a statement, found {t.text!r}")
 
     def parse_block(self) -> Block:
-        self.expect("{")
+        self.enter(self.expect("{"))
         stmts = []
         while not self.accept("}"):
             stmts.append(self.parse_stmt())
+        self.depth -= 1
         return Block(tuple(stmts))
 
     def parse_assert_assume(self, expr_cls, pred_cls, p) -> Stmt:
@@ -606,13 +624,14 @@ class _Parser:
         if t.kind == "id" and t.text in (pd.name for pd in self.prog.preds) \
                 and self.toks[self.pos + 1].text == "(":
             self.next()
-            self.expect("(")
+            self.enter(self.expect("("))
             args = []
             if not self.at(")"):
                 args.append(self.parse_expr())
                 while self.accept(","):
                     args.append(self.parse_expr())
             self.expect(")")
+            self.depth -= 1
             self.expect(")")
             self.expect(";")
             return pred_cls(t.text, args, pos=p)
@@ -623,30 +642,45 @@ class _Parser:
 
     # expressions
 
-    def parse_expr(self, level: int = 0) -> Expr:
-        if level == len(_BIN_LEVELS):
-            return self.parse_unary()
-        e = self.parse_expr(level + 1)
-        while self.peek().kind == "op" and self.peek().text in _BIN_LEVELS[level]:
-            op_t = self.next()
+    def parse_expr(self, min_level: int = 0) -> Expr:
+        """An expression of operators binding at least as strongly as
+        ``_BIN_LEVELS[min_level]`` (precedence climbing)."""
+        e = self.parse_unary()
+        height = self.height
+        while True:
+            op_t = self.peek()
+            level = _PRECEDENCE.get(op_t.text) if op_t.kind == "op" else None
+            if level is None or level < min_level:
+                break
+            self.next()
+            self.enter(op_t)
             rhs = self.parse_expr(level + 1)
+            self.depth -= 1
+            # the operands so far sink one level under the new operator
+            height = max(height, self.height) + 1
+            self.check_nesting(op_t, height)
             e = Binary(op_t.text, e, rhs, pos=(op_t.line, op_t.col))
+        self.height = height
         return e
 
     def parse_unary(self) -> Expr:
         t = self.peek()
         if t.text in ("-", "!"):
             self.next()
+            self.enter(t)
             operand = self.parse_unary()
+            self.depth -= 1
             # canonical negative literals: print and reparse agree
             if t.text == "-" and isinstance(operand, IntLit):
                 return IntLit(-operand.value, pos=(t.line, t.col))
+            self.height += 1
             return Unary(t.text, operand, pos=(t.line, t.col))
         return self.parse_atom()
 
     def parse_atom(self) -> Expr:
         t = self.next()
         p = (t.line, t.col)
+        self.height = 0
         if t.kind == "num":
             return IntLit(int(t.text), pos=p)
         if t.text == "null":
@@ -654,7 +688,9 @@ class _Parser:
         if t.text == "defObj":
             return DefObj(pos=p)
         if t.text == "(":
+            self.enter(t)
             e = self.parse_expr()
+            self.depth -= 1
             self.expect(")")
             return e
         if t.kind == "id":
@@ -665,13 +701,18 @@ class _Parser:
 
     def parse_call(self, name_t: Token) -> Expr:
         p = (name_t.line, name_t.col)
-        self.expect("(")
+        self.enter(self.expect("("))
         args = []
+        height = 0
         if not self.at(")"):
             args.append(self.parse_expr())
+            height = self.height
             while self.accept(","):
                 args.append(self.parse_expr())
+                height = max(height, self.height)
         self.expect(")")
+        self.depth -= 1
+        self.height = height + 1
         name = name_t.text
         if name.startswith("is_") and name[3:] in self._ctors:
             if len(args) != 1:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import random
 
+from heapinv.interp import ObjVal
 from heapinv.lang import (
     ADDR, AdtDecl, Alloc, Assign, AssertExpr, AssertPred, AssumeExpr,
     AssumePred, Binary, Block, CtorApp, CtorDecl, DefObj, HavocStmt, If,
@@ -25,15 +26,19 @@ OBJ_VARS = ["x", "y"]
 
 CMP_OPS = ["<", "<=", ">", ">=", "=", "!="]
 ARITH_OPS = ["+", "-", "*"]
+DIV_OPS = ["/", "%"]
 
 
 class Gen:
     def __init__(self, rng: random.Random, allow_havoc: bool = False,
-                 allow_preds: bool = True, allow_pair_adt: bool = False):
+                 allow_preds: bool = True, allow_pair_adt: bool = False,
+                 allow_division: bool = False):
         self.rng = rng
         self.allow_havoc = allow_havoc
         self.allow_preds = allow_preds
         self.allow_pair_adt = allow_pair_adt
+        # "/" and "%" with any divisor, zero included, among the arithmetic
+        self.arith_ops = ARITH_OPS + DIV_OPS if allow_division else ARITH_OPS
 
     def pick(self, xs):
         return self.rng.choice(xs)
@@ -47,7 +52,7 @@ class Gen:
                 return IntLit(self.rng.randint(-3, 3))
             return Var(self.pick(INT_VARS + ["in"]))
         if r < 0.55:
-            return Binary(self.pick(ARITH_OPS),
+            return Binary(self.pick(self.arith_ops),
                           self.int_expr(depth - 1), self.int_expr(depth - 1))
         if r < 0.65:
             return SelApp("data", self.obj_expr(depth - 1))
@@ -62,7 +67,7 @@ class Gen:
             return self.cond_expr(depth - 1)
         if self.allow_pair_adt:
             return SelApp(self.pick(["fst", "snd", "tag"]), self.pair_expr(depth - 1))
-        return Binary(self.pick(ARITH_OPS),
+        return Binary(self.pick(self.arith_ops),
                       self.int_expr(depth - 1), self.int_expr(depth - 1))
 
     def cond_expr(self, depth: int):
@@ -174,6 +179,69 @@ class Gen:
 
 def gen_program(seed: int, **kw) -> Program:
     return Gen(random.Random(seed), **kw).program()
+
+
+# ---------------------------------------------------------------------------
+# Reference expression semantics
+
+
+_SELECTORS = {fname: (ctor.name, i)
+              for adt in (NODE_ADT, PAIR_ADT) for ctor in adt.ctors
+              for i, (fname, _) in enumerate(ctor.fields)}
+
+
+def eval_expr(e, env: dict):
+    """Plain recursive evaluation of a generated expression, the reference
+    for the interpreter's compiled closures: Int and Addr values are ints,
+    objects ObjVal tuples, a condition is true when nonzero.  Raises
+    ZeroDivisionError where the interpreter fails with the reserved
+    predicate."""
+    if isinstance(e, IntLit):
+        return e.value
+    if isinstance(e, Var):
+        return env[e.name]
+    if isinstance(e, Null):
+        return 0
+    if isinstance(e, DefObj):
+        return ObjVal("node", (0, 0))
+    if isinstance(e, Unary):
+        v = eval_expr(e.operand, env)
+        return -v if e.op == "-" else int(v == 0)
+    if isinstance(e, CtorApp):
+        return ObjVal(e.ctor, tuple(eval_expr(a, env) for a in e.args))
+    if isinstance(e, SelApp):
+        o = eval_expr(e.arg, env)
+        ctor, i = _SELECTORS[e.sel]
+        return o.fields[i] if o.ctor == ctor else 0  # every field is Int or Addr
+    if isinstance(e, TestApp):
+        return int(eval_expr(e.arg, env).ctor == e.ctor)
+    # both connectives decide on the left operand when they can
+    if e.op == "&&":
+        return int(eval_expr(e.left, env) != 0 and eval_expr(e.right, env) != 0)
+    if e.op == "||":
+        return int(eval_expr(e.left, env) != 0 or eval_expr(e.right, env) != 0)
+    a, b = eval_expr(e.left, env), eval_expr(e.right, env)
+    if e.op in DIV_OPS:
+        if b == 0:
+            raise ZeroDivisionError(e)
+        q = abs(a) // abs(b) * (1 if (a < 0) == (b < 0) else -1)
+        return q if e.op == "/" else a - b * q
+    if e.op == "=":
+        return int(a == b)
+    if e.op == "!=":
+        return int(a != b)
+    return {"+": a + b, "-": a - b, "*": a * b,
+            "<": int(a < b), "<=": int(a <= b), ">": int(a > b),
+            ">=": int(a >= b)}[e.op]  # Int operands only
+
+
+def random_env(rng: random.Random) -> dict:
+    """Values for every variable a generated expression can read."""
+    env = {v: rng.randint(-3, 3) for v in INT_VARS + ["in"]}
+    env.update({v: rng.randint(0, 3) for v in ADDR_VARS})
+    env.update({v: ObjVal("node", (rng.randint(-3, 3), rng.randint(0, 3)))
+                for v in OBJ_VARS})
+    return env
 
 
 def compare_heap_and_trace(program: Program, in_values, seed_range,

@@ -11,7 +11,7 @@ import progen
 from heapinv.cli import EXIT_DISAGREE, EXIT_ERROR, EXIT_OK, main
 from heapinv.corpus import VARIANTS, corpus_by_name
 from heapinv.encode import enc_n, enc_r
-from heapinv.lang import pretty_print
+from heapinv.lang import MAX_NESTING, pretty_print
 
 SCHEMA = json.loads(
     (pathlib.Path(__file__).parent.parent / "docs" / "report-schema.json")
@@ -204,11 +204,29 @@ def test_run_all_inputs_jsonl(capsys):
 # ---------------------------------------------------------------------------
 # exit-code contract: bad input is a one-line error and exit 2
 
+def nested_program(kind: str, depth: int) -> str:
+    """A program whose ``if`` blocks (with heap statements innermost),
+    parentheses or chain of additions nest ``depth`` deep."""
+    if kind == "if":
+        body = ("p := alloc(defObj);\n" + "if (in < 1) {\n" * depth
+                + "n := read(p);\nwrite(p, n);\n" + "}\n" * depth)
+    elif kind == "paren":
+        body = "x := " + "(" * depth + "in" + ")" * depth + ";\n"
+    else:
+        body = "x := in" + " + in" * depth + ";\n"
+    return ("prog {\nadt Node { node(data: Int, next: Addr); }\n"
+            "heaptype Node;\ninput in;\nseed seed;\nvar x: Int;\nvar p: Addr;\n"
+            "var n: Node;\n" + body + "}\n")
+
+
 # inputs written to a temporary directory; any other name is a corpus entry
 BAD_INPUT_FILES = {
     "assume-p.up": "prog { pred P(Int); input in; assume(P(in)); }",
     "div-zero.json": json.dumps(
         {"preds": {"P": {"params": ["a"], "formula": "1 / (a - a)"}}}),
+    "deep-if.up": nested_program("if", 1000),
+    "deep-parens.up": nested_program("paren", 1000),
+    "long-chain.up": nested_program("chain", 1000),
 }
 
 
@@ -222,9 +240,14 @@ BAD_INPUT_FILES = {
     ("fixpoint", "write-read-false", "--iteration-cap", "-1"),
     ("run", "write-read-false", "--seed", "-3"),
     ("run", "assume-p.up", "--interp", "div-zero.json"),
+    ("fixpoint", "deep-if.up"),
+    ("fixpoint", "deep-parens.up"),
+    ("fixpoint", "long-chain.up"),
 ], ids=["unknown-scope-var", "drop-out-of-range", "rwfun-unacknowledged",
         "empty-seed-range", "negative-loop-fuel", "negative-heap-op-fuel",
-        "negative-iteration-cap", "negative-seed", "formula-divides-by-zero"])
+        "negative-iteration-cap", "negative-seed", "formula-divides-by-zero",
+        "if-nested-1000-deep", "parens-nested-1000-deep",
+        "chain-of-1000-additions"])
 def test_bad_input_is_one_line_error(capsys, tmp_path, argv):
     for name, text in BAD_INPUT_FILES.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
@@ -236,6 +259,21 @@ def test_bad_input_is_one_line_error(capsys, tmp_path, argv):
     assert code == EXIT_ERROR
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("kind", ["if", "paren", "chain"])
+def test_nesting_at_the_limit_is_accepted(capsys, tmp_path, kind):
+    path = tmp_path / "deep.up"
+    path.write_text(nested_program(kind, MAX_NESTING))
+    code, _, err = run_cli(capsys, "fixpoint", str(path), "--in-range", "0:1")
+    assert code == EXIT_OK, err
+    code, out, err = run_cli(capsys, "emit-chc", str(path), "--enc", "r")
+    assert code == EXIT_OK and out.startswith("(set-logic HORN)"), err
+    path.write_text(nested_program(kind, MAX_NESTING + 1))
+    code, out, err = run_cli(capsys, "fixpoint", str(path))
+    assert code == EXIT_ERROR and out == ""
+    assert err.count("\n") == 1
+    assert f"nesting deeper than {MAX_NESTING} levels" in err
 
 
 def test_package_exports_do_not_shadow_submodules():

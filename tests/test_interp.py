@@ -6,10 +6,11 @@ from hypothesis import given, strategies as st
 from heapinv.fixpoint import Interpretation
 from heapinv.interp import (
     ASSUME_FAILED, Bot, CompiledProgram, FUEL_EXHAUSTED, Fuel, ObjVal, TOP,
-    Undefined, eval_stmt, heap_allocate, heap_read, heap_write, trunc_div,
-    trunc_mod,
+    Undefined, _BotSignal, _Compiler, eval_stmt, heap_allocate, heap_read,
+    heap_write, trunc_div, trunc_mod,
 )
-from heapinv.lang import expand_program_havocs, parse_and_check
+from heapinv.lang import TestApp as IsCtor  # a Test* name would be collected
+from heapinv.lang import Var, expand_program_havocs, parse_and_check
 
 import progen
 
@@ -149,6 +150,24 @@ def test_division_truncates_toward_zero():
     assert res.env["i"] == -3 and res.env["j"] == -1
 
 
+@pytest.mark.parametrize("cond, outcome", [
+    ("x != 0 && 1 / x = 1", TOP),
+    ("x = 0 || 1 / x = 1", TOP),
+    ("1 / x = 1 && x != 0", Bot("F", ())),
+], ids=["and-guarded", "or-guarded", "and-unguarded"])
+@pytest.mark.parametrize("template", [
+    "b := {};",
+    "if ({}) {{ b := 1; }}",
+    "while ({}) {{ x := 2; }}",
+    "assume(!({}) || 1);",
+], ids=["value", "if", "while", "negated"])
+def test_and_or_evaluate_the_right_operand_only_when_needed(
+        cond, outcome, template):
+    # x = 0: the right operand of the first two would divide by zero
+    src = "prog { var x: Int; var b: Int; x := 0; %s }" % template.format(cond)
+    assert run_src(src, loop_fuel=1).outcome == outcome
+
+
 def test_loop_fuel_exhaustion():
     res = run_src("prog { var i: Int; while (1) { i := i + 1; } }", loop_fuel=8)
     assert res.outcome == Undefined(FUEL_EXHAUSTED)
@@ -281,3 +300,62 @@ def test_native_havoc_equals_expanded_macro():
                 assert {v: rn.env[v] for v in common} == \
                        {v: re_.env[v] for v in common}, (seed, s)
                 assert rn.heap == re_.heap
+
+
+# ---------------------------------------------------------------------------
+# compiled expressions against the plain recursive reference
+
+
+def _compiled(f, env):
+    try:
+        return f(env)
+    except _BotSignal as b:
+        assert b.args == ("F", ())
+        return ZeroDivisionError
+
+
+def _reference(e, env):
+    try:
+        return progen.eval_expr(e, env)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+def test_compiled_expressions_match_reference():
+    rng = random.Random(17)
+    gen = progen.Gen(rng, allow_pair_adt=True, allow_division=True)
+    comp = _Compiler(gen.program(size=0))
+    seen = {"value": 0, "true": 0, "false": 0, "fail": 0, "args": 0}
+    for n in range(1500):
+        if n % 3 == 0:
+            e = gen.int_expr(3)
+        elif n % 3 == 1:
+            e = gen.cond_expr(3)
+        else:
+            e = IsCtor(gen.pick(["mk", "unit"]), gen.pair_expr(2))
+        value, cond = comp.expr(e), comp.cond(e)
+        k = rng.randint(0, 4)
+        if n % 2:
+            args = [gen.int_expr(1) for _ in range(k)]
+        else:
+            args = [Var(gen.pick(progen.INT_VARS)) for _ in range(k)]
+        args_of = comp.tuple_of(args)
+        for _ in range(4):
+            env = progen.random_env(rng)
+            want = _reference(e, env)
+            got = _compiled(value, env)
+            assert got == want and type(got) is type(want), (e, env)
+            truth = _compiled(cond, env)
+            if want is ZeroDivisionError:
+                assert truth is ZeroDivisionError, (e, env)
+                seen["fail"] += 1
+            else:
+                assert bool(truth) == (want != 0), (e, env)
+                seen["true" if want else "false"] += 1
+            seen["value"] += 1
+            want = tuple(_reference(a, env) for a in args)
+            if ZeroDivisionError not in want:
+                got = args_of(env)
+                assert got == want and type(got) is tuple, (args, env)
+                seen["args"] += 1
+    assert min(seen.values()) > 100, seen

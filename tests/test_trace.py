@@ -70,6 +70,25 @@ def test_alloc_event_supersedes_earlier_invalid_write():
     assert heap.env == trace.env
 
 
+def test_write_value_is_evaluated_only_at_a_valid_address():
+    # p is null, so the write is a no-op in both models and its value, which
+    # divides by zero, is never evaluated (the encoder evaluates a written
+    # value only under valid(addr) as well)
+    src = """prog {
+      adt Node { node(data: Int, next: Addr); }
+      heaptype Node;
+      var p: Addr; var x: Int;
+      x := 0;
+      write(p, node(1 / x, null));
+    }"""
+    p = parse_and_check(src)
+    heap = CompiledProgram(p, mode="heap").run()
+    trace = CompiledProgram(p, mode="trace").run()
+    assert heap.outcome == trace.outcome == TOP
+    assert heap.env == trace.env
+    assert heap.heap_len == trace.heap_len == 0
+
+
 def test_eval_trace_mode_entry_point():
     p = parse_and_check("""prog {
       adt Node { node(data: Int, next: Addr); }

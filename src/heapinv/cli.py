@@ -400,6 +400,11 @@ def main(argv: list[str] | None = None) -> int:
             fp.IterationCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except MemoryError:
+        # the grid executor allocates per input value and per seed
+        print("error: out of memory; an input range may be too large",
+              file=sys.stderr)
+        return EXIT_ERROR
     except BrokenPipeError:
         # downstream consumer (e.g. head) closed the stream
         return EXIT_OK

@@ -8,7 +8,7 @@ it once more under the fixed point: only expression assertions can still
 fail there.
 
 Executions are deterministic given (input, seed, prophecy address, fuel),
-which allows two big savings without changing the computed sets:
+which allows three big savings without changing the computed sets:
 
 * when the seed variable is only touched by havoc/nondet draws, a run that
   consumed b seed bits behaves the same for every seed congruent to its own
@@ -28,7 +28,25 @@ which allows two big savings without changing the computed sets:
   blocked query, so a run that now gets past it consumes at least b bits
   and marks a sub-class inside the class: the leaves equal those of
   rerunning the whole cell.  Every failing tuple of a kept leaf is already
-  in the interpretation, so only the new leaves are harvested.
+  in the interpretation, so only the new leaves are harvested;
+* when the prophecy variable ``$last_addr`` is read only as an operand of
+  ``=`` / ``!=`` (``lang.only_compared``), each input's seeds are run once
+  with a sentinel address that equals nothing and records the set E of
+  values it was compared with.  Every test was false, and a run at an
+  address outside E makes the same tests, so it is the same run: the
+  sentinel leaf stands for its seed class at every address of the range
+  outside E, and for none when E covers the range (its path is never
+  taken, so it is dropped).  At each address a of E the class is run
+  explicitly, and such a run marks its own class at a, which can be wider
+  than the sentinel's (a run that matches early draws fewer seed bits) or
+  narrower.  All seeds of a class at a run alike, so every sentinel class
+  inside a wider one compared with a too; the explicit marks at a are
+  therefore unions of sentinel classes whose E holds a, and the loop over
+  a sentinel class counts the seeds a wider class took with
+  ``max(step, stride)``.  A rerun replays the blocked run's comparisons,
+  so its E only grows, and only the addresses newly in E get explicit
+  runs.  A sentinel failure reports the least address it stands for, so
+  the witness is the least failing grid point as before.
 """
 
 from __future__ import annotations
@@ -41,7 +59,7 @@ from .interp import (
     Bot, CompiledProgram, FUEL_EXHAUSTED, ObjVal, Undefined, Value,
     default_obj, heap_read,
 )
-from .lang import FAILURE_PRED, Program, Type, variables_read
+from .lang import FAILURE_PRED, Program, Type, only_compared, variables_read
 
 # Conventional names for encoder-introduced inputs; programs declaring them
 # get those dimensions of the grid enumerated.
@@ -196,11 +214,40 @@ class Leaf:
 @dataclass
 class Cell:
     in_v: int | None
-    last_addr: int | None
+    last_addr: int | _AnyAddress | None
     leaves: list[Leaf] = field(default_factory=list)
+    # with address classing, one mark per seed that a leaf of this
+    # (explicit-address) cell stands for
+    covered: bytearray | None = None
 
     def blockers(self) -> set[tuple]:
         return {l.blocker for l in self.leaves if l.blocker is not None}
+
+
+class _AnyAddress:
+    """Bound to ``$last_addr`` in a run that stands for many addresses: it
+    equals no value and records every value it is compared with.
+    ``operator.eq`` and ``operator.ne`` reach it from either side."""
+
+    __slots__ = ("compared",)
+
+    def __init__(self):
+        self.compared: set = set()
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        self.compared.add(other)
+        return False
+
+    def __ne__(self, other):
+        if other is self:
+            return False
+        self.compared.add(other)
+        return True
+
+    # hashed by identity: it is the address of the sentinel cells' keys
+    __hash__ = object.__hash__
 
 
 def _failing(leaves) -> set[tuple]:
@@ -225,10 +272,17 @@ class GridExecutor:
         self.seed_var = program.seed_var
         self.seed_classing = (self.seed_var is not None
                               and self.seed_var not in variables_read(program))
+        # address classing is sound only when runs see the prophecy address
+        # through equality tests alone
+        self.address_classing = (self.enumerate_last_addr
+                                 and only_compared(program, LAST_ADDR_VAR))
+        self.any_address = _AnyAddress()
         # a program without a seed runs once per cell, at seed 0
         self.seed_range = domain.seed_range if self.seed_var is not None \
             else (0, 0)
         self.cells: dict[tuple, Cell] = {}
+        # address classing: the explicit cells of each input, by address
+        self._explicit: dict[int | None, dict[int, Cell]] = {}
 
     # enumeration dimensions
 
@@ -249,16 +303,23 @@ class GridExecutor:
         return initial_stack(self.program, in_v, None, la,
                              self.domain.heap_op_fuel)
 
-    def _run_seeds(self, inputs, interp, start: int, stride: int) -> list[Leaf]:
-        """Leaves of the seeds at offsets ``start, start + stride, ...`` of
-        the seed range, in seed order: an unmarked seed is run and marks its
-        class.  The classes are disjoint and lie among these seeds, so the
-        loop stops once their weights add up to the number of seeds."""
+    def _run_seeds(self, inputs, interp, start: int, stride: int,
+                   marked: bytearray | None = None,
+                   compared: list | None = None) -> list[Leaf]:
+        """Leaves of the unmarked seeds at offsets ``start, start + stride,
+        ...`` of the seed range, in seed order: an unmarked seed is run and
+        marks its class, each seed of which it stands for.  The classes are
+        disjoint, so the loop stops once they cover its seeds.  ``marked``
+        (one mark per seed of the range) defaults to no seed marked.  Runs
+        at the address sentinel append to ``compared`` the set of values
+        each compared ``$last_addr`` with."""
         seed_var = self.seed_var
         lo, hi = self.seed_range
         n = hi - lo + 1
         loop_fuel, heap_fuel = self.domain.loop_fuel, self.domain.heap_op_fuel
-        marked = bytearray(n)
+        probe = self.any_address
+        if marked is None:
+            marked = bytearray(n)
         seeds = range(start, n, stride)
         left = len(seeds)
         leaves = []
@@ -269,13 +330,18 @@ class GridExecutor:
                 inputs[seed_var] = lo + i
             res = self.compiled.run(inputs=inputs, interp=interp,
                                     loop_fuel=loop_fuel, heap_fuel=heap_fuel)
+            if compared is not None:
+                compared.append(probe.compared)
+                probe.compared = set()
             step = min(1 << res.bits_consumed, n) if self.seed_classing else n
             weight = len(range(i, n, step))
             leaves.append(Leaf(lo + i, res.outcome, res.blocker, weight, step))
-            left -= weight
+            marked[i::step] = b"\x01" * weight
+            # the loop's seeds in the class; a class wider than the stride
+            # holds all that are left
+            left -= len(range(i, n, max(step, stride)))
             if not left:
                 break
-            marked[i::step] = b"\x01" * weight
         return leaves
 
     def run_cell(self, in_v, la, interp) -> Cell:
@@ -284,22 +350,75 @@ class GridExecutor:
 
     def run_all(self, interp):
         for in_v in self.in_values():
-            for la in self.last_addr_values():
-                self.cells[(in_v, la)] = self.run_cell(in_v, la, interp)
+            if not self.address_classing:
+                for la in self.last_addr_values():
+                    self.cells[(in_v, la)] = self.run_cell(in_v, la, interp)
+                continue
+            la = self.any_address
+            self._explicit[in_v] = {}
+            cell = self.cells[(in_v, la)] = Cell(in_v, la)
+            cell.leaves, _ = self._run_any_address(in_v, interp, 0, 1)
+
+    def _run_any_address(self, in_v, interp, start: int,
+                         stride: int) -> tuple[list[Leaf], list[Leaf]]:
+        """Run the seeds at offsets ``start, start + stride, ...`` at the
+        address sentinel; then, at each address of the range that a run
+        compared ``$last_addr`` with, run the seeds of the run's class that
+        the explicit cell there does not mark yet.  Returns the sentinel
+        leaves that stand for some address, and the new explicit leaves."""
+        lo_a, hi_a = self.domain.last_addr_range
+        lo, hi = self.seed_range
+        sets: list[set] = []
+        sentinel = self._run_seeds(self._cell_inputs(in_v, self.any_address),
+                                   interp, start, stride, None, sets)
+        explicit: list[Leaf] = []
+        kept = []
+        for leaf, compared in zip(sentinel, sets):
+            hits = 0
+            for a in compared:
+                if not lo_a <= a <= hi_a:
+                    continue
+                hits += 1
+                cell = self._explicit[in_v].get(a)
+                if cell is None:
+                    cell = self.cells[(in_v, a)] = self._explicit[in_v][a] = \
+                        Cell(in_v, a, covered=bytearray(hi - lo + 1))
+                if not cell.covered[leaf.seed - lo]:
+                    new = self._run_seeds(self._cell_inputs(in_v, a), interp,
+                                          leaf.seed - lo, leaf.step,
+                                          cell.covered)
+                    cell.leaves += new
+                    explicit += new
+            # a run that compared with every address stands for no grid
+            # point: the path it took is never taken
+            if hits <= hi_a - lo_a:
+                kept.append(leaf)
+        return kept, explicit
 
     def rerun_blocked(self, interp, added: set[tuple]) -> set[tuple]:
         """Rerun the seed class of every leaf blocked on a tuple of ``added``
-        and return the failing tuples of the leaves that replace them."""
+        and return the failing tuples of the leaves that replace them.  A
+        sentinel class is rerun at the sentinel; a rerun replays the blocked
+        run's comparisons, so only the addresses it newly compares with get
+        explicit runs."""
         lo = self.seed_range[0]
         fresh: list[Leaf] = []
-        for cell in self.cells.values():
+        # explicit cells grow while sentinel cells are rerun; their new
+        # leaves ran under ``interp`` and are never blocked on ``added``
+        for cell in list(self.cells.values()):
             blocked = [leaf for leaf in cell.leaves if leaf.blocker in added]
             if not blocked:
                 continue
             inputs = self._cell_inputs(cell.in_v, cell.last_addr)
             leaves = [leaf for leaf in cell.leaves if leaf.blocker not in added]
             for leaf in blocked:
-                new = self._run_seeds(inputs, interp, leaf.seed - lo, leaf.step)
+                if cell.last_addr is self.any_address:
+                    new, explicit = self._run_any_address(
+                        cell.in_v, interp, leaf.seed - lo, leaf.step)
+                    fresh += explicit
+                else:
+                    new = self._run_seeds(inputs, interp, leaf.seed - lo,
+                                          leaf.step)
                 leaves += new
                 fresh += new
             leaves.sort(key=attrgetter("seed"))
@@ -307,6 +426,23 @@ class GridExecutor:
         return _failing(fresh)
 
     # harvesting
+
+    def owned(self, cell: Cell, leaf: Leaf) -> tuple[int, int | None]:
+        """The number of prophecy addresses a leaf of the cell stands for,
+        and the least of them."""
+        if cell.last_addr is not self.any_address:
+            return 1, cell.last_addr
+        # the addresses outside the explicit cells that mark the class
+        lo, hi = self.domain.last_addr_range
+        i = leaf.seed - self.seed_range[0]
+        taken = sorted(a for a, c in self._explicit[cell.in_v].items()
+                       if c.covered[i])
+        least = lo
+        for a in taken:
+            if a != least:
+                break
+            least += 1
+        return hi - lo + 1 - len(taken), least
 
     def leaves(self):
         """Every (cell, leaf) pair of the grid."""
@@ -318,8 +454,9 @@ class GridExecutor:
         return _failing(leaf for _, leaf in self.leaves())
 
     def failures(self) -> list[tuple]:
-        """(in, seed, last_addr, outcome) of every run that ended in Bot."""
-        return [(cell.in_v, leaf.seed, cell.last_addr, leaf.outcome)
+        """(in, seed, last_addr, outcome) of every run that ended in Bot,
+        at the least address the leaf stands for."""
+        return [(cell.in_v, leaf.seed, self.owned(cell, leaf)[1], leaf.outcome)
                 for cell, leaf in self.leaves()
                 if isinstance(leaf.outcome, Bot)]
 
@@ -337,7 +474,8 @@ class GridExecutor:
         return m
 
     def fuel_exhausted_weight(self) -> int:
-        n = sum(leaf.weight for _, leaf in self.leaves()
+        n = sum(leaf.weight * self.owned(cell, leaf)[0]
+                for cell, leaf in self.leaves()
                 if isinstance(leaf.outcome, Undefined)
                 and leaf.outcome.reason == FUEL_EXHAUSTED)
         return n * self.collapsed_multiplier()

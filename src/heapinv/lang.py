@@ -854,6 +854,27 @@ def variables_read(program: Program) -> set[str]:
     return names
 
 
+def only_compared(program: Program, name: str) -> bool:
+    """True when the variable is never a statement target or a heap address
+    operand, and every expression reads it only as a direct operand of
+    ``=`` or ``!=``: a run then depends on its value only through those
+    equality tests."""
+    for s in _walk_stmts(program.body):
+        if name in (getattr(s, "target", None), getattr(s, "addr", None)):
+            return False
+    stack = [e for s in _walk_stmts(program.body) for e in stmt_exprs(s)]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Var) and e.name == name:
+            return False
+        children = expr_children(e)
+        if isinstance(e, Binary) and e.op in ("=", "!="):
+            children = [c for c in children
+                        if not (isinstance(c, Var) and c.name == name)]
+        stack.extend(children)
+    return True
+
+
 def contains_heap_statements(program: Program) -> bool:
     return any(isinstance(s, (Alloc, Read, Write)) for s in _walk_stmts(program.body))
 

@@ -243,11 +243,13 @@ BAD_INPUT_FILES = {
     ("fixpoint", "deep-if.up"),
     ("fixpoint", "deep-parens.up"),
     ("fixpoint", "long-chain.up"),
+    ("fixpoint", "write-read-false", "--seed-range", "0:1000000000000000"),
+    ("fixpoint", "list-build-traverse", "--in-range", "0:1000000000000000"),
 ], ids=["unknown-scope-var", "drop-out-of-range", "rwfun-unacknowledged",
         "empty-seed-range", "negative-loop-fuel", "negative-heap-op-fuel",
         "negative-iteration-cap", "negative-seed", "formula-divides-by-zero",
         "if-nested-1000-deep", "parens-nested-1000-deep",
-        "chain-of-1000-additions"])
+        "chain-of-1000-additions", "huge-seed-range", "huge-in-range"])
 def test_bad_input_is_one_line_error(capsys, tmp_path, argv):
     for name, text in BAD_INPUT_FILES.items():
         (tmp_path / name).write_text(text, encoding="utf-8")

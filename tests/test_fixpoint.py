@@ -1,17 +1,23 @@
 import random
+from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
 
-from heapinv.encode import enc_n, enc_r, enc_rw
+from heapinv import fixpoint
+from heapinv.corpus import VARIANTS
+from heapinv.encode import enc_n, enc_r, enc_rw, encode
 from heapinv.fixpoint import (
-    GridExecutor, InputDomain, Interpretation, IterationCapExceeded,
-    check_equisafety, check_safety, encode_int_bits, immediate_consequence,
-    least_fixpoint, least_fixpoint_info, pack_bits, read_trace_interpretation,
-    sweep_under,
+    LAST_ADDR_VAR, GridExecutor, InputDomain, Interpretation,
+    IterationCapExceeded, check_equisafety, check_safety, encode_int_bits,
+    immediate_consequence, initial_stack, least_fixpoint, least_fixpoint_info,
+    pack_bits, read_trace_interpretation, sweep_under, verdict_from_executor,
 )
 from heapinv.interp import CompiledProgram, ObjVal
-from heapinv.lang import parse_and_check
+from heapinv.lang import (
+    Assign, AssumeExpr, Binary, Block, If, IntLit, Var, only_compared,
+    parse_and_check,
+)
 
 import progen
 
@@ -301,9 +307,43 @@ def leaf_rows(cell):
     return [(l.seed, l.outcome, l.blocker, l.weight) for l in cell.leaves]
 
 
+def seed_map(leaves, hi):
+    """Seed -> leaf over the classes of the leaves, which must not overlap."""
+    out = {}
+    for leaf in leaves:
+        for s in range(leaf.seed, hi + 1, leaf.step):
+            assert s not in out, s
+            out[s] = leaf
+    return out
+
+
+def address_view(ex, in_v, a):
+    """Seed -> leaf at one (in, address) pair of an executor with address
+    classing: the leaves of the explicit cell, and the sentinel leaves
+    wherever no explicit leaf stands.  Every sentinel class is wholly
+    explicit or wholly open at the address, and every seed is covered."""
+    lo, hi = ex.seed_range
+    explicit = ex.cells.get((in_v, a))
+    view = seed_map(explicit.leaves if explicit else (), hi)
+    for leaf in ex.cells[(in_v, ex.any_address)].leaves:
+        seeds = range(leaf.seed, hi + 1, leaf.step)
+        taken = {s in view for s in seeds}
+        assert len(taken) == 1, (in_v, a, leaf.seed)
+        if taken == {False}:
+            view.update(dict.fromkeys(seeds, leaf))
+    assert sorted(view) == list(range(lo, hi + 1)), (in_v, a)
+    return view
+
+
+def outcome_rows(view):
+    return {s: (leaf.outcome, leaf.blocker) for s, leaf in view.items()}
+
+
 def test_delta_rerun_matches_fresh_cells(corpus, domain):
     # after the per-class reruns every cell must hold exactly the leaves of
-    # running it from scratch under the final interpretation
+    # running it from scratch under the final interpretation; with address
+    # classing the explicit cells hold only the classes that compared with
+    # their address, so each address is compared seed by seed instead
     picks = ("cell-pair-indexed-bad", "write-read-false", "two-cells-copy",
              "branch-write")
     programs = []
@@ -315,10 +355,19 @@ def test_delta_rerun_matches_fresh_cells(corpus, domain):
         for name, p in programs:
             info = least_fixpoint_info(p, d)
             ex = info.executor
-            for (in_v, la), cell in ex.cells.items():
-                fresh = ex.run_cell(in_v, la, info.interp)
-                assert leaf_rows(cell) == leaf_rows(fresh), \
-                    (name, d.seed_range, in_v, la)
+            if not ex.address_classing:
+                for (in_v, la), cell in ex.cells.items():
+                    fresh = ex.run_cell(in_v, la, info.interp)
+                    assert leaf_rows(cell) == leaf_rows(fresh), \
+                        (name, d.seed_range, in_v, la)
+                continue
+            lo, hi = d.last_addr_range
+            for in_v in ex.in_values():
+                for a in range(lo, hi + 1):
+                    fresh = ex.run_cell(in_v, a, info.interp)
+                    assert outcome_rows(address_view(ex, in_v, a)) == \
+                        outcome_rows(seed_map(fresh.leaves, ex.seed_range[1])), \
+                        (name, d.seed_range, in_v, a)
 
 
 def test_delta_rerun_runs_only_blocked_classes():
@@ -355,3 +404,147 @@ def test_delta_rerun_runs_only_blocked_classes():
                    for seed, step in classes), s
     fresh = ex.run_cell(None, None, interp)
     assert leaf_rows(cell) == leaf_rows(fresh)
+
+
+@contextmanager
+def plain_addresses():
+    """Make every executor built inside the context enumerate ``$last_addr``
+    address by address, as for programs that fail the static check."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fixpoint, "only_compared", lambda *args: False)
+        yield
+
+
+def check_address_classing(p, d, label):
+    """The classed fixed point, verdict and every grid point against plain
+    address enumeration."""
+    info = least_fixpoint_info(p, d)
+    ex = info.executor
+    assert ex.address_classing, label
+    verdict = verdict_from_executor(p, d, info).to_json()
+    with plain_addresses():
+        plain = least_fixpoint_info(p, d)
+        assert not plain.executor.address_classing
+        assert plain.interp == info.interp, label
+        assert verdict_from_executor(p, d, plain).to_json() == verdict, label
+    cp = CompiledProgram(p)
+    seeds = range(ex.seed_range[0], ex.seed_range[1] + 1)
+    addresses = range(d.last_addr_range[0], d.last_addr_range[1] + 1)
+    for in_v in ex.in_values():
+        cells = [c for c in ex.cells.values() if c.in_v == in_v]
+        assert sum(leaf.weight * ex.owned(cell, leaf)[0] for cell in cells
+                   for leaf in cell.leaves) == len(seeds) * len(addresses)
+        views = {a: address_view(ex, in_v, a) for a in addresses}
+        for leaf in ex.cells[(in_v, ex.any_address)].leaves:
+            mine = [a for a in addresses if views[a][leaf.seed] is leaf]
+            owned = ex.owned(ex.cells[(in_v, ex.any_address)], leaf)
+            assert mine and owned == (len(mine), mine[0])
+        for a, view in views.items():
+            for s in seeds:
+                res = cp.run(inputs=initial_stack(p, in_v, s, a, d.heap_op_fuel),
+                             interp=info.interp, loop_fuel=d.loop_fuel,
+                             heap_fuel=d.heap_op_fuel)
+                assert (res.outcome, res.blocker) == \
+                    (view[s].outcome, view[s].blocker), (label, in_v, a, s)
+
+
+# Address 2 is first compared with in a rerun (behind Gate), when the read
+# tuple it asserts already holds: a run there then draws more seed bits than
+# a sentinel run that havocs ``y`` and is blocked, so an explicit class is
+# narrower than its sentinel class.
+NARROW_AT_ADDRESS = """prog {
+  adt Node { node(data: Int, next: Addr); }
+  heaptype Node;
+  pred Gate(Int);
+  input in;
+  seed seed;
+  var p: Addr; var q: Addr; var y: Node; var c: Int; var k: Int;
+  p := alloc(node(0, null));
+  havoc(c);
+  if (c = 0) {
+    y := read(p);
+    assert(Gate(0));
+  } else {
+    assume(Gate(0));
+    q := alloc(node(0, null));
+    y := read(q);
+    havoc(k);
+    havoc(k);
+    havoc(k);
+    assert(k != 0);
+  }
+}"""
+
+
+# The read havocs a value from R(in, 1, _), which holds the data of both
+# draws of c, so a run that does not track address 1 can fail the assertion
+# while every run that tracks it passes.
+UNTRACKED_READ_FAILS = """prog {
+  adt Node { node(data: Int, next: Addr); }
+  heaptype Node;
+  input in;
+  seed seed;
+  var p: Addr; var x: Node; var c: Int;
+  p := alloc(defObj);
+  havoc(c);
+  assume(0 <= c && c <= 1);
+  write(p, node(c, null));
+  x := read(p);
+  assert(data(x) = c);
+}"""
+
+
+def test_address_classing_matches_full_enumeration(corpus, domain):
+    # one sentinel run per seed class stands for every address it never
+    # compared $last_addr with; explicit runs cover the others
+    p = next(e for e in corpus if e.name == "cell-pair-indexed-bad").load()
+    programs = [("cell-pair-indexed-bad", v, encode(p, VARIANTS[v][0]))
+                for v in ("r", "rw", "r_t", "rw_ct")]
+    p = progen.gen_program(11)
+    programs += [(11, "r", enc_r(p)), (11, "rw", enc_rw(p))]
+    programs += [(name, "r", enc_r(prog(src))) for name, src in (
+        ("narrow", NARROW_AT_ADDRESS), ("untracked", UNTRACKED_READ_FAILS))]
+    domains = (domain, replace(domain, last_addr_range=(2, 5)),
+               replace(domain, seed_range=(5, 200)),
+               replace(domain, last_addr_range=(1, 1)))
+    for d in domains:
+        for name, variant, e in programs:
+            check_address_classing(e.program, d, (name, variant, d))
+
+
+def test_address_read_outside_equality_is_enumerated(corpus, domain):
+    # $ names are reserved in source, so the programs are edited as trees
+    p = enc_r(next(e for e in corpus if e.name == "two-cells-copy").load()
+              ).program
+    last = Var(LAST_ADDR_VAR)
+    edits = (AssumeExpr(Binary("<=", IntLit(0), last)),
+             If(Binary("=", last, IntLit(3)),
+                Block((Assign(LAST_ADDR_VAR, IntLit(3)),)), Block(())))
+    want = check_safety(p, domain).to_json()
+    assert GridExecutor(p, domain).address_classing
+    for stmt in edits:
+        q = replace(p, body=Block((stmt,) + p.body.stmts))
+        assert not only_compared(q, LAST_ADDR_VAR)
+        assert not GridExecutor(q, domain).address_classing
+        assert least_fixpoint(q, domain) == least_fixpoint(p, domain)
+        assert check_safety(q, domain).to_json() == want
+
+
+def test_range_inside_every_comparison_matches_plain(corpus, domain):
+    # at last_addr_range (1, 1) every sentinel run compares $last_addr with
+    # 1 (the first allocation), so no sentinel leaf stands for an address
+    # and the paths it took must leave no trace
+    d = replace(domain, last_addr_range=(1, 1))
+    sources = [(name, next(e for e in corpus if e.name == name).load())
+               for name in ("list-build-traverse", "single-read-wrong")]
+    sources.append(("untracked", prog(UNTRACKED_READ_FAILS)))
+    for name, p in sources:
+        for e in (enc_r(p), enc_rw(p)):
+            info = least_fixpoint_info(e.program, d)
+            ex = info.executor
+            assert all(not cell.leaves for (_, la), cell in ex.cells.items()
+                       if la is ex.any_address), name
+            got = verdict_from_executor(e.program, d, info).to_json()
+            with plain_addresses():
+                want = check_safety(e.program, d).to_json()
+            assert got == want, name

@@ -10,23 +10,32 @@ fail there.
 Executions are deterministic given (input, seed, prophecy address, fuel),
 which allows three big savings without changing the computed sets:
 
-* when the seed variable is only touched by havoc/nondet draws, a run that
-  consumed b seed bits behaves the same for every seed congruent to its own
-  mod 2^b.  Each cell keeps one mark per seed of its range and visits the
-  seeds in increasing order: an unmarked seed is run and then marks every
-  seed of its class up to the top of the range; marked seeds are skipped.
-  Any seed of a run's class reads the same first b bits and stops there,
-  so the classes are disjoint, each run starts at the smallest seed of its
-  class, and its leaf weighs the seeds it marked;
+* when the seed variable is only touched by havoc/nondet draws
+  (``CompiledProgram.seed_classing``: never read by an expression or
+  assigned), a run that consumed b seed bits behaves the same for every
+  seed congruent to its own mod 2^b.  Each cell keeps one mark per seed of
+  its range and visits the seeds in increasing order: an unmarked seed is
+  run and then marks every seed of its class up to the top of the range;
+  marked seeds are skipped.  Any seed of a run's class reads the same first
+  b bits and stops there, so the classes are disjoint, each run starts at
+  the smallest seed of its class, and its leaf weighs the seeds it marked;
 * between iterations only the seed classes blocked on a newly added tuple
-  are rerun.  A run stops at its first negative predicate query, and
-  predicates occur only in assumptions and assertions of a growing
-  interpretation, so a leaf whose blocker was not added stays as it is.
-  A blocked leaf stands for the seeds ``seed, seed + step, ...`` of the
-  range; its class is rerun with the same marking loop, restricted to the
-  class.  Every seed of the class reads the same first b bits up to the
-  blocked query, so a run that now gets past it consumes at least b bits
-  and marks a sub-class inside the class: the leaves equal those of
+  are rerun, and each rerun resumes at the query it was blocked on.  A run
+  stops at its first negative predicate query, and predicates occur only
+  in assumptions and assertions of a growing interpretation, so a leaf
+  whose blocker was not added stays as it is.  A blocked leaf stands for
+  the seeds ``seed, seed + step, ...`` of the range and keeps the run's
+  resume point (``RunResult.resume``): the query's index and the state
+  just before it.  Every seed of the class runs the same path to that
+  query, because a draw reads only the b bits the class shares, and every
+  query on the path held under the old interpretation and still holds
+  under the larger one; the only variable that differs is the seed, which
+  holds ``seed >> b`` there.  So continuing each seed of the class from
+  the point, with the seed variable set to ``seed >> b`` (kept as it is
+  without seed classing, where a class is one seed), gives exactly its
+  fresh run, and the class is rerun with the same marking loop, restricted
+  to the class.  A run that now gets past the query consumes at least b
+  bits and marks a sub-class inside the class: the leaves equal those of
   rerunning the whole cell.  Every failing tuple of a kept leaf is already
   in the interpretation, so only the new leaves are harvested;
 * when the prophecy variable ``$last_addr`` is read only as an operand of
@@ -43,10 +52,12 @@ which allows three big savings without changing the computed sets:
   inside a wider one compared with a too; the explicit marks at a are
   therefore unions of sentinel classes whose E holds a, and the loop over
   a sentinel class counts the seeds a wider class took with
-  ``max(step, stride)``.  A rerun replays the blocked run's comparisons,
-  so its E only grows, and only the addresses newly in E get explicit
-  runs.  A sentinel failure reports the least address it stands for, so
-  the witness is the least failing grid point as before.
+  ``max(step, stride)``.  A rerun continues the blocked run, so its E
+  only grows: a blocked sentinel leaf keeps the values its run had
+  compared with up to the query, a resumed sentinel run starts from them,
+  and only the addresses newly in E get explicit runs.  A sentinel
+  failure reports the least address it stands for, so the witness is the
+  least failing grid point as before.
 """
 
 from __future__ import annotations
@@ -83,9 +94,10 @@ class Interpretation:
     def empty() -> "Interpretation":
         return Interpretation()
 
-    def contains(self, name: str, args: tuple) -> bool:
-        rel = self.rels.get(name)
-        return rel is not None and args in rel
+    def relation(self, name: str) -> set[tuple]:
+        """The predicate's set of tuples, the one ``add`` grows: a query
+        is ``args in relation``.  Asking for it registers the empty set."""
+        return self.rels.setdefault(name, set())
 
     def add(self, name: str, args: tuple) -> bool:
         rel = self.rels.setdefault(name, set())
@@ -111,7 +123,8 @@ class Interpretation:
                    for name, rel in self.rels.items())
 
     def sizes(self) -> dict[str, int]:
-        return {name: len(rel) for name, rel in sorted(self.rels.items())}
+        return {name: len(rel) for name, rel in sorted(self.rels.items())
+                if rel}
 
     def total_size(self) -> int:
         return sum(len(rel) for rel in self.rels.values())
@@ -209,6 +222,10 @@ class Leaf:
     blocker: tuple | None
     weight: int          # number of seeds in the class within range
     step: int            # spacing of the class: 2^bits, at most the range size
+    # a blocked run's resume point (``RunResult.resume``), and for a
+    # sentinel run the values it compared ``$last_addr`` with up to there
+    resume: tuple | None = None
+    compared: frozenset = frozenset()
 
 
 @dataclass
@@ -265,13 +282,13 @@ class GridExecutor:
         self.program = program
         self.domain = domain
         self.compiled = CompiledProgram(program)
-        self.enumerate_in = program_uses_input(program)
+        self.enumerate_in = (program.input_var is not None
+                             and program.input_var in self.compiled.reads)
         self.enumerate_last_addr = LAST_ADDR_VAR in program.var_types
-        # seed classing is sound only when the seed variable is never read
-        # by ordinary expressions (draws are not expression reads)
         self.seed_var = program.seed_var
-        self.seed_classing = (self.seed_var is not None
-                              and self.seed_var not in variables_read(program))
+        # seed classing is sound only when the seed variable is touched by
+        # draws alone; resuming relies on the same fact
+        self.seed_classing = self.compiled.seed_classing
         # address classing is sound only when runs see the prophecy address
         # through equality tests alone
         self.address_classing = (self.enumerate_last_addr
@@ -283,6 +300,8 @@ class GridExecutor:
         self.cells: dict[tuple, Cell] = {}
         # address classing: the explicit cells of each input, by address
         self._explicit: dict[int | None, dict[int, Cell]] = {}
+        # the compared sets of blocked sentinel leaves, one object per value
+        self._compared: dict[frozenset, frozenset] = {}
 
     # enumeration dimensions
 
@@ -305,41 +324,56 @@ class GridExecutor:
 
     def _run_seeds(self, inputs, interp, start: int, stride: int,
                    marked: bytearray | None = None,
-                   compared: list | None = None) -> list[Leaf]:
+                   compared: list | None = None,
+                   blocked: Leaf | None = None) -> list[Leaf]:
         """Leaves of the unmarked seeds at offsets ``start, start + stride,
         ...`` of the seed range, in seed order: an unmarked seed is run and
         marks its class, each seed of which it stands for.  The classes are
         disjoint, so the loop stops once they cover its seeds.  ``marked``
         (one mark per seed of the range) defaults to no seed marked.  Runs
         at the address sentinel append to ``compared`` the set of values
-        each compared ``$last_addr`` with."""
+        each compared ``$last_addr`` with.  When the seeds lie in the class
+        of a ``blocked`` leaf of the same cell, every run continues from the
+        leaf's resume point, and a sentinel run starts from the values the
+        blocked run had compared with."""
         seed_var = self.seed_var
         lo, hi = self.seed_range
         n = hi - lo + 1
         loop_fuel, heap_fuel = self.domain.loop_fuel, self.domain.heap_op_fuel
+        classing = self.seed_classing
         probe = self.any_address
+        run = self.compiled.run
+        resume, known = ((None, frozenset()) if blocked is None
+                         else (blocked.resume, blocked.compared))
         if marked is None:
             marked = bytearray(n)
-        seeds = range(start, n, stride)
-        left = len(seeds)
+        left = (n - 1 - start) // stride + 1
         leaves = []
-        for i in seeds:
+        append = leaves.append
+        for i in range(start, n, stride):
             if marked[i]:
                 continue
             if seed_var is not None:
                 inputs[seed_var] = lo + i
-            res = self.compiled.run(inputs=inputs, interp=interp,
-                                    loop_fuel=loop_fuel, heap_fuel=heap_fuel)
+            if compared is not None:
+                probe.compared = set(known)
+            outcome, _, _, _, bits, blocker, _, point = run(
+                inputs=inputs, interp=interp, loop_fuel=loop_fuel,
+                heap_fuel=heap_fuel, resume=resume)
             if compared is not None:
                 compared.append(probe.compared)
-                probe.compared = set()
-            step = min(1 << res.bits_consumed, n) if self.seed_classing else n
-            weight = len(range(i, n, step))
-            leaves.append(Leaf(lo + i, res.outcome, res.blocker, weight, step))
+            if classing:
+                step = 1 << bits
+                if step > n:
+                    step = n
+            else:
+                step = n
+            weight = (n - 1 - i) // step + 1
+            append(Leaf(lo + i, outcome, blocker, weight, step, point))
             marked[i::step] = b"\x01" * weight
             # the loop's seeds in the class; a class wider than the stride
             # holds all that are left
-            left -= len(range(i, n, max(step, stride)))
+            left -= (n - 1 - i) // (step if step > stride else stride) + 1
             if not left:
                 break
         return leaves
@@ -359,18 +393,20 @@ class GridExecutor:
             cell = self.cells[(in_v, la)] = Cell(in_v, la)
             cell.leaves, _ = self._run_any_address(in_v, interp, 0, 1)
 
-    def _run_any_address(self, in_v, interp, start: int,
-                         stride: int) -> tuple[list[Leaf], list[Leaf]]:
+    def _run_any_address(self, in_v, interp, start: int, stride: int,
+                         blocked: Leaf | None = None
+                         ) -> tuple[list[Leaf], list[Leaf]]:
         """Run the seeds at offsets ``start, start + stride, ...`` at the
-        address sentinel; then, at each address of the range that a run
-        compared ``$last_addr`` with, run the seeds of the run's class that
-        the explicit cell there does not mark yet.  Returns the sentinel
-        leaves that stand for some address, and the new explicit leaves."""
+        address sentinel, resuming the ``blocked`` sentinel leaf's run if
+        given; then, at each address of the range that a run compared
+        ``$last_addr`` with, run the seeds of the run's class that the
+        explicit cell there does not mark yet.  Returns the sentinel leaves
+        that stand for some address, and the new explicit leaves."""
         lo_a, hi_a = self.domain.last_addr_range
         lo, hi = self.seed_range
         sets: list[set] = []
         sentinel = self._run_seeds(self._cell_inputs(in_v, self.any_address),
-                                   interp, start, stride, None, sets)
+                                   interp, start, stride, None, sets, blocked)
         explicit: list[Leaf] = []
         kept = []
         for leaf, compared in zip(sentinel, sets):
@@ -393,14 +429,17 @@ class GridExecutor:
             # point: the path it took is never taken
             if hits <= hi_a - lo_a:
                 kept.append(leaf)
+                if leaf.resume is not None:
+                    e = frozenset(compared)
+                    leaf.compared = self._compared.setdefault(e, e)
         return kept, explicit
 
     def rerun_blocked(self, interp, added: set[tuple]) -> set[tuple]:
         """Rerun the seed class of every leaf blocked on a tuple of ``added``
-        and return the failing tuples of the leaves that replace them.  A
-        sentinel class is rerun at the sentinel; a rerun replays the blocked
-        run's comparisons, so only the addresses it newly compares with get
-        explicit runs."""
+        from the leaf's resume point, and return the failing tuples of the
+        leaves that replace them.  A sentinel class is rerun at the
+        sentinel, from the values the blocked run had compared with, so
+        only the addresses it newly compares with get explicit runs."""
         lo = self.seed_range[0]
         fresh: list[Leaf] = []
         # explicit cells grow while sentinel cells are rerun; their new
@@ -414,11 +453,11 @@ class GridExecutor:
             for leaf in blocked:
                 if cell.last_addr is self.any_address:
                     new, explicit = self._run_any_address(
-                        cell.in_v, interp, leaf.seed - lo, leaf.step)
+                        cell.in_v, interp, leaf.seed - lo, leaf.step, leaf)
                     fresh += explicit
                 else:
                     new = self._run_seeds(inputs, interp, leaf.seed - lo,
-                                          leaf.step)
+                                          leaf.step, blocked=leaf)
                 leaves += new
                 fresh += new
             leaves.sort(key=attrgetter("seed"))
@@ -529,7 +568,8 @@ def least_fixpoint_info(program: Program, domain: InputDomain) -> FixpointInfo:
     ex.run_all(interp)
     iterations = 0
     cap = domain.cap()
-    added = {t for t in ex.failing_tuples() if not interp.contains(*t)}
+    added = {t for t in ex.failing_tuples()
+             if t[1] not in interp.relation(t[0])}
     while added:
         for pred, args in added:
             interp.add(pred, args)
@@ -537,7 +577,7 @@ def least_fixpoint_info(program: Program, domain: InputDomain) -> FixpointInfo:
         if iterations > cap:
             raise IterationCapExceeded(cap, interp.sizes())
         added = {t for t in ex.rerun_blocked(interp, added)
-                 if not interp.contains(*t)}
+                 if t[1] not in interp.relation(t[0])}
     return FixpointInfo(interp, iterations, ex)
 
 

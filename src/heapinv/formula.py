@@ -29,13 +29,32 @@ from .interp import _BotSignal, _Compiler
 from .lang import INT, Program, SourceError, TypeChecker, parse_expr_text
 
 
+class _FormulaRelation:
+    """The tuples that satisfy one predicate's formula, as a container."""
+
+    __slots__ = ("name", "params", "fn")
+
+    def __init__(self, name: str, params: list[str], fn):
+        self.name = name
+        self.params = params
+        self.fn = fn
+
+    def __contains__(self, args: tuple) -> bool:
+        try:
+            return self.fn(dict(zip(self.params, args))) != 0
+        except _BotSignal:
+            # the only failure of a formula is a division by zero; it must
+            # not pass for an assertion failure of the program under test
+            raise ValueError(f"formula for {self.name!r} divides by zero "
+                             f"at {args!r}") from None
+
+
 class FormulaInterpretation:
     """Predicate membership decided by evaluating per-predicate formulas."""
 
     def __init__(self, program: Program,
                  formulas: dict[str, tuple[list[str], str]]):
-        self.funcs = {}
-        self.params = {}
+        self.rels: dict[str, _FormulaRelation] = {}
         preds = program.preds_by_name()
         for name, (params, text) in formulas.items():
             pd = preds.get(name)
@@ -59,21 +78,12 @@ class FormulaInterpretation:
                     f"formula for {name!r} is ill-typed: {checker.diags[0]}")
             if ty != INT:
                 raise ValueError(f"formula for {name!r} must have type Int")
-            self.funcs[name] = _Compiler(ctx).expr(expr)
-            self.params[name] = list(params)
+            self.rels[name] = _FormulaRelation(name, list(params),
+                                               _Compiler(ctx).expr(expr))
 
-    def contains(self, name: str, args: tuple) -> bool:
-        fn = self.funcs.get(name)
-        if fn is None:
-            return False
-        env = dict(zip(self.params[name], args))
-        try:
-            return fn(env) != 0
-        except _BotSignal:
-            # the only failure of a formula is a division by zero; it must
-            # not pass for an assertion failure of the program under test
-            raise ValueError(
-                f"formula for {name!r} divides by zero at {args!r}") from None
+    def relation(self, name: str):
+        """The predicate's tuples as a container; empty without a formula."""
+        return self.rels.get(name, frozenset())
 
 
 def load_interpretation(source: str | dict,

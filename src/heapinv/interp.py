@@ -11,10 +11,22 @@ Two heap models are provided:
   read returns the most recent event for a valid address.  Both modes are
   observably equivalent and cross-checked in the test suite.
 
-Statements are compiled once into Python closures (Feeley & Lapalme, "Using
-closures for code generation", 1987); evaluation is a pure function of
-(program, initial stack, interpretation, fuel).  Int and Addr values are
-plain Python ints (Addr values are naturals), objects are ObjVal tuples.
+Statements are compiled once into a flat list of instruction closures
+(Feeley & Lapalme, "Using closures for code generation", 1987); evaluation
+is a pure function of (program, initial stack, interpretation, fuel).  Int
+and Addr values are plain Python ints (Addr values are naturals), objects
+are ObjVal tuples.
+
+Each instruction takes ``(state, env)`` and returns the index of the next
+one: ``if`` and ``while`` become conditional jumps to fixed indices, blocks
+disappear, and the run loop calls one instruction per executed statement
+or test.  A run that stops at a predicate assume or assert returns a resume
+point, one flat tuple: the env values, the heap, the allocation count,
+both fuels, the seed bits consumed and the query's index.  A query computes
+its argument tuple and tests membership before it changes anything, so the
+point is the state just before the query, and ``run(resume=point)``
+continues exactly where the stopped run left off, under any interpretation
+in which the queries it passed still hold.
 
 The closures are shaped to make few Python calls per executed node:
 
@@ -28,8 +40,9 @@ The closures are shaped to make few Python calls per executed node:
   decide;
 * argument tuples of predicate queries and constructors are built in one
   step (an ``itemgetter`` when every argument is a variable);
-* statement closures take ``(state, env)``, and an ``if`` without ``else``
-  has a one-branch closure.
+* a predicate query is a plain ``args in relation`` test on the
+  interpretation's ``relation(name)`` container, bound by query index once
+  per interpretation, not once per query.
 """
 
 from __future__ import annotations
@@ -43,7 +56,7 @@ from .lang import (
     AdtDecl, Alloc, Assign, AssertExpr, AssertPred, AssumeExpr, AssumePred,
     Binary, Block, CtorApp, DefObj, Expr, FAILURE_PRED, HavocStmt, If,
     IntLit, NondetStmt, Null, Program, Read, SelApp, Skip, Stmt, TestApp,
-    Type, Unary, Var, While, Write,
+    Type, Unary, Var, While, Write, variables_read,
 )
 
 
@@ -166,44 +179,49 @@ def trunc_mod(a: int, b: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Control-flow signals used by the compiled closures.  Both are raised with
-# positional arguments only, so building one runs no Python code.
+# positional arguments only, so building one runs no Python code.  A failed
+# predicate query raises nothing: it returns a stop index past the end of
+# the code (see ``_Compiler.code``).
 
 
 class _BotSignal(Exception):
-    """``_BotSignal(pred, args)``: an assertion failed.  Expression
-    assertions and division by zero use the reserved predicate with ``()``."""
+    """``_BotSignal(pred, args)``: an expression assertion failed or a
+    division by zero happened; both use the reserved predicate with
+    ``()``."""
 
 
 class _UndefSignal(Exception):
-    """``_UndefSignal(outcome, blocker)``: the run is undefined; the blocker
-    is the (pred, args) of a predicate assumption that did not hold, else
-    None."""
+    """``_UndefSignal(outcome)``: the run is undefined: its fuel ran out or
+    an expression assumption did not hold."""
 
 
 _UNDEF_ASSUME = Undefined(ASSUME_FAILED)
 _UNDEF_FUEL = Undefined(FUEL_EXHAUSTED)
+_BOT_FAILURE = Bot(FAILURE_PRED, ())
 
 
 class _State:
     """What a run changes besides its env.  ``heap`` holds the objects in
     sequence mode and the (addr, obj) write events in trace mode."""
 
-    __slots__ = ("heap", "allocs", "loop_fuel", "heap_fuel", "contains",
-                 "bits", "events")
+    __slots__ = ("heap", "allocs", "loop_fuel", "heap_fuel", "rels", "bits",
+                 "events", "blocker")
 
     def __init__(self, heap: list, allocs: int, loop_fuel: int,
-                 heap_fuel: int, contains, events: list | None):
+                 heap_fuel: int, rels: tuple, bits: int,
+                 events: list | None):
         self.heap = heap
         self.allocs = allocs
         self.loop_fuel = loop_fuel
         self.heap_fuel = heap_fuel
-        self.contains = contains  # the interpretation's membership test
-        self.bits = 0  # seed bits consumed by havoc/nondet draws
+        self.rels = rels  # the interpretation's relations, by query index
+        self.bits = bits  # seed bits consumed by havoc/nondet draws
         self.events = events  # ("read", addr, value) | ("draw", raw, nbits)
+        # ``blocker``, the (pred, args) of a failed query, is set when a
+        # query stops the run
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     outcome: Outcome
     env: dict
     heap: list          # sequence mode: objects; trace mode: (addr, obj) events
@@ -211,6 +229,9 @@ class RunResult:
     bits_consumed: int
     blocker: tuple | None  # (pred, args) that ended the run, if any
     events: list | None = None  # interleaved reads and seed draws, when recording
+    # where a run stopped by a predicate query continues: (*env values,
+    # heap, allocation count, loop fuel, heap fuel, bits consumed, pc)
+    resume: tuple | None = None
 
     @property
     def reads(self) -> list | None:
@@ -218,14 +239,6 @@ class RunResult:
         if self.events is None:
             return None
         return [(ev[1], ev[2]) for ev in self.events if ev[0] == "read"]
-
-
-class EmptyInterpretation:
-    def contains(self, name: str, args: tuple) -> bool:
-        return False
-
-
-EMPTY_INTERP = EmptyInterpretation()
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +286,6 @@ _SHAPES = {
 _new_tuple = tuple.__new__  # ObjVal(ctor, fields) without its Python __new__
 
 
-def _skip(st: _State, env: dict) -> None:
-    pass
-
-
 def _draw_int(seed_var: str, charge_loop_fuel: bool, st: _State,
               env: dict) -> int:
     """Extract one value from the seed variable, bit by bit; exactly the
@@ -290,7 +299,7 @@ def _draw_int(seed_var: str, charge_loop_fuel: bool, st: _State,
             if st.loop_fuel <= 0:
                 env[seed_var] = s
                 st.bits += bits
-                raise _UndefSignal(_UNDEF_FUEL, None)
+                raise _UndefSignal(_UNDEF_FUEL)
             st.loop_fuel -= 1
         s >>= 1
         x = 2 * x + (s & 1)
@@ -321,6 +330,12 @@ class _Compiler:
         # every value of a one-constructor ADT is built by that constructor
         self.sole_ctors = {adt.ctors[0].name for adt in program.adts
                            if len(adt.ctors) == 1}
+        # the predicates queried by the code, in query-index order
+        self.preds: dict[str, int] = {}
+        # the variables some statement assigns, havocs, allocates or reads to
+        self.targets: set[str] = set()
+        # the length of the code, set by ``code``: the index a run ends at
+        self.end = 0
 
     # expressions --------------------------------------------------------
 
@@ -477,119 +492,172 @@ class _Compiler:
 
     # statements ---------------------------------------------------------
 
-    def stmt(self, s: Stmt) -> Callable[[_State, dict], None]:
-        if isinstance(s, Block):
-            fs = tuple(f for f in map(self.stmt, s.stmts) if f is not _skip)
-            if not fs:
-                return _skip
-            if len(fs) == 1:
-                return fs[0]
+    def code(self, body: Stmt) -> list[Callable[[_State, dict], int]]:
+        """The statement as a flat list of instructions, entered at 0 and
+        left at the list's length ``end``.  Blocks are laid out in order;
+        an ``if`` is a branch to its else part with a jump over it, a
+        ``while`` a test that branches past its body, which jumps back.
+        Jumps are then folded into their predecessors' next indices, so
+        they cost nothing at run time.  A failed predicate query at index
+        i records its blocker and returns the stop index ``end + 1 + 2i``
+        (assume) or ``end + 2 + 2i`` (assert)."""
+        ops: list[list] = []
+        self._layout(body, ops)
+        end = len(ops)
 
-            def fblock(st, env):
-                for f in fs:
-                    f(st, env)
-            return fblock
+        def dest(i: int) -> int:
+            while i < end and ops[i][0] == "jump":
+                i = ops[i][1]
+            return i
+
+        index = {}
+        for i, op in enumerate(ops):
+            if op[0] != "jump":
+                index[i] = len(index)
+        index[end] = self.end = len(index)
+        code = []
+        for i, op in enumerate(ops):
+            kind = op[0]
+            if kind == "jump":
+                continue
+            nxt = index[dest(i + 1)]
+            if kind == "do":
+                code.append(self.instr(op[1], index[i], nxt))
+            else:
+                code.append(self.test(kind, op[1], nxt, index[dest(op[2])]))
+        return code
+
+    def _layout(self, s: Stmt, ops: list) -> None:
+        """Append the statement's ops: ``["do", stmt]``, ``["jump", to]``
+        and the tests ``[kind, cond, else_to]`` (``branch`` or ``loop``)
+        that fall through to the next op when the condition holds."""
+        if isinstance(s, Block):
+            for x in s.stmts:
+                self._layout(x, ops)
+        elif isinstance(s, Skip):
+            pass
+        elif isinstance(s, If):
+            test = ["branch", s.cond, None]
+            ops.append(test)
+            self._layout(s.then, ops)
+            jump = ["jump", None]
+            ops.append(jump)
+            test[2] = len(ops)
+            self._layout(s.els, ops)
+            jump[1] = len(ops)
+        elif isinstance(s, While):
+            head = len(ops)
+            test = ["loop", s.cond, None]
+            ops.append(test)
+            self._layout(s.body, ops)
+            ops.append(["jump", head])
+            test[2] = len(ops)
+        else:
+            target = getattr(s, "target", None)
+            if target is not None:
+                self.targets.add(target)
+            ops.append(["do", s])
+
+    def test(self, kind: str, cond: Expr, nxt: int,
+             els: int) -> Callable[[_State, dict], int]:
+        """A conditional jump: to ``nxt`` when the condition holds, else to
+        ``els``.  A loop test also spends one unit of loop fuel per entry
+        into the body."""
+        c = self.cond(cond)
+        if kind == "branch":
+            def fbranch(st, env):
+                return nxt if c(env) else els
+            return fbranch
+
+        def floop(st, env):
+            if c(env):
+                if st.loop_fuel <= 0:
+                    raise _UndefSignal(_UNDEF_FUEL)
+                st.loop_fuel -= 1
+                return nxt
+            return els
+        return floop
+
+    def instr(self, s: Stmt, me: int,
+              nxt: int) -> Callable[[_State, dict], int]:
+        """The instruction at index ``me`` of a simple statement, continuing
+        at ``nxt``."""
         if isinstance(s, Assign):
             t = s.target
             kind, a = self.operand(s.expr)
             if kind == "V":
                 def fcopy(st, env):
                     env[t] = env[a]
+                    return nxt
                 return fcopy
             if kind == "C":
                 def fset(st, env):
                     env[t] = a
+                    return nxt
                 return fset
 
             def fassign(st, env):
                 env[t] = a(env)
+                return nxt
             return fassign
-        if isinstance(s, Skip):
-            return _skip
-        if isinstance(s, If):
-            c = self.cond(s.cond)
-            ft = self.stmt(s.then)
-            fe = self.stmt(s.els)
-            if fe is _skip:
-                def fthen(st, env):
-                    if c(env):
-                        ft(st, env)
-                return fthen
-
-            def fif(st, env):
-                if c(env):
-                    ft(st, env)
-                else:
-                    fe(st, env)
-            return fif
-        if isinstance(s, While):
-            c = self.cond(s.cond)
-            fb = self.stmt(s.body)
-
-            def fwhile(st, env):
-                while c(env):
-                    if st.loop_fuel <= 0:
-                        raise _UndefSignal(_UNDEF_FUEL, None)
-                    st.loop_fuel -= 1
-                    fb(st, env)
-            return fwhile
         if isinstance(s, AssumeExpr):
             c = self.cond(s.expr)
 
             def fassume(st, env):
-                if not c(env):
-                    raise _UndefSignal(_UNDEF_ASSUME, None)
+                if c(env):
+                    return nxt
+                raise _UndefSignal(_UNDEF_ASSUME)
             return fassume
         if isinstance(s, AssertExpr):
             c = self.cond(s.expr)
 
             def fassert(st, env):
-                if not c(env):
-                    raise _BotSignal(FAILURE_PRED, ())
+                if c(env):
+                    return nxt
+                raise _BotSignal(FAILURE_PRED, ())
             return fassert
-        if isinstance(s, AssumePred):
+        if isinstance(s, (AssumePred, AssertPred)):
+            # a query changes no state before it stops the run, so the run
+            # can resume at it
             name = s.pred
+            k = self.preds.setdefault(name, len(self.preds))
             args_of = self.tuple_of(s.args)
+            stop = self.end + 1 + 2 * me + isinstance(s, AssertPred)
 
-            def fassume_p(st, env):
+            def fquery(st, env):
                 args = args_of(env)
-                if not st.contains(name, args):
-                    raise _UndefSignal(_UNDEF_ASSUME, (name, args))
-            return fassume_p
-        if isinstance(s, AssertPred):
-            name = s.pred
-            args_of = self.tuple_of(s.args)
-
-            def fassert_p(st, env):
-                args = args_of(env)
-                if not st.contains(name, args):
-                    raise _BotSignal(name, args)
-            return fassert_p
+                if args in st.rels[k]:
+                    return nxt
+                st.blocker = (name, args)
+                return stop
+            return fquery
         if isinstance(s, HavocStmt):
-            return self._havoc(s.target, charge_loop_fuel=True)
+            return self._havoc(s.target, nxt, charge_loop_fuel=True)
         if isinstance(s, NondetStmt):
-            return self._havoc(s.target, charge_loop_fuel=False)
+            return self._havoc(s.target, nxt, charge_loop_fuel=False)
         if isinstance(s, Alloc):
             t = s.target
             f = self.expr(s.expr)
             if self.mode == "heap":
                 def falloc(st, env):
                     if st.heap_fuel <= 0:
-                        raise _UndefSignal(_UNDEF_FUEL, None)
+                        raise _UndefSignal(_UNDEF_FUEL)
                     st.heap_fuel -= 1
                     h = st.heap
                     h.append(f(env))
                     env[t] = len(h)
+                    return nxt
                 return falloc
 
             def falloc_t(st, env):
                 if st.heap_fuel <= 0:
-                    raise _UndefSignal(_UNDEF_FUEL, None)
+                    raise _UndefSignal(_UNDEF_FUEL)
                 st.heap_fuel -= 1
                 v = f(env)
                 st.allocs = a = st.allocs + 1
                 st.heap.append((a, v))
                 env[t] = a
+                return nxt
             return falloc_t
         if isinstance(s, Read):
             t = s.target
@@ -599,23 +667,25 @@ class _Compiler:
             if self.mode == "heap":
                 def fread(st, env):
                     if st.heap_fuel <= 0:
-                        raise _UndefSignal(_UNDEF_FUEL, None)
+                        raise _UndefSignal(_UNDEF_FUEL)
                     st.heap_fuel -= 1
                     a = env[p]
                     h = st.heap
                     env[t] = v = h[a - 1] if 0 < a <= len(h) else d
                     if rec:
                         st.events.append(("read", a, v))
+                    return nxt
                 return fread
 
             def fread_t(st, env):
                 if st.heap_fuel <= 0:
-                    raise _UndefSignal(_UNDEF_FUEL, None)
+                    raise _UndefSignal(_UNDEF_FUEL)
                 st.heap_fuel -= 1
                 a = env[p]
                 env[t] = v = trace_read(st.heap, st.allocs, a, d)
                 if rec:
                     st.events.append(("read", a, v))
+                return nxt
             return fread_t
         if isinstance(s, Write):
             p = s.addr
@@ -623,27 +693,29 @@ class _Compiler:
             if self.mode == "heap":
                 def fwrite(st, env):
                     if st.heap_fuel <= 0:
-                        raise _UndefSignal(_UNDEF_FUEL, None)
+                        raise _UndefSignal(_UNDEF_FUEL)
                     st.heap_fuel -= 1
                     a = env[p]
                     h = st.heap
                     if 0 < a <= len(h):
                         h[a - 1] = f(env)
+                    return nxt
                 return fwrite
 
             def fwrite_t(st, env):
                 if st.heap_fuel <= 0:
-                    raise _UndefSignal(_UNDEF_FUEL, None)
+                    raise _UndefSignal(_UNDEF_FUEL)
                 st.heap_fuel -= 1
                 a = env[p]
                 # as in sequence mode, the value is evaluated only at a
                 # valid address
                 if 0 < a <= st.allocs:
                     st.heap.append((a, f(env)))
+                return nxt
             return fwrite_t
         raise ValueError(f"cannot compile statement {type(s).__name__}")
 
-    def _havoc(self, target: str, charge_loop_fuel: bool):
+    def _havoc(self, target: str, nxt: int, charge_loop_fuel: bool):
         seed_var = self.program.seed_var
         if seed_var is None:
             raise ValueError("havoc/nondet requires a seed declaration")
@@ -651,6 +723,7 @@ class _Compiler:
         if not self.record_reads:
             def fhavoc(st, env):
                 env[target] = draw(st, env)
+                return nxt
             return fhavoc
 
         def fhavoc_rec(st, env):
@@ -659,11 +732,16 @@ class _Compiler:
             env[target] = draw(st, env)
             used = st.bits - bits_before
             st.events.append(("draw", seed_before & ((1 << used) - 1), used))
+            return nxt
         return fhavoc_rec
 
 
+_NO_RELATION = frozenset()
+
+
 class CompiledProgram:
-    """A program compiled to closures, reusable across many runs."""
+    """A program compiled to a flat instruction list, reusable across many
+    runs."""
 
     def __init__(self, program: Program, mode: str = "heap",
                  record_reads: bool = False):
@@ -671,53 +749,113 @@ class CompiledProgram:
         self.mode = mode
         comp = _Compiler(program, mode, record_reads)
         self.record_reads = record_reads
-        self.body = comp.stmt(program.body)
+        self.code = comp.code(program.body)
+        self.preds = tuple(comp.preds)
         self.adts = comp.adts
         self.def_obj = comp.def_obj
         self.env_template = {
             name: default_value(ty, self.adts)
             for name, ty in program.var_types.items()
         }
+        self.names = tuple(self.env_template)
         self.seed_var = program.seed_var
         self.trace_mode = mode == "trace"
+        # the variables the program's expressions and heap addresses read
+        self.reads = variables_read(program)
+        # when the seed is touched only by draws, a run's path depends on
+        # its seed only through the bits it consumed: every seed congruent
+        # mod 2^bits runs alike (seed classing), and at a resume point the
+        # seed variable holds ``seed >> bits``
+        self.seed_classing = (self.seed_var is not None
+                              and self.seed_var not in self.reads
+                              and self.seed_var not in comp.targets)
         # Bot outcomes by (pred, args): frozen, so one object serves every
         # run that fails the same way
         self.bots: dict[tuple, Bot] = {}
+        # the interpretation the relations were last bound for (None: empty)
+        self._interp = None
+        self._rels = (_NO_RELATION,) * len(self.preds)
 
-    def run(self, inputs: dict[str, Value] | None = None,
-            interp=EMPTY_INTERP, loop_fuel: int = 64, heap_fuel: int = 32,
+    def _bind(self, interp) -> tuple:
+        """The interpretation's relation of each queried predicate.  A
+        relation container lives as long as its interpretation, so the
+        binding is kept while the same interpretation is passed."""
+        self._interp = interp
+        self._rels = tuple(_NO_RELATION if interp is None
+                           else interp.relation(name) for name in self.preds)
+        return self._rels
+
+    def run(self, inputs: dict[str, Value] | None = None, interp=None,
+            loop_fuel: int = 64, heap_fuel: int = 32,
             initial_heap: Iterable[ObjVal] = (),
             initial_trace: Iterable[tuple[int, ObjVal]] = (),
-            initial_allocs: int = 0) -> RunResult:
-        env = self.env_template.copy()
-        if inputs:
-            if not inputs.keys() <= env.keys():
-                unknown = next(k for k in inputs if k not in env)
-                raise KeyError(f"unknown input variable {unknown!r}")
-            env.update(inputs)
-        seed_var = self.seed_var
-        if seed_var is not None and env[seed_var] < 0:
-            raise ValueError("seed must be nonnegative")
-        trace = self.trace_mode
-        st = _State(list(initial_trace if trace else initial_heap),
-                    initial_allocs, loop_fuel, heap_fuel, interp.contains,
-                    [] if self.record_reads else None)
-        outcome: Outcome = TOP
-        blocker = None
+            initial_allocs: int = 0, resume: tuple | None = None) -> RunResult:
+        """Run from the start on the inputs (the other variables at their
+        defaults), or continue a stopped run from its ``resume`` point.
+        A resumed run restores every variable, the heap and both fuels from
+        the point and takes nothing else from the arguments, except that
+        under seed classing the seed variable becomes ``inputs[seed] >>
+        bits``: any seed of the stopped run's class continues it.  ``interp``
+        supplies ``relation(name)`` containers; None is the empty
+        interpretation."""
+        rels = self._rels if interp is self._interp else self._bind(interp)
+        events = [] if self.record_reads else None
+        if resume is None:
+            env = self.env_template.copy()
+            if inputs:
+                env.update(inputs)
+                if len(env) != len(self.names):
+                    unknown = next(k for k in inputs if k not in self.names)
+                    raise KeyError(f"unknown input variable {unknown!r}")
+            seed_var = self.seed_var
+            if seed_var is not None and env[seed_var] < 0:
+                raise ValueError("seed must be nonnegative")
+            st = _State(list(initial_trace if self.trace_mode else initial_heap),
+                        initial_allocs, loop_fuel, heap_fuel, rels, 0, events)
+            pc = 0
+        else:
+            if events is not None:
+                raise ValueError("a run that records reads cannot resume")
+            env = dict(zip(self.names, resume))
+            heap, allocs, loop_fuel, heap_fuel, bits, pc = resume[-6:]
+            if inputs and self.seed_classing:
+                seed = inputs[self.seed_var]
+                if seed < 0:
+                    raise ValueError("seed must be nonnegative")
+                env[self.seed_var] = seed >> bits
+            st = _State(list(heap), allocs, loop_fuel, heap_fuel, rels, bits,
+                        None)
+        code = self.code
+        end = len(code)
+        blocker = point = None
         try:
-            self.body(st, env)
-        except _BotSignal as b:
-            blocker = b.args
-            outcome = self.bots.get(blocker)
-            if outcome is None:
-                outcome = self.bots[blocker] = Bot(*blocker)
-            if blocker[0] == FAILURE_PRED:
-                blocker = None
+            while pc < end:
+                pc = code[pc](st, env)
+        except _BotSignal:
+            outcome = _BOT_FAILURE
         except _UndefSignal as u:
-            outcome, blocker = u.args
+            outcome = u.args[0]
+        else:
+            if pc == end:
+                outcome = TOP
+            else:
+                # stopped by the query at index q >> 1: an assert when q is
+                # odd, else an assume
+                q = pc - end - 1
+                blocker = st.blocker
+                if q & 1:
+                    outcome = self.bots.get(blocker)
+                    if outcome is None:
+                        outcome = self.bots[blocker] = Bot(*blocker)
+                else:
+                    outcome = _UNDEF_ASSUME
+                # an empty heap is kept as the shared empty tuple
+                point = (*env.values(), st.heap or (), st.allocs,
+                         st.loop_fuel, st.heap_fuel, st.bits, q >> 1)
         heap = st.heap
-        return RunResult(outcome, env, heap, st.allocs if trace else len(heap),
-                         st.bits, blocker, st.events)
+        return _new_tuple(RunResult, (
+            outcome, env, heap, st.allocs if self.trace_mode else len(heap),
+            st.bits, blocker, st.events, point))
 
 
 # ---------------------------------------------------------------------------

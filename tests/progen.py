@@ -6,12 +6,15 @@ from __future__ import annotations
 
 import random
 
-from heapinv.interp import ObjVal
+from heapinv.interp import (
+    ASSUME_FAILED, Bot, FUEL_EXHAUSTED, ObjVal, TOP, Undefined,
+)
 from heapinv.lang import (
     ADDR, AdtDecl, Alloc, Assign, AssertExpr, AssertPred, AssumeExpr,
-    AssumePred, Binary, Block, CtorApp, CtorDecl, DefObj, HavocStmt, If,
-    INT, IntLit, Null, PredDecl, Program, Read, SelApp, Skip, TestApp,
-    Unary, Var, While, Write, assign_locations, obj_type, typecheck,
+    AssumePred, Binary, Block, CtorApp, CtorDecl, DefObj, FAILURE_PRED,
+    HavocStmt, If, INT, IntLit, NondetStmt, Null, PredDecl, Program, Read,
+    SelApp, Skip, TestApp, Unary, Var, While, Write, assign_locations,
+    obj_type, typecheck,
 )
 
 NODE_ADT = AdtDecl("Node", [CtorDecl("node", [("data", INT), ("next", ADDR)])])
@@ -233,6 +236,135 @@ def eval_expr(e, env: dict):
     return {"+": a + b, "-": a - b, "*": a * b,
             "<": int(a < b), "<=": int(a <= b), ">": int(a > b),
             ">=": int(a >= b)}[e.op]  # Int operands only
+
+
+# ---------------------------------------------------------------------------
+# Reference statement semantics
+
+
+class RefState:
+    """What a reference run changes besides its env: the heap as a sequence
+    of objects, both fuels and the seed bits drawn.  ``rels`` maps each
+    predicate to its set of tuples."""
+
+    def __init__(self, rels: dict, loop_fuel: int, heap_fuel: int,
+                 seed_var: str = "seed"):
+        self.rels = rels
+        self.loop_fuel = loop_fuel
+        self.heap_fuel = heap_fuel
+        self.seed_var = seed_var
+        self.heap: list = []
+        self.bits = 0
+
+
+class RefStop(Exception):
+    """``RefStop(outcome, blocker)``: the reference run ended before the
+    end of the program; the blocker is the (pred, args) of a failed
+    predicate query, else None."""
+
+
+def _value(e, env):
+    try:
+        return eval_expr(e, env)
+    except ZeroDivisionError:
+        raise RefStop(Bot(FAILURE_PRED, ()), None) from None
+
+
+def _spend_heap_fuel(st: RefState) -> None:
+    if st.heap_fuel <= 0:
+        raise RefStop(Undefined(FUEL_EXHAUSTED), None)
+    st.heap_fuel -= 1
+
+
+def _draw_int(env: dict, st: RefState, charge_loop_fuel: bool) -> int:
+    """The havoc macro on the seed: a sign bit, then (1, digit) pairs most
+    significant digit first, then a 0; each pair of a havoc (not of a
+    nondet) costs one unit of loop fuel."""
+    seed = env[st.seed_var]
+    x = -(seed & 1)
+    seed >>= 1
+    used = 1
+    while seed & 1:
+        if charge_loop_fuel:
+            if st.loop_fuel <= 0:
+                env[st.seed_var] = seed
+                st.bits += used + 1
+                raise RefStop(Undefined(FUEL_EXHAUSTED), None)
+            st.loop_fuel -= 1
+        x = 2 * x + ((seed >> 1) & 1)
+        seed >>= 2
+        used += 2
+    env[st.seed_var] = seed >> 1
+    st.bits += used + 1
+    return x
+
+
+def exec_stmt(s, env: dict, st: RefState) -> None:
+    """Plain recursive execution of a generated statement in the sequence
+    heap model, the reference for the interpreter's flat code: raises
+    RefStop when the run ends early, with the outcome it ends in."""
+    if isinstance(s, Block):
+        for x in s.stmts:
+            exec_stmt(x, env, st)
+    elif isinstance(s, Skip):
+        pass
+    elif isinstance(s, Assign):
+        env[s.target] = _value(s.expr, env)
+    elif isinstance(s, If):
+        exec_stmt(s.then if _value(s.cond, env) != 0 else s.els, env, st)
+    elif isinstance(s, While):
+        while _value(s.cond, env) != 0:
+            if st.loop_fuel <= 0:
+                raise RefStop(Undefined(FUEL_EXHAUSTED), None)
+            st.loop_fuel -= 1
+            exec_stmt(s.body, env, st)
+    elif isinstance(s, AssumeExpr):
+        if _value(s.expr, env) == 0:
+            raise RefStop(Undefined(ASSUME_FAILED), None)
+    elif isinstance(s, AssertExpr):
+        if _value(s.expr, env) == 0:
+            raise RefStop(Bot(FAILURE_PRED, ()), None)
+    elif isinstance(s, (AssumePred, AssertPred)):
+        args = tuple(_value(a, env) for a in s.args)
+        if args not in st.rels.get(s.pred, ()):
+            outcome = (Undefined(ASSUME_FAILED) if isinstance(s, AssumePred)
+                       else Bot(s.pred, args))
+            raise RefStop(outcome, (s.pred, args))
+    elif isinstance(s, (HavocStmt, NondetStmt)):
+        # generated programs havoc Int variables only
+        env[s.target] = _draw_int(env, st, isinstance(s, HavocStmt))
+    elif isinstance(s, Alloc):
+        _spend_heap_fuel(st)
+        st.heap.append(_value(s.expr, env))
+        env[s.target] = len(st.heap)
+    elif isinstance(s, Read):
+        _spend_heap_fuel(st)
+        a = env[s.addr]
+        env[s.target] = (st.heap[a - 1] if 0 < a <= len(st.heap)
+                         else ObjVal("node", (0, 0)))
+    elif isinstance(s, Write):
+        _spend_heap_fuel(st)
+        a = env[s.addr]
+        if 0 < a <= len(st.heap):
+            st.heap[a - 1] = _value(s.expr, env)
+    else:
+        raise TypeError(f"no reference semantics for {type(s).__name__}")
+
+
+def run_reference(program: Program, inputs: dict, rels: dict,
+                  loop_fuel: int, heap_fuel: int) -> tuple:
+    """(outcome, blocker, env, heap length, bits) of a reference run from
+    the defaults of a generated program's variables."""
+    env = {v: 0 for v in INT_VARS + ADDR_VARS + ["in", "seed"]}
+    env.update({v: ObjVal("node", (0, 0)) for v in OBJ_VARS})
+    env.update(inputs)
+    st = RefState(rels, loop_fuel, heap_fuel)
+    outcome, blocker = TOP, None
+    try:
+        exec_stmt(program.body, env, st)
+    except RefStop as stop:
+        outcome, blocker = stop.args
+    return outcome, blocker, env, len(st.heap), st.bits
 
 
 def random_env(rng: random.Random) -> dict:

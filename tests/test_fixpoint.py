@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from heapinv import fixpoint
+from heapinv import fixpoint, lang
 from heapinv.corpus import VARIANTS
 from heapinv.encode import enc_n, enc_r, enc_rw, encode
 from heapinv.fixpoint import (
@@ -548,3 +548,143 @@ def test_range_inside_every_comparison_matches_plain(corpus, domain):
             with plain_addresses():
                 want = check_safety(e.program, d).to_json()
             assert got == want, name
+
+
+# Draws before and after a query: a resumed run must draw its later values
+# from the bits its own seed has left.
+DRAWS_AROUND_QUERY = """prog {
+  pred P(Int);
+  input in;
+  seed seed;
+  var x: Int; var y: Int; var c: Int;
+  havoc(x);
+  assume(-2 <= x && x <= 2);
+  c := 0;
+  while (c < x) {
+    c := c + 1;
+  }
+  assert(P(x + in));
+  havoc(y);
+  assume(P(y));
+  assert(y != x + c);
+}"""
+
+
+def check_blocked_leaves(ex, interp, label) -> int:
+    """Every seed of each blocked leaf's class, resumed from the leaf's
+    point, against a fresh run of the same seed: under ``interp`` (the run
+    stops at the same query again) and with the blocker added (it gets past
+    it).  Returns the number of runs compared."""
+    lo, hi = ex.seed_range
+    n = hi - lo + 1
+    results = []
+    run = ex.compiled.run
+
+    def recording_run(**kwargs):
+        res = run(**kwargs)
+        results.append(res)
+        return res
+
+    def one(cell, interp, i, leaf=None):
+        # the executor's own loop over the single seed at offset i
+        compared = [] if cell.last_addr is ex.any_address else None
+        results.clear()
+        (got,) = ex._run_seeds(ex._cell_inputs(cell.in_v, cell.last_addr),
+                               interp, i, n, None, compared, leaf)
+        (res,) = results
+        return ((got.seed, got.outcome, got.blocker, got.weight, got.step),
+                res.bits_consumed, res.env, compared)
+
+    ex.compiled.run = recording_run
+    checked = 0
+    for cell in ex.cells.values():
+        for leaf in cell.leaves:
+            if leaf.blocker is None:
+                continue
+            assert leaf.resume is not None, (label, leaf)
+            grown = interp.copy()
+            grown.add(*leaf.blocker)
+            for rels in (interp, grown):
+                for i in range(leaf.seed - lo, n, leaf.step):
+                    assert one(cell, rels, i, leaf) == one(cell, rels, i), \
+                        (label, cell.in_v, cell.last_addr, lo + i, rels)
+                    checked += 1
+    del ex.compiled.run
+    return checked
+
+
+def check_resumed_runs(ex, label, rounds: int = 4) -> int:
+    """``check_blocked_leaves`` after ``run_all`` under the empty
+    interpretation and after each of the first fixpoint iterations, so that
+    runs also resume deep inside the program."""
+    interp = Interpretation.empty()
+    ex.run_all(interp)
+    checked = 0
+    for _ in range(rounds):
+        checked += check_blocked_leaves(ex, interp, label)
+        added = {t for t in ex.failing_tuples()
+                 if t[1] not in interp.relation(t[0])}
+        if not added:
+            break
+        for pred, args in added:
+            interp.add(pred, args)
+        ex.rerun_blocked(interp, added)
+    return checked
+
+
+def test_resumed_rerun_matches_fresh_run(corpus, domain):
+    # a rerun continues a blocked run at its query instead of replaying the
+    # path to it; every variable, the heap, both fuels, the seed bits and a
+    # sentinel run's compared values must come back as a fresh run has them
+    d = replace(domain, in_range=(-1, 2), seed_range=(0, 127))
+    programs = []
+    for name in ("cell-pair-indexed-bad", "list-build-traverse"):
+        p = next(e for e in corpus if e.name == name).load()
+        programs.append((name, "orig", p))
+        programs += [(name, v, encode(p, VARIANTS[v][0]).program)
+                     for v in ("r", "rw", "rw_ct")]
+        # the read encoding of the budget-instrumented program counts heap
+        # operations down in $c, an input that a resume must not reset
+        programs.append((name, "n+r", encode(enc_n(p), VARIANTS["r"][0])
+                         .program))
+    for seed in (0, 27):
+        programs.append((seed, "progen",
+                         progen.gen_program(seed, allow_havoc=True)))
+    # the expanded havoc macro reads the seed in ordinary statements, so
+    # seed classing is off and a resume keeps the point's seed value
+    programs += [
+        (0, "expanded", lang.expand_program_havocs(
+            progen.gen_program(0, allow_havoc=True))),
+        ("draws", "native", prog(DRAWS_AROUND_QUERY)),
+        ("draws", "expanded", lang.expand_program_havocs(
+            prog(DRAWS_AROUND_QUERY))),
+    ]
+    classing = set()
+    checked = 0
+    for name, variant, p in programs:
+        ex = GridExecutor(p, d)
+        classing.add((ex.seed_classing, ex.address_classing))
+        checked += check_resumed_runs(ex, (name, variant))
+    assert classing >= {(True, True), (True, False), (False, False)}
+    assert checked > 1000, checked
+
+
+def test_every_run_goes_through_the_class_run_method(corpus, domain,
+                                                     monkeypatch):
+    # the benchmark's tracer counts runs by wrapping the class attribute
+    # CompiledProgram.run; resumed runs must pass through it as fresh ones
+    # do, and resuming must not change how many runs a fixed point takes
+    calls = []
+    run = CompiledProgram.run
+
+    def counting_run(self, *args, **kwargs):
+        calls.append(kwargs.get("resume") is not None)
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(CompiledProgram, "run", counting_run)
+    for name, variant, runs in (("two-level-links", "r", 6503),
+                                ("list-build-traverse", "rw_ct", 2111)):
+        p = next(e for e in corpus if e.name == name).load()
+        calls.clear()
+        least_fixpoint_info(encode(p, VARIANTS[variant][0]).program, domain)
+        assert len(calls) == runs and any(calls), (name, variant)

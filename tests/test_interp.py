@@ -359,3 +359,44 @@ def test_compiled_expressions_match_reference():
                 assert got == want and type(got) is tuple, (args, env)
                 seen["args"] += 1
     assert min(seen.values()) > 100, seen
+
+
+# ---------------------------------------------------------------------------
+# flat code against the plain recursive statement reference
+
+
+def _kind(outcome, blocker) -> str:
+    if isinstance(outcome, Undefined):
+        return outcome.reason + ("/query" if blocker else "")
+    if isinstance(outcome, Bot):
+        return "bot/query" if blocker else "bot"
+    return "top"
+
+
+def test_flat_code_matches_statement_reference():
+    # small fuels make runs also stop inside nested loops; P holds a few
+    # tuples, so queries both pass and stop runs
+    rng = random.Random(29)
+    rels = {"P": {(-1,), (0,), (1,)}}
+    interp = Interpretation(rels)
+    seen = {}
+    for n in range(320):
+        gen = progen.Gen(random.Random(n), allow_havoc=True,
+                         allow_division=True)
+        p = gen.program(size=rng.randint(2, 8))
+        cps = [CompiledProgram(p, mode=mode) for mode in ("heap", "trace")]
+        for _ in range(4):
+            inputs = {"in": rng.randint(-3, 3), "seed": rng.randint(0, 255)}
+            loop_fuel, heap_fuel = rng.randint(0, 4), rng.randint(0, 4)
+            want = progen.run_reference(p, inputs, rels, loop_fuel, heap_fuel)
+            for cp in cps:
+                r = cp.run(inputs=inputs, interp=interp, loop_fuel=loop_fuel,
+                           heap_fuel=heap_fuel)
+                got = (r.outcome, r.blocker, r.env, r.heap_len,
+                       r.bits_consumed)
+                assert got == want, (n, cp.mode, inputs, loop_fuel, heap_fuel)
+            kind = _kind(want[0], want[1])
+            seen[kind] = seen.get(kind, 0) + 1
+    assert set(seen) == {"top", "bot", "bot/query", "assume_failed",
+                         "assume_failed/query", "fuel_exhausted"}, seen
+    assert min(seen.values()) >= 10, seen

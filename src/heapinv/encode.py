@@ -23,13 +23,13 @@ augmentation, and argument removal (a sound abstraction).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .lang import (
     ADDR, INT, AdtDecl, Alloc, Assign, AssertExpr, AssertPred, AssumeExpr,
     AssumePred, Binary, Block, CtorApp, CtorDecl, DefObj, Expr, HavocStmt,
     If, IntLit, NondetStmt, Null, PredDecl, Program, Read, SelApp, Skip,
-    Stmt, TestApp, Type, Unary, Var, While, Write, assign_locations,
+    Stmt, TestApp, Type, Unary, Var, Write, assign_locations,
     contains_heap_statements, expr_children, map_statements, obj_type,
     typecheck,
 )
@@ -69,8 +69,6 @@ class EncodedProgram:
     program: Program
     source: Program
     config: EncodingConfig
-    introduced: dict[str, str] = field(default_factory=dict)
-    pred_sigs: dict[str, list[Type]] = field(default_factory=dict)
 
 
 class EncodingError(Exception):
@@ -106,13 +104,6 @@ def _block(stmts: list[Stmt]) -> Block:
 
 def _if(cond: Expr, then: list[Stmt], els: list[Stmt] | None = None) -> If:
     return If(cond, _block(then), _block(els or []))
-
-
-def _tx_branch(tx, s: Stmt) -> Block:
-    """Transform an if/while branch without introducing nested blocks."""
-    if isinstance(s, Block):
-        return tx(s)[0]
-    return _block(tx(s))
 
 
 # ---------------------------------------------------------------------------
@@ -200,19 +191,14 @@ def enc_n(program: Program) -> Program:
     ]
 
     def tx(s: Stmt) -> list[Stmt]:
-        if isinstance(s, Block):
-            return [Block(tuple(x for c in s.stmts for x in tx(c)), loc=s.loc, pos=s.pos)]
-        if isinstance(s, If):
-            return [If(s.cond, _tx_branch(tx, s.then), _tx_branch(tx, s.els), pos=s.pos)]
-        if isinstance(s, While):
-            return [While(s.cond, _tx_branch(tx, s.body), pos=s.pos)]
         if isinstance(s, (Alloc, Read, Write)):
             return prelude() + [s]
         return [s]
 
     var_types = dict(program.var_types)
     var_types[V_COUNTER] = INT
-    out = replace(program, var_types=var_types, body=tx(program.body)[0])
+    out = replace(program, var_types=var_types,
+                  body=map_statements(program.body, tx))
     assign_locations(out)
     return out
 
@@ -264,39 +250,33 @@ class _HeapEncoder:
     def encode(self) -> EncodedProgram:
         cfg = self.cfg
         base = cfg.base
-        introduced: dict[str, str] = {}
 
         var_types: dict[str, Type] = {}
         for name, ty in self.src.var_types.items():
             var_types[name] = INT if ty == ADDR else ty
-
-        def intro(name: str, ty: Type):
-            var_types[name] = ty
-            introduced[name] = str(ty)
-
-        intro(V_CNT_ALLOC, INT)
-        intro(V_CNT, INT)
+        var_types[V_CNT_ALLOC] = INT
+        var_types[V_CNT] = INT
         if base == "r":
-            intro(V_LAST, self.obj_ty)
+            var_types[V_LAST] = self.obj_ty
         else:
-            intro(V_CNT_LAST, INT)
-            intro(V_T, INT)
-        intro(V_LAST_ADDR, INT)
+            var_types[V_CNT_LAST] = INT
+            var_types[V_T] = INT
+        var_types[V_LAST_ADDR] = INT
         if cfg.tagging:
-            intro(V_LAST_LOC, INT)
-            intro(V_TAG_TMP, INT)
+            var_types[V_LAST_LOC] = INT
+            var_types[V_TAG_TMP] = INT
             if base != "r":
-                intro(V_TAG_TMP_W, INT)
+                var_types[V_TAG_TMP_W] = INT
         if cfg.caching:
-            intro(V_CACHE_ADDR, INT)
-            intro(V_CACHE_DATA, self.obj_ty)
+            var_types[V_CACHE_ADDR] = INT
+            var_types[V_CACHE_DATA] = self.obj_ty
 
         self._tmp_counter = 0
 
         def fresh_tmp() -> str:
             name = f"$e{self._tmp_counter}"
             self._tmp_counter += 1
-            intro(name, self.obj_ty)
+            var_types[name] = self.obj_ty
             return name
 
         # initialisation block
@@ -325,6 +305,17 @@ class _HeapEncoder:
             return [Assign(V_CACHE_ADDR, _v(addr)),
                     Assign(V_CACHE_DATA, obj)]
 
+        def update(value: Expr, loc: int) -> list[Stmt]:
+            # the history of the tracked address: its object (r) or the
+            # count of the write that stored it (rw*), and where it happened
+            out = [Assign(V_LAST if base == "r" else V_CNT_LAST, value)]
+            if cfg.tagging:
+                out.append(Assign(V_LAST_LOC, _n(loc)))
+            return out
+
+        def track(addr: str, value: Expr, loc: int) -> If:
+            return _if(_eq(_v(V_LAST_ADDR), _v(addr)), update(value, loc))
+
         def tx_alloc(s: Alloc) -> list[Stmt]:
             e = _tx_expr(s.expr)
             out: list[Stmt] = []
@@ -336,26 +327,18 @@ class _HeapEncoder:
                 e = _v(tmp)
             out.append(_plus1(V_CNT_ALLOC))
             out.append(Assign(s.target, _v(V_CNT_ALLOC)))
-            record_obj = base == "rw" or (base in ("rwfun", "rwmem")
-                                          and cfg.alloc_init_write)
             if base == "r":
-                then = [Assign(V_LAST, e)]
-                if cfg.tagging:
-                    then.append(Assign(V_LAST_LOC, _n(s.loc)))
-                out.append(_if(_eq(_v(V_LAST_ADDR), _v(s.target)), then))
-                if cfg.caching:
-                    out.extend(cache_update(s.target, e))
-            elif record_obj:
+                out.append(track(s.target, e, s.loc))
+            elif base == "rw" or cfg.alloc_init_write:
                 out.append(_plus1(V_CNT))
                 out.append(AssertPred(WRITE_PRED, self._w_args(_v(V_CNT), e, s.loc)))
-                then = [Assign(V_CNT_LAST, _v(V_CNT))]
-                if cfg.tagging:
-                    then.append(Assign(V_LAST_LOC, _n(s.loc)))
-                out.append(_if(_eq(_v(V_LAST_ADDR), _v(s.target)), then))
-                if cfg.caching:
-                    out.extend(cache_update(s.target, e))
-            # rwfun/rwmem without the init-write adjustment: the operand is
-            # dropped, allocation is pure counter arithmetic
+                out.append(track(s.target, _v(V_CNT), s.loc))
+            else:
+                # rwfun/rwmem without the init-write adjustment: the operand
+                # is dropped, allocation is pure counter arithmetic
+                return out
+            if cfg.caching:
+                out.extend(cache_update(s.target, e))
             return out
 
         def read_core(s: Read) -> list[Stmt]:
@@ -406,39 +389,21 @@ class _HeapEncoder:
         def tx_write(s: Write) -> list[Stmt]:
             e = _tx_expr(s.expr)
             if base == "r":
-                then = [Assign(V_LAST, e)]
-                if cfg.tagging:
-                    then.append(Assign(V_LAST_LOC, _n(s.loc)))
                 if cfg.caching:
                     # one validity test guards both the tracking update and
                     # the cache update (an invalid write changes nothing)
-                    inner = [_if(_eq(_v(V_LAST_ADDR), _v(s.addr)), then)]
-                    inner.extend(cache_update(s.addr, e))
-                    return [_if(valid(s.addr), inner)]
+                    return [_if(valid(s.addr), [track(s.addr, e, s.loc)]
+                                + cache_update(s.addr, e))]
                 return [_if(_and(_eq(_v(V_LAST_ADDR), _v(s.addr)), valid(s.addr)),
-                            then)]
-            out: list[Stmt] = [_plus1(V_CNT)]
-            then = [AssertPred(WRITE_PRED, self._w_args(_v(V_CNT), e, s.loc))]
-            inner_then = [Assign(V_CNT_LAST, _v(V_CNT))]
-            if cfg.tagging:
-                inner_then.append(Assign(V_LAST_LOC, _n(s.loc)))
-            then.append(_if(_eq(_v(V_LAST_ADDR), _v(s.addr)), inner_then))
+                            update(e, s.loc))]
+            then = [AssertPred(WRITE_PRED, self._w_args(_v(V_CNT), e, s.loc)),
+                    track(s.addr, _v(V_CNT), s.loc)]
             if cfg.caching:
                 then.extend(cache_update(s.addr, e))
-            if base == "rwmem":
-                out.append(_if(valid(s.addr), then, [AssertExpr(_n(0))]))
-            else:
-                out.append(_if(valid(s.addr), then))
-            return out
+            els = [AssertExpr(_n(0))] if base == "rwmem" else None
+            return [_plus1(V_CNT), _if(valid(s.addr), then, els)]
 
         def tx(s: Stmt) -> list[Stmt]:
-            if isinstance(s, Block):
-                return [Block(tuple(x for c in s.stmts for x in tx(c)), pos=s.pos)]
-            if isinstance(s, If):
-                return [If(_tx_expr(s.cond), _tx_branch(tx, s.then),
-                           _tx_branch(tx, s.els), pos=s.pos)]
-            if isinstance(s, While):
-                return [While(_tx_expr(s.cond), _tx_branch(tx, s.body), pos=s.pos)]
             if isinstance(s, Alloc):
                 return tx_alloc(s)
             if isinstance(s, Read):
@@ -463,28 +428,15 @@ class _HeapEncoder:
                 return [s]
             raise EncodingError(f"cannot encode statement {type(s).__name__}")
 
-        body_stmts = init + list(tx(self.src.body)[0].stmts)
-
-        # predicate signatures
-        pred_sigs: dict[str, list[Type]] = {}
-        if base == "r":
-            sig_r = [INT, INT, self.obj_ty]
-            if cfg.tagging:
-                sig_r += [INT, INT]
-            pred_sigs[READ_PRED] = sig_r
-        else:
-            sig_r = [INT, INT, INT]
-            if cfg.tagging:
-                sig_r += [INT, INT]
-            sig_w = [INT, INT, self.obj_ty]
-            if cfg.tagging:
-                sig_w += [INT]
-            pred_sigs[READ_PRED] = sig_r
-            pred_sigs[WRITE_PRED] = sig_w
+        body_stmts = init + list(map_statements(self.src.body, tx, _tx_expr).stmts)
 
         preds = [PredDecl(p.name, list(p.arg_types)) for p in self.src.preds]
-        for name, sig in pred_sigs.items():
-            preds.append(PredDecl(name, list(sig)))
+        tags = [INT, INT] if cfg.tagging else []
+        if base == "r":
+            preds.append(PredDecl(READ_PRED, [INT, INT, self.obj_ty] + tags))
+        else:
+            preds.append(PredDecl(READ_PRED, [INT, INT, INT] + tags))
+            preds.append(PredDecl(WRITE_PRED, [INT, INT, self.obj_ty] + tags[:1]))
 
         out = Program(
             adts=_addr_fields_to_int(self.src.adts),
@@ -499,7 +451,7 @@ class _HeapEncoder:
         diags = typecheck(out)
         if diags:
             raise AssertionError(f"encoder produced an ill-typed program: {diags[0]}")
-        enc = EncodedProgram(out, self.src, cfg, introduced, pred_sigs)
+        enc = EncodedProgram(out, self.src, cfg)
         if cfg.scope_vars:
             enc = apply_scope_vars(enc, list(cfg.scope_vars))
         if cfg.drop_args:
@@ -538,27 +490,23 @@ def enc_rwmem(program: Program, **kw) -> EncodedProgram:
 def _rewrite_pred_args(enc: EncodedProgram, preds: set[str], args, types,
                        what: str) -> EncodedProgram:
     """Rewrite each predicate in ``preds``: ``args(pred, exprs)`` gives the
-    arguments of every application, ``types(pred, arg_types)`` its
-    declaration and signature."""
+    arguments of every application, ``types(pred, arg_types)`` its declared
+    argument types."""
     prog = enc.program
 
-    def tx(s: Stmt) -> Stmt:
+    def tx(s: Stmt) -> list[Stmt]:
         if isinstance(s, (AssumePred, AssertPred)) and s.pred in preds:
-            cls = type(s)
-            return cls(s.pred, args(s.pred, s.args), loc=s.loc, pos=s.pos)
-        return s
+            return [type(s)(s.pred, args(s.pred, s.args), pos=s.pos)]
+        return [s]
 
     decls = [PredDecl(p.name, types(p.name, p.arg_types))
              if p.name in preds else p for p in prog.preds]
-    new_sigs = {name: types(name, sig) if name in preds else sig
-                for name, sig in enc.pred_sigs.items()}
     out = replace(prog, preds=decls, body=map_statements(prog.body, tx))
     assign_locations(out)
     diags = typecheck(out)
     if diags:
         raise AssertionError(f"{what} broke typing: {diags[0]}")
-    return EncodedProgram(out, enc.source, enc.config, dict(enc.introduced),
-                          new_sigs)
+    return EncodedProgram(out, enc.source, enc.config)
 
 
 def apply_scope_vars(enc: EncodedProgram, names: list[str]) -> EncodedProgram:
@@ -575,8 +523,10 @@ def apply_scope_vars(enc: EncodedProgram, names: list[str]) -> EncodedProgram:
             raise EncodingError(f"unknown scope variable {nm!r}")
         if ty != INT:
             raise EncodingError(f"scope variable {nm!r} must have type Int, has {ty}")
+    # the source may not declare R or W (_validate_source), so these are
+    # exactly the predicates the encoding introduced
     return _rewrite_pred_args(
-        enc, set(enc.pred_sigs),
+        enc, {READ_PRED, WRITE_PRED} & set(prog.preds_by_name()),
         lambda _, xs: list(xs) + [Var(nm) for nm in names],
         lambda _, tys: list(tys) + [INT] * len(names),
         "scope augmentation")

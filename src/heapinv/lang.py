@@ -11,6 +11,7 @@ defined here.
 from __future__ import annotations
 
 import re
+from copy import copy
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -69,7 +70,6 @@ _META = dict(compare=False, repr=False, kw_only=True)
 
 @dataclass
 class Expr:
-    ty: Type | None = field(default=None, **_META)
     pos: tuple[int, int] = field(default=(0, 0), **_META)
 
 
@@ -758,57 +758,66 @@ def parse_expr_text(text: str, adts: list[AdtDecl] | None = None) -> Expr:
 # Control locations
 
 
-def _walk_stmts(stmt: Stmt):
+def walk_statements(stmt: Stmt):
     """Pre-order traversal over statements; Block nodes are structure, not
     statements, and are not yielded."""
     if isinstance(stmt, Block):
         for s in stmt.stmts:
-            yield from _walk_stmts(s)
+            yield from walk_statements(s)
         return
     yield stmt
     if isinstance(stmt, If):
-        yield from _walk_stmts(stmt.then)
-        yield from _walk_stmts(stmt.els)
+        yield from walk_statements(stmt.then)
+        yield from walk_statements(stmt.els)
     elif isinstance(stmt, While):
-        yield from _walk_stmts(stmt.body)
-
-
-def walk_statements(stmt: Stmt):
-    """Public pre-order statement iterator (blocks are not statements)."""
-    return _walk_stmts(stmt)
+        yield from walk_statements(stmt.body)
 
 
 def assign_locations(program: Program) -> Program:
     """Assign consecutive location ids 1.. to statements in pre-order."""
     n = 0
-    for s in _walk_stmts(program.body):
+    for s in walk_statements(program.body):
         n += 1
         s.loc = n
     return program
 
 
 def statement_locations(program: Program) -> list[int]:
-    return [s.loc for s in _walk_stmts(program.body)]
+    return [s.loc for s in walk_statements(program.body)]
 
 
 # ---------------------------------------------------------------------------
 # Expression/statement utilities
 
 
-def map_statements(stmt: Stmt, leaf: Callable[[Stmt], Stmt]) -> Stmt:
-    """Rebuild the Block/If/While structure of a statement tree with ``leaf``
-    applied to every other statement; conditions, locations and positions
-    are kept."""
-    if isinstance(stmt, Block):
-        return Block(tuple(map_statements(c, leaf) for c in stmt.stmts),
-                     loc=stmt.loc, pos=stmt.pos)
-    if isinstance(stmt, If):
-        return If(stmt.cond, map_statements(stmt.then, leaf),
-                  map_statements(stmt.els, leaf), loc=stmt.loc, pos=stmt.pos)
-    if isinstance(stmt, While):
-        return While(stmt.cond, map_statements(stmt.body, leaf),
-                     loc=stmt.loc, pos=stmt.pos)
-    return leaf(stmt)
+def map_statements(stmt: Stmt, leaf: Callable[[Stmt], list[Stmt]],
+                   cond: Callable[[Expr], Expr] = lambda e: e) -> Block:
+    """Rebuild a statement tree as a Block.  Each Block, If and While gets
+    a new node of the same kind, with ``cond`` applied to every If/While
+    condition; every other statement is replaced by the list ``leaf``
+    returns for it, spliced into the enclosing block (an If/While branch
+    that is not a Block becomes one).  Positions are kept.
+
+    A statement that ``leaf`` returns unchanged is copied: the callers
+    number the locations of their output in place (``assign_locations``),
+    so an output sharing a statement object with its input would renumber
+    the input, or any other program built from it."""
+
+    def rebuild(s: Stmt) -> list[Stmt]:
+        if isinstance(s, Block):
+            return [Block(tuple(x for c in s.stmts for x in rebuild(c)),
+                          pos=s.pos)]
+        if isinstance(s, If):
+            return [If(cond(s.cond), branch(s.then), branch(s.els), pos=s.pos)]
+        if isinstance(s, While):
+            return [While(cond(s.cond), branch(s.body), pos=s.pos)]
+        return [copy(x) if x is s else x for x in leaf(s)]
+
+    def branch(s: Stmt) -> Block:
+        out = rebuild(s)
+        return out[0] if isinstance(s, Block) else Block(tuple(out))
+
+    return branch(stmt)
 
 
 def expr_children(e: Expr) -> list[Expr]:
@@ -835,7 +844,7 @@ def stmt_exprs(s: Stmt) -> list[Expr]:
 
 def iter_exprs(stmt: Stmt):
     stack = []
-    for s in _walk_stmts(stmt):
+    for s in walk_statements(stmt):
         stack.extend(stmt_exprs(s))
     while stack:
         e = stack.pop()
@@ -846,7 +855,7 @@ def iter_exprs(stmt: Stmt):
 def variables_read(program: Program) -> set[str]:
     """Names occurring in any expression, plus read/write address operands."""
     names = {e.name for e in iter_exprs(program.body) if isinstance(e, Var)}
-    for s in _walk_stmts(program.body):
+    for s in walk_statements(program.body):
         if isinstance(s, Read):
             names.add(s.addr)
         elif isinstance(s, Write):
@@ -859,10 +868,10 @@ def only_compared(program: Program, name: str) -> bool:
     operand, and every expression reads it only as a direct operand of
     ``=`` or ``!=``: a run then depends on its value only through those
     equality tests."""
-    for s in _walk_stmts(program.body):
+    for s in walk_statements(program.body):
         if name in (getattr(s, "target", None), getattr(s, "addr", None)):
             return False
-    stack = [e for s in _walk_stmts(program.body) for e in stmt_exprs(s)]
+    stack = [e for s in walk_statements(program.body) for e in stmt_exprs(s)]
     while stack:
         e = stack.pop()
         if isinstance(e, Var) and e.name == name:
@@ -876,7 +885,7 @@ def only_compared(program: Program, name: str) -> bool:
 
 
 def contains_heap_statements(program: Program) -> bool:
-    return any(isinstance(s, (Alloc, Read, Write)) for s in _walk_stmts(program.body))
+    return any(isinstance(s, (Alloc, Read, Write)) for s in walk_statements(program.body))
 
 
 class FreshNames:
@@ -1079,8 +1088,7 @@ class TypeChecker:
     def check_expr(self, e: Expr) -> Type | None:
         ty = self._expr_type(e)
         if ty is not None:
-            e.ty = self.resolve(ty)
-            return e.ty
+            return self.resolve(ty)
         return None
 
     def _expr_type(self, e: Expr) -> Type | None:
@@ -1382,10 +1390,10 @@ def expand_program_havocs(program: Program) -> Program:
     fresh = FreshNames(set(program.var_types))
     new_vars: dict[str, Type] = {}
 
-    def tx(s: Stmt) -> Stmt:
+    def tx(s: Stmt) -> list[Stmt]:
         if isinstance(s, HavocStmt):
-            return expand_havoc(s, program, fresh, new_vars)
-        return s
+            return [expand_havoc(s, program, fresh, new_vars)]
+        return [s]
 
     body = map_statements(program.body, tx)
     var_types = dict(program.var_types)

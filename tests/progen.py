@@ -35,13 +35,16 @@ DIV_OPS = ["/", "%"]
 class Gen:
     def __init__(self, rng: random.Random, allow_havoc: bool = False,
                  allow_preds: bool = True, allow_pair_adt: bool = False,
-                 allow_division: bool = False):
+                 allow_division: bool = False, draw_then_query: bool = False):
         self.rng = rng
         self.allow_havoc = allow_havoc
         self.allow_preds = allow_preds
         self.allow_pair_adt = allow_pair_adt
         # "/" and "%" with any divisor, zero included, among the arithmetic
         self.arith_ops = ARITH_OPS + DIV_OPS if allow_division else ARITH_OPS
+        # a quarter of the statements become ``havoc(v); assume/assert(P(v))``
+        # so that runs block at a query after consuming seed bits; needs P
+        self.draw_then_query = draw_then_query
 
     def pick(self, xs):
         return self.rng.choice(xs)
@@ -107,6 +110,10 @@ class Gen:
     # statements
 
     def stmt(self, depth: int):
+        if self.draw_then_query and self.rng.random() < 0.25:
+            v = self.pick(INT_VARS)
+            cls = AssertPred if self.rng.random() < 0.5 else AssumePred
+            return Block((HavocStmt(v), cls("P", [Var(v)])))
         r = self.rng.random()
         if depth <= 0:
             r = min(r, 0.69)  # leaves only

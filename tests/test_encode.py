@@ -1,7 +1,11 @@
+import hashlib
+import json
+import pathlib
 from dataclasses import replace
 
 import pytest
 
+from heapinv.corpus import VARIANTS, encode_variant, load_corpus
 from heapinv.encode import (
     EncodingConfig, EncodingError, apply_scope_vars, enc_n, enc_r, enc_rw,
     enc_rwfun, enc_rwmem, encode, encoding_is_heap_free, remove_arguments,
@@ -10,8 +14,8 @@ from heapinv.fixpoint import InputDomain, check_equisafety, check_safety
 from heapinv.lang import (
     ADDR, Alloc, Assign, AssertExpr, AssertPred, AssumeExpr, AssumePred,
     Binary, HavocStmt, If, IntLit, NondetStmt, Read, Var, While, Write,
-    parse_and_check, parse_program, pretty_print, typecheck,
-    walk_statements,
+    expand_program_havocs, parse_and_check, parse_program, pretty_print,
+    statement_locations, typecheck, walk_statements,
 )
 
 import progen
@@ -574,3 +578,55 @@ def test_rwmem_with_cache_still_flags_invalid_reads(corpus, domain):
     p = entry.load()
     encoded = enc_rwmem(p, caching=True).program
     assert check_safety(encoded, domain).kind == "unsafe"
+
+
+# ---------------------------------------------------------------------------
+# transformations build new programs
+
+
+def test_transformations_leave_their_input_alone(corpus):
+    # every transformation numbers its output's locations in place, so a
+    # statement object shared with its input (or with another output) ends
+    # up with the location of whichever program was numbered last
+    for entry in corpus:
+        source = entry.load()
+        programs = [source]
+        for variant in VARIANTS:
+            encoded = encode_variant(entry, source, variant)
+            if encoded is not None:
+                programs.append(encoded)
+        programs.append(expand_program_havocs(source))
+        r = enc_r(source)
+        programs += [r.program,
+                     apply_scope_vars(r, [source.input_var]).program,
+                     remove_arguments(r, {"R": [0]}).program]
+        seen = set()
+        for program in programs:
+            locs = statement_locations(program)
+            assert locs == list(range(1, len(locs) + 1)), entry.name
+            ids = {id(s) for s in walk_statements(program.body)}
+            assert not ids & seen, entry.name
+            seen |= ids
+
+
+GOLDEN_ENCODINGS = pathlib.Path(__file__).parent / "golden" / "encodings.json"
+
+
+def encoding_digests() -> dict[str, str]:
+    """sha256 of the printed encoding of every corpus entry under every
+    registry variant it is eligible for, keyed ``entry/variant``."""
+    out = {}
+    for entry in load_corpus():
+        for variant in VARIANTS:
+            encoded = encode_variant(entry, entry.load(), variant)
+            if encoded is not None:
+                text = pretty_print(encoded).encode("utf-8")
+                out[f"{entry.name}/{variant}"] = hashlib.sha256(text).hexdigest()
+    return out
+
+
+def test_encodings_match_golden():
+    # pins the encoder's output for all registry variants, as recorded in
+    # tests/golden/encodings.json
+    want = json.loads(GOLDEN_ENCODINGS.read_text(encoding="utf-8"))
+    assert encoding_digests() == want

@@ -669,6 +669,21 @@ def test_resumed_rerun_matches_fresh_run(corpus, domain):
     assert checked > 1000, checked
 
 
+def test_resumed_runs_of_generated_draws_before_queries(domain):
+    # generated programs that draw a value and then query a predicate on
+    # it: their runs block with seed bits consumed, so each resume must
+    # shift the seed of every seed of the class
+    d = replace(domain, in_range=(-1, 1), seed_range=(0, 63))
+    drawn = 0
+    for seed in range(40):
+        ex = GridExecutor(progen.gen_program(seed, draw_then_query=True), d)
+        check_resumed_runs(ex, seed)
+        drawn += sum(1 for cell in ex.cells.values() for leaf in cell.leaves
+                     # a resume point ends with (..., bits consumed, pc)
+                     if leaf.resume is not None and leaf.resume[-2] > 0)
+    assert drawn >= 500, drawn
+
+
 def test_every_run_goes_through_the_class_run_method(corpus, domain,
                                                      monkeypatch):
     # the benchmark's tracer counts runs by wrapping the class attribute

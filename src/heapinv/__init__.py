@@ -12,8 +12,9 @@ from .interp import (
 )
 from .fixpoint import (
     InputDomain, Interpretation, check_equisafety, check_safety,
-    cosim_check, immediate_consequence, least_fixpoint,
+    immediate_consequence, least_fixpoint,
 )
+from .replay import cosim_check
 from .encode import (
     EncodedProgram, EncodingConfig, apply_scope_vars, enc_n, enc_r, enc_rw,
     enc_rwfun, enc_rwmem, remove_arguments,

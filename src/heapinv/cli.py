@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from . import chc, fixpoint as fp
+from . import chc, fixpoint as fp, replay
 from .corpus import VARIANTS, encode_variant, load_corpus
 from .encode import EncodingConfig, EncodingError, enc_n, encode
 from .fixpoint import _value_json
@@ -223,21 +223,22 @@ def cmd_fixpoint(args) -> int:
 def cmd_equisafe(args) -> int:
     prog = _load_program(args.file)
     domain = _domain(args)
-    cosim_report = None
     if args.cosim:
         if args.enc != "r" or args.tag or args.cache or args.scope_vars \
                 or args.drop:
             raise CliError("--cosim applies to the plain r encoding")
         p_star = enc_n(prog)
         encoded = encode(p_star, _config(args)).program
-        result = fp.check_equisafety(prog, encoded, domain,
-                                     cosim_source=p_star)
-        cosim_report = result.cosim
     else:
         encoded = _encode_program(prog, args)
-        result = fp.check_equisafety(prog, encoded, domain)
+    result = fp.check_equisafety(prog, encoded, domain)
+    cosim_report = (replay.cosim_check(p_star, encoded, domain)
+                    if args.cosim else None)
     if args.format == "json":
-        print(json.dumps(result.to_json(), sort_keys=True))
+        report = result.to_json()
+        if cosim_report is not None:
+            report["cosim"] = cosim_report.to_json()
+        print(json.dumps(report, sort_keys=True))
     else:
         print(f"{args.file}: {result.kind}"
               f" (original={result.verdict_left.kind},"

@@ -52,12 +52,13 @@ which allows three big savings without changing the computed sets:
   inside a wider one compared with a too; the explicit marks at a are
   therefore unions of sentinel classes whose E holds a, and the loop over
   a sentinel class counts the seeds a wider class took with
-  ``max(step, stride)``.  A rerun continues the blocked run, so its E
-  only grows: a blocked sentinel leaf keeps the values its run had
-  compared with up to the query, a resumed sentinel run starts from them,
-  and only the addresses newly in E get explicit runs.  A sentinel
-  failure reports the least address it stands for, so the witness is the
-  least failing grid point as before.
+  ``max(step, stride)``.  Every sentinel leaf keeps its E (one object
+  per value), which gives the addresses it stands for; a blocked leaf's E
+  holds the values compared with up to the query.  A rerun continues the
+  blocked run, so its E only grows: a resumed sentinel run starts from
+  the leaf's E, and only the addresses newly in E get explicit runs.  A
+  sentinel failure reports the least address it stands for, so the
+  witness is the least failing grid point as before.
 """
 
 from __future__ import annotations
@@ -65,17 +66,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import attrgetter
 
-from .encode import READ_PRED, V_CNT_ALLOC, V_LAST
+# the encoder-introduced inputs: programs declaring them get those
+# dimensions of the grid enumerated
+from .encode import V_COUNTER as COUNTER_VAR, V_LAST_ADDR as LAST_ADDR_VAR
 from .interp import (
     Bot, CompiledProgram, FUEL_EXHAUSTED, ObjVal, Undefined, Value,
-    default_obj, heap_read,
 )
-from .lang import FAILURE_PRED, Program, Type, only_compared, variables_read
-
-# Conventional names for encoder-introduced inputs; programs declaring them
-# get those dimensions of the grid enumerated.
-LAST_ADDR_VAR = "$last_addr"
-COUNTER_VAR = "$c"
+from .lang import FAILURE_PRED, Program, only_compared, variables_read
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +219,9 @@ class Leaf:
     blocker: tuple | None
     weight: int          # number of seeds in the class within range
     step: int            # spacing of the class: 2^bits, at most the range size
-    # a blocked run's resume point (``RunResult.resume``), and for a
-    # sentinel run the values it compared ``$last_addr`` with up to there
+    # a blocked run's resume point (``RunResult.resume``); for a sentinel
+    # run, the values it compared ``$last_addr`` with (up to the query when
+    # blocked)
     resume: tuple | None = None
     compared: frozenset = frozenset()
 
@@ -298,9 +296,7 @@ class GridExecutor:
         self.seed_range = domain.seed_range if self.seed_var is not None \
             else (0, 0)
         self.cells: dict[tuple, Cell] = {}
-        # address classing: the explicit cells of each input, by address
-        self._explicit: dict[int | None, dict[int, Cell]] = {}
-        # the compared sets of blocked sentinel leaves, one object per value
+        # the compared sets of sentinel leaves, one object per value
         self._compared: dict[frozenset, frozenset] = {}
 
     # enumeration dimensions
@@ -317,34 +313,34 @@ class GridExecutor:
             return list(range(lo, hi + 1))
         return [None]
 
-    def _cell_inputs(self, in_v, la) -> dict:
-        # the runs of a cell differ only in the seed, set in place per run
-        return initial_stack(self.program, in_v, None, la,
-                             self.domain.heap_op_fuel)
-
-    def _run_seeds(self, inputs, interp, start: int, stride: int,
+    def _run_seeds(self, cell: Cell, interp, start: int, stride: int,
                    marked: bytearray | None = None,
-                   compared: list | None = None,
                    blocked: Leaf | None = None) -> list[Leaf]:
         """Leaves of the unmarked seeds at offsets ``start, start + stride,
-        ...`` of the seed range, in seed order: an unmarked seed is run and
-        marks its class, each seed of which it stands for.  The classes are
-        disjoint, so the loop stops once they cover its seeds.  ``marked``
-        (one mark per seed of the range) defaults to no seed marked.  Runs
-        at the address sentinel append to ``compared`` the set of values
-        each compared ``$last_addr`` with.  When the seeds lie in the class
-        of a ``blocked`` leaf of the same cell, every run continues from the
+        ...`` of the cell's seed range, in seed order: an unmarked seed is
+        run and marks its class, each seed of which it stands for.  The
+        classes are disjoint, so the loop stops once they cover its seeds.
+        ``marked`` (one mark per seed of the range) defaults to no seed
+        marked.  A leaf of the address sentinel keeps the set of values its
+        run compared ``$last_addr`` with.  When the seeds lie in the class
+        of a ``blocked`` leaf of the cell, every run continues from the
         leaf's resume point, and a sentinel run starts from the values the
         blocked run had compared with."""
+        # the runs of a cell differ only in the seed, set in place per run
+        inputs = initial_stack(self.program, cell.in_v, None, cell.last_addr,
+                               self.domain.heap_op_fuel)
         seed_var = self.seed_var
         lo, hi = self.seed_range
         n = hi - lo + 1
         loop_fuel, heap_fuel = self.domain.loop_fuel, self.domain.heap_op_fuel
         classing = self.seed_classing
         probe = self.any_address
+        sentinel = cell.last_addr is probe
+        interned = self._compared
         run = self.compiled.run
         resume, known = ((None, frozenset()) if blocked is None
                          else (blocked.resume, blocked.compared))
+        compared = known
         if marked is None:
             marked = bytearray(n)
         left = (n - 1 - start) // stride + 1
@@ -355,13 +351,14 @@ class GridExecutor:
                 continue
             if seed_var is not None:
                 inputs[seed_var] = lo + i
-            if compared is not None:
+            if sentinel:
                 probe.compared = set(known)
             outcome, _, _, _, bits, blocker, _, point = run(
                 inputs=inputs, interp=interp, loop_fuel=loop_fuel,
                 heap_fuel=heap_fuel, resume=resume)
-            if compared is not None:
-                compared.append(probe.compared)
+            if sentinel:
+                compared = frozenset(probe.compared)
+                compared = interned.setdefault(compared, compared)
             if classing:
                 step = 1 << bits
                 if step > n:
@@ -369,7 +366,8 @@ class GridExecutor:
             else:
                 step = n
             weight = (n - 1 - i) // step + 1
-            append(Leaf(lo + i, outcome, blocker, weight, step, point))
+            append(Leaf(lo + i, outcome, blocker, weight, step, point,
+                        compared))
             marked[i::step] = b"\x01" * weight
             # the loop's seeds in the class; a class wider than the stride
             # holds all that are left
@@ -379,59 +377,55 @@ class GridExecutor:
         return leaves
 
     def run_cell(self, in_v, la, interp) -> Cell:
-        return Cell(in_v, la,
-                    self._run_seeds(self._cell_inputs(in_v, la), interp, 0, 1))
+        cell = Cell(in_v, la)
+        cell.leaves = self._run_seeds(cell, interp, 0, 1)
+        return cell
 
     def run_all(self, interp):
+        addresses = ([self.any_address] if self.address_classing
+                     else self.last_addr_values())
+        self.cells = {}
         for in_v in self.in_values():
-            if not self.address_classing:
-                for la in self.last_addr_values():
-                    self.cells[(in_v, la)] = self.run_cell(in_v, la, interp)
-                continue
-            la = self.any_address
-            self._explicit[in_v] = {}
-            cell = self.cells[(in_v, la)] = Cell(in_v, la)
-            cell.leaves, _ = self._run_any_address(in_v, interp, 0, 1)
+            for la in addresses:
+                cell = self.cells[(in_v, la)] = Cell(in_v, la)
+                cell.leaves, _ = self._run_class(cell, interp, 0, 1)
 
-    def _run_any_address(self, in_v, interp, start: int, stride: int,
-                         blocked: Leaf | None = None
-                         ) -> tuple[list[Leaf], list[Leaf]]:
-        """Run the seeds at offsets ``start, start + stride, ...`` at the
-        address sentinel, resuming the ``blocked`` sentinel leaf's run if
-        given; then, at each address of the range that a run compared
-        ``$last_addr`` with, run the seeds of the run's class that the
-        explicit cell there does not mark yet.  Returns the sentinel leaves
-        that stand for some address, and the new explicit leaves."""
+    def _run_class(self, cell: Cell, interp, start: int, stride: int,
+                   blocked: Leaf | None = None
+                   ) -> tuple[list[Leaf], list[Leaf]]:
+        """Run the seeds at offsets ``start, start + stride, ...`` of the
+        cell, resuming the ``blocked`` leaf's run if given.  At the address
+        sentinel, each run's class is then run at every address of the range
+        that the run compared ``$last_addr`` with, on the seeds the explicit
+        cell there does not mark yet.  Returns the cell's new leaves that
+        stand for some grid point, and the new explicit leaves."""
+        leaves = self._run_seeds(cell, interp, start, stride, None, blocked)
+        if cell.last_addr is not self.any_address:
+            return leaves, []
+        in_v = cell.in_v
         lo_a, hi_a = self.domain.last_addr_range
         lo, hi = self.seed_range
-        sets: list[set] = []
-        sentinel = self._run_seeds(self._cell_inputs(in_v, self.any_address),
-                                   interp, start, stride, None, sets, blocked)
         explicit: list[Leaf] = []
         kept = []
-        for leaf, compared in zip(sentinel, sets):
+        for leaf in leaves:
             hits = 0
-            for a in compared:
+            for a in leaf.compared:
                 if not lo_a <= a <= hi_a:
                     continue
                 hits += 1
-                cell = self._explicit[in_v].get(a)
-                if cell is None:
-                    cell = self.cells[(in_v, a)] = self._explicit[in_v][a] = \
+                at = self.cells.get((in_v, a))
+                if at is None:
+                    at = self.cells[(in_v, a)] = \
                         Cell(in_v, a, covered=bytearray(hi - lo + 1))
-                if not cell.covered[leaf.seed - lo]:
-                    new = self._run_seeds(self._cell_inputs(in_v, a), interp,
-                                          leaf.seed - lo, leaf.step,
-                                          cell.covered)
-                    cell.leaves += new
+                if not at.covered[leaf.seed - lo]:
+                    new = self._run_seeds(at, interp, leaf.seed - lo,
+                                          leaf.step, at.covered)
+                    at.leaves += new
                     explicit += new
             # a run that compared with every address stands for no grid
             # point: the path it took is never taken
             if hits <= hi_a - lo_a:
                 kept.append(leaf)
-                if leaf.resume is not None:
-                    e = frozenset(compared)
-                    leaf.compared = self._compared.setdefault(e, e)
         return kept, explicit
 
     def rerun_blocked(self, interp, added: set[tuple]) -> set[tuple]:
@@ -448,18 +442,13 @@ class GridExecutor:
             blocked = [leaf for leaf in cell.leaves if leaf.blocker in added]
             if not blocked:
                 continue
-            inputs = self._cell_inputs(cell.in_v, cell.last_addr)
             leaves = [leaf for leaf in cell.leaves if leaf.blocker not in added]
             for leaf in blocked:
-                if cell.last_addr is self.any_address:
-                    new, explicit = self._run_any_address(
-                        cell.in_v, interp, leaf.seed - lo, leaf.step, leaf)
-                    fresh += explicit
-                else:
-                    new = self._run_seeds(inputs, interp, leaf.seed - lo,
-                                          leaf.step, blocked=leaf)
+                new, explicit = self._run_class(cell, interp, leaf.seed - lo,
+                                                leaf.step, leaf)
                 leaves += new
                 fresh += new
+                fresh += explicit
             leaves.sort(key=attrgetter("seed"))
             cell.leaves = leaves
         return _failing(fresh)
@@ -468,20 +457,15 @@ class GridExecutor:
 
     def owned(self, cell: Cell, leaf: Leaf) -> tuple[int, int | None]:
         """The number of prophecy addresses a leaf of the cell stands for,
-        and the least of them."""
+        and the least of them: at the sentinel, the addresses of the range
+        that its run never compared ``$last_addr`` with."""
         if cell.last_addr is not self.any_address:
             return 1, cell.last_addr
-        # the addresses outside the explicit cells that mark the class
         lo, hi = self.domain.last_addr_range
-        i = leaf.seed - self.seed_range[0]
-        taken = sorted(a for a, c in self._explicit[cell.in_v].items()
-                       if c.covered[i])
         least = lo
-        for a in taken:
-            if a != least:
-                break
+        while least in leaf.compared:
             least += 1
-        return hi - lo + 1 - len(taken), least
+        return hi - lo + 1 - sum(lo <= a <= hi for a in leaf.compared), least
 
     def leaves(self):
         """Every (cell, leaf) pair of the grid."""
@@ -681,7 +665,6 @@ class EquisafetyResult:
     agree: bool
     verdict_left: SafetyVerdict
     verdict_right: SafetyVerdict
-    cosim: "CosimReport | None" = None
 
     @property
     def kind(self) -> str:
@@ -690,220 +673,18 @@ class EquisafetyResult:
         return "disagree"
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "agree": self.agree,
             "kind": self.kind,
             "left": self.verdict_left.to_json(),
             "right": self.verdict_right.to_json(),
         }
-        if self.cosim is not None:
-            out["cosim"] = self.cosim.to_json()
-        return out
 
 
-def check_equisafety(left: Program, right: Program, domain: InputDomain,
-                     cosim_source: Program | None = None) -> EquisafetyResult:
+def check_equisafety(left: Program, right: Program,
+                     domain: InputDomain) -> EquisafetyResult:
     """Compare bounded safety verdicts of a program and (typically) its
-    encoding; fixed points are computed per program.
-
-    When the right-hand side is the read-invariant encoding of the
-    budget-instrumented left program, pass that intermediate as
-    ``cosim_source`` to also run the final-state preservation check.
-    """
+    encoding; fixed points are computed per program."""
     v1 = check_safety(left, domain)
     v2 = check_safety(right, domain)
-    result = EquisafetyResult(v1.kind == v2.kind, v1, v2)
-    if cosim_source is not None:
-        result.cosim = cosim_check(cosim_source, right, domain)
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Seed construction for executions with known draw sequences
-
-
-def encode_int_bits(v: int) -> list[int]:
-    """Bits (least significant first) that make the havoc macro produce v."""
-    bits = [1 if v < 0 else 0]
-    if v < 0:
-        # appending digits to -1: after k digits x = -2^k + digits
-        k = 0
-        while -(1 << k) > v:
-            k += 1
-        digits = format((1 << k) + v, f"0{k}b") if k else ""
-    else:
-        digits = format(v, "b") if v else ""
-    for d in digits:
-        bits.append(1)
-        bits.append(int(d))
-    bits.append(0)
-    return bits
-
-
-def encode_value_bits(v: Value, ty: Type, adts: dict) -> list[int]:
-    """Bits for a havoc draw of the given type producing exactly v."""
-    if ty.kind != "Obj":
-        return encode_int_bits(v)
-    adt = adts[ty.adt]
-    bits = []
-    if len(adt.ctors) > 1:
-        idx = next(i for i, c in enumerate(adt.ctors) if c.name == v.ctor)
-        bits.extend(encode_int_bits(idx))
-        ctor = adt.ctors[idx]
-    else:
-        ctor = adt.ctors[0]
-    for fv, (_, fty) in zip(v.fields, ctor.fields):
-        bits.extend(encode_value_bits(fv, fty, adts))
-    return bits
-
-
-def pack_bits(bits: list[int]) -> int:
-    seed = 0
-    for i, b in enumerate(bits):
-        seed |= b << i
-    return seed
-
-
-# ---------------------------------------------------------------------------
-# Read-trace interpretation and co-simulation
-
-def read_trace_interpretation(program: Program, domain: InputDomain,
-                              counter_value: int | None = None,
-                              source_seed: int = 0) -> Interpretation:
-    """The limit interpretation of the read predicate for a deterministic
-    program: for every input, tuple (input, k, v) where v is the value
-    returned by the k-th read.  Derived directly from the heap-model read
-    trace; the grid fixed point is always a subset of this."""
-    return _read_trace_interpretation(
-        CompiledProgram(program, record_reads=True), domain, counter_value,
-        source_seed)
-
-
-def _read_trace_interpretation(cp: CompiledProgram, domain: InputDomain,
-                               counter_value: int | None,
-                               source_seed: int) -> Interpretation:
-    """``read_trace_interpretation`` of a program compiled with
-    ``record_reads``."""
-    program = cp.program
-    interp = Interpretation.empty()
-    if counter_value is None:
-        counter_value = domain.heap_op_fuel
-    lo, hi = domain.in_range
-    for in_v in range(lo, hi + 1):
-        inputs = initial_stack(program, in_v, source_seed, None, counter_value)
-        res = cp.run(inputs=inputs, loop_fuel=domain.loop_fuel,
-                     heap_fuel=domain.heap_op_fuel)
-        for k, (_, v) in enumerate(res.reads, start=1):
-            interp.add(READ_PRED, (in_v, k, v))
-    return interp
-
-
-@dataclass
-class CosimPoint:
-    in_v: int
-    last_addr: int
-    ok: bool
-    detail: str = ""
-
-
-@dataclass
-class CosimReport:
-    points: list[CosimPoint]
-
-    @property
-    def ok(self) -> bool:
-        return all(p.ok for p in self.points)
-
-    def failures(self) -> list[CosimPoint]:
-        return [p for p in self.points if not p.ok]
-
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "points": len(self.points),
-            "failures": [{"in": p.in_v, "lastAddr": p.last_addr,
-                          "detail": p.detail} for p in self.failures()],
-        }
-
-
-def _draw_bits(raw: int, nbits: int) -> list[int]:
-    return [(raw >> i) & 1 for i in range(nbits)]
-
-
-def cosim_check(p_star: Program, p_encoded: Program, domain: InputDomain,
-                *, counter_values: tuple[int, ...] | None = None,
-                source_seeds: tuple[int, ...] = (0,)) -> CosimReport:
-    """Pointwise final-state preservation between a heap program (with the
-    budget counter inserted) and its read-invariant encoding.
-
-    For every (input, prophecy address) pair, the defined execution of the
-    encoded program is realised by constructing a seed: source-level draws
-    replay the bits the original consumed, and each read of a non-matching
-    address contributes the bits that make the read havoc reproduce the
-    value actually read.  The encoded program runs under the read-trace
-    interpretation.  Checks: equal outcomes, equal final values of the
-    common variables (the seed variable is excluded: the encoding consumes
-    seed bits the original never touches), final ``$last`` equal to the
-    final heap contents at the prophecy address, and final ``$cnt_alloc``
-    equal to the final heap size.
-    """
-    if p_star.seed_var is None or p_encoded.seed_var is None:
-        raise ValueError("co-simulation requires seed declarations")
-    star = CompiledProgram(p_star, record_reads=True)
-    enc = CompiledProgram(p_encoded)
-    adts = p_encoded.adts_by_name()
-    heap_ty = p_encoded.heap_obj_type()
-    def_obj = default_obj(p_star.heap_adt, p_star.adts_by_name())
-    common = [v for v in p_star.var_types
-              if v != p_star.seed_var and v in p_encoded.var_types]
-    if counter_values is None:
-        counter_values = (domain.heap_op_fuel,)
-    points: list[CosimPoint] = []
-    in_lo, in_hi = domain.in_range
-    la_lo, la_hi = domain.last_addr_range
-    for n in counter_values:
-        for s0 in source_seeds:
-            interp = _read_trace_interpretation(star, domain, n, s0)
-            for in_v in range(in_lo, in_hi + 1):
-                inputs1 = initial_stack(p_star, in_v, s0, None, n)
-                res1 = star.run(inputs=inputs1, loop_fuel=domain.loop_fuel,
-                                heap_fuel=max(domain.heap_op_fuel, n + 1))
-                for la in range(la_lo, la_hi + 1):
-                    bits: list[int] = []
-                    for ev in res1.events:
-                        if ev[0] == "draw":
-                            bits.extend(_draw_bits(ev[1], ev[2]))
-                        elif ev[1] != la:
-                            bits.extend(encode_value_bits(ev[2], heap_ty, adts))
-                    inputs2 = initial_stack(p_encoded, in_v, pack_bits(bits),
-                                            la, n)
-                    res2 = enc.run(inputs=inputs2, interp=interp,
-                                   loop_fuel=max(domain.loop_fuel,
-                                                 4 * len(bits) + 8),
-                                   heap_fuel=domain.heap_op_fuel)
-                    detail = _compare_point(res1, res2, common, la, def_obj)
-                    if detail:
-                        detail = f"[c={n} seed0={s0}] {detail}"
-                    points.append(CosimPoint(in_v, la, detail == "", detail))
-    return CosimReport(points)
-
-
-def _compare_point(res1, res2, common, la, def_obj) -> str:
-    o1, o2 = res1.outcome, res2.outcome
-    if isinstance(o1, Undefined) or isinstance(o2, Undefined):
-        if isinstance(o1, Undefined) and isinstance(o2, Undefined):
-            return ""
-        return f"outcome mismatch: {o1} vs {o2}"
-    if o1 != o2:
-        return f"outcome mismatch: {o1} vs {o2}"
-    for v in common:
-        if res1.env[v] != res2.env[v]:
-            return (f"stack mismatch on {v!r}: "
-                    f"{res1.env[v]!r} vs {res2.env[v]!r}")
-    want = heap_read(res1.heap, la, def_obj)
-    if res2.env[V_LAST] != want:
-        return f"read tracking mismatch: heap[{la}]={want!r} vs {res2.env[V_LAST]!r}"
-    if res2.env[V_CNT_ALLOC] != len(res1.heap):
-        return (f"allocation count mismatch: |heap|={len(res1.heap)} vs "
-                f"{res2.env[V_CNT_ALLOC]!r}")
-    return ""
+    return EquisafetyResult(v1.kind == v2.kind, v1, v2)

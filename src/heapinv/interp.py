@@ -233,13 +233,6 @@ class RunResult(NamedTuple):
     # heap, allocation count, loop fuel, heap fuel, bits consumed, pc)
     resume: tuple | None = None
 
-    @property
-    def reads(self) -> list | None:
-        """(addr, value) per read, when recording."""
-        if self.events is None:
-            return None
-        return [(ev[1], ev[2]) for ev in self.events if ev[0] == "read"]
-
 
 # ---------------------------------------------------------------------------
 # Compilation of expressions

@@ -1180,9 +1180,9 @@ def parse_and_check(text: str) -> Program:
 # ---------------------------------------------------------------------------
 # Pretty printer
 
-_PREC = {"||": 1, "&&": 2, "=": 3, "!=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3,
-         "+": 4, "-": 4, "*": 5, "/": 5, "%": 5}
-_UNARY_PREC = 6
+# binary operators print at the parser's levels (``_PRECEDENCE``), and a
+# unary operator binds more strongly than every one of them
+_UNARY_PREC = len(_BIN_LEVELS)
 
 
 def _print_expr(e: Expr, parent_prec: int = 0, right_side: bool = False) -> str:
@@ -1198,7 +1198,7 @@ def _print_expr(e: Expr, parent_prec: int = 0, right_side: bool = False) -> str:
         inner = _print_expr(e.operand, _UNARY_PREC)
         return f"{e.op}{inner}"
     if isinstance(e, Binary):
-        prec = _PREC[e.op]
+        prec = _PRECEDENCE[e.op]
         left = _print_expr(e.left, prec)
         right = _print_expr(e.right, prec, right_side=True)
         text = f"{left} {e.op} {right}"

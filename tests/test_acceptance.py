@@ -14,8 +14,7 @@ import pytest
 from heapinv.chc import default_solver_command, emit_smtlib, solve, to_chc
 from heapinv.encode import enc_n, enc_r, remove_arguments
 from heapinv.fixpoint import (
-    Interpretation, check_safety, cosim_check, encode_value_bits,
-    immediate_consequence, pack_bits, sweep_under,
+    Interpretation, check_safety, immediate_consequence, sweep_under,
 )
 from heapinv.formula import load_interpretation
 from heapinv.interp import (
@@ -23,6 +22,7 @@ from heapinv.interp import (
     heap_write,
 )
 from heapinv.lang import AdtDecl, CtorDecl, INT, parse_and_check
+from heapinv.replay import cosim_check, pack_bits, replay_bits
 
 import progen
 
@@ -215,8 +215,6 @@ def test_criterion_6_solved_invariant_check(domain, corpus):
     # fully defined execution, and it succeeds under the invariant
     star = CompiledProgram(p, record_reads=True)
     encoded = CompiledProgram(enc.program)
-    adts = enc.program.adts_by_name()
-    heap_ty = enc.program.heap_obj_type()
     tops = 0
     lo, hi = domain.in_range
     for in_v in range(lo, hi + 1):
@@ -224,10 +222,7 @@ def test_criterion_6_solved_invariant_check(domain, corpus):
                         heap_fuel=domain.heap_op_fuel)
         for la in range(domain.last_addr_range[0],
                         domain.last_addr_range[1] + 1):
-            bits = []
-            for addr, value in res1.reads:
-                if addr != la:
-                    bits.extend(encode_value_bits(value, heap_ty, adts))
+            bits = replay_bits(res1.events, la, enc.program)
             res2 = encoded.run(
                 inputs={"in": in_v, "seed": pack_bits(bits), "$last_addr": la},
                 interp=interp,

@@ -9,14 +9,17 @@ from heapinv.corpus import VARIANTS
 from heapinv.encode import enc_n, enc_r, enc_rw, encode
 from heapinv.fixpoint import (
     LAST_ADDR_VAR, GridExecutor, InputDomain, Interpretation,
-    IterationCapExceeded, check_equisafety, check_safety, encode_int_bits,
+    IterationCapExceeded, check_equisafety, check_safety,
     immediate_consequence, initial_stack, least_fixpoint, least_fixpoint_info,
-    pack_bits, read_trace_interpretation, sweep_under, verdict_from_executor,
+    sweep_under, verdict_from_executor,
 )
 from heapinv.interp import CompiledProgram, ObjVal
 from heapinv.lang import (
     Assign, AssumeExpr, Binary, Block, If, IntLit, Var, only_compared,
     parse_and_check,
+)
+from heapinv.replay import (
+    cosim_check, encode_int_bits, pack_bits, read_trace_interpretation,
 )
 
 import progen
@@ -253,23 +256,44 @@ def test_cosim_replays_source_draws(monkeypatch):
       assert(data(x) <= 3);
     }"""
     from heapinv.encode import enc_n, enc_r
-    from heapinv.fixpoint import cosim_check
     p = parse_and_check(src)
     p_star = enc_n(p)
     encoded = enc_r(p_star).program
-    compiles = []
-    init = CompiledProgram.__init__
+    compiles, runs = [], []
+    init, run = CompiledProgram.__init__, CompiledProgram.run
 
     def counting_init(self, program, *args, **kwargs):
         compiles.append(program)
         init(self, program, *args, **kwargs)
 
+    def counting_run(self, *args, **kwargs):
+        runs.append(id(self.program))
+        return run(self, *args, **kwargs)
+
     monkeypatch.setattr(CompiledProgram, "__init__", counting_init)
+    monkeypatch.setattr(CompiledProgram, "run", counting_run)
     rep = cosim_check(p_star, encoded, InputDomain(),
                       counter_values=(32, 0, 3), source_seeds=(0, 1, 6, 14))
     assert rep.ok, rep.failures()[:3]
-    # each side is compiled once, not once per (counter value, source seed)
+    # each side is compiled once, not once per (counter value, source seed);
+    # the source runs once per (counter value, source seed, input), and the
+    # encoded program once per such run and prophecy address
     assert len(compiles) == 2
+    assert runs.count(id(p_star)) == 3 * 4 * 7
+    assert runs.count(id(encoded)) == 3 * 4 * 7 * 7
+
+
+def test_cosim_counter_above_heap_budget(corpus):
+    # a counter value above the heap budget bounds the read trace as it
+    # bounds the source run the replay is compared with
+    for name, fuel, counter in (("list-build-traverse", 2, 5),
+                                ("cell-pair-indexed", 2, 5),
+                                ("two-level-links", 4, 8)):
+        p_star = enc_n(next(e for e in corpus if e.name == name).load())
+        rep = cosim_check(p_star, enc_r(p_star).program,
+                          InputDomain(heap_op_fuel=fuel),
+                          counter_values=(counter,))
+        assert rep.ok, (name, len(rep.failures()), rep.failures()[:1])
 
 
 def naive_least_fixpoint(program, domain):
@@ -587,13 +611,11 @@ def check_blocked_leaves(ex, interp, label) -> int:
 
     def one(cell, interp, i, leaf=None):
         # the executor's own loop over the single seed at offset i
-        compared = [] if cell.last_addr is ex.any_address else None
         results.clear()
-        (got,) = ex._run_seeds(ex._cell_inputs(cell.in_v, cell.last_addr),
-                               interp, i, n, None, compared, leaf)
+        (got,) = ex._run_seeds(cell, interp, i, n, None, leaf)
         (res,) = results
         return ((got.seed, got.outcome, got.blocker, got.weight, got.step),
-                res.bits_consumed, res.env, compared)
+                res.bits_consumed, res.env, got.compared)
 
     ex.compiled.run = recording_run
     checked = 0

@@ -251,7 +251,7 @@ def test_havoc_seed_table_native_matches_macro():
 def test_havoc_pair_coverage():
     # two consecutive draws reach every value pair in [-3..3]^2 with a seed
     # below 2^16
-    from heapinv.fixpoint import encode_int_bits, pack_bits
+    from heapinv.replay import encode_int_bits, pack_bits
     p = parse_and_check(
         "prog { seed seed; var x: Int; var y: Int; havoc(x); havoc(y); }")
     cp = CompiledProgram(p)

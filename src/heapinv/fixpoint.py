@@ -8,7 +8,7 @@ it once more under the fixed point: only expression assertions can still
 fail there.
 
 Executions are deterministic given (input, seed, prophecy address, fuel),
-which allows three big savings without changing the computed sets:
+which allows four big savings without changing the computed sets:
 
 * when the seed variable is only touched by havoc/nondet draws
   (``CompiledProgram.seed_classing``: never read by an expression or
@@ -39,7 +39,7 @@ which allows three big savings without changing the computed sets:
   rerunning the whole cell.  Every failing tuple of a kept leaf is already
   in the interpretation, so only the new leaves are harvested;
 * when the prophecy variable ``$last_addr`` is read only as an operand of
-  ``=`` / ``!=`` (``lang.only_compared``), each input's seeds are run once
+  ``=`` / ``!=`` (``lang.variable_uses``), each input's seeds are run once
   with a sentinel address that equals nothing and records the set E of
   values it was compared with.  Every test was false, and a run at an
   address outside E makes the same tests, so it is the same run: the
@@ -58,7 +58,26 @@ which allows three big savings without changing the computed sets:
   blocked run, so its E only grows: a resumed sentinel run starts from
   the leaf's E, and only the addresses newly in E get explicit runs.  A
   sentinel failure reports the least address it stands for, so the
-  witness is the least failing grid point as before.
+  witness is the least failing grid point as before;
+* under seed classing, a run blocked at the assume of a draw site
+  (``interp.DrawSite``: havocs entered only at the first, then an assume
+  that reads what they drew only as bare arguments) returns the state
+  before the draws as its resume point, after b seed bits.  Every seed
+  congruent to its own mod 2^b reaches that point (the node's seeds), and
+  the draws read nothing but the seed's next bits, so the site's memoised
+  draw table gives each seed's drawn values, bits and loop fuel.  A seed of
+  the node whose draws fit the point's loop fuel, and whose tuple (the
+  blocked run's with the drawn arguments replaced) is not in the relation,
+  is blocked there as its run would be: its leaf, with step 2^(b + bits
+  drawn), the shared point and the node's compared values, is appended
+  with no run.  Any other unmarked seed of the node is run from the point,
+  in seed order, before the loop that found the node goes on.  A resumed
+  call takes only the node's seeds in its own class.  An explicit call
+  takes the whole node: its run compared ``$last_addr`` with the cell's
+  address before the site (a sentinel run that had not would have reached
+  the site in the same state and blocked there without comparing, so no
+  explicit run would have been made), so every seed of the node did, and
+  each has its leaf at that address.
 """
 
 from __future__ import annotations
@@ -72,7 +91,10 @@ from .encode import V_COUNTER as COUNTER_VAR, V_LAST_ADDR as LAST_ADDR_VAR
 from .interp import (
     Bot, CompiledProgram, FUEL_EXHAUSTED, ObjVal, Undefined, Value,
 )
-from .lang import FAILURE_PRED, Program, only_compared, variables_read
+from .lang import (
+    FAILURE_PRED, HavocStmt, NondetStmt, Program, variable_uses,
+    walk_statements,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -178,10 +200,9 @@ class InputDomain:
 def program_uses_seed(program: Program) -> bool:
     """True when executions can depend on the seed: a draw statement exists
     or the seed variable is read by an expression."""
-    from .lang import HavocStmt, NondetStmt, walk_statements
     if program.seed_var is None:
         return False
-    if program.seed_var in variables_read(program):
+    if program.seed_var in variable_uses(program)[0]:
         return True
     return any(isinstance(s, (HavocStmt, NondetStmt))
                for s in walk_statements(program.body))
@@ -189,7 +210,7 @@ def program_uses_seed(program: Program) -> bool:
 
 def program_uses_input(program: Program) -> bool:
     return (program.input_var is not None
-            and program.input_var in variables_read(program))
+            and program.input_var in variable_uses(program)[0])
 
 
 def initial_stack(program: Program, in_v: int | None, seed: int | None,
@@ -289,8 +310,9 @@ class GridExecutor:
         self.seed_classing = self.compiled.seed_classing
         # address classing is sound only when runs see the prophecy address
         # through equality tests alone
-        self.address_classing = (self.enumerate_last_addr
-                                 and only_compared(program, LAST_ADDR_VAR))
+        self.address_classing = (
+            self.enumerate_last_addr
+            and LAST_ADDR_VAR not in self.compiled.used_beyond_eq)
         self.any_address = _AnyAddress()
         # a program without a seed runs once per cell, at seed 0
         self.seed_range = domain.seed_range if self.seed_var is not None \
@@ -325,7 +347,15 @@ class GridExecutor:
         run compared ``$last_addr`` with.  When the seeds lie in the class
         of a ``blocked`` leaf of the cell, every run continues from the
         leaf's resume point, and a sentinel run starts from the values the
-        blocked run had compared with."""
+        blocked run had compared with.
+
+        A run blocked at a draw site stops before the draws, after b seed
+        bits, and every seed congruent to its own mod 2^b reaches that point
+        (its node).  The node's unmarked seeds are then visited in order, in
+        a resumed call only those of the call's class: a seed whose draws
+        fit the point's loop fuel and give a tuple outside the relation is
+        blocked there and gets its leaf from the site's draw table, any
+        other is run from the point."""
         # the runs of a cell differ only in the seed, set in place per run
         inputs = initial_stack(self.program, cell.in_v, None, cell.last_addr,
                                self.domain.heap_op_fuel)
@@ -334,52 +364,88 @@ class GridExecutor:
         n = hi - lo + 1
         loop_fuel, heap_fuel = self.domain.loop_fuel, self.domain.heap_op_fuel
         classing = self.seed_classing
+        sites = self.compiled.sites
         probe = self.any_address
         sentinel = cell.last_addr is probe
         interned = self._compared
         run = self.compiled.run
         resume, known = ((None, frozenset()) if blocked is None
                          else (blocked.resume, blocked.compared))
-        compared = known
         if marked is None:
             marked = bytearray(n)
-        left = (n - 1 - start) // stride + 1
         leaves = []
         append = leaves.append
-        for i in range(start, n, stride):
-            if marked[i]:
-                continue
-            if seed_var is not None:
-                inputs[seed_var] = lo + i
-            if sentinel:
-                probe.compared = set(known)
-            outcome, _, _, _, bits, blocker, _, point = run(
-                inputs=inputs, interp=interp, loop_fuel=loop_fuel,
-                heap_fuel=heap_fuel, resume=resume)
-            if sentinel:
-                compared = frozenset(probe.compared)
-                compared = interned.setdefault(compared, compared)
-            if classing:
-                step = 1 << bits
-                if step > n:
+        # the seed loops in progress: the call's own, then one per node that
+        # a run of the loop below it blocked at, with the node's point,
+        # compared values, site, bits before the draws and blocked run
+        loops = [(iter(range(start, n, stride)), resume, known, None, 0, None,
+                  None)]
+        nodes = False
+        while loops:
+            seeds, point, known, site, b, outcome, blocker = loops[-1]
+            if site is not None:
+                name, node_args = blocker
+                rel = interp.relation(name)
+                fuel_left = point[-4]
+            for i in seeds:
+                if marked[i]:
+                    continue
+                if site is not None:
+                    values, used, fuel = site.draw((lo + i) >> b)
+                    if fuel <= fuel_left:
+                        args = site.splice(node_args, values)
+                        if args not in rel:
+                            step = 1 << (b + used)
+                            if step > n:
+                                step = n
+                            weight = (n - 1 - i) // step + 1
+                            append(Leaf(lo + i, outcome, (name, args), weight,
+                                        step, point, known))
+                            marked[i::step] = b"\x01" * weight
+                            continue
+                if seed_var is not None:
+                    inputs[seed_var] = lo + i
+                if sentinel:
+                    probe.compared = set(known)
+                result, _, _, _, bits, stop, _, after = run(
+                    inputs=inputs, interp=interp, loop_fuel=loop_fuel,
+                    heap_fuel=heap_fuel, resume=point)
+                compared = known
+                if sentinel:
+                    compared = frozenset(probe.compared)
+                    compared = interned.setdefault(compared, compared)
+                if classing:
+                    step = 1 << bits
+                    if step > n:
+                        step = n
+                else:
                     step = n
+                weight = (n - 1 - i) // step + 1
+                append(Leaf(lo + i, result, stop, weight, step, after,
+                            compared))
+                marked[i::step] = b"\x01" * weight
+                at = sites.get(after[-1]) if after is not None else None
+                if at is not None:
+                    # visit the node before any other seed of this loop
+                    span = 1 << after[-2]
+                    if span > n:
+                        span = n
+                    if blocked is not None and span < stride:
+                        span = stride
+                    loops.append((iter(range(i % span, n, span)), after,
+                                  compared, at, after[-2], result, stop))
+                    nodes = True
+                    break
+                if site is None and 0 not in marked[start::stride]:
+                    loops.clear()
+                    break
             else:
-                step = n
-            weight = (n - 1 - i) // step + 1
-            append(Leaf(lo + i, outcome, blocker, weight, step, point,
-                        compared))
-            marked[i::step] = b"\x01" * weight
-            # the loop's seeds in the class; a class wider than the stride
-            # holds all that are left
-            left -= (n - 1 - i) // (step if step > stride else stride) + 1
-            if not left:
-                break
+                loops.pop()
+                if len(loops) == 1 and 0 not in marked[start::stride]:
+                    break
+        if nodes:
+            leaves.sort(key=attrgetter("seed"))
         return leaves
-
-    def run_cell(self, in_v, la, interp) -> Cell:
-        cell = Cell(in_v, la)
-        cell.leaves = self._run_seeds(cell, interp, 0, 1)
-        return cell
 
     def run_all(self, interp):
         addresses = ([self.any_address] if self.address_classing

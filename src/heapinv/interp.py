@@ -28,6 +28,16 @@ point is the state just before the query, and ``run(resume=point)``
 continues exactly where the stopped run left off, under any interpretation
 in which the queries it passed still hold.
 
+Under seed classing the assume of a draw site (``DrawSite``: a run of
+havoc/nondet instructions that no jump enters but at its first, followed
+directly by a predicate assume whose arguments read the drawn variables
+only as bare variables) stops a run with a point taken before the draws
+instead: the site's first havoc records the seed bits consumed, the loop
+fuel and the values of the seed and drawn variables, and the point holds
+those with the first havoc's index.  Resuming there draws again, so every
+seed congruent to the run's own modulo 2^bits continues it, whatever its
+draws, and the site's draw table tells what each of them draws.
+
 The closures are shaped to make few Python calls per executed node:
 
 * a binary operator gets one closure per shape of its operands (variable,
@@ -56,7 +66,7 @@ from .lang import (
     AdtDecl, Alloc, Assign, AssertExpr, AssertPred, AssumeExpr, AssumePred,
     Binary, Block, CtorApp, DefObj, Expr, FAILURE_PRED, HavocStmt, If,
     IntLit, NondetStmt, Null, Program, Read, SelApp, Skip, Stmt, TestApp,
-    Type, Unary, Var, While, Write, variables_read,
+    Type, Unary, Var, While, Write, expr_children, variable_uses,
 )
 
 
@@ -205,7 +215,7 @@ class _State:
     sequence mode and the (addr, obj) write events in trace mode."""
 
     __slots__ = ("heap", "allocs", "loop_fuel", "heap_fuel", "rels", "bits",
-                 "events", "blocker")
+                 "events", "blocker", "site")
 
     def __init__(self, heap: list, allocs: int, loop_fuel: int,
                  heap_fuel: int, rels: tuple, bits: int,
@@ -218,7 +228,9 @@ class _State:
         self.bits = bits  # seed bits consumed by havoc/nondet draws
         self.events = events  # ("read", addr, value) | ("draw", raw, nbits)
         # ``blocker``, the (pred, args) of a failed query, is set when a
-        # query stops the run
+        # query stops the run; ``site``, the (bits, loop fuel, values of the
+        # seed and drawn variables) before the draws, by a draw site's first
+        # havoc
 
 
 class RunResult(NamedTuple):
@@ -230,7 +242,8 @@ class RunResult(NamedTuple):
     blocker: tuple | None  # (pred, args) that ended the run, if any
     events: list | None = None  # interleaved reads and seed draws, when recording
     # where a run stopped by a predicate query continues: (*env values,
-    # heap, allocation count, loop fuel, heap fuel, bits consumed, pc)
+    # heap, allocation count, loop fuel, heap fuel, bits consumed, pc); for
+    # a draw site's query, the state before the site's draws
     resume: tuple | None = None
 
 
@@ -303,6 +316,74 @@ def _draw_int(seed_var: str, charge_loop_fuel: bool, st: _State,
     return x
 
 
+def _reads_any(e: Expr, names: set[str]) -> bool:
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Var) and e.name in names:
+            return True
+        stack.extend(expr_children(e))
+    return False
+
+
+# more loop fuel than any draw from a seed of a finite range uses
+_DRAW_FUEL = 1 << 62
+
+
+class DrawSite:
+    """A run of havoc/nondet instructions that no jump enters except at the
+    first one, followed directly by a predicate assume whose arguments read
+    the drawn variables only as bare variables.  The site's first havoc
+    records the seed bits consumed, the loop fuel and the values of the
+    seed and drawn variables, and a run stopped by the assume returns as
+    its resume point the state before the draws (pc ``start``).
+
+    The draws read the seed variable alone, so ``draw(s)`` gives what they
+    make of each value ``s`` of it at the site: the values of the assume's
+    drawn arguments, the seed bits consumed and the loop fuel used.
+    ``splice(args, values)`` puts those values into a blocked run's
+    argument tuple at the drawn positions."""
+
+    __slots__ = ("start", "slots", "splice", "_seed_var", "_drawers",
+                 "_drawn_args", "_memo")
+
+    def __init__(self, start: int, seed_var: str, drawers: list[tuple],
+                 args: list[Expr], slots: tuple[int, ...]):
+        self.start = start
+        self._seed_var = seed_var
+        self._drawers = drawers  # (target, the havoc instruction's drawer)
+        # the env positions of the values the first havoc records
+        self.slots = slots
+        drawn = {target for target, _ in drawers}
+        positions = [k for k, a in enumerate(args)
+                     if isinstance(a, Var) and a.name in drawn]
+        self._drawn_args = [args[k].name for k in positions]
+        self._memo: dict[int, tuple] = {}
+        a = positions[0] if positions else 0
+        b = a + len(positions)
+        if positions == list(range(a, b)):
+            self.splice = lambda args, values: args[:a] + values + args[b:]
+        else:
+            def splice(args, values):
+                out = list(args)
+                for k, v in zip(positions, values):
+                    out[k] = v
+                return tuple(out)
+            self.splice = splice
+
+    def draw(self, s: int) -> tuple[tuple, int, int]:
+        got = self._memo.get(s)
+        if got is None:
+            st = _State([], 0, _DRAW_FUEL, 0, (), 0, None)
+            env = {self._seed_var: s}
+            for target, draw in self._drawers:
+                env[target] = draw(st, env)
+            got = self._memo[s] = (
+                tuple([env[name] for name in self._drawn_args]), st.bits,
+                _DRAW_FUEL - st.loop_fuel)
+        return got
+
+
 class _Compiler:
     def __init__(self, program: Program, mode: str = "heap",
                  record_reads: bool = False):
@@ -325,10 +406,15 @@ class _Compiler:
                            if len(adt.ctors) == 1}
         # the predicates queried by the code, in query-index order
         self.preds: dict[str, int] = {}
-        # the variables some statement assigns, havocs, allocates or reads to
-        self.targets: set[str] = set()
         # the length of the code, set by ``code``: the index a run ends at
         self.end = 0
+        # set by ``code``: the draw sites by first havoc index, the first
+        # havoc index of each site's query, the variables each site's first
+        # havoc records, and every havoc's drawer
+        self.sites: dict[int, DrawSite] = {}
+        self._site_of: dict[int, int] = {}
+        self._recorded: dict[int, list[str]] = {}
+        self._drawers: dict[int, Callable] = {}
 
     # expressions --------------------------------------------------------
 
@@ -485,7 +571,8 @@ class _Compiler:
 
     # statements ---------------------------------------------------------
 
-    def code(self, body: Stmt) -> list[Callable[[_State, dict], int]]:
+    def code(self, body: Stmt,
+             find_sites: bool = False) -> list[Callable[[_State, dict], int]]:
         """The statement as a flat list of instructions, entered at 0 and
         left at the list's length ``end``.  Blocks are laid out in order;
         an ``if`` is a branch to its else part with a jump over it, a
@@ -493,7 +580,9 @@ class _Compiler:
         Jumps are then folded into their predecessors' next indices, so
         they cost nothing at run time.  A failed predicate query at index
         i records its blocker and returns the stop index ``end + 1 + 2i``
-        (assume) or ``end + 2 + 2i`` (assert)."""
+        (assume) or ``end + 2 + 2i`` (assert); with ``find_sites``, the assume
+        of a draw site whose first havoc is at index k returns
+        ``end + 1 + 2k`` instead."""
         ops: list[list] = []
         self._layout(body, ops)
         end = len(ops)
@@ -508,17 +597,52 @@ class _Compiler:
             if op[0] != "jump":
                 index[i] = len(index)
         index[end] = self.end = len(index)
-        code = []
-        for i, op in enumerate(ops):
-            kind = op[0]
-            if kind == "jump":
-                continue
-            nxt = index[dest(i + 1)]
-            if kind == "do":
-                code.append(self.instr(op[1], index[i], nxt))
-            else:
-                code.append(self.test(kind, op[1], nxt, index[dest(op[2])]))
+        # (op, next index, else index of a test) per instruction
+        flat = [(op, index[dest(i + 1)],
+                 None if op[0] == "do" else index[dest(op[2])])
+                for i, op in enumerate(ops) if op[0] != "jump"]
+        spans = self._draw_sites(flat) if find_sites else {}
+        seed_var = self.program.seed_var
+        self._site_of = {q: k for k, q in spans.items()}
+        self._recorded = {k: list(dict.fromkeys(
+            [seed_var] + [flat[j][0][1].target for j in range(k, q)]))
+            for k, q in spans.items()}
+        code = [self.instr(op[1], me, nxt) if op[0] == "do"
+                else self.test(op[0], op[1], nxt, els)
+                for me, (op, nxt, els) in enumerate(flat)]
+        names = list(self.program.var_types)  # the order of a run's env
+        self.sites = {k: DrawSite(
+            k, seed_var,
+            [(flat[j][0][1].target, self._drawers[j]) for j in range(k, q)],
+            flat[q][0][1].args, tuple(map(names.index, self._recorded[k])))
+            for k, q in spans.items()}
         return code
+
+    def _draw_sites(self, flat: list[tuple]) -> dict[int, int]:
+        """The draw sites of the flat code: the index of each one's query by
+        the index of its first havoc.  A site is the longest run of
+        havoc/nondet instructions that ends right before a predicate assume
+        and that no jump enters except at its first instruction, when no
+        argument of the assume but a bare variable reads a drawn
+        variable."""
+        entries = [0] * (len(flat) + 1)
+        for _, nxt, els in flat:
+            entries[nxt] += 1
+            if els is not None:
+                entries[els] += 1
+        spans = {}
+        for q, (op, _, _) in enumerate(flat):
+            if not isinstance(op[1], AssumePred):
+                continue
+            k = q
+            while (k and entries[k] == 1 and flat[k - 1][1] == k
+                   and isinstance(flat[k - 1][0][1], (HavocStmt, NondetStmt))):
+                k -= 1
+            drawn = {flat[j][0][1].target for j in range(k, q)}
+            if k < q and not any(_reads_any(a, drawn) for a in op[1].args
+                                 if not isinstance(a, Var)):
+                spans[k] = q
+        return spans
 
     def _layout(self, s: Stmt, ops: list) -> None:
         """Append the statement's ops: ``["do", stmt]``, ``["jump", to]``
@@ -546,9 +670,6 @@ class _Compiler:
             ops.append(["jump", head])
             test[2] = len(ops)
         else:
-            target = getattr(s, "target", None)
-            if target is not None:
-                self.targets.add(target)
             ops.append(["do", s])
 
     def test(self, kind: str, cond: Expr, nxt: int,
@@ -615,7 +736,8 @@ class _Compiler:
             name = s.pred
             k = self.preds.setdefault(name, len(self.preds))
             args_of = self.tuple_of(s.args)
-            stop = self.end + 1 + 2 * me + isinstance(s, AssertPred)
+            stop = (self.end + 1 + 2 * self._site_of.get(me, me)
+                    + isinstance(s, AssertPred))
 
             def fquery(st, env):
                 args = args_of(env)
@@ -624,10 +746,8 @@ class _Compiler:
                 st.blocker = (name, args)
                 return stop
             return fquery
-        if isinstance(s, HavocStmt):
-            return self._havoc(s.target, nxt, charge_loop_fuel=True)
-        if isinstance(s, NondetStmt):
-            return self._havoc(s.target, nxt, charge_loop_fuel=False)
+        if isinstance(s, (HavocStmt, NondetStmt)):
+            return self._havoc(s.target, me, nxt, isinstance(s, HavocStmt))
         if isinstance(s, Alloc):
             t = s.target
             f = self.expr(s.expr)
@@ -708,11 +828,23 @@ class _Compiler:
             return fwrite_t
         raise ValueError(f"cannot compile statement {type(s).__name__}")
 
-    def _havoc(self, target: str, nxt: int, charge_loop_fuel: bool):
+    def _havoc(self, target: str, me: int, nxt: int, charge_loop_fuel: bool):
+        """A havoc (charging loop fuel) or nondet instruction."""
         seed_var = self.program.seed_var
         if seed_var is None:
             raise ValueError("havoc/nondet requires a seed declaration")
-        draw = self._drawer(self.program.var_types[target], charge_loop_fuel)
+        draw = self._drawers[me] = self._drawer(
+            self.program.var_types[target], charge_loop_fuel)
+        if me in self._recorded:
+            # the first havoc of a draw site records the state that the
+            # site's resume point restores
+            recorded = itemgetter(*self._recorded[me])
+
+            def fhavoc_site(st, env):
+                st.site = (st.bits, st.loop_fuel, recorded(env))
+                env[target] = draw(st, env)
+                return nxt
+            return fhavoc_site
         if not self.record_reads:
             def fhavoc(st, env):
                 env[target] = draw(st, env)
@@ -740,9 +872,25 @@ class CompiledProgram:
                  record_reads: bool = False):
         self.program = program
         self.mode = mode
+        self.seed_var = program.seed_var
+        # the variables the program's expressions and heap addresses read,
+        # and those used other than as an operand of = / != (statement
+        # targets included)
+        self.reads, self.used_beyond_eq = variable_uses(program)
+        # when the seed is touched only by draws, a run's path depends on
+        # its seed only through the bits it consumed: every seed congruent
+        # mod 2^bits runs alike (seed classing), and at a resume point the
+        # seed variable holds ``seed >> bits``
+        self.seed_classing = (self.seed_var is not None
+                              and self.seed_var not in self.reads
+                              and self.seed_var not in self.used_beyond_eq)
         comp = _Compiler(program, mode, record_reads)
         self.record_reads = record_reads
-        self.code = comp.code(program.body)
+        # draw sites need seed classing: their resume point is taken before
+        # the draws, when the seed variable held fewer consumed bits
+        self.code = comp.code(
+            program.body, find_sites=self.seed_classing and not record_reads)
+        self.sites = comp.sites
         self.preds = tuple(comp.preds)
         self.adts = comp.adts
         self.def_obj = comp.def_obj
@@ -751,17 +899,7 @@ class CompiledProgram:
             for name, ty in program.var_types.items()
         }
         self.names = tuple(self.env_template)
-        self.seed_var = program.seed_var
         self.trace_mode = mode == "trace"
-        # the variables the program's expressions and heap addresses read
-        self.reads = variables_read(program)
-        # when the seed is touched only by draws, a run's path depends on
-        # its seed only through the bits it consumed: every seed congruent
-        # mod 2^bits runs alike (seed classing), and at a resume point the
-        # seed variable holds ``seed >> bits``
-        self.seed_classing = (self.seed_var is not None
-                              and self.seed_var not in self.reads
-                              and self.seed_var not in comp.targets)
         # Bot outcomes by (pred, args): frozen, so one object serves every
         # run that fails the same way
         self.bots: dict[tuple, Bot] = {}
@@ -842,9 +980,19 @@ class CompiledProgram:
                         outcome = self.bots[blocker] = Bot(*blocker)
                 else:
                     outcome = _UNDEF_ASSUME
+                pc = q >> 1
+                site = self.sites.get(pc)
+                if site is None:
+                    values, bits, fuel = env.values(), st.bits, st.loop_fuel
+                else:
+                    # a draw site's query: the state before the draws
+                    bits, fuel, before = st.site
+                    values = list(env.values())
+                    for k, v in zip(site.slots, before):
+                        values[k] = v
                 # an empty heap is kept as the shared empty tuple
-                point = (*env.values(), st.heap or (), st.allocs,
-                         st.loop_fuel, st.heap_fuel, st.bits, q >> 1)
+                point = (*values, st.heap or (), st.allocs, fuel,
+                         st.heap_fuel, bits, pc)
         heap = st.heap
         return _new_tuple(RunResult, (
             outcome, env, heap, st.allocs if self.trace_mode else len(heap),

@@ -842,46 +842,38 @@ def stmt_exprs(s: Stmt) -> list[Expr]:
     return []
 
 
-def iter_exprs(stmt: Stmt):
-    stack = []
-    for s in walk_statements(stmt):
+def variable_uses(program: Program) -> tuple[set[str], set[str]]:
+    """Two facts from one walk of the program: the names that some
+    expression or heap address operand reads, and the names used other than
+    as a direct operand of ``=`` or ``!=`` (read anywhere else, a statement
+    target or a heap address operand).  A run depends on a variable outside
+    the second set only through those equality tests."""
+    read: set[str] = set()
+    loose: set[str] = set()
+    stack: list[Expr] = []
+    for s in walk_statements(program.body):
+        target = getattr(s, "target", None)
+        if target is not None:
+            loose.add(target)
+        addr = getattr(s, "addr", None)
+        if addr is not None:
+            read.add(addr)
+            loose.add(addr)
         stack.extend(stmt_exprs(s))
     while stack:
         e = stack.pop()
-        yield e
-        stack.extend(expr_children(e))
-
-
-def variables_read(program: Program) -> set[str]:
-    """Names occurring in any expression, plus read/write address operands."""
-    names = {e.name for e in iter_exprs(program.body) if isinstance(e, Var)}
-    for s in walk_statements(program.body):
-        if isinstance(s, Read):
-            names.add(s.addr)
-        elif isinstance(s, Write):
-            names.add(s.addr)
-    return names
-
-
-def only_compared(program: Program, name: str) -> bool:
-    """True when the variable is never a statement target or a heap address
-    operand, and every expression reads it only as a direct operand of
-    ``=`` or ``!=``: a run then depends on its value only through those
-    equality tests."""
-    for s in walk_statements(program.body):
-        if name in (getattr(s, "target", None), getattr(s, "addr", None)):
-            return False
-    stack = [e for s in walk_statements(program.body) for e in stmt_exprs(s)]
-    while stack:
-        e = stack.pop()
-        if isinstance(e, Var) and e.name == name:
-            return False
-        children = expr_children(e)
-        if isinstance(e, Binary) and e.op in ("=", "!="):
-            children = [c for c in children
-                        if not (isinstance(c, Var) and c.name == name)]
-        stack.extend(children)
-    return True
+        if isinstance(e, Var):
+            read.add(e.name)
+            loose.add(e.name)
+        elif isinstance(e, Binary) and e.op in ("=", "!="):
+            for c in (e.left, e.right):
+                if isinstance(c, Var):
+                    read.add(c.name)
+                else:
+                    stack.append(c)
+        else:
+            stack.extend(expr_children(e))
+    return read, loose
 
 
 def contains_heap_statements(program: Program) -> bool:

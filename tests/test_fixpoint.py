@@ -1,22 +1,25 @@
+import gc
 import random
 from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
 
-from heapinv import fixpoint, lang
+from heapinv import interp as interp_module, lang
 from heapinv.corpus import VARIANTS
 from heapinv.encode import enc_n, enc_r, enc_rw, encode
 from heapinv.fixpoint import (
-    LAST_ADDR_VAR, GridExecutor, InputDomain, Interpretation,
+    LAST_ADDR_VAR, Cell, GridExecutor, InputDomain, Interpretation,
     IterationCapExceeded, check_equisafety, check_safety,
     immediate_consequence, initial_stack, least_fixpoint, least_fixpoint_info,
     sweep_under, verdict_from_executor,
 )
-from heapinv.interp import CompiledProgram, ObjVal
+from heapinv.interp import (
+    FUEL_EXHAUSTED, CompiledProgram, ObjVal, Undefined,
+)
 from heapinv.lang import (
-    Assign, AssumeExpr, Binary, Block, If, IntLit, Var, only_compared,
-    parse_and_check,
+    Assign, AssumeExpr, Binary, Block, If, IntLit, Var, parse_and_check,
+    variable_uses,
 )
 from heapinv.replay import (
     cosim_check, encode_int_bits, pack_bits, read_trace_interpretation,
@@ -327,6 +330,13 @@ def test_memoised_fixpoint_matches_reference_generated(domain):
         assert least_fixpoint(p, domain) == naive_least_fixpoint(p, domain)
 
 
+def run_cell(ex, in_v, la, interp):
+    """The cell at (in, address) run from scratch over every seed."""
+    cell = Cell(in_v, la)
+    cell.leaves = ex._run_seeds(cell, interp, 0, 1)
+    return cell
+
+
 def leaf_rows(cell):
     return [(l.seed, l.outcome, l.blocker, l.weight) for l in cell.leaves]
 
@@ -381,14 +391,14 @@ def test_delta_rerun_matches_fresh_cells(corpus, domain):
             ex = info.executor
             if not ex.address_classing:
                 for (in_v, la), cell in ex.cells.items():
-                    fresh = ex.run_cell(in_v, la, info.interp)
+                    fresh = run_cell(ex, in_v, la, info.interp)
                     assert leaf_rows(cell) == leaf_rows(fresh), \
                         (name, d.seed_range, in_v, la)
                 continue
             lo, hi = d.last_addr_range
             for in_v in ex.in_values():
                 for a in range(lo, hi + 1):
-                    fresh = ex.run_cell(in_v, a, info.interp)
+                    fresh = run_cell(ex, in_v, a, info.interp)
                     assert outcome_rows(address_view(ex, in_v, a)) == \
                         outcome_rows(seed_map(fresh.leaves, ex.seed_range[1])), \
                         (name, d.seed_range, in_v, a)
@@ -426,7 +436,7 @@ def test_delta_rerun_runs_only_blocked_classes():
     for s in seeds:
         assert any(s >= seed and (s - seed) % step == 0
                    for seed, step in classes), s
-    fresh = ex.run_cell(None, None, interp)
+    fresh = run_cell(ex, None, None, interp)
     assert leaf_rows(cell) == leaf_rows(fresh)
 
 
@@ -434,8 +444,10 @@ def test_delta_rerun_runs_only_blocked_classes():
 def plain_addresses():
     """Make every executor built inside the context enumerate ``$last_addr``
     address by address, as for programs that fail the static check."""
+    uses = interp_module.variable_uses
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fixpoint, "only_compared", lambda *args: False)
+        mp.setattr(interp_module, "variable_uses", lambda p: (
+            uses(p)[0], uses(p)[1] | {LAST_ADDR_VAR}))
         yield
 
 
@@ -548,7 +560,7 @@ def test_address_read_outside_equality_is_enumerated(corpus, domain):
     assert GridExecutor(p, domain).address_classing
     for stmt in edits:
         q = replace(p, body=Block((stmt,) + p.body.stmts))
-        assert not only_compared(q, LAST_ADDR_VAR)
+        assert LAST_ADDR_VAR in variable_uses(q)[1]
         assert not GridExecutor(q, domain).address_classing
         assert least_fixpoint(q, domain) == least_fixpoint(p, domain)
         assert check_safety(q, domain).to_json() == want
@@ -610,9 +622,13 @@ def check_blocked_leaves(ex, interp, label) -> int:
         return res
 
     def one(cell, interp, i, leaf=None):
-        # the executor's own loop over the single seed at offset i
+        # the executor's own loop over the single seed at offset i; every
+        # other seed is marked, so that a fresh run blocked at a draw site
+        # settles no other seed of its node
         results.clear()
-        (got,) = ex._run_seeds(cell, interp, i, n, None, leaf)
+        marked = bytearray(b"\x01") * n
+        marked[i] = 0
+        (got,) = ex._run_seeds(cell, interp, i, n, marked, leaf)
         (res,) = results
         return ((got.seed, got.outcome, got.blocker, got.weight, got.step),
                 res.bits_consumed, res.env, got.compared)
@@ -701,16 +717,16 @@ def test_resumed_runs_of_generated_draws_before_queries(domain):
         ex = GridExecutor(progen.gen_program(seed, draw_then_query=True), d)
         check_resumed_runs(ex, seed)
         drawn += sum(1 for cell in ex.cells.values() for leaf in cell.leaves
-                     # a resume point ends with (..., bits consumed, pc)
-                     if leaf.resume is not None and leaf.resume[-2] > 0)
-    assert drawn >= 500, drawn
+                     if leaf.blocker is not None and leaf.weight > 1)
+    assert drawn >= 150, drawn
 
 
 def test_every_run_goes_through_the_class_run_method(corpus, domain,
                                                      monkeypatch):
     # the benchmark's tracer counts runs by wrapping the class attribute
     # CompiledProgram.run; resumed runs must pass through it as fresh ones
-    # do, and resuming must not change how many runs a fixed point takes
+    # do, and a fixed point takes exactly as many runs as pinned here (the
+    # other seeds of a draw-site node are settled from its draw table)
     calls = []
     run = CompiledProgram.run
 
@@ -719,9 +735,181 @@ def test_every_run_goes_through_the_class_run_method(corpus, domain,
         return run(self, *args, **kwargs)
 
     monkeypatch.setattr(CompiledProgram, "run", counting_run)
-    for name, variant, runs in (("two-level-links", "r", 6503),
-                                ("list-build-traverse", "rw_ct", 2111)):
+    for name, variant, runs in (("two-level-links", "r", 35),
+                                ("list-build-traverse", "rw_ct", 95)):
         p = next(e for e in corpus if e.name == name).load()
         calls.clear()
         least_fixpoint_info(encode(p, VARIANTS[variant][0]).program, domain)
         assert len(calls) == runs and any(calls), (name, variant)
+
+
+@contextmanager
+def no_draw_sites():
+    """Make every program compiled inside the context find no draw sites,
+    so that each seed class blocked at a site's assume is run."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(interp_module._Compiler, "_draw_sites",
+                   lambda self, flat: {})
+        yield
+
+
+def grid_rows(ex):
+    """The leaf rows of every cell, in seed order, by (in, address); the
+    sentinel address is named, since each executor has its own."""
+    return {(in_v, "any" if la is ex.any_address else la): sorted(
+        ((l.seed, l.outcome, l.blocker, l.weight, l.step, l.compared)
+         for l in cell.leaves), key=lambda row: row[0])
+        for (in_v, la), cell in ex.cells.items()}
+
+
+def check_draw_sites(p, d, label) -> int:
+    """The fixed point, the verdict and the leaves of every cell against
+    the same program run with no draw sites; returns the number of
+    sites."""
+    info = least_fixpoint_info(p, d)
+    verdict = verdict_from_executor(p, d, info).to_json()
+    with no_draw_sites():
+        plain = least_fixpoint_info(p, d)
+    assert not plain.executor.compiled.sites
+    assert plain.interp == info.interp, label
+    assert verdict_from_executor(p, d, plain).to_json() == verdict, label
+    assert grid_rows(info.executor) == grid_rows(plain.executor), label
+    return len(info.executor.compiled.sites)
+
+
+# A draw of a three-constructor ADT after an Int draw, in one site.
+SITE_ADT_DRAW = """prog {
+  adt Shape { dot(); circle(r: Int); rect(w: Int, h: Int); }
+  pred P(Int, Shape);
+  pred Q(Int);
+  input in;
+  seed seed;
+  var s: Shape; var k: Int;
+  havoc(s);
+  assume(!is_rect(s) || w(s) < 2);
+  assert(P(in, s));
+  havoc(k);
+  havoc(s);
+  assume(P(in, s));
+  assert(Q(k + in));
+  assert(!is_circle(s) || r(s) != in);
+}"""
+
+# The else part's havoc falls into the next one, which the then part
+# jumps to: the two are not one site, and the second alone is one.
+SITE_AFTER_BRANCH = """prog {
+  pred P(Int, Int);
+  input in;
+  seed seed;
+  var x: Int; var y: Int;
+  havoc(y);
+  assume(-1 <= y && y <= 1);
+  assert(P(in, y));
+  if (in > 0) {
+    x := in;
+  } else {
+    havoc(x);
+  }
+  havoc(y);
+  assume(P(x, y));
+  assert(x + y != 2);
+}"""
+
+# The assume reads the drawn variable inside an argument: no site.
+SITE_NOT_BARE = """prog {
+  pred P(Int);
+  input in;
+  seed seed;
+  var x: Int;
+  havoc(x);
+  assume(-2 <= x && x <= 2);
+  assert(P(x + in));
+  havoc(x);
+  assume(P(x + 1));
+  assert(x != in);
+}"""
+
+# nondet draws use no loop fuel; the drawn arguments are not adjacent.
+SITE_NONDET = """prog {
+  pred P(Int, Int, Int);
+  input in;
+  seed seed;
+  var x: Int; var y: Int;
+  nondet(x);
+  assume(-1 <= x && x <= 2);
+  assert(P(x, in, x - 1));
+  nondet(y);
+  nondet(x);
+  assume(P(x, in, y));
+  assert(x * y != in + 3);
+}"""
+
+
+def test_draw_sites_match_per_seed_runs(corpus, domain, monkeypatch):
+    # a run blocked at a draw site stands for its node: the node's other
+    # seeds take their leaves from the site's draw table, or run from the
+    # point when their tuple holds or their draws need more loop fuel than
+    # the point has; every leaf, the fixed point and the verdict must be
+    # those of running each class
+    from_point = []
+    run = CompiledProgram.run
+
+    def counting_run(self, **kwargs):
+        res = run(self, **kwargs)
+        point = kwargs.get("resume")
+        if point is not None and point[-1] in self.sites:
+            from_point.append(res.outcome.reason
+                              if res.outcome == Undefined(FUEL_EXHAUSTED)
+                              else None)
+        return res
+
+    monkeypatch.setattr(CompiledProgram, "run", counting_run)
+    sites = 0
+    for entry in corpus:
+        p = entry.load()
+        for variant in ("r", "rw", "r_t", "r_c", "rw_ct"):
+            sites += check_draw_sites(encode(p, VARIANTS[variant][0]).program,
+                                      domain, (entry.name, variant))
+    assert sites > 100, sites
+    # encoded generated heap programs: more explicit cells whose runs block
+    # at a site
+    for seed in range(12):
+        p = progen.gen_program(seed, allow_havoc=True)
+        for e in (enc_r(p), enc_rw(p)):
+            check_draw_sites(e.program, domain, ("progen", seed))
+    for src in (NARROW_AT_ADDRESS, UNTRACKED_READ_FAILS):
+        for d in (domain, replace(domain, seed_range=(5, 200))):
+            check_draw_sites(enc_r(prog(src)).program, d, src)
+    small = replace(domain, in_range=(-1, 1), seed_range=(0, 63))
+    for seed in range(40):
+        p = progen.gen_program(seed, draw_then_query=True)
+        for fuel in (0, 1, 2, 3, 64):
+            check_draw_sites(p, replace(small, loop_fuel=fuel),
+                             ("progen", seed, fuel))
+    shapes = ((SITE_ADT_DRAW, [2]), (SITE_AFTER_BRANCH, [1]),
+              (SITE_NOT_BARE, []), (SITE_NONDET, [2]))
+    for src, havocs in shapes:
+        p = prog(src)
+        assert [len(s._drawers) for s in CompiledProgram(p).sites.values()] \
+            == havocs, src
+        for fuel in (0, 1, 2, 3, 64):
+            check_draw_sites(p, replace(domain, loop_fuel=fuel), (src, fuel))
+    # both ways out of the table were taken
+    assert FUEL_EXHAUSTED in from_point and None in from_point
+
+
+def test_fixpoint_leaves_no_cyclic_garbage(corpus, domain):
+    # the oracle's structures free themselves by reference counting: with
+    # the cyclic collector off, a fixed point leaves nothing for it
+    programs = [encode(next(e for e in corpus if e.name == name).load(),
+                       VARIANTS[variant][0]).program
+                for name in ("two-level-links", "list-build-traverse")
+                for variant in ("r", "rw_ct")]
+    gc.collect()
+    gc.disable()
+    try:
+        for p in programs:
+            least_fixpoint_info(p, domain)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -400,3 +400,48 @@ def test_flat_code_matches_statement_reference():
     assert set(seen) == {"top", "bot", "bot/query", "assume_failed",
                          "assume_failed/query", "fuel_exhausted"}, seen
     assert min(seen.values()) >= 10, seen
+
+
+def test_draw_site_point_is_the_state_before_the_draws():
+    # a run stopped by a draw site's assume resumes before the site's
+    # draws: from the point, any seed runs as from scratch, also when its
+    # draws run out of loop fuel halfway, and the stopped run's own seed
+    # needs no inputs to continue
+    p = parse_and_check("""prog {
+      pred P(Int, Int);
+      seed seed;
+      var x: Int; var y: Int; var c: Int;
+      x := 7;
+      c := 4;
+      while (c > 3) { c := c - 1; }
+      havoc(x);
+      havoc(y);
+      assume(P(x, y));
+    }""")
+    cp = CompiledProgram(p)
+    (site,) = cp.sites.values()
+    assert site.start == 4  # after x := 7, c := 4 and the loop
+    fuel = 2  # one unit is left for the draws
+    points = []
+    for seed in range(64):
+        res = cp.run({"seed": seed}, loop_fuel=fuel)
+        if res.resume is not None:
+            point = res.resume
+            assert point[-1] == site.start and point[-2] == 0, seed
+            assert point[cp.names.index("x")] == 7, seed
+            again = cp.run(resume=point)
+            assert (again.outcome, again.blocker, again.env,
+                    again.bits_consumed) == (res.outcome, res.blocker,
+                                             res.env, res.bits_consumed)
+            points.append(point)
+    assert points
+    outcomes = set()
+    for seed in range(64):
+        fresh = cp.run({"seed": seed}, loop_fuel=fuel)
+        outcomes.add(fresh.outcome)
+        for point in points[:3]:
+            got = cp.run({"seed": seed}, resume=point)
+            assert (got.outcome, got.blocker, got.env, got.bits_consumed) \
+                == (fresh.outcome, fresh.blocker, fresh.env,
+                    fresh.bits_consumed), seed
+    assert Undefined(FUEL_EXHAUSTED) in outcomes

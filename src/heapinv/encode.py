@@ -30,7 +30,7 @@ from .lang import (
     AssumePred, Binary, Block, CtorApp, CtorDecl, DefObj, Expr, HavocStmt,
     If, IntLit, NondetStmt, Null, PredDecl, Program, Read, SelApp, Skip,
     Stmt, TestApp, Type, Unary, Var, Write, assign_locations,
-    contains_heap_statements, expr_children, map_statements, obj_type,
+    contains_heap_statements, expr_vars, map_statements, obj_type,
     typecheck,
 )
 
@@ -153,17 +153,6 @@ def _tx_expr(e: Expr) -> Expr:
     if isinstance(e, TestApp):
         return TestApp(e.ctor, _tx_expr(e.arg), pos=e.pos)
     raise EncodingError(f"cannot transform expression {e!r}")
-
-
-def _expr_vars(e: Expr) -> set[str]:
-    out = set()
-    stack = [e]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, Var):
-            out.add(x.name)
-        stack.extend(expr_children(x))
-    return out
 
 
 def _addr_fields_to_int(adts: list[AdtDecl]) -> list[AdtDecl]:
@@ -319,7 +308,7 @@ class _HeapEncoder:
         def tx_alloc(s: Alloc) -> list[Stmt]:
             e = _tx_expr(s.expr)
             out: list[Stmt] = []
-            if s.target in _expr_vars(e):
+            if s.target in expr_vars(e):
                 # the table overwrites the target before using the operand;
                 # pre-evaluate to preserve the original evaluation order
                 tmp = fresh_tmp()

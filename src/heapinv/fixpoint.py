@@ -51,14 +51,17 @@ which allows four big savings without changing the computed sets:
   narrower.  All seeds of a class at a run alike, so every sentinel class
   inside a wider one compared with a too; the explicit marks at a are
   therefore unions of sentinel classes whose E holds a, and the loop over
-  a sentinel class counts the seeds a wider class took with
-  ``max(step, stride)``.  Every sentinel leaf keeps its E (one object
-  per value), which gives the addresses it stands for; a blocked leaf's E
-  holds the values compared with up to the query.  A rerun continues the
-  blocked run, so its E only grows: a resumed sentinel run starts from
-  the leaf's E, and only the addresses newly in E get explicit runs.  A
-  sentinel failure reports the least address it stands for, so the
-  witness is the least failing grid point as before;
+  a sentinel class at a skips the seeds they mark.  The sentinel leaves
+  are visited in seed order, so each explicit class is first met at its
+  least seed, where its run marks all of it; met at a later seed, the run
+  would leave the class's lower seeds unmarked, and they would be run
+  again as a second, overlapping class.  Every sentinel leaf keeps its E
+  (one object per value), which gives the addresses it stands for; a
+  blocked leaf's E holds the values compared with up to the query.  A
+  rerun continues the blocked run, so its E only grows: a resumed
+  sentinel run starts from the leaf's E, and only the addresses newly in
+  E get explicit runs.  A sentinel failure reports the least address it
+  stands for, so the witness is the least failing grid point as before;
 * under seed classing, a run blocked at the assume of a draw site
   (``interp.DrawSite``: havocs entered only at the first, then an assume
   that reads what they drew only as bare arguments) returns the state
@@ -77,7 +80,13 @@ which allows four big savings without changing the computed sets:
   address before the site (a sentinel run that had not would have reached
   the site in the same state and blocked there without comparing, so no
   explicit run would have been made), so every seed of the node did, and
-  each has its leaf at that address.
+  each has its leaf at that address.  A node's seeds can meet further
+  nodes, and the depth of that nesting is bounded only by the loop and
+  heap fuel of the domain, so the loops in progress are kept on an
+  explicit stack rather than by recursion, which could exceed Python's
+  recursion limit.  A node's leaves come before the later seeds of the
+  loop that found it, so every call sorts its leaves by seed, which the
+  explicit-address pass above needs.
 """
 
 from __future__ import annotations
@@ -263,7 +272,9 @@ class Cell:
 class _AnyAddress:
     """Bound to ``$last_addr`` in a run that stands for many addresses: it
     equals no value and records every value it is compared with.
-    ``operator.eq`` and ``operator.ne`` reach it from either side."""
+    ``operator.eq`` reaches ``__eq__`` from either side, and so does
+    ``operator.ne``, through the default ``__ne__`` that inverts it (as
+    the reflected call when an int is on the left)."""
 
     __slots__ = ("compared",)
 
@@ -275,12 +286,6 @@ class _AnyAddress:
             return True
         self.compared.add(other)
         return False
-
-    def __ne__(self, other):
-        if other is self:
-            return False
-        self.compared.add(other)
-        return True
 
     # hashed by identity: it is the address of the sentinel cells' keys
     __hash__ = object.__hash__
@@ -380,7 +385,6 @@ class GridExecutor:
         # compared values, site, bits before the draws and blocked run
         loops = [(iter(range(start, n, stride)), resume, known, None, 0, None,
                   None)]
-        nodes = False
         while loops:
             seeds, point, known, site, b, outcome, blocker = loops[-1]
             if site is not None:
@@ -434,7 +438,6 @@ class GridExecutor:
                         span = stride
                     loops.append((iter(range(i % span, n, span)), after,
                                   compared, at, after[-2], result, stop))
-                    nodes = True
                     break
                 if site is None and 0 not in marked[start::stride]:
                     loops.clear()
@@ -443,8 +446,7 @@ class GridExecutor:
                 loops.pop()
                 if len(loops) == 1 and 0 not in marked[start::stride]:
                     break
-        if nodes:
-            leaves.sort(key=attrgetter("seed"))
+        leaves.sort(key=attrgetter("seed"))
         return leaves
 
     def run_all(self, interp):

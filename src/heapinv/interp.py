@@ -66,7 +66,7 @@ from .lang import (
     AdtDecl, Alloc, Assign, AssertExpr, AssertPred, AssumeExpr, AssumePred,
     Binary, Block, CtorApp, DefObj, Expr, FAILURE_PRED, HavocStmt, If,
     IntLit, NondetStmt, Null, Program, Read, SelApp, Skip, Stmt, TestApp,
-    Type, Unary, Var, While, Write, expr_children, variable_uses,
+    Type, Unary, Var, While, Write, expr_vars, variable_uses,
 )
 
 
@@ -314,16 +314,6 @@ def _draw_int(seed_var: str, charge_loop_fuel: bool, st: _State,
     env[seed_var] = s >> 1
     st.bits += bits
     return x
-
-
-def _reads_any(e: Expr, names: set[str]) -> bool:
-    stack = [e]
-    while stack:
-        e = stack.pop()
-        if isinstance(e, Var) and e.name in names:
-            return True
-        stack.extend(expr_children(e))
-    return False
 
 
 # more loop fuel than any draw from a seed of a finite range uses
@@ -639,7 +629,7 @@ class _Compiler:
                    and isinstance(flat[k - 1][0][1], (HavocStmt, NondetStmt))):
                 k -= 1
             drawn = {flat[j][0][1].target for j in range(k, q)}
-            if k < q and not any(_reads_any(a, drawn) for a in op[1].args
+            if k < q and not any(drawn & expr_vars(a) for a in op[1].args
                                  if not isinstance(a, Var)):
                 spans[k] = q
         return spans
@@ -893,7 +883,6 @@ class CompiledProgram:
         self.sites = comp.sites
         self.preds = tuple(comp.preds)
         self.adts = comp.adts
-        self.def_obj = comp.def_obj
         self.env_template = {
             name: default_value(ty, self.adts)
             for name, ty in program.var_types.items()

@@ -832,6 +832,18 @@ def expr_children(e: Expr) -> list[Expr]:
     return []
 
 
+def expr_vars(e: Expr) -> set[str]:
+    """The names of the variables the expression reads."""
+    out = set()
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Var):
+            out.add(x.name)
+        stack.extend(expr_children(x))
+    return out
+
+
 def stmt_exprs(s: Stmt) -> list[Expr]:
     if isinstance(s, (Assign, Alloc, Write, AssumeExpr, AssertExpr)):
         return [s.expr]

@@ -110,20 +110,6 @@ def _read_relation(runs: list[tuple[int, RunResult]]) -> Interpretation:
     return interp
 
 
-def read_trace_interpretation(program: Program, domain: InputDomain,
-                              counter_value: int | None = None,
-                              source_seed: int = 0) -> Interpretation:
-    """The limit interpretation of the read predicate for a deterministic
-    program: for every input, tuple (input, k, v) where v is the value
-    returned by the k-th read.  Derived directly from the heap-model read
-    trace; the grid fixed point is always a subset of this."""
-    if counter_value is None:
-        counter_value = domain.heap_op_fuel
-    return _read_relation(_source_runs(
-        CompiledProgram(program, record_reads=True), domain, counter_value,
-        source_seed))
-
-
 @dataclass
 class CosimPoint:
     in_v: int

@@ -168,6 +168,20 @@ PROGRAMS = [
       }
       assert(s = 3);
     }""", "safe"),
+    # ``!`` as a value: 1 when its operand is false, else 0
+    ("""prog {
+      input in;
+      var b: Int;
+      b := !(in < 0);
+      if (in < 0) { assert(b = 0); } else { assert(b = 1); }
+    }""", "safe"),
+    # a bare Int condition: true when nonzero
+    ("""prog {
+      input in;
+      var k: Int;
+      k := in - 1;
+      if (k) { k := 0; } else { assert(in != 1); }
+    }""", "unsafe"),
 ]
 
 

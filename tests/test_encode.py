@@ -569,7 +569,8 @@ def test_determinism_precondition_demonstrated():
     p = parse_and_check(src)
     d = InputDomain()
     assert check_safety(p, d).kind == "safe"
-    assert check_safety(enc_r(p).program, d).kind == "unsafe"
+    for enc in (enc_r, enc_rw):
+        assert check_safety(enc(p).program, d).kind == "unsafe", enc
 
 
 def test_rwmem_with_cache_still_flags_invalid_reads(corpus, domain):

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from heapinv import interp as interp_module, lang
+from heapinv import interp as interp_module, lang, replay
 from heapinv.corpus import VARIANTS
 from heapinv.encode import enc_n, enc_r, enc_rw, encode
 from heapinv.fixpoint import (
@@ -18,12 +18,10 @@ from heapinv.interp import (
     FUEL_EXHAUSTED, CompiledProgram, ObjVal, Undefined,
 )
 from heapinv.lang import (
-    Assign, AssumeExpr, Binary, Block, If, IntLit, Var, parse_and_check,
-    variable_uses,
+    Assign, AssertExpr, AssumeExpr, Binary, Block, If, IntLit, Var,
+    parse_and_check, variable_uses,
 )
-from heapinv.replay import (
-    cosim_check, encode_int_bits, pack_bits, read_trace_interpretation,
-)
+from heapinv.replay import cosim_check, encode_int_bits, pack_bits
 
 import progen
 
@@ -227,7 +225,10 @@ def test_read_trace_interpretation_contains_grid_fixpoint():
     }"""
     p = prog(src)
     d = InputDomain()
-    limit = read_trace_interpretation(p, d)
+    # the limit of the read predicate for this deterministic program: for
+    # every input, (input, k, v) where the k-th read returned v
+    limit = replay._read_relation(replay._source_runs(
+        CompiledProgram(p, record_reads=True), d, d.heap_op_fuel, 0))
     e = enc_r(enc_n(p))
     bounded = least_fixpoint(e.program, d)
     assert bounded.tuples("R") <= limit.tuples("R")
@@ -566,6 +567,28 @@ def test_address_read_outside_equality_is_enumerated(corpus, domain):
         assert check_safety(q, domain).to_json() == want
 
 
+def test_address_probe_not_equal_and_self_comparison(corpus, domain):
+    # ``!=`` reaches the probe through the ``__ne__`` that inverts its
+    # ``__eq__``, with the probe on either side.  The encoding compares
+    # ``$last_addr`` with its two allocations only, so a ``!=`` that did not
+    # record 4 would miss the failure at address 4.  The probe equals
+    # itself, so the assume holds at every address.
+    p = enc_r(next(e for e in corpus if e.name == "two-cells-copy").load()
+              ).program
+    last = Var(LAST_ADDR_VAR)
+    fail = Block((AssertExpr(Binary("=", Var("in"), IntLit(5))),))
+    edits = (If(Binary("!=", last, IntLit(4)), Block(()), fail),
+             If(Binary("!=", IntLit(4), last), Block(()), fail),
+             AssumeExpr(Binary("=", last, last)))
+    domains = (domain, replace(domain, last_addr_range=(2, 5)),
+               replace(domain, seed_range=(5, 200)),
+               replace(domain, last_addr_range=(1, 1)))
+    for stmt in edits:
+        q = replace(p, body=Block((stmt,) + p.body.stmts))
+        for d in domains:
+            check_address_classing(q, d, (stmt, d))
+
+
 def test_range_inside_every_comparison_matches_plain(corpus, domain):
     # at last_addr_range (1, 1) every sentinel run compares $last_addr with
     # 1 (the first allocation), so no sentinel leaf stands for an address
@@ -762,11 +785,13 @@ def grid_rows(ex):
         for (in_v, la), cell in ex.cells.items()}
 
 
-def check_draw_sites(p, d, label) -> int:
+def check_draw_sites(p, d, label, info=None) -> int:
     """The fixed point, the verdict and the leaves of every cell against
     the same program run with no draw sites; returns the number of
-    sites."""
-    info = least_fixpoint_info(p, d)
+    sites.  ``info`` is the program's fixed point at ``d`` if already
+    computed."""
+    if info is None:
+        info = least_fixpoint_info(p, d)
     verdict = verdict_from_executor(p, d, info).to_json()
     with no_draw_sites():
         plain = least_fixpoint_info(p, d)
@@ -845,7 +870,7 @@ SITE_NONDET = """prog {
 }"""
 
 
-def test_draw_sites_match_per_seed_runs(corpus, domain, monkeypatch):
+def test_draw_sites_match_per_seed_runs(corpus_matrix, domain, monkeypatch):
     # a run blocked at a draw site stands for its node: the node's other
     # seeds take their leaves from the site's draw table, or run from the
     # point when their tuple holds or their draws need more loop fuel than
@@ -865,11 +890,13 @@ def test_draw_sites_match_per_seed_runs(corpus, domain, monkeypatch):
 
     monkeypatch.setattr(CompiledProgram, "run", counting_run)
     sites = 0
-    for entry in corpus:
-        p = entry.load()
+    # the corpus fixed points with sites are the session matrix's
+    for name, row in corpus_matrix.items():
+        if name == "__build_seconds__":
+            continue
         for variant in ("r", "rw", "r_t", "r_c", "rw_ct"):
-            sites += check_draw_sites(encode(p, VARIANTS[variant][0]).program,
-                                      domain, (entry.name, variant))
+            sites += check_draw_sites(row.encoded[variant], domain,
+                                      (name, variant), row.fixinfo[variant])
     assert sites > 100, sites
     # encoded generated heap programs: more explicit cells whose runs block
     # at a site

@@ -1,5 +1,8 @@
+import re
+
 import pytest
 
+from heapinv.cli import EXIT_ERROR, main
 from heapinv.lang import (
     Assign, AssertPred, Binary, Block, IntLit, Read, SourceError, Var,
     While, Write, assign_locations, expand_program_havocs, parse_and_check,
@@ -79,6 +82,60 @@ def test_recursive_adt_rejected():
     src = "prog { adt N { mk(v: Int, rest: N); } }"
     diags = typecheck(parse_program(src))
     assert any("recursive" in d.message for d in diags)
+
+
+MUTUALLY_RECURSIVE_ADTS = """prog {
+  adt A { a(x: B); }
+  adt B { b(y: A); }
+}"""
+
+# every statement but the declarations is ill-typed
+ILL_TYPED_HEAP = """prog {
+  adt Node { node(data: Int, next: Addr); }
+  adt Pair { pair(l: Addr); }
+  heaptype Node;
+  pred P(Int);
+  seed seed;
+  var p: Addr; var k: Int; var n: Node; var q: Pair;
+  k := alloc(defObj);
+  p := alloc(7);
+  n := read(k);
+  k := read(p);
+  assert(P(p));
+  havoc(q);
+}"""
+
+
+def test_recursion_through_another_adt_rejected():
+    diags = typecheck(parse_program(MUTUALLY_RECURSIVE_ADTS))
+    assert [d.message for d in diags] == [
+        "adt 'A' is recursive through field 'x'",
+        "adt 'B' is recursive through field 'y'"]
+
+
+def test_heap_statement_and_argument_types_rejected():
+    diags = typecheck(parse_program(ILL_TYPED_HEAP))
+    assert [(d.line, d.message) for d in diags] == [
+        (8, "alloc target 'k' must have type Addr, has Int"),
+        (9, "alloc operand must be a heap object"),
+        (10, "read address 'k' must have type Addr, has Int"),
+        (11, "read target 'k' must be a heap object"),
+        (12, "type mismatch in argument of 'P': expected Int, got Addr"),
+        (13, "cannot havoc 'q': adt 'Pair' has Addr fields")]
+
+
+@pytest.mark.parametrize("src", [MUTUALLY_RECURSIVE_ADTS, ILL_TYPED_HEAP],
+                         ids=["mutually-recursive-adts", "ill-typed-heap"])
+def test_cli_lists_type_errors_with_positions(capsys, tmp_path, src):
+    bad = tmp_path / "bad.up"
+    bad.write_text(src)
+    assert main(["fixpoint", str(bad)]) == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    *diags, last = err.splitlines()
+    assert diags and all(re.match(rf"{re.escape(str(bad))}:\d+:\d+: ", line)
+                         for line in diags), err
+    assert last == f"error: {bad}: {len(diags)} type error(s)"
 
 
 def test_skip_prints_as_skip():

@@ -14,11 +14,11 @@ which allows four big savings without changing the computed sets:
   (``CompiledProgram.seed_classing``: never read by an expression or
   assigned), a run that consumed b seed bits behaves the same for every
   seed congruent to its own mod 2^b.  Each cell keeps one mark per seed of
-  its range and visits the seeds in increasing order: an unmarked seed is
-  run and then marks every seed of its class up to the top of the range;
-  marked seeds are skipped.  Any seed of a run's class reads the same first
-  b bits and stops there, so the classes are disjoint, each run starts at
-  the smallest seed of its class, and its leaf weighs the seeds it marked;
+  its range: an unmarked seed is run and then marks every seed of its
+  class in the range; marked seeds are skipped.  Any seed of a run's class
+  reads the same first b bits and stops there, so the classes are disjoint
+  and any seed of a class runs as its least seed does: the leaf is filed
+  at the class's least seed and weighs the seeds it marked;
 * between iterations only the seed classes blocked on a newly added tuple
   are rerun, and each rerun resumes at the query it was blocked on.  A run
   stops at its first negative predicate query, and predicates occur only
@@ -51,11 +51,9 @@ which allows four big savings without changing the computed sets:
   narrower.  All seeds of a class at a run alike, so every sentinel class
   inside a wider one compared with a too; the explicit marks at a are
   therefore unions of sentinel classes whose E holds a, and the loop over
-  a sentinel class at a skips the seeds they mark.  The sentinel leaves
-  are visited in seed order, so each explicit class is first met at its
-  least seed, where its run marks all of it; met at a later seed, the run
-  would leave the class's lower seeds unmarked, and they would be run
-  again as a second, overlapping class.  Every sentinel leaf keeps its E
+  a sentinel class at a skips the seeds they mark.  An explicit class met
+  at any of its seeds is marked whole, since any seed of a class runs as
+  its least seed does.  Every sentinel leaf keeps its E
   (one object per value), which gives the addresses it stands for; a
   blocked leaf's E holds the values compared with up to the query.  A
   rerun continues the blocked run, so its E only grows: a resumed
@@ -84,15 +82,12 @@ which allows four big savings without changing the computed sets:
   nodes, and the depth of that nesting is bounded only by the loop and
   heap fuel of the domain, so the loops in progress are kept on an
   explicit stack rather than by recursion, which could exceed Python's
-  recursion limit.  A node's leaves come before the later seeds of the
-  loop that found it, so every call sorts its leaves by seed, which the
-  explicit-address pass above needs.
+  recursion limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 # the encoder-introduced inputs: programs declaring them get those
 # dimensions of the grid enumerated
@@ -344,15 +339,15 @@ class GridExecutor:
                    marked: bytearray | None = None,
                    blocked: Leaf | None = None) -> list[Leaf]:
         """Leaves of the unmarked seeds at offsets ``start, start + stride,
-        ...`` of the cell's seed range, in seed order: an unmarked seed is
-        run and marks its class, each seed of which it stands for.  The
-        classes are disjoint, so the loop stops once they cover its seeds.
-        ``marked`` (one mark per seed of the range) defaults to no seed
-        marked.  A leaf of the address sentinel keeps the set of values its
-        run compared ``$last_addr`` with.  When the seeds lie in the class
-        of a ``blocked`` leaf of the cell, every run continues from the
-        leaf's resume point, and a sentinel run starts from the values the
-        blocked run had compared with.
+        ...`` of the cell's seed range: an unmarked seed is run and marks
+        its class, each seed of which it stands for, and a leaf's seed is
+        its class's least seed.  The classes are disjoint, so the loop stops
+        once they cover its seeds.  ``marked`` (one mark per seed of the
+        range) defaults to no seed marked.  A leaf of the address sentinel
+        keeps the set of values its run compared ``$last_addr`` with.  When
+        the seeds lie in the class of a ``blocked`` leaf of the cell, every
+        run continues from the leaf's resume point, and a sentinel run
+        starts from the values the blocked run had compared with.
 
         A run blocked at a draw site stops before the draws, after b seed
         bits, and every seed congruent to its own mod 2^b reaches that point
@@ -402,10 +397,11 @@ class GridExecutor:
                             step = 1 << (b + used)
                             if step > n:
                                 step = n
-                            weight = (n - 1 - i) // step + 1
-                            append(Leaf(lo + i, outcome, (name, args), weight,
+                            j = i % step
+                            weight = (n - 1 - j) // step + 1
+                            append(Leaf(lo + j, outcome, (name, args), weight,
                                         step, point, known))
-                            marked[i::step] = b"\x01" * weight
+                            marked[j::step] = b"\x01" * weight
                             continue
                 if seed_var is not None:
                     inputs[seed_var] = lo + i
@@ -424,10 +420,11 @@ class GridExecutor:
                         step = n
                 else:
                     step = n
-                weight = (n - 1 - i) // step + 1
-                append(Leaf(lo + i, result, stop, weight, step, after,
+                j = i % step
+                weight = (n - 1 - j) // step + 1
+                append(Leaf(lo + j, result, stop, weight, step, after,
                             compared))
-                marked[i::step] = b"\x01" * weight
+                marked[j::step] = b"\x01" * weight
                 at = sites.get(after[-1]) if after is not None else None
                 if at is not None:
                     # visit the node before any other seed of this loop
@@ -446,7 +443,6 @@ class GridExecutor:
                 loops.pop()
                 if len(loops) == 1 and 0 not in marked[start::stride]:
                     break
-        leaves.sort(key=attrgetter("seed"))
         return leaves
 
     def run_all(self, interp):
@@ -517,7 +513,6 @@ class GridExecutor:
                 leaves += new
                 fresh += new
                 fresh += explicit
-            leaves.sort(key=attrgetter("seed"))
             cell.leaves = leaves
         return _failing(fresh)
 

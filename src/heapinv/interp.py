@@ -38,18 +38,22 @@ those with the first havoc's index.  Resuming there draws again, so every
 seed congruent to the run's own modulo 2^bits continues it, whatever its
 draws, and the site's draw table tells what each of them draws.
 
-The closures are shaped to make few Python calls per executed node:
+Each expression node compiles to one closure over its operands' own
+closures: a binary operator is ``g(f(env), h(env))`` whatever its operands
+are, and an assignment is one instruction.  Program runs take about 11% of
+a corpus-matrix fixpoint pass (the seed-class bookkeeping around them takes
+most of the rest), so closures specialised by operand shape would save too
+little to pay for their code.  What stays specialised:
 
-* a binary operator gets one closure per shape of its operands (variable,
-  constant or sub-expression) that calls the ``operator`` function on them
-  directly;
+* a variable is an ``itemgetter``, and a nonzero constant divisor skips the
+  zero check;
 * a condition (``if``, ``while``, assume, assert and the operands of ``!``,
   ``&&`` and ``||``) compiles to a closure whose truth value is the
   condition's, so comparisons are not turned into 1/0 first; ``&&`` and
   ``||`` evaluate their right operand only when the left one does not
   decide;
-* argument tuples of predicate queries and constructors are built in one
-  step (an ``itemgetter`` when every argument is a variable);
+* the argument tuple of a predicate query whose arguments are all
+  variables is built by one ``itemgetter``;
 * a predicate query is a plain ``args in relation`` test on the
   interpretation's ``relation(name)`` container, bound by query index once
   per interpretation, not once per query.
@@ -274,21 +278,6 @@ _UNCHECKED = {"/": trunc_div, "%": trunc_mod}
 # values are totally ordered; objects are compared only with = and !=)
 _NEGATED = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "=": "!=", "!=": "="}
 
-# One closure per operand shape of a binary operator ``g``: V a variable,
-# C a constant, F a compiled sub-expression.  An evaluation makes one call
-# of ``g`` besides those of its F operands.
-_SHAPES = {
-    "VV": lambda g, a, b: lambda env: g(env[a], env[b]),
-    "VC": lambda g, a, b: lambda env: g(env[a], b),
-    "VF": lambda g, a, b: lambda env: g(env[a], b(env)),
-    "CV": lambda g, a, b: lambda env: g(a, env[b]),
-    "CC": lambda g, a, b: lambda env: g(a, b),
-    "CF": lambda g, a, b: lambda env: g(a, b(env)),
-    "FV": lambda g, a, b: lambda env: g(a(env), env[b]),
-    "FC": lambda g, a, b: lambda env: g(a(env), b),
-    "FF": lambda g, a, b: lambda env: g(a(env), b(env)),
-}
-
 _new_tuple = tuple.__new__  # ObjVal(ctor, fields) without its Python __new__
 
 
@@ -417,22 +406,13 @@ class _Compiler:
             raise ValueError("defObj used without heaptype")
         return self.def_obj
 
-    def operand(self, e: Expr) -> tuple[str, object]:
-        """The shape of an operand (see ``_SHAPES``) with its variable
-        name, constant value or closure."""
-        if isinstance(e, Var):
-            return "V", e.name
-        if isinstance(e, (IntLit, Null, DefObj)):
-            return "C", self.constant(e)
-        return "F", self.expr(e)
-
     def binary(self, op: str, left: Expr, right: Expr) -> Callable:
-        ls, a = self.operand(left)
-        rs, b = self.operand(right)
         g = _OPS[op]
-        if op in _UNCHECKED and rs == "C" and b != 0:
+        if (op in _UNCHECKED and isinstance(right, IntLit)
+                and right.value != 0):
             g = _UNCHECKED[op]
-        return _SHAPES[ls + rs](g, a, b)
+        f, h = self.expr(left), self.expr(right)
+        return lambda env: g(f(env), h(env))
 
     def expr(self, e: Expr) -> Callable[[dict], Value]:
         if isinstance(e, Var):
@@ -513,29 +493,11 @@ class _Compiler:
         return self.expr(e)
 
     def tuple_of(self, exprs) -> Callable[[dict], tuple]:
-        """Closure building the tuple of the expressions' values in one
-        step: an itemgetter when all are variables, else a fixed-arity
-        tuple display."""
+        """Closure building the tuple of the expressions' values: an
+        itemgetter when there are two or more and all are variables."""
         if len(exprs) >= 2 and all(isinstance(x, Var) for x in exprs):
             return itemgetter(*(x.name for x in exprs))
-        if len(exprs) == 1 and isinstance(exprs[0], Var):
-            n = exprs[0].name
-            return lambda env: (env[n],)
         fs = [self.expr(x) for x in exprs]
-        if not fs:
-            return lambda env: ()
-        if len(fs) == 1:
-            (f0,) = fs
-            return lambda env: (f0(env),)
-        if len(fs) == 2:
-            f0, f1 = fs
-            return lambda env: (f0(env), f1(env))
-        if len(fs) == 3:
-            f0, f1, f2 = fs
-            return lambda env: (f0(env), f1(env), f2(env))
-        if len(fs) == 4:
-            f0, f1, f2, f3 = fs
-            return lambda env: (f0(env), f1(env), f2(env), f3(env))
         return lambda env: tuple([f(env) for f in fs])
 
     # havoc draws --------------------------------------------------------
@@ -688,20 +650,10 @@ class _Compiler:
         at ``nxt``."""
         if isinstance(s, Assign):
             t = s.target
-            kind, a = self.operand(s.expr)
-            if kind == "V":
-                def fcopy(st, env):
-                    env[t] = env[a]
-                    return nxt
-                return fcopy
-            if kind == "C":
-                def fset(st, env):
-                    env[t] = a
-                    return nxt
-                return fset
+            f = self.expr(s.expr)
 
             def fassign(st, env):
-                env[t] = a(env)
+                env[t] = f(env)
                 return nxt
             return fassign
         if isinstance(s, AssumeExpr):

@@ -15,16 +15,21 @@ from copy import copy
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
+# source positions, (line, col), are kept out of equality and printing
+_META = dict(compare=False, repr=False, kw_only=True)
+
 # ---------------------------------------------------------------------------
 # Types
 
 
 @dataclass(frozen=True)
 class Type:
-    """Type tag: Int, Addr, or Obj(adt). Obj carries the ADT name."""
+    """Type tag: Int, Addr, or Obj(adt). Obj carries the ADT name and, when
+    parsed, the position of its type name."""
 
     kind: str  # "Int" | "Addr" | "Obj"
     adt: str | None = None
+    pos: tuple[int, int] = field(default=(0, 0), **_META)
 
     def __str__(self) -> str:
         if self.kind == "Obj":
@@ -54,6 +59,7 @@ class AdtDecl:
 
     name: str
     ctors: list[CtorDecl]
+    pos: tuple[int, int] = field(default=(0, 0), **_META)
 
 
 @dataclass
@@ -64,8 +70,6 @@ class PredDecl:
 
 # ---------------------------------------------------------------------------
 # Expressions
-
-_META = dict(compare=False, repr=False, kw_only=True)
 
 
 @dataclass
@@ -237,6 +241,7 @@ FAILURE_PRED = "F"
 class Program:
     adts: list[AdtDecl] = field(default_factory=list)
     heap_adt: str | None = None
+    heap_pos: tuple[int, int] = field(default=(0, 0), **_META)
     preds: list[PredDecl] = field(default_factory=list)
     input_var: str | None = None
     seed_var: str | None = None
@@ -456,12 +461,14 @@ class _Parser:
                 ctors.append(self.parse_ctor(name_t.text))
             if not ctors:
                 self.err(name_t, f"adt {name_t.text!r} declares no constructors")
-            self.prog.adts.append(AdtDecl(name_t.text, ctors))
+            self.prog.adts.append(AdtDecl(name_t.text, ctors,
+                                          pos=(name_t.line, name_t.col)))
         elif self.accept("heaptype"):
             name_t = self.expect_ident()
             if self.prog.heap_adt is not None:
                 self.err(name_t, "duplicate heaptype declaration")
             self.prog.heap_adt = name_t.text
+            self.prog.heap_pos = (name_t.line, name_t.col)
             self.expect(";")
         elif self.accept("pred"):
             name_t = self.expect_ident()
@@ -536,9 +543,9 @@ class _Parser:
             return ADDR
         if t.text == "Obj":
             # shorthand for the designated heap ADT; resolved by typecheck
-            return Type("Obj", None)
+            return Type("Obj", None, pos=(t.line, t.col))
         if t.kind == "id":
-            return obj_type(t.text)
+            return Type("Obj", t.text, pos=(t.line, t.col))
         self.err(t, f"expected a type, found {t.text!r}")
 
     # statements
@@ -940,7 +947,7 @@ class TypeChecker:
     def check_decls(self):
         p = self.p
         if p.heap_adt is not None and p.heap_adt not in self.adts:
-            self.diags.append(Diagnostic(0, 0, f"heaptype {p.heap_adt!r} is not a declared adt"))
+            self.diags.append(Diagnostic(*p.heap_pos, f"heaptype {p.heap_adt!r} is not a declared adt"))
         for a in p.adts:
             self.check_adt_acyclic(a)
             for c in a.ctors:
@@ -970,9 +977,9 @@ class TypeChecker:
         if ty.kind == "Obj":
             if ty.adt is None:
                 if self.p.heap_adt is None:
-                    self.diags.append(Diagnostic(0, 0, f"{what}: bare Obj type needs a heaptype declaration"))
+                    self.error(ty, f"{what}: bare Obj type needs a heaptype declaration")
             elif ty.adt not in self.adts:
-                self.diags.append(Diagnostic(0, 0, f"{what}: unknown adt {ty.adt!r}"))
+                self.error(ty, f"{what}: unknown adt {ty.adt!r}")
 
     def check_adt_acyclic(self, adt: AdtDecl):
         # non-recursive: no constructor field may reach the declaring ADT
@@ -993,7 +1000,7 @@ class TypeChecker:
         for c in adt.ctors:
             for fname, fty in c.fields:
                 if fty.kind == "Obj" and (fty.adt == adt.name or (fty.adt and reach(fty.adt))):
-                    self.diags.append(Diagnostic(0, 0, f"adt {adt.name!r} is recursive through field {fname!r}"))
+                    self.error(adt, f"adt {adt.name!r} is recursive through field {fname!r}")
                     return
 
     # statements

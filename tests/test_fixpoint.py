@@ -339,7 +339,9 @@ def run_cell(ex, in_v, la, interp):
 
 
 def leaf_rows(cell):
-    return [(l.seed, l.outcome, l.blocker, l.weight) for l in cell.leaves]
+    """The cell's leaf rows in seed order: leaves come in no fixed order."""
+    return sorted(((l.seed, l.outcome, l.blocker, l.weight)
+                   for l in cell.leaves), key=lambda row: row[0])
 
 
 def seed_map(leaves, hi):
@@ -923,6 +925,31 @@ def test_draw_sites_match_per_seed_runs(corpus_matrix, domain, monkeypatch):
             check_draw_sites(p, replace(domain, loop_fuel=fuel), (src, fuel))
     # both ways out of the table were taken
     assert FUEL_EXHAUSTED in from_point and None in from_point
+
+
+def test_leaf_order_does_not_change_the_grid(corpus_matrix, domain):
+    # any seed of a class runs as its least seed does, so a class is
+    # marked whole wherever a loop meets it: the order in which the seed
+    # loops hand back their leaves changes no leaf, fixed point or verdict
+    run_seeds = GridExecutor._run_seeds
+
+    def reversed_leaves(self, *args, **kwargs):
+        return run_seeds(self, *args, **kwargs)[::-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(GridExecutor, "_run_seeds", reversed_leaves)
+        for name, row in corpus_matrix.items():
+            if name == "__build_seconds__":
+                continue
+            for variant in ("r", "rw", "r_t", "rw_ct"):
+                p, seen = row.encoded[variant], row.fixinfo[variant]
+                info = least_fixpoint_info(p, domain)
+                label = (name, variant)
+                assert grid_rows(info.executor) == grid_rows(seen.executor), \
+                    label
+                assert info.interp == seen.interp, label
+                assert verdict_from_executor(p, domain, info).to_json() == \
+                    row.verdicts[variant].to_json(), label
 
 
 def test_fixpoint_leaves_no_cyclic_garbage(corpus, domain):

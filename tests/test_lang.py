@@ -89,6 +89,18 @@ MUTUALLY_RECURSIVE_ADTS = """prog {
   adt B { b(y: A); }
 }"""
 
+# a field, a predicate argument and a variable of undeclared types
+UNDECLARED_TYPES = """prog {
+  adt Node { node(data: Int, next: Cell); }
+  pred P(Int, Obj);
+  var n: Tree;
+}"""
+
+UNDECLARED_HEAPTYPE = """prog {
+  adt Node { node(data: Int); }
+  heaptype Cell;
+}"""
+
 # every statement but the declarations is ill-typed
 ILL_TYPED_HEAP = """prog {
   adt Node { node(data: Int, next: Addr); }
@@ -108,9 +120,21 @@ ILL_TYPED_HEAP = """prog {
 
 def test_recursion_through_another_adt_rejected():
     diags = typecheck(parse_program(MUTUALLY_RECURSIVE_ADTS))
-    assert [d.message for d in diags] == [
-        "adt 'A' is recursive through field 'x'",
-        "adt 'B' is recursive through field 'y'"]
+    assert [(d.line, d.message) for d in diags] == [
+        (2, "adt 'A' is recursive through field 'x'"),
+        (3, "adt 'B' is recursive through field 'y'")]
+
+
+def test_declaration_type_errors_point_at_the_declaration():
+    diags = typecheck(parse_program(UNDECLARED_TYPES))
+    assert [(d.line, d.col, d.message) for d in diags] == [
+        (2, 36, "field 'next' of 'node': unknown adt 'Cell'"),
+        (3, 15, "argument 1 of predicate 'P': bare Obj type needs a "
+                "heaptype declaration"),
+        (4, 10, "variable 'n': unknown adt 'Tree'")]
+    diags = typecheck(parse_program(UNDECLARED_HEAPTYPE))
+    assert [(d.line, d.col, d.message) for d in diags] == [
+        (3, 12, "heaptype 'Cell' is not a declared adt")]
 
 
 def test_heap_statement_and_argument_types_rejected():
@@ -124,8 +148,11 @@ def test_heap_statement_and_argument_types_rejected():
         (13, "cannot havoc 'q': adt 'Pair' has Addr fields")]
 
 
-@pytest.mark.parametrize("src", [MUTUALLY_RECURSIVE_ADTS, ILL_TYPED_HEAP],
-                         ids=["mutually-recursive-adts", "ill-typed-heap"])
+@pytest.mark.parametrize(
+    "src", [MUTUALLY_RECURSIVE_ADTS, ILL_TYPED_HEAP, UNDECLARED_TYPES,
+            UNDECLARED_HEAPTYPE],
+    ids=["mutually-recursive-adts", "ill-typed-heap", "undeclared-types",
+         "undeclared-heaptype"])
 def test_cli_lists_type_errors_with_positions(capsys, tmp_path, src):
     bad = tmp_path / "bad.up"
     bad.write_text(src)
@@ -133,8 +160,11 @@ def test_cli_lists_type_errors_with_positions(capsys, tmp_path, src):
     out, err = capsys.readouterr()
     assert out == ""
     *diags, last = err.splitlines()
-    assert diags and all(re.match(rf"{re.escape(str(bad))}:\d+:\d+: ", line)
-                         for line in diags), err
+    # every diagnostic has a position in the file: lines and columns
+    # count from 1
+    assert diags and all(
+        re.match(rf"{re.escape(str(bad))}:[1-9]\d*:[1-9]\d*: ", line)
+        for line in diags), err
     assert last == f"error: {bad}: {len(diags)} type error(s)"
 
 

@@ -7,8 +7,8 @@ from .lang import (
     parse_program, pretty_print, typecheck,
 )
 from .interp import (
-    Bot, CompiledProgram, Fuel, ObjVal, Top, Undefined, eval_stmt,
-    eval_trace_mode, heap_allocate, heap_read, heap_write,
+    Bot, CompiledProgram, ObjVal, Top, Undefined, heap_allocate, heap_read,
+    heap_write,
 )
 from .fixpoint import (
     InputDomain, Interpretation, check_equisafety, check_safety,
@@ -28,9 +28,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Program", "SourceError", "Diagnostic", "assign_locations",
     "parse_and_check", "parse_program", "pretty_print", "typecheck",
-    "Bot", "CompiledProgram", "Fuel", "ObjVal", "Top", "Undefined",
-    "eval_stmt", "eval_trace_mode", "heap_allocate", "heap_read",
-    "heap_write",
+    "Bot", "CompiledProgram", "ObjVal", "Top", "Undefined", "heap_allocate",
+    "heap_read", "heap_write",
     "InputDomain", "Interpretation", "check_equisafety", "check_safety",
     "cosim_check", "immediate_consequence", "least_fixpoint",
     "EncodedProgram", "EncodingConfig", "apply_scope_vars", "enc_n",

@@ -174,8 +174,7 @@ class _Translator:
             return str(e.value)
         raise ChcError(
             "division in clause translation is supported only for positive "
-            "constant divisors (use native nondeterminism instead of the "
-            "seed macro when encoding for clause emission)")
+            "constant divisors")
 
     def default_term(self, adt_name: str | None) -> Term:
         if adt_name is None:

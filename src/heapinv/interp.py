@@ -9,7 +9,11 @@ Two heap models are provided:
 * trace mode: the heap is a chronological list of (address, object) write
   events; an allocation and a write at a valid address append one, and a
   read returns the most recent event for a valid address.  Both modes are
-  observably equivalent and cross-checked in the test suite.
+  observably equivalent and cross-checked in the test suite.  A trace-mode
+  run also records its heap reads and seed draws in order, beside the
+  writes, for replay; it never stops at a draw site and cannot resume.
+
+Every run starts from an empty heap.
 
 Statements are compiled once into a flat list of instruction closures
 (Feeley & Lapalme, "Using closures for code generation", 1987); evaluation
@@ -21,12 +25,12 @@ Each instruction takes ``(state, env)`` and returns the index of the next
 one: ``if`` and ``while`` become conditional jumps to fixed indices, blocks
 disappear, and the run loop calls one instruction per executed statement
 or test.  A run that stops at a predicate assume or assert returns a resume
-point, one flat tuple: the env values, the heap, the allocation count,
-both fuels, the seed bits consumed and the query's index.  A query computes
-its argument tuple and tests membership before it changes anything, so the
-point is the state just before the query, and ``run(resume=point)``
-continues exactly where the stopped run left off, under any interpretation
-in which the queries it passed still hold.
+point, one flat tuple: the env values, the heap, both fuels, the seed bits
+consumed and the query's index.  A query computes its argument tuple and
+tests membership before it changes anything, so the point is the state
+just before the query, and ``run(resume=point)`` continues exactly where
+the stopped run left off, under any interpretation in which the queries it
+passed still hold.
 
 Under seed classing the assume of a draw site (``DrawSite``: a run of
 havoc/nondet instructions that no jump enters but at its first, followed
@@ -61,10 +65,10 @@ little to pay for their code.  What stays specialised:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from operator import add, eq, ge, gt, itemgetter, le, lt, mul, ne, sub
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 from .lang import (
     AdtDecl, Alloc, Assign, AssertExpr, AssertPred, AssumeExpr, AssumePred,
@@ -173,12 +177,6 @@ Outcome = Top | Bot | Undefined
 TOP = Top()
 
 
-@dataclass(frozen=True)
-class Fuel:
-    loop: int
-    heap_ops: int
-
-
 # Truncating (C-style) integer division and remainder.
 
 def trunc_div(a: int, b: int) -> int:
@@ -221,16 +219,15 @@ class _State:
     __slots__ = ("heap", "allocs", "loop_fuel", "heap_fuel", "rels", "bits",
                  "events", "blocker", "site")
 
-    def __init__(self, heap: list, allocs: int, loop_fuel: int,
-                 heap_fuel: int, rels: tuple, bits: int,
-                 events: list | None):
+    def __init__(self, heap: list, loop_fuel: int, heap_fuel: int,
+                 rels: tuple, bits: int, events: list | None):
         self.heap = heap
-        self.allocs = allocs
+        self.allocs = 0  # trace mode: the allocation count
         self.loop_fuel = loop_fuel
         self.heap_fuel = heap_fuel
         self.rels = rels  # the interpretation's relations, by query index
         self.bits = bits  # seed bits consumed by havoc/nondet draws
-        self.events = events  # ("read", addr, value) | ("draw", raw, nbits)
+        self.events = events  # trace mode: see ``RunResult.events``
         # ``blocker``, the (pred, args) of a failed query, is set when a
         # query stops the run; ``site``, the (bits, loop fuel, values of the
         # seed and drawn variables) before the draws, by a draw site's first
@@ -244,10 +241,12 @@ class RunResult(NamedTuple):
     heap_len: int       # allocation count in either mode
     bits_consumed: int
     blocker: tuple | None  # (pred, args) that ended the run, if any
-    events: list | None = None  # interleaved reads and seed draws, when recording
-    # where a run stopped by a predicate query continues: (*env values,
-    # heap, allocation count, loop fuel, heap fuel, bits consumed, pc); for
-    # a draw site's query, the state before the site's draws
+    # trace mode: the reads and seed draws in order, ("read", addr, value)
+    # and ("draw", raw bits, bit count); None in sequence mode
+    events: list | None = None
+    # where a sequence-mode run stopped by a predicate query continues:
+    # (*env values, heap, loop fuel, heap fuel, bits consumed, pc); for a
+    # draw site's query, the state before the site's draws
     resume: tuple | None = None
 
 
@@ -353,7 +352,7 @@ class DrawSite:
     def draw(self, s: int) -> tuple[tuple, int, int]:
         got = self._memo.get(s)
         if got is None:
-            st = _State([], 0, _DRAW_FUEL, 0, (), 0, None)
+            st = _State([], _DRAW_FUEL, 0, (), 0, None)
             env = {self._seed_var: s}
             for target, draw in self._drawers:
                 env[target] = draw(st, env)
@@ -364,13 +363,11 @@ class DrawSite:
 
 
 class _Compiler:
-    def __init__(self, program: Program, mode: str = "heap",
-                 record_reads: bool = False):
+    def __init__(self, program: Program, mode: str = "heap"):
         if mode not in ("heap", "trace"):
             raise ValueError(f"unknown evaluation mode {mode!r}")
         self.program = program
         self.mode = mode
-        self.record_reads = record_reads
         self.adts = program.adts_by_name()
         self.def_obj = (default_obj(program.heap_adt, self.adts)
                         if program.heap_adt else None)
@@ -718,7 +715,6 @@ class _Compiler:
             t = s.target
             p = s.addr
             d = self.def_obj
-            rec = self.record_reads
             if self.mode == "heap":
                 def fread(st, env):
                     if st.heap_fuel <= 0:
@@ -726,9 +722,7 @@ class _Compiler:
                     st.heap_fuel -= 1
                     a = env[p]
                     h = st.heap
-                    env[t] = v = h[a - 1] if 0 < a <= len(h) else d
-                    if rec:
-                        st.events.append(("read", a, v))
+                    env[t] = h[a - 1] if 0 < a <= len(h) else d
                     return nxt
                 return fread
 
@@ -738,8 +732,7 @@ class _Compiler:
                 st.heap_fuel -= 1
                 a = env[p]
                 env[t] = v = trace_read(st.heap, st.allocs, a, d)
-                if rec:
-                    st.events.append(("read", a, v))
+                st.events.append(("read", a, v))
                 return nxt
             return fread_t
         if isinstance(s, Write):
@@ -787,20 +780,20 @@ class _Compiler:
                 env[target] = draw(st, env)
                 return nxt
             return fhavoc_site
-        if not self.record_reads:
+        if self.mode == "heap":
             def fhavoc(st, env):
                 env[target] = draw(st, env)
                 return nxt
             return fhavoc
 
-        def fhavoc_rec(st, env):
+        def fhavoc_t(st, env):
             seed_before = env[seed_var]
             bits_before = st.bits
             env[target] = draw(st, env)
             used = st.bits - bits_before
             st.events.append(("draw", seed_before & ((1 << used) - 1), used))
             return nxt
-        return fhavoc_rec
+        return fhavoc_t
 
 
 _NO_RELATION = frozenset()
@@ -810,8 +803,7 @@ class CompiledProgram:
     """A program compiled to a flat instruction list, reusable across many
     runs."""
 
-    def __init__(self, program: Program, mode: str = "heap",
-                 record_reads: bool = False):
+    def __init__(self, program: Program, mode: str = "heap"):
         self.program = program
         self.mode = mode
         self.seed_var = program.seed_var
@@ -826,12 +818,13 @@ class CompiledProgram:
         self.seed_classing = (self.seed_var is not None
                               and self.seed_var not in self.reads
                               and self.seed_var not in self.used_beyond_eq)
-        comp = _Compiler(program, mode, record_reads)
-        self.record_reads = record_reads
+        comp = _Compiler(program, mode)
+        self.trace_mode = mode == "trace"
         # draw sites need seed classing: their resume point is taken before
         # the draws, when the seed variable held fewer consumed bits
         self.code = comp.code(
-            program.body, find_sites=self.seed_classing and not record_reads)
+            program.body,
+            find_sites=self.seed_classing and not self.trace_mode)
         self.sites = comp.sites
         self.preds = tuple(comp.preds)
         self.adts = comp.adts
@@ -840,7 +833,6 @@ class CompiledProgram:
             for name, ty in program.var_types.items()
         }
         self.names = tuple(self.env_template)
-        self.trace_mode = mode == "trace"
         # Bot outcomes by (pred, args): frozen, so one object serves every
         # run that fails the same way
         self.bots: dict[tuple, Bot] = {}
@@ -859,11 +851,10 @@ class CompiledProgram:
 
     def run(self, inputs: dict[str, Value] | None = None, interp=None,
             loop_fuel: int = 64, heap_fuel: int = 32,
-            initial_heap: Iterable[ObjVal] = (),
-            initial_trace: Iterable[tuple[int, ObjVal]] = (),
-            initial_allocs: int = 0, resume: tuple | None = None) -> RunResult:
+            resume: tuple | None = None) -> RunResult:
         """Run from the start on the inputs (the other variables at their
-        defaults), or continue a stopped run from its ``resume`` point.
+        defaults) and an empty heap, or continue a stopped run from its
+        ``resume`` point (sequence mode only).
         A resumed run restores every variable, the heap and both fuels from
         the point and takes nothing else from the arguments, except that
         under seed classing the seed variable becomes ``inputs[seed] >>
@@ -871,7 +862,6 @@ class CompiledProgram:
         supplies ``relation(name)`` containers; None is the empty
         interpretation."""
         rels = self._rels if interp is self._interp else self._bind(interp)
-        events = [] if self.record_reads else None
         if resume is None:
             env = self.env_template.copy()
             if inputs:
@@ -882,21 +872,20 @@ class CompiledProgram:
             seed_var = self.seed_var
             if seed_var is not None and env[seed_var] < 0:
                 raise ValueError("seed must be nonnegative")
-            st = _State(list(initial_trace if self.trace_mode else initial_heap),
-                        initial_allocs, loop_fuel, heap_fuel, rels, 0, events)
+            st = _State([], loop_fuel, heap_fuel, rels, 0,
+                        [] if self.trace_mode else None)
             pc = 0
         else:
-            if events is not None:
-                raise ValueError("a run that records reads cannot resume")
+            if self.trace_mode:
+                raise ValueError("a trace-mode run cannot resume")
             env = dict(zip(self.names, resume))
-            heap, allocs, loop_fuel, heap_fuel, bits, pc = resume[-6:]
+            heap, loop_fuel, heap_fuel, bits, pc = resume[-5:]
             if inputs and self.seed_classing:
                 seed = inputs[self.seed_var]
                 if seed < 0:
                     raise ValueError("seed must be nonnegative")
                 env[self.seed_var] = seed >> bits
-            st = _State(list(heap), allocs, loop_fuel, heap_fuel, rels, bits,
-                        None)
+            st = _State(list(heap), loop_fuel, heap_fuel, rels, bits, None)
         code = self.code
         end = len(code)
         blocker = point = None
@@ -932,45 +921,9 @@ class CompiledProgram:
                     for k, v in zip(site.slots, before):
                         values[k] = v
                 # an empty heap is kept as the shared empty tuple
-                point = (*values, st.heap or (), st.allocs, fuel,
-                         st.heap_fuel, bits, pc)
+                point = (*values, st.heap or (), fuel, st.heap_fuel, bits,
+                         pc)
         heap = st.heap
         return _new_tuple(RunResult, (
             outcome, env, heap, st.allocs if self.trace_mode else len(heap),
             st.bits, blocker, st.events, point))
-
-
-# ---------------------------------------------------------------------------
-# Spec-level entry points
-
-
-def _with_body(program: Program, stmt: Stmt) -> Program:
-    """The program's declarations around a single statement."""
-    return replace(program,
-                   body=stmt if isinstance(stmt, Block) else Block((stmt,)))
-
-
-def eval_stmt(stmt: Stmt, stack: dict, heap: list, interp, fuel: Fuel,
-              program: Program) -> tuple[Outcome, dict, list]:
-    """Big-step evaluation of a statement against an explicit stack & heap.
-
-    The program supplies declarations (types, ADTs, seed variable); the
-    inputs are not mutated.
-    """
-    cp = CompiledProgram(_with_body(program, stmt))
-    res = cp.run(inputs=dict(stack), interp=interp,
-                 loop_fuel=fuel.loop, heap_fuel=fuel.heap_ops,
-                 initial_heap=heap)
-    return res.outcome, res.env, res.heap
-
-
-def eval_trace_mode(stmt: Stmt, stack: dict, trace: list, interp, fuel: Fuel,
-                    program: Program,
-                    allocs: int = 0) -> tuple[Outcome, dict, list]:
-    """Trace-mode twin of eval_stmt; the heap is a list of write events."""
-    cp = CompiledProgram(_with_body(program, stmt), mode="trace")
-    res = cp.run(inputs=dict(stack), interp=interp,
-                 loop_fuel=fuel.loop, heap_fuel=fuel.heap_ops,
-                 initial_trace=trace, initial_allocs=allocs)
-    return res.outcome, res.env, res.heap
-

@@ -925,13 +925,14 @@ class TypeChecker:
         self.diags: list[Diagnostic] = []
         self.adts = program.adts_by_name()
         self.preds = program.preds_by_name()
-        self.sels: dict[str, tuple[str, str, Type]] = {}
+        # selector -> (adt name, constructor, field index)
+        self.sels: dict[str, tuple[str, CtorDecl, int]] = {}
         self.ctors: dict[str, tuple[str, CtorDecl]] = {}
         for a in program.adts:
             for c in a.ctors:
                 self.ctors[c.name] = (a.name, c)
-                for fname, fty in c.fields:
-                    self.sels[fname] = (a.name, c.name, fty)
+                for i, (fname, _) in enumerate(c.fields):
+                    self.sels[fname] = (a.name, c, i)
 
     def error(self, node, msg: str):
         line, col = getattr(node, "pos", (0, 0))
@@ -949,10 +950,14 @@ class TypeChecker:
         if p.heap_adt is not None and p.heap_adt not in self.adts:
             self.diags.append(Diagnostic(*p.heap_pos, f"heaptype {p.heap_adt!r} is not a declared adt"))
         for a in p.adts:
-            self.check_adt_acyclic(a)
             for c in a.ctors:
                 for fname, fty in c.fields:
                     self.check_type_wf(fty, f"field {fname!r} of {c.name!r}")
+                c.fields = [(fname, self.resolve(fty))
+                            for fname, fty in c.fields]
+        # after every field is resolved: a bare Obj field can close a cycle
+        for a in p.adts:
+            self.check_adt_acyclic(a)
         for pd in p.preds:
             for i, ty in enumerate(pd.arg_types):
                 self.check_type_wf(ty, f"argument {i} of predicate {pd.name!r}")
@@ -993,13 +998,13 @@ class TypeChecker:
             seen.add(name)
             for c in self.adts[name].ctors:
                 for _, fty in c.fields:
-                    if fty.kind == "Obj" and fty.adt is not None and reach(fty.adt):
+                    if fty.kind == "Obj" and reach(fty.adt):
                         return True
             return False
 
         for c in adt.ctors:
             for fname, fty in c.fields:
-                if fty.kind == "Obj" and (fty.adt == adt.name or (fty.adt and reach(fty.adt))):
+                if fty.kind == "Obj" and (fty.adt == adt.name or reach(fty.adt)):
                     self.error(adt, f"adt {adt.name!r} is recursive through field {fname!r}")
                     return
 
@@ -1097,12 +1102,8 @@ class TypeChecker:
     # expressions
 
     def check_expr(self, e: Expr) -> Type | None:
-        ty = self._expr_type(e)
-        if ty is not None:
-            return self.resolve(ty)
-        return None
-
-    def _expr_type(self, e: Expr) -> Type | None:
+        # every declared type is resolved by ``check_decls``, so no bare Obj
+        # reaches here while a heaptype is declared
         if isinstance(e, IntLit):
             return INT
         if isinstance(e, Var):
@@ -1143,20 +1144,19 @@ class TypeChecker:
                 self.error(e, f"constructor {e.ctor!r} expects {len(ctor.fields)} arguments, got {len(e.args)}")
             for a, (fname, fty) in zip(e.args, ctor.fields):
                 got = self.check_expr(a)
-                want = self.resolve(fty)
-                if got is not None and got != want:
-                    self.error(e, f"field {fname!r} of {e.ctor!r} expects {want}, got {got}")
+                if got is not None and got != fty:
+                    self.error(e, f"field {fname!r} of {e.ctor!r} expects {fty}, got {got}")
             return obj_type(adt_name)
         if isinstance(e, SelApp):
             info = self.sels.get(e.sel)
             if info is None:
                 self.error(e, f"unknown selector {e.sel!r}")
                 return None
-            adt_name, _, fty = info
+            adt_name, ctor, i = info
             got = self.check_expr(e.arg)
             if got is not None and got != obj_type(adt_name):
                 self.error(e, f"selector {e.sel!r} applies to {adt_name}, got {got}")
-            return fty
+            return ctor.fields[i][1]
         if isinstance(e, TestApp):
             info = self.ctors.get(e.ctor)
             if info is None:

@@ -1,9 +1,9 @@
 """Replay of recorded source runs in the read-invariant encoding.
 
-A program compiled with ``record_reads`` records its seed draws and heap
-reads in order.  ``replay_bits`` turns them into the seed under which the
-encoding takes the same path, and ``cosim_check`` compares the final
-states of the two runs at every prophecy address.
+A trace-mode run records its seed draws and heap reads in order, beside
+its heap writes.  ``replay_bits`` turns the draws and reads into the seed
+under which the encoding takes the same path, and ``cosim_check`` compares
+the final states of the two runs at every prophecy address.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .encode import READ_PRED, V_CNT_ALLOC, V_LAST
 from .fixpoint import InputDomain, Interpretation, initial_stack
 from .interp import (
-    CompiledProgram, RunResult, Undefined, Value, default_obj, heap_read,
+    CompiledProgram, RunResult, Undefined, Value, default_obj, trace_read,
 )
 from .lang import Program, Type
 
@@ -88,8 +88,8 @@ def replay_bits(events: list, last_addr: int, encoded: Program) -> list[int]:
 
 def _source_runs(star: CompiledProgram, domain: InputDomain, counter: int,
                  seed: int) -> list[tuple[int, RunResult]]:
-    """(input, run) for every input of the range, of a program compiled with
-    ``record_reads``.  The heap fuel exceeds the counter, so that a budget
+    """(input, run) for every input of the range, of a program compiled in
+    trace mode.  The heap fuel exceeds the counter, so that a budget
     counter, not the fuel, bounds the run's heap operations."""
     lo, hi = domain.in_range
     return [(in_v, star.run(
@@ -151,12 +151,13 @@ def cosim_check(p_star: Program, p_encoded: Program, domain: InputDomain,
     one per (counter value, source seed, input).  Checks: equal outcomes,
     equal final values of the common variables (the seed variable is
     excluded: the encoding consumes seed bits the original never touches),
-    final ``$last`` equal to the final heap contents at the prophecy
-    address, and final ``$cnt_alloc`` equal to the final heap size.
+    final ``$last`` equal to the source trace's last write at the prophecy
+    address, and final ``$cnt_alloc`` equal to the source's allocation
+    count.
     """
     if p_star.seed_var is None or p_encoded.seed_var is None:
         raise ValueError("co-simulation requires seed declarations")
-    star = CompiledProgram(p_star, record_reads=True)
+    star = CompiledProgram(p_star, mode="trace")
     enc = CompiledProgram(p_encoded)
     def_obj = default_obj(p_star.heap_adt, p_star.adts_by_name())
     common = [v for v in p_star.var_types
@@ -197,10 +198,10 @@ def _compare_point(res1, res2, common, la, def_obj) -> str:
         if res1.env[v] != res2.env[v]:
             return (f"stack mismatch on {v!r}: "
                     f"{res1.env[v]!r} vs {res2.env[v]!r}")
-    want = heap_read(res1.heap, la, def_obj)
+    want = trace_read(res1.heap, res1.heap_len, la, def_obj)
     if res2.env[V_LAST] != want:
         return f"read tracking mismatch: heap[{la}]={want!r} vs {res2.env[V_LAST]!r}"
-    if res2.env[V_CNT_ALLOC] != len(res1.heap):
-        return (f"allocation count mismatch: |heap|={len(res1.heap)} vs "
+    if res2.env[V_CNT_ALLOC] != res1.heap_len:
+        return (f"allocation count mismatch: |heap|={res1.heap_len} vs "
                 f"{res2.env[V_CNT_ALLOC]!r}")
     return ""

@@ -213,7 +213,7 @@ def test_criterion_6_solved_invariant_check(domain, corpus):
 
     # construct completing seeds: every (input, prophecy address) pair has a
     # fully defined execution, and it succeeds under the invariant
-    star = CompiledProgram(p, record_reads=True)
+    star = CompiledProgram(p, mode="trace")
     encoded = CompiledProgram(enc.program)
     tops = 0
     lo, hi = domain.in_range

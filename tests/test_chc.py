@@ -1,7 +1,7 @@
 import pytest
 
 from heapinv.chc import ChcError, emit_smtlib, to_chc
-from heapinv.encode import enc_r, enc_rw
+from heapinv.encode import EncodingConfig, enc_r, enc_rw, encode
 from heapinv.lang import parse_and_check
 
 import progen
@@ -152,6 +152,30 @@ def test_division_requires_positive_constant_divisor():
         to_chc(parse_and_check("prog { var i: Int; var j: Int; i := i / j; }"))
     cs = to_chc(parse_and_check("prog { var i: Int; i := i / 2; }"))
     assert "div" in emit_smtlib(cs)
+
+
+def test_division_error_names_only_the_divisor():
+    with pytest.raises(ChcError) as err:
+        to_chc(parse_and_check("prog { var i: Int; i := 7 % i; }"))
+    assert str(err.value) == ("division in clause translation is supported "
+                              "only for positive constant divisors")
+
+
+@pytest.mark.parametrize("base", ["r", "rw"])
+def test_native_havoc_does_not_change_the_clauses(corpus, base):
+    # havoc and nondet translate to the same clauses: nothing on the
+    # encode-to-emit path expands the seed macro
+    pairs = 0
+    for entry in corpus:
+        p = entry.load()
+        for ext in ({}, {"tagging": True}, {"caching": True}):
+            macro, native = (
+                emit_smtlib(to_chc(encode(p, EncodingConfig(
+                    base=base, native_havoc=nh, **ext)).program))
+                for nh in (False, True))
+            assert macro == native, (entry.name, base, ext)
+            pairs += 1
+    assert pairs == 3 * len(corpus) == 69
 
 
 def test_golden_file_for_encoded_list_program(corpus):

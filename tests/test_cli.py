@@ -44,6 +44,19 @@ def test_run_dump_schema(capsys):
     assert payload["heapLen"] == 1
 
 
+def test_run_trace_mode_prints_the_heap_model_line(capsys):
+    lines = 0
+    for name in corpus_by_name():
+        path = corpus_path(name)
+        for in_v in ("-1", "0", "2"):
+            heap = run_cli(capsys, "run", path, "--in", in_v)
+            trace = run_cli(capsys, "run", path, "--in", in_v, "--trace-mode")
+            assert trace == heap, (name, in_v)
+            assert heap[0] == EXIT_OK and heap[1].count("\n") == 1
+            lines += 1
+    assert lines == 69
+
+
 def test_run_bot_outcome(capsys):
     code, out, _ = run_cli(capsys, "run", corpus_path("trivially-false"))
     assert code == EXIT_OK

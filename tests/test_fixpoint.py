@@ -228,7 +228,7 @@ def test_read_trace_interpretation_contains_grid_fixpoint():
     # the limit of the read predicate for this deterministic program: for
     # every input, (input, k, v) where the k-th read returned v
     limit = replay._read_relation(replay._source_runs(
-        CompiledProgram(p, record_reads=True), d, d.heap_op_fuel, 0))
+        CompiledProgram(p, mode="trace"), d, d.heap_op_fuel, 0))
     e = enc_r(enc_n(p))
     bounded = least_fixpoint(e.program, d)
     assert bounded.tuples("R") <= limit.tuples("R")
@@ -298,6 +298,58 @@ def test_cosim_counter_above_heap_budget(corpus):
                           InputDomain(heap_op_fuel=fuel),
                           counter_values=(counter,))
         assert rep.ok, (name, len(rep.failures()), rep.failures()[:1])
+
+
+COSIM_SOURCE = """prog {
+  adt Node { node(data: Int, next: Addr); }
+  heaptype Node;
+  input in;
+  seed seed;
+  var p: Addr; var x: Node; var k: Int;%s
+  p := alloc(node(in, null));
+  x := read(p);
+  k := data(x)%s;
+  write(p, node(%d, null));%s
+}"""
+
+
+def cosim_program(extra_var="", k_plus="", written=7, extra_stmt=""):
+    return parse_and_check(
+        COSIM_SOURCE % (extra_var, k_plus, written, extra_stmt))
+
+
+@pytest.mark.parametrize("other, budget, failures", [
+    # the same program: no failure
+    (cosim_program(), True, []),
+    # another object written to p: $last differs at p's address only
+    (cosim_program(written=8), True,
+     [(in_v, 1, "read tracking mismatch: heap[1]=node(7, 0) vs node(8, 0)")
+      for in_v in (0, 1)]),
+    # one more allocation, into a variable the source lacks (without the
+    # budget counter, which would differ first)
+    (cosim_program(extra_var=" var r: Addr;",
+                   extra_stmt="\n  r := alloc(defObj);"), False,
+     [(in_v, la, "allocation count mismatch: |heap|=1 vs 2")
+      for in_v in (0, 1) for la in (0, 1, 2)]),
+    # another value assigned to a common variable
+    (cosim_program(k_plus=" + 1"), True,
+     [(in_v, la, f"stack mismatch on 'k': {in_v} vs {in_v + 1}")
+      for in_v in (0, 1) for la in (0, 1, 2)]),
+    # a failing assertion
+    (cosim_program(extra_stmt="\n  assert(k != in);"), True,
+     [(in_v, la, "outcome mismatch: Top vs Bot(F, ())")
+      for in_v in (0, 1) for la in (0, 1, 2)]),
+], ids=["same", "write", "alloc", "stack", "outcome"])
+def test_cosim_reports_each_mismatch(other, budget, failures):
+    # co-simulation against the encoding of another program must fail at
+    # exactly the points where the final states differ
+    d = InputDomain(in_range=(0, 1), last_addr_range=(0, 2))
+    encoded = enc_r(enc_n(other) if budget else other).program
+    rep = cosim_check(enc_n(cosim_program()), encoded, d)
+    assert len(rep.points) == 6
+    assert [(f.in_v, f.last_addr, f.detail) for f in rep.failures()] == [
+        (in_v, la, f"[c=32 seed0=0] {detail}")
+        for in_v, la, detail in failures]
 
 
 def naive_least_fixpoint(program, domain):

@@ -5,9 +5,9 @@ from hypothesis import given, strategies as st
 
 from heapinv.fixpoint import Interpretation
 from heapinv.interp import (
-    ASSUME_FAILED, Bot, CompiledProgram, FUEL_EXHAUSTED, Fuel, ObjVal, TOP,
-    Undefined, _BotSignal, _Compiler, eval_stmt, heap_allocate, heap_read,
-    heap_write, trunc_div, trunc_mod,
+    ASSUME_FAILED, Bot, CompiledProgram, FUEL_EXHAUSTED, ObjVal, TOP,
+    Undefined, _BotSignal, _Compiler, heap_allocate, heap_read, heap_write,
+    trunc_div, trunc_mod,
 )
 from heapinv.lang import TestApp as IsCtor  # a Test* name would be collected
 from heapinv.lang import Var, expand_program_havocs, parse_and_check
@@ -228,21 +228,21 @@ def test_negative_seed_rejected():
         CompiledProgram(p).run(inputs={"seed": -1})
 
 
-def test_eval_stmt_entry_point():
+def test_run_does_not_mutate_inputs():
     p = parse_and_check("""prog {
       adt Node { node(data: Int, next: Addr); }
       heaptype Node;
       var p: Addr; var x: Node;
+      p := alloc(node(7, null));
       x := read(p);
     }""")
-    stack = {"p": 1, "x": ObjVal("node", (0, 0))}
-    heap = [NODE]
-    out, st, h = eval_stmt(p.body, stack, heap, Interpretation.empty(),
-                           Fuel(8, 8), p)
-    assert out == TOP
-    assert st["x"] == NODE
-    assert h == [NODE]
-    assert stack["x"] == ObjVal("node", (0, 0))  # inputs not mutated
+    inputs = {"p": 0, "x": ObjVal("node", (0, 0))}
+    res = CompiledProgram(p).run(inputs, loop_fuel=8, heap_fuel=8)
+    assert res.outcome == TOP
+    assert res.env["x"] == NODE and res.env["p"] == 1
+    assert res.heap == [NODE] and res.heap_len == 1
+    assert res.events is None  # the sequence model records nothing
+    assert inputs == {"p": 0, "x": ObjVal("node", (0, 0))}
 
 
 # ---------------------------------------------------------------------------

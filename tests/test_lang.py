@@ -118,6 +118,28 @@ ILL_TYPED_HEAP = """prog {
 }"""
 
 
+# recursive through the heap type, named by the bare Obj shorthand
+RECURSIVE_THROUGH_BARE_OBJ = """prog {
+  adt Node { node(d: Int, nx: Obj); }
+  heaptype Node;
+}"""
+
+# a bare Obj field of another adt is the heap type
+BARE_OBJ_FIELD = """prog {
+  adt Box { box(v: Obj); }
+  adt Node { node(d: Int); }
+  heaptype Node;
+  input in;
+  seed seed;
+  var b: Box; var p: Addr; var n: Node;
+  p := alloc(node(in));
+  n := read(p);
+  b := box(n);
+  n := v(b);
+  assert(d(n) = in);
+}"""
+
+
 def test_recursion_through_another_adt_rejected():
     diags = typecheck(parse_program(MUTUALLY_RECURSIVE_ADTS))
     assert [(d.line, d.message) for d in diags] == [
@@ -137,6 +159,52 @@ def test_declaration_type_errors_point_at_the_declaration():
         (3, 12, "heaptype 'Cell' is not a declared adt")]
 
 
+def test_bare_obj_field_is_the_heap_type(capsys, tmp_path):
+    diags = typecheck(parse_program(RECURSIVE_THROUGH_BARE_OBJ))
+    assert [(d.line, d.col, d.message) for d in diags] == [
+        (2, 7, "adt 'Node' is recursive through field 'nx'")]
+    p = parse_and_check(BARE_OBJ_FIELD)
+    assert p.adts[0].ctors[0].fields[0][1] == p.var_types["n"]
+    ok = tmp_path / "box.up"
+    ok.write_text(BARE_OBJ_FIELD)
+    for argv in (["fixpoint", str(ok)], ["run", str(ok), "--in", "3"],
+                 ["emit-chc", "--enc", "r", str(ok)]):
+        assert main(argv) == 0, argv
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert "verdict: safe" in out
+    assert '"b": {"ctor": "box", "fields": [{"ctor": "node", "fields": [3]}]}' in out
+    assert "((box (v Node)))" in out
+
+
+# declarations for one statement at line 6
+EXPR_DECLS = """prog {
+  adt Node { node(data: Int, next: Addr); }
+  adt Pair { pair(l: Int); }
+  heaptype Node;
+  var p: Addr; var k: Int; var n: Node; var q: Pair;
+"""
+
+
+@pytest.mark.parametrize("stmt, col, message", [
+    ("k := -p;", 8, "arithmetic on Addr"),
+    ("k := -n;", 8, "unary '-' needs an Int operand, got Node"),
+    ("k := p + 1;", 10, "arithmetic on Addr"),
+    ("k := n * 2;", 10, "operator '*' needs Int operands, got Node"),
+    ("k := (k = p);", 11, "cannot compare Int with Addr"),
+    ("n := node(1);", 8, "constructor 'node' expects 2 arguments, got 1"),
+    ("n := node(p, null);", 8, "field 'data' of 'node' expects Int, got Addr"),
+    ("k := data(q);", 8, "selector 'data' applies to Node, got Pair"),
+    ("k := is_node(q);", 8, "tester is_node applies to Node, got Pair"),
+    ("if (n) { skip; }", 7, "condition must have type Int, has Node"),
+    ("while (q) { skip; }", 10, "condition must have type Int, has Pair"),
+    ("k := z;", 8, "undeclared variable 'z'"),
+])
+def test_expression_type_errors(stmt, col, message):
+    diags = typecheck(parse_program(f"{EXPR_DECLS}  {stmt}\n}}"))
+    assert [(d.line, d.col, d.message) for d in diags] == [(6, col, message)]
+
+
 def test_heap_statement_and_argument_types_rejected():
     diags = typecheck(parse_program(ILL_TYPED_HEAP))
     assert [(d.line, d.message) for d in diags] == [
@@ -150,9 +218,9 @@ def test_heap_statement_and_argument_types_rejected():
 
 @pytest.mark.parametrize(
     "src", [MUTUALLY_RECURSIVE_ADTS, ILL_TYPED_HEAP, UNDECLARED_TYPES,
-            UNDECLARED_HEAPTYPE],
+            UNDECLARED_HEAPTYPE, RECURSIVE_THROUGH_BARE_OBJ],
     ids=["mutually-recursive-adts", "ill-typed-heap", "undeclared-types",
-         "undeclared-heaptype"])
+         "undeclared-heaptype", "recursive-through-bare-obj"])
 def test_cli_lists_type_errors_with_positions(capsys, tmp_path, src):
     bad = tmp_path / "bad.up"
     bad.write_text(src)

@@ -39,3 +39,10 @@ def test_runtime_imports_only_the_standard_library():
     assert outside == []
     # the walk reaches the modules' imports and skips those in functions
     assert {"dataclasses", "subprocess"} <= seen and "z3" not in seen
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in heapinv.__all__
+               if not hasattr(heapinv, name)]
+    assert missing == []
+    assert len(set(heapinv.__all__)) == len(heapinv.__all__)

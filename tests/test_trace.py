@@ -1,9 +1,8 @@
 """Trace-model semantics and its equivalence with the sequence model."""
 
-from heapinv.fixpoint import Interpretation
-from heapinv.interp import (
-    CompiledProgram, Fuel, ObjVal, TOP, eval_trace_mode, trace_read,
-)
+import pytest
+
+from heapinv.interp import CompiledProgram, ObjVal, TOP, trace_read
 from heapinv.lang import parse_and_check
 
 import progen
@@ -89,7 +88,7 @@ def test_write_value_is_evaluated_only_at_a_valid_address():
     assert heap.heap_len == trace.heap_len == 0
 
 
-def test_eval_trace_mode_entry_point():
+def test_trace_mode_run_records_writes_and_reads():
     p = parse_and_check("""prog {
       adt Node { node(data: Int, next: Addr); }
       heaptype Node;
@@ -98,11 +97,14 @@ def test_eval_trace_mode_entry_point():
       p := alloc(node(3, null));
       x := read(p);
     }""")
-    out, stack, trace = eval_trace_mode(
-        p.body, {"p": 0, "x": DEF}, [], Interpretation.empty(), Fuel(8, 8), p)
-    assert out == TOP
-    assert stack["x"] == ObjVal("node", (3, 0))
-    assert trace == [(1, ObjVal("node", (3, 0)))]
+    inputs = {"p": 0, "x": DEF}
+    res = CompiledProgram(p, mode="trace").run(inputs, loop_fuel=8,
+                                               heap_fuel=8)
+    assert res.outcome == TOP
+    assert res.env["x"] == ObjVal("node", (3, 0))
+    assert res.heap == [(1, ObjVal("node", (3, 0)))]
+    assert res.events == [("read", 1, ObjVal("node", (3, 0)))]
+    assert inputs == {"p": 0, "x": DEF}
 
 
 def test_modes_agree_on_sample():
@@ -117,3 +119,24 @@ def test_modes_agree_on_corpus(corpus, domain):
         progen.compare_heap_and_trace(
             entry.load(), in_values, domain.seed_range,
             loop_fuel=domain.loop_fuel, heap_fuel=domain.heap_op_fuel)
+
+
+def test_trace_mode_records_draws_and_cannot_resume():
+    p = parse_and_check("""prog {
+      pred P(Int);
+      seed seed;
+      var k: Int;
+      havoc(k);
+      assume(P(k));
+    }""")
+    heap, trace = CompiledProgram(p), CompiledProgram(p, mode="trace")
+    # draw sites are looked for in the sequence model only
+    assert list(heap.sites) == [0] and trace.sites == {}
+    stopped = heap.run({"seed": 6})
+    res = trace.run({"seed": 6})
+    # seed 6 = 0b0110: sign bit 0, one digit 1, then the stop bit
+    assert res.env["k"] == stopped.env["k"] == 1
+    assert res.events == [("draw", 6, 4)]
+    assert res.blocker == stopped.blocker == ("P", (1,))
+    with pytest.raises(ValueError, match="cannot resume"):
+        trace.run({"seed": 6}, resume=stopped.resume)

@@ -305,10 +305,34 @@ def _render(t: Term) -> str:
     return "(" + " ".join(_render(x) for x in t) + ")"
 
 
+def _declaration_order(adts: list) -> list:
+    """The adts, each after every adt its fields name: a depth-first walk in
+    declaration order.  ADTs are not recursive (the typechecker rejects
+    that), so the walk ends and the order exists."""
+    by_name = {a.name: a for a in adts}
+    out: list = []
+    seen: set[str] = set()
+
+    def visit(adt) -> None:
+        if adt.name in seen:
+            return
+        seen.add(adt.name)
+        for c in adt.ctors:
+            for _, ft in c.fields:
+                if ft.adt in by_name:
+                    visit(by_name[ft.adt])
+        out.append(adt)
+
+    for adt in adts:
+        visit(adt)
+    return out
+
+
 def emit_smtlib(cs: ClauseSet) -> str:
-    """Byte-stable HORN-fragment rendering of a clause set."""
+    """Byte-stable HORN-fragment rendering of a clause set.  A datatype is
+    declared after the datatypes its fields name."""
     out = ["(set-logic HORN)"]
-    for adt in cs.adts:
+    for adt in _declaration_order(cs.adts):
         ctors = []
         for c in adt.ctors:
             flds = " ".join(f"({fn} {_sort_of(ft)})" for fn, ft in c.fields)

@@ -10,7 +10,10 @@ assert/assume statements over fresh uninterpreted predicates:
   ``R(input, readCount, obj)``, using a prophecy variable ``$last_addr``
   and a history variable ``$last`` tracking the object at that address.
 * ``rw`` — additionally records writes in ``W(input, opCount, obj)`` and
-  resolves reads in two steps (read count -> write count -> object).
+  resolves reads in two steps (read count -> write count -> object).  All
+  bases share one read path: the ``$last_addr`` test and the ``R`` query
+  of ``r`` track the object, those of ``rw*`` the write count, and only
+  ``rw*`` then asks ``W`` for the object.
 * ``rwfun`` — the rw variant for functional properties of memory-safe
   programs: allocation writes nothing and the initial-object assert is
   dropped.
@@ -133,15 +136,10 @@ def _validate_source(program: Program, need_heap_adt: bool = True) -> None:
 
 
 def _tx_expr(e: Expr) -> Expr:
-    """Rebuild an expression with null lowered to the integer 0."""
+    """Rebuild an expression with null lowered to the integer 0.  Leaves are
+    shared with the source: no pass changes an expression in place."""
     if isinstance(e, Null):
         return IntLit(0, pos=e.pos)
-    if isinstance(e, IntLit):
-        return IntLit(e.value, pos=e.pos)
-    if isinstance(e, Var):
-        return Var(e.name, pos=e.pos)
-    if isinstance(e, DefObj):
-        return DefObj(pos=e.pos)
     if isinstance(e, Unary):
         return Unary(e.op, _tx_expr(e.operand), pos=e.pos)
     if isinstance(e, Binary):
@@ -152,6 +150,8 @@ def _tx_expr(e: Expr) -> Expr:
         return SelApp(e.sel, _tx_expr(e.arg), pos=e.pos)
     if isinstance(e, TestApp):
         return TestApp(e.ctor, _tx_expr(e.arg), pos=e.pos)
+    if isinstance(e, (IntLit, Var, DefObj)):
+        return e
     raise EncodingError(f"cannot transform expression {e!r}")
 
 
@@ -220,7 +220,7 @@ class _HeapEncoder:
 
     # predicate applications, with tagging/scope hooks applied uniformly
 
-    def _r_args(self, third: Expr, write_loc: Expr | None,
+    def _r_args(self, third: Expr, write_loc: Expr,
                 read_loc: int | None) -> list[Expr]:
         args = [_v(self.in_var), _v(V_CNT), third]
         if self.cfg.tagging:
@@ -240,25 +240,37 @@ class _HeapEncoder:
         cfg = self.cfg
         base = cfg.base
 
-        var_types: dict[str, Type] = {}
-        for name, ty in self.src.var_types.items():
-            var_types[name] = INT if ty == ADDR else ty
-        var_types[V_CNT_ALLOC] = INT
-        var_types[V_CNT] = INT
+        # the history of the tracked address: its object (r) or the count of
+        # the write that stored it (rw*)
+        tracked = V_LAST if base == "r" else V_CNT_LAST
+        # the introduced variables: name, type and initial value (None when
+        # the variable starts arbitrary, like the prophecy address)
+        introduced: list[tuple[str, Type, Expr | None]] = [
+            (V_CNT_ALLOC, INT, _n(0)), (V_CNT, INT, _n(0))]
         if base == "r":
-            var_types[V_LAST] = self.obj_ty
+            introduced.append((V_LAST, self.obj_ty, DefObj()))
         else:
-            var_types[V_CNT_LAST] = INT
-            var_types[V_T] = INT
-        var_types[V_LAST_ADDR] = INT
+            introduced += [(V_CNT_LAST, INT, _n(0)), (V_T, INT, _n(0))]
+        introduced.append((V_LAST_ADDR, INT, None))
         if cfg.tagging:
-            var_types[V_LAST_LOC] = INT
-            var_types[V_TAG_TMP] = INT
+            introduced += [(V_LAST_LOC, INT, _n(0)), (V_TAG_TMP, INT, None)]
             if base != "r":
-                var_types[V_TAG_TMP_W] = INT
+                introduced.append((V_TAG_TMP_W, INT, None))
         if cfg.caching:
-            var_types[V_CACHE_ADDR] = INT
-            var_types[V_CACHE_DATA] = self.obj_ty
+            introduced += [(V_CACHE_ADDR, INT, _n(0)),
+                           (V_CACHE_DATA, self.obj_ty, DefObj())]
+
+        var_types: dict[str, Type] = {
+            name: INT if ty == ADDR else ty
+            for name, ty in self.src.var_types.items()}
+        init: list[Stmt] = []
+        for name, ty, value in introduced:
+            var_types[name] = ty
+            if value is not None:
+                init.append(Assign(name, value))
+            if name == V_T and base == "rw":
+                init.append(AssertPred(
+                    WRITE_PRED, self._w_args(_n(0), DefObj(), 0)))
 
         self._tmp_counter = 0
 
@@ -268,25 +280,6 @@ class _HeapEncoder:
             var_types[name] = self.obj_ty
             return name
 
-        # initialisation block
-        init: list[Stmt] = [
-            Assign(V_CNT_ALLOC, _n(0)),
-            Assign(V_CNT, _n(0)),
-        ]
-        if base == "r":
-            init.append(Assign(V_LAST, DefObj()))
-        else:
-            init.append(Assign(V_CNT_LAST, _n(0)))
-            init.append(Assign(V_T, _n(0)))
-            if base == "rw":
-                init.append(AssertPred(
-                    WRITE_PRED, self._w_args(_n(0), DefObj(), 0)))
-        if cfg.tagging:
-            init.append(Assign(V_LAST_LOC, _n(0)))
-        if cfg.caching:
-            init.append(Assign(V_CACHE_ADDR, _n(0)))
-            init.append(Assign(V_CACHE_DATA, DefObj()))
-
         valid = lambda p: _and(Binary("<", _n(0), _v(p)),
                                Binary("<=", _v(p), _v(V_CNT_ALLOC)))
 
@@ -295,9 +288,8 @@ class _HeapEncoder:
                     Assign(V_CACHE_DATA, obj)]
 
         def update(value: Expr, loc: int) -> list[Stmt]:
-            # the history of the tracked address: its object (r) or the
-            # count of the write that stored it (rw*), and where it happened
-            out = [Assign(V_LAST if base == "r" else V_CNT_LAST, value)]
+            # the tracked address's history, and where it happened
+            out = [Assign(tracked, value)]
             if cfg.tagging:
                 out.append(Assign(V_LAST_LOC, _n(loc)))
             return out
@@ -331,34 +323,23 @@ class _HeapEncoder:
             return out
 
         def read_core(s: Read) -> list[Stmt]:
-            if base == "r":
-                then = [
-                    AssertPred(READ_PRED, self._r_args(
-                        _v(V_LAST), _v(V_LAST_LOC) if cfg.tagging else None, s.loc)),
-                    Assign(s.target, _v(V_LAST)),
-                ]
-                els: list[Stmt] = [self._havoc(s.target)]
-                if cfg.tagging:
-                    els.append(self._havoc(V_TAG_TMP))
-                els.append(AssumePred(READ_PRED, self._r_args(
-                    _v(s.target), _v(V_TAG_TMP) if cfg.tagging else None, s.loc)))
-                return [_if(_eq(_v(V_LAST_ADDR), _v(s.addr)), then, els)]
-            then = [
-                AssertPred(READ_PRED, self._r_args(
-                    _v(V_CNT_LAST), _v(V_LAST_LOC) if cfg.tagging else None, s.loc)),
-                Assign(V_T, _v(V_CNT_LAST)),
-            ]
-            els = [self._havoc(V_T)]
+            # R holds the history read; under rw* W maps it to the object
+            dest = s.target if base == "r" else V_T
+            then = [AssertPred(READ_PRED, self._r_args(
+                        _v(tracked), _v(V_LAST_LOC), s.loc)),
+                    Assign(dest, _v(tracked))]
+            els: list[Stmt] = [self._havoc(dest)]
             if cfg.tagging:
                 els.append(self._havoc(V_TAG_TMP))
             els.append(AssumePred(READ_PRED, self._r_args(
-                _v(V_T), _v(V_TAG_TMP) if cfg.tagging else None, s.loc)))
+                _v(dest), _v(V_TAG_TMP), s.loc)))
             out: list[Stmt] = [_if(_eq(_v(V_LAST_ADDR), _v(s.addr)), then, els)]
-            out.append(self._havoc(s.target))
-            if cfg.tagging:
-                out.append(self._havoc(V_TAG_TMP_W))
-            out.append(AssumePred(WRITE_PRED, self._w_args(
-                _v(V_T), _v(s.target), None)))
+            if base != "r":
+                out.append(self._havoc(s.target))
+                if cfg.tagging:
+                    out.append(self._havoc(V_TAG_TMP_W))
+                out.append(AssumePred(WRITE_PRED, self._w_args(
+                    _v(V_T), _v(s.target), None)))
             return out
 
         def tx_read(s: Read) -> list[Stmt]:
@@ -399,20 +380,13 @@ class _HeapEncoder:
                 return tx_read(s)
             if isinstance(s, Write):
                 return tx_write(s)
-            if isinstance(s, Assign):
-                return [Assign(s.target, _tx_expr(s.expr), pos=s.pos)]
-            if isinstance(s, AssumeExpr):
-                return [AssumeExpr(_tx_expr(s.expr), pos=s.pos)]
-            if isinstance(s, AssertExpr):
-                if base == "rwmem" and cfg.strip_asserts:
-                    return []
-                return [AssertExpr(_tx_expr(s.expr), pos=s.pos)]
-            if isinstance(s, AssumePred):
-                return [AssumePred(s.pred, [_tx_expr(a) for a in s.args], pos=s.pos)]
-            if isinstance(s, AssertPred):
-                if base == "rwmem" and cfg.strip_asserts:
-                    return []
-                return [AssertPred(s.pred, [_tx_expr(a) for a in s.args], pos=s.pos)]
+            if isinstance(s, (AssertExpr, AssertPred)) and base == "rwmem" \
+                    and cfg.strip_asserts:
+                return []
+            if isinstance(s, (Assign, AssumeExpr, AssertExpr)):
+                return [replace(s, expr=_tx_expr(s.expr))]
+            if isinstance(s, (AssumePred, AssertPred)):
+                return [replace(s, args=[_tx_expr(a) for a in s.args])]
             if isinstance(s, (Skip, HavocStmt, NondetStmt)):
                 return [s]
             raise EncodingError(f"cannot encode statement {type(s).__name__}")
@@ -421,10 +395,9 @@ class _HeapEncoder:
 
         preds = [PredDecl(p.name, list(p.arg_types)) for p in self.src.preds]
         tags = [INT, INT] if cfg.tagging else []
-        if base == "r":
-            preds.append(PredDecl(READ_PRED, [INT, INT, self.obj_ty] + tags))
-        else:
-            preds.append(PredDecl(READ_PRED, [INT, INT, INT] + tags))
+        # R's third argument is the history tracked for the address
+        preds.append(PredDecl(READ_PRED, [INT, INT, var_types[tracked]] + tags))
+        if base != "r":
             preds.append(PredDecl(WRITE_PRED, [INT, INT, self.obj_ty] + tags[:1]))
 
         out = Program(

@@ -389,42 +389,38 @@ class GridExecutor:
             for i in seeds:
                 if marked[i]:
                     continue
+                ran = True
                 if site is not None:
                     values, used, fuel = site.draw((lo + i) >> b)
                     if fuel <= fuel_left:
                         args = site.splice(node_args, values)
                         if args not in rel:
-                            step = 1 << (b + used)
-                            if step > n:
-                                step = n
-                            j = i % step
-                            weight = (n - 1 - j) // step + 1
-                            append(Leaf(lo + j, outcome, (name, args), weight,
-                                        step, point, known))
-                            marked[j::step] = b"\x01" * weight
-                            continue
-                if seed_var is not None:
-                    inputs[seed_var] = lo + i
-                if sentinel:
-                    probe.compared = set(known)
-                result, _, _, _, bits, stop, _, after = run(
-                    inputs=inputs, interp=interp, loop_fuel=loop_fuel,
-                    heap_fuel=heap_fuel, resume=point)
-                compared = known
-                if sentinel:
-                    compared = frozenset(probe.compared)
-                    compared = interned.setdefault(compared, compared)
-                if classing:
-                    step = 1 << bits
-                    if step > n:
-                        step = n
-                else:
+                            # blocked at the node's point, as its run would be
+                            ran = False
+                            result, stop, bits, after, compared = (
+                                outcome, (name, args), b + used, point, known)
+                if ran:
+                    if seed_var is not None:
+                        inputs[seed_var] = lo + i
+                    if sentinel:
+                        probe.compared = set(known)
+                    result, _, _, _, bits, stop, _, after = run(
+                        inputs=inputs, interp=interp, loop_fuel=loop_fuel,
+                        heap_fuel=heap_fuel, resume=point)
+                    compared = known
+                    if sentinel:
+                        compared = frozenset(probe.compared)
+                        compared = interned.setdefault(compared, compared)
+                step = 1 << bits if classing else n
+                if step > n:
                     step = n
                 j = i % step
                 weight = (n - 1 - j) // step + 1
                 append(Leaf(lo + j, result, stop, weight, step, after,
                             compared))
                 marked[j::step] = b"\x01" * weight
+                if not ran:
+                    continue
                 at = sites.get(after[-1]) if after is not None else None
                 if at is not None:
                     # visit the node before any other seed of this loop
@@ -530,21 +526,10 @@ class GridExecutor:
             least += 1
         return hi - lo + 1 - sum(lo <= a <= hi for a in leaf.compared), least
 
-    def leaves(self):
-        """Every (cell, leaf) pair of the grid."""
-        return ((cell, leaf) for cell in self.cells.values()
-                for leaf in cell.leaves)
-
     def failing_tuples(self) -> set[tuple]:
         """(pred, args) pairs from failed predicate assertions."""
-        return _failing(leaf for _, leaf in self.leaves())
-
-    def failures(self) -> list[tuple]:
-        """(in, seed, last_addr, outcome) of every run that ended in Bot,
-        at the least address the leaf stands for."""
-        return [(cell.in_v, leaf.seed, self.owned(cell, leaf)[1], leaf.outcome)
-                for cell, leaf in self.leaves()
-                if isinstance(leaf.outcome, Bot)]
+        return _failing(leaf for cell in self.cells.values()
+                        for leaf in cell.leaves)
 
     def collapsed_multiplier(self) -> int:
         """Grid points represented by each run through unenumerated
@@ -558,13 +543,6 @@ class GridExecutor:
         if self.seed_var is None:
             m *= d.seed_range[1] - d.seed_range[0] + 1
         return m
-
-    def fuel_exhausted_weight(self) -> int:
-        n = sum(leaf.weight * self.owned(cell, leaf)[0]
-                for cell, leaf in self.leaves()
-                if isinstance(leaf.outcome, Undefined)
-                and leaf.outcome.reason == FUEL_EXHAUSTED)
-        return n * self.collapsed_multiplier()
 
     def witness(self, in_v, seed, la, pred: str, args: tuple) -> "Witness":
         """Witness at a grid point; a collapsed dimension reports the lowest
@@ -678,13 +656,29 @@ def _grid_order(failure: tuple) -> tuple:
     return tuple(-(10 ** 9) if v is None else v for v in failure[:3])
 
 
-def _verdict(ex: GridExecutor, failures: list[tuple], iterations: int,
-             sizes: dict) -> SafetyVerdict:
+def _verdict(ex: GridExecutor, iterations: int, sizes: dict,
+             at_fixed_point: bool) -> SafetyVerdict:
     """Unsafe with a witness at the least failure, else inconclusive when
-    some run exhausted its fuel, else safe."""
-    fuel = ex.fuel_exhausted_weight()
-    if failures:
-        in_v, seed, la, o = min(failures, key=_grid_order)
+    some run exhausted its fuel, else safe.  At the fixed point no
+    predicate assertion can still fail: one that does is an error."""
+    least = key = None
+    fuel = 0
+    for cell in ex.cells.values():
+        for leaf in cell.leaves:
+            o = leaf.outcome
+            if isinstance(o, Bot):
+                failure = (cell.in_v, leaf.seed, ex.owned(cell, leaf)[1], o)
+                if at_fixed_point and o.pred != FAILURE_PRED:
+                    raise AssertionError("predicate assertion failing under "
+                                         f"the fixed point: {failure}")
+                order = _grid_order(failure)
+                if least is None or order < key:
+                    least, key = failure, order
+            elif isinstance(o, Undefined) and o.reason == FUEL_EXHAUSTED:
+                fuel += leaf.weight * ex.owned(cell, leaf)[0]
+    fuel *= ex.collapsed_multiplier()
+    if least is not None:
+        in_v, seed, la, o = least
         w = ex.witness(in_v, seed, la, o.pred, o.args)
         return SafetyVerdict("unsafe", w, fuel, iterations, sizes)
     if fuel:
@@ -694,14 +688,7 @@ def _verdict(ex: GridExecutor, failures: list[tuple], iterations: int,
 
 def verdict_from_executor(program: Program, domain: InputDomain,
                           info: FixpointInfo) -> SafetyVerdict:
-    failures = info.executor.failures()
-    # under the fixed point no predicate assertion can still fail
-    leftover = next((f for f in failures if f[3].pred != FAILURE_PRED), None)
-    if leftover is not None:
-        raise AssertionError(
-            f"predicate assertion failing under the fixed point: {leftover}")
-    return _verdict(info.executor, failures, info.iterations,
-                    info.interp.sizes())
+    return _verdict(info.executor, info.iterations, info.interp.sizes(), True)
 
 
 def check_safety(program: Program, domain: InputDomain) -> SafetyVerdict:
@@ -716,7 +703,7 @@ def sweep_under(program: Program, domain: InputDomain, interp) -> SafetyVerdict:
     Predicate assertion failures count as unsafe here."""
     ex = GridExecutor(program, domain)
     ex.run_all(interp)
-    return _verdict(ex, ex.failures(), 0, {})
+    return _verdict(ex, 0, {}, False)
 
 
 # ---------------------------------------------------------------------------

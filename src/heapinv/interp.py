@@ -234,6 +234,13 @@ class _State:
         # havoc
 
 
+def _spend_heap_fuel(st: _State) -> None:
+    """Charge one heap statement (alloc, read or write) to the run."""
+    if st.heap_fuel <= 0:
+        raise _UndefSignal(_UNDEF_FUEL)
+    st.heap_fuel -= 1
+
+
 class RunResult(NamedTuple):
     outcome: Outcome
     env: dict
@@ -692,9 +699,7 @@ class _Compiler:
             f = self.expr(s.expr)
             if self.mode == "heap":
                 def falloc(st, env):
-                    if st.heap_fuel <= 0:
-                        raise _UndefSignal(_UNDEF_FUEL)
-                    st.heap_fuel -= 1
+                    _spend_heap_fuel(st)
                     h = st.heap
                     h.append(f(env))
                     env[t] = len(h)
@@ -702,9 +707,7 @@ class _Compiler:
                 return falloc
 
             def falloc_t(st, env):
-                if st.heap_fuel <= 0:
-                    raise _UndefSignal(_UNDEF_FUEL)
-                st.heap_fuel -= 1
+                _spend_heap_fuel(st)
                 v = f(env)
                 st.allocs = a = st.allocs + 1
                 st.heap.append((a, v))
@@ -717,9 +720,7 @@ class _Compiler:
             d = self.def_obj
             if self.mode == "heap":
                 def fread(st, env):
-                    if st.heap_fuel <= 0:
-                        raise _UndefSignal(_UNDEF_FUEL)
-                    st.heap_fuel -= 1
+                    _spend_heap_fuel(st)
                     a = env[p]
                     h = st.heap
                     env[t] = h[a - 1] if 0 < a <= len(h) else d
@@ -727,9 +728,7 @@ class _Compiler:
                 return fread
 
             def fread_t(st, env):
-                if st.heap_fuel <= 0:
-                    raise _UndefSignal(_UNDEF_FUEL)
-                st.heap_fuel -= 1
+                _spend_heap_fuel(st)
                 a = env[p]
                 env[t] = v = trace_read(st.heap, st.allocs, a, d)
                 st.events.append(("read", a, v))
@@ -740,9 +739,7 @@ class _Compiler:
             f = self.expr(s.expr)
             if self.mode == "heap":
                 def fwrite(st, env):
-                    if st.heap_fuel <= 0:
-                        raise _UndefSignal(_UNDEF_FUEL)
-                    st.heap_fuel -= 1
+                    _spend_heap_fuel(st)
                     a = env[p]
                     h = st.heap
                     if 0 < a <= len(h):
@@ -751,9 +748,7 @@ class _Compiler:
                 return fwrite
 
             def fwrite_t(st, env):
-                if st.heap_fuel <= 0:
-                    raise _UndefSignal(_UNDEF_FUEL)
-                st.heap_fuel -= 1
+                _spend_heap_fuel(st)
                 a = env[p]
                 # as in sequence mode, the value is evaluated only at a
                 # valid address

@@ -1076,8 +1076,9 @@ class TypeChecker:
             elif tty is not None and tty.kind == "Obj":
                 if self._adt_has_addr_field(tty.adt):
                     self.error(s, f"cannot havoc {s.target!r}: adt {tty.adt!r} has Addr fields")
-            if isinstance(s, HavocStmt) and self.p.seed_var is None:
-                self.error(s, "havoc requires a seed declaration")
+            if self.p.seed_var is None:
+                kind = "havoc" if isinstance(s, HavocStmt) else "nondet"
+                self.error(s, f"{kind} requires a seed declaration")
         elif isinstance(s, Skip):
             pass
         else:

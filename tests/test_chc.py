@@ -1,6 +1,7 @@
 import pytest
 
 from heapinv.chc import ChcError, emit_smtlib, to_chc
+from heapinv.corpus import VARIANTS, encode_variant
 from heapinv.encode import EncodingConfig, enc_r, enc_rw, encode
 from heapinv.lang import parse_and_check
 
@@ -185,3 +186,56 @@ def test_golden_file_for_encoded_list_program(corpus):
     text = emit_smtlib(to_chc(p))
     golden = pathlib.Path(__file__).parent / "golden" / "list_encoded.smt2"
     assert text == golden.read_text(encoding="utf-8")
+
+
+def undeclared_sorts(text: str) -> list[str]:
+    """Sorts named in a datatype field or a ``declare-fun`` before their
+    datatype is declared."""
+    declared = {"Int", "Bool"}
+    missing = []
+    for form in tokenize_sexprs(text):
+        if form[0] == "declare-datatypes":
+            [[name, _]] = form[1]
+            [ctors] = form[2]
+            missing += [sort for ctor in ctors for _, sort in ctor[1:]
+                        if sort not in declared]
+            declared.add(name)
+        elif form[0] == "declare-fun":
+            missing += [sort for sort in form[2] if sort not in declared]
+    return missing
+
+
+@pytest.mark.parametrize("field", ["Node", "Obj"])
+def test_datatype_declared_after_the_datatypes_it_names(field):
+    src = f"""prog {{
+      adt Box {{ box(v: {field}); }}
+      adt Node {{ node(d: Int); }}
+      heaptype Node;
+      input in;
+      seed seed;
+      var p: Addr; var n: Node; var b: Box;
+      p := alloc(node(in));
+      n := read(p);
+      b := box(n);
+      assert(d(v(b)) = in);
+    }}"""
+    text = emit_smtlib(to_chc(enc_r(parse_and_check(src)).program))
+    names = [f[1][0][0] for f in tokenize_sexprs(text)
+             if f[0] == "declare-datatypes"]
+    assert names == ["Node", "Box"]
+    assert undeclared_sorts(text) == []
+
+
+def test_every_sort_is_declared_before_use(corpus):
+    checked = 0
+    for entry in corpus:
+        source = entry.load()
+        for variant in VARIANTS:
+            if not isinstance(VARIANTS[variant][0], EncodingConfig):
+                continue  # the budget instrumentation keeps the heap
+            p = encode_variant(entry, source, variant)
+            if p is not None:
+                text = emit_smtlib(to_chc(p))
+                assert undeclared_sorts(text) == [], (entry.name, variant)
+                checked += 1
+    assert checked == 196

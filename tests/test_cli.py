@@ -1,14 +1,16 @@
+import argparse
 import json
 import pathlib
 import pkgutil
 import random
+import re
 import types
 
 import jsonschema
 import pytest
 
 import progen
-from heapinv.cli import EXIT_DISAGREE, EXIT_ERROR, EXIT_OK, main
+from heapinv.cli import EXIT_DISAGREE, EXIT_ERROR, EXIT_OK, build_parser, main
 from heapinv.corpus import VARIANTS, corpus_by_name
 from heapinv.encode import enc_n, enc_r
 from heapinv.lang import MAX_NESTING, pretty_print
@@ -422,3 +424,17 @@ def test_cli_fuzz_exit_codes(capsys, tmp_path):
         assert "Traceback" not in err, argv
         if code == EXIT_DISAGREE:
             assert argv[0] in ("equisafe", "corpus"), argv
+
+
+def test_readme_lists_every_long_option():
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    [commands] = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    missing = sorted({
+        f"{name} {opt}" for name, sub in commands.choices.items()
+        for action in sub._actions for opt in action.option_strings
+        if opt.startswith("--") and opt != "--help"
+        and not re.search(re.escape(opt) + r"(?![\w-])", section)})
+    assert missing == []

@@ -591,6 +591,7 @@ def test_transformations_leave_their_input_alone(corpus):
     # up with the location of whichever program was numbered last
     for entry in corpus:
         source = entry.load()
+        printed = pretty_print(source)
         programs = [source]
         for variant in VARIANTS:
             encoded = encode_variant(entry, source, variant)
@@ -608,6 +609,9 @@ def test_transformations_leave_their_input_alone(corpus):
             ids = {id(s) for s in walk_statements(program.body)}
             assert not ids & seen, entry.name
             seen |= ids
+        # the encoder shares expression leaves with its input: no pass may
+        # change one in place
+        assert pretty_print(source) == printed, entry.name
 
 
 GOLDEN_ENCODINGS = pathlib.Path(__file__).parent / "golden" / "encodings.json"

@@ -9,8 +9,8 @@ from heapinv import interp as interp_module, lang, replay
 from heapinv.corpus import VARIANTS
 from heapinv.encode import enc_n, enc_r, enc_rw, encode
 from heapinv.fixpoint import (
-    LAST_ADDR_VAR, Cell, GridExecutor, InputDomain, Interpretation,
-    IterationCapExceeded, check_equisafety, check_safety,
+    LAST_ADDR_VAR, Cell, FixpointInfo, GridExecutor, InputDomain,
+    Interpretation, IterationCapExceeded, check_equisafety, check_safety,
     immediate_consequence, initial_stack, least_fixpoint, least_fixpoint_info,
     sweep_under, verdict_from_executor,
 )
@@ -149,6 +149,20 @@ def test_inconclusive_counts_fuel():
     assert v.kind == "inconclusive"
     # the input is never read: one class per collapsed dimension
     assert v.inconclusive_count == InputDomain().grid_size()
+
+
+def test_predicate_failure_is_an_error_only_at_the_fixed_point():
+    p = prog("prog { pred P(Int); input in; assert(P(in)); }")
+    d = InputDomain()
+    ex = GridExecutor(p, d)
+    ex.run_all(Interpretation.empty())
+    # the empty interpretation is no fixed point: P(in) fails everywhere
+    with pytest.raises(AssertionError, match="under the fixed point"):
+        verdict_from_executor(p, d, FixpointInfo(Interpretation.empty(), 0, ex))
+    v = sweep_under(p, d, Interpretation.empty())
+    assert v.kind == "unsafe"
+    assert (v.witness.pred, v.witness.args) == ("P", (d.in_range[0],))
+    assert check_safety(p, d).kind == "safe"
 
 
 def test_equisafety_agree_and_disagree():

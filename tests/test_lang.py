@@ -124,6 +124,13 @@ RECURSIVE_THROUGH_BARE_OBJ = """prog {
   heaptype Node;
 }"""
 
+NONDET_WITHOUT_SEED = """prog {
+  input in;
+  var x: Int;
+  nondet(x);
+  assert(x = x);
+}"""
+
 # a bare Obj field of another adt is the heap type
 BARE_OBJ_FIELD = """prog {
   adt Box { box(v: Obj); }
@@ -218,9 +225,11 @@ def test_heap_statement_and_argument_types_rejected():
 
 @pytest.mark.parametrize(
     "src", [MUTUALLY_RECURSIVE_ADTS, ILL_TYPED_HEAP, UNDECLARED_TYPES,
-            UNDECLARED_HEAPTYPE, RECURSIVE_THROUGH_BARE_OBJ],
+            UNDECLARED_HEAPTYPE, RECURSIVE_THROUGH_BARE_OBJ,
+            NONDET_WITHOUT_SEED],
     ids=["mutually-recursive-adts", "ill-typed-heap", "undeclared-types",
-         "undeclared-heaptype", "recursive-through-bare-obj"])
+         "undeclared-heaptype", "recursive-through-bare-obj",
+         "nondet-without-seed"])
 def test_cli_lists_type_errors_with_positions(capsys, tmp_path, src):
     bad = tmp_path / "bad.up"
     bad.write_text(src)

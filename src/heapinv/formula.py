@@ -94,13 +94,20 @@ def load_interpretation(source: str | dict,
             data = json.load(fh)
     else:
         data = source
+    if not isinstance(data, dict):
+        raise ValueError("interpretation file must hold a JSON object")
     preds = data.get("preds")
     if not isinstance(preds, dict):
         raise ValueError("interpretation file needs a 'preds' object")
     formulas = {}
     for name, spec in preds.items():
         try:
-            formulas[name] = (list(spec["params"]), str(spec["formula"]))
+            params, formula = spec["params"], str(spec["formula"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed entry for predicate {name!r}") from exc
+        if not (isinstance(params, list)
+                and all(isinstance(p, str) for p in params)):
+            raise ValueError(
+                f"'params' of predicate {name!r} must be a list of names")
+        formulas[name] = (params, formula)
     return FormulaInterpretation(program, formulas)

@@ -239,6 +239,11 @@ BAD_INPUT_FILES = {
     "assume-p.up": "prog { pred P(Int); input in; assume(P(in)); }",
     "div-zero.json": json.dumps(
         {"preds": {"P": {"params": ["a"], "formula": "1 / (a - a)"}}}),
+    "list.json": "[1, 2]",
+    "string.json": '"x"',
+    "null.json": "null",
+    "params-string.json": json.dumps(
+        {"preds": {"P": {"params": "a", "formula": "a > 0"}}}),
     "deep-if.up": nested_program("if", 1000),
     "deep-parens.up": nested_program("paren", 1000),
     "long-chain.up": nested_program("chain", 1000),
@@ -255,6 +260,10 @@ BAD_INPUT_FILES = {
     ("fixpoint", "write-read-false", "--iteration-cap", "-1"),
     ("run", "write-read-false", "--seed", "-3"),
     ("run", "assume-p.up", "--interp", "div-zero.json"),
+    ("run", "assume-p.up", "--interp", "list.json"),
+    ("run", "assume-p.up", "--interp", "string.json"),
+    ("run", "assume-p.up", "--interp", "null.json"),
+    ("run", "assume-p.up", "--interp", "params-string.json"),
     ("fixpoint", "deep-if.up"),
     ("fixpoint", "deep-parens.up"),
     ("fixpoint", "long-chain.up"),
@@ -263,6 +272,7 @@ BAD_INPUT_FILES = {
 ], ids=["unknown-scope-var", "drop-out-of-range", "rwfun-unacknowledged",
         "empty-seed-range", "negative-loop-fuel", "negative-heap-op-fuel",
         "negative-iteration-cap", "negative-seed", "formula-divides-by-zero",
+        "interp-list", "interp-string", "interp-null", "interp-params-string",
         "if-nested-1000-deep", "parens-nested-1000-deep",
         "chain-of-1000-additions", "huge-seed-range", "huge-in-range"])
 def test_bad_input_is_one_line_error(capsys, tmp_path, argv):

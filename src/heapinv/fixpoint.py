@@ -88,6 +88,7 @@ which allows four big savings without changing the computed sets:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator, NamedTuple
 
 # the encoder-introduced inputs: programs declaring them get those
 # dimensions of the grid enumerated
@@ -262,6 +263,26 @@ class Cell:
 
     def blockers(self) -> set[tuple]:
         return {l.blocker for l in self.leaves if l.blocker is not None}
+
+
+class Row(NamedTuple):
+    """One seed class of one cell of the grid: the seeds ``seed, seed +
+    step, ...`` of the range (``weight`` of them), at ``addresses``
+    prophecy addresses, the least of them ``least``.  ``last_addr`` is the
+    cell's address, the executor's ``any_address`` at the sentinel;
+    ``compared`` holds the values a sentinel run compared ``$last_addr``
+    with, and ``resume`` is a blocked run's resume point."""
+    in_v: int | None
+    last_addr: object
+    addresses: int
+    least: int | None
+    seed: int
+    step: int
+    weight: int
+    outcome: object
+    blocker: tuple | None
+    compared: frozenset
+    resume: tuple | None
 
 
 class _AnyAddress:
@@ -514,17 +535,26 @@ class GridExecutor:
 
     # harvesting
 
-    def owned(self, cell: Cell, leaf: Leaf) -> tuple[int, int | None]:
-        """The number of prophecy addresses a leaf of the cell stands for,
+    def owned(self, cell: Cell, compared: frozenset) -> tuple[int, int | None]:
+        """The number of prophecy addresses a class of the cell stands for,
         and the least of them: at the sentinel, the addresses of the range
-        that its run never compared ``$last_addr`` with."""
+        that its run never compared ``$last_addr`` with (``compared``)."""
         if cell.last_addr is not self.any_address:
             return 1, cell.last_addr
         lo, hi = self.domain.last_addr_range
         least = lo
-        while least in leaf.compared:
+        while least in compared:
             least += 1
-        return hi - lo + 1 - sum(lo <= a <= hi for a in leaf.compared), least
+        return hi - lo + 1 - sum(lo <= a <= hi for a in compared), least
+
+    def rows(self) -> Iterator[Row]:
+        """Every seed class of the grid, cell by cell, in no fixed order."""
+        for cell in self.cells.values():
+            for leaf in cell.leaves:
+                yield Row(cell.in_v, cell.last_addr,
+                          *self.owned(cell, leaf.compared), leaf.seed,
+                          leaf.step, leaf.weight, leaf.outcome, leaf.blocker,
+                          leaf.compared, leaf.resume)
 
     def failing_tuples(self) -> set[tuple]:
         """(pred, args) pairs from failed predicate assertions."""
@@ -667,7 +697,8 @@ def _verdict(ex: GridExecutor, iterations: int, sizes: dict,
         for leaf in cell.leaves:
             o = leaf.outcome
             if isinstance(o, Bot):
-                failure = (cell.in_v, leaf.seed, ex.owned(cell, leaf)[1], o)
+                failure = (cell.in_v, leaf.seed,
+                           ex.owned(cell, leaf.compared)[1], o)
                 if at_fixed_point and o.pred != FAILURE_PRED:
                     raise AssertionError("predicate assertion failing under "
                                          f"the fixed point: {failure}")
@@ -675,7 +706,7 @@ def _verdict(ex: GridExecutor, iterations: int, sizes: dict,
                 if least is None or order < key:
                     least, key = failure, order
             elif isinstance(o, Undefined) and o.reason == FUEL_EXHAUSTED:
-                fuel += leaf.weight * ex.owned(cell, leaf)[0]
+                fuel += leaf.weight * ex.owned(cell, leaf.compared)[0]
     fuel *= ex.collapsed_multiplier()
     if least is not None:
         in_v, seed, la, o = least

@@ -9,7 +9,7 @@ from heapinv import interp as interp_module, lang, replay
 from heapinv.corpus import VARIANTS
 from heapinv.encode import enc_n, enc_r, enc_rw, encode
 from heapinv.fixpoint import (
-    LAST_ADDR_VAR, Cell, FixpointInfo, GridExecutor, InputDomain,
+    LAST_ADDR_VAR, FixpointInfo, GridExecutor, InputDomain,
     Interpretation, IterationCapExceeded, check_equisafety, check_safety,
     immediate_consequence, initial_stack, least_fixpoint, least_fixpoint_info,
     sweep_under, verdict_from_executor,
@@ -203,8 +203,8 @@ def test_seed_classing_matches_full_enumeration():
         assert not ex2.seed_classing
         for e in (ex, ex2):
             e.run_all(Interpretation.empty())
-            for cell in e.cells.values():
-                assert sum(l.weight for l in cell.leaves) == hi - lo + 1
+            for rows in rows_by_cell(e).values():
+                assert sum(r.weight for r in rows) == hi - lo + 1
 
 
 def test_unused_input_dimension_collapses():
@@ -397,53 +397,68 @@ def test_memoised_fixpoint_matches_reference_generated(domain):
         assert least_fixpoint(p, domain) == naive_least_fixpoint(p, domain)
 
 
-def run_cell(ex, in_v, la, interp):
-    """The cell at (in, address) run from scratch over every seed."""
-    cell = Cell(in_v, la)
-    cell.leaves = ex._run_seeds(cell, interp, 0, 1)
-    return cell
-
-
-def leaf_rows(cell):
-    """The cell's leaf rows in seed order: leaves come in no fixed order."""
-    return sorted(((l.seed, l.outcome, l.blocker, l.weight)
-                   for l in cell.leaves), key=lambda row: row[0])
-
-
-def seed_map(leaves, hi):
-    """Seed -> leaf over the classes of the leaves, which must not overlap."""
+def rows_by_cell(ex):
+    """The executor's rows by (in, address), each cell's in seed order:
+    rows come in no fixed order.  The sentinel address is named, since
+    each executor has its own."""
     out = {}
-    for leaf in leaves:
-        for s in range(leaf.seed, hi + 1, leaf.step):
-            assert s not in out, s
-            out[s] = leaf
+    for row in ex.rows():
+        la = "any" if row.last_addr is ex.any_address else row.last_addr
+        out.setdefault((row.in_v, la), []).append(row)
+    for rows in out.values():
+        rows.sort(key=lambda row: row.seed)
     return out
 
 
-def address_view(ex, in_v, a):
-    """Seed -> leaf at one (in, address) pair of an executor with address
-    classing: the leaves of the explicit cell, and the sentinel leaves
-    wherever no explicit leaf stands.  Every sentinel class is wholly
-    explicit or wholly open at the address, and every seed is covered."""
+def grid_rows(ex):
+    """Each cell's (seed, outcome, blocker, weight, step, compared) rows."""
+    return {key: [(r.seed, r.outcome, r.blocker, r.weight, r.step, r.compared)
+                  for r in rows]
+            for key, rows in rows_by_cell(ex).items()}
+
+
+def fresh_grid(ex, interp):
+    """A new executor for the same program and domain, run from scratch
+    over the whole grid under ``interp``."""
+    fresh = GridExecutor(ex.program, ex.domain)
+    fresh.run_all(interp)
+    return fresh
+
+
+def seed_map(rows, hi):
+    """Seed -> row over the classes of the rows, which must not overlap."""
+    out = {}
+    for row in rows:
+        for s in range(row.seed, hi + 1, row.step):
+            assert s not in out, s
+            out[s] = row
+    return out
+
+
+def address_view(ex, cells, in_v, a):
+    """Seed -> row at one (in, address) pair of an executor with address
+    classing, from its ``rows_by_cell``: the rows of the explicit cell,
+    and the sentinel rows wherever no explicit row stands.  Every sentinel
+    class is wholly explicit or wholly open at the address, and every seed
+    is covered."""
     lo, hi = ex.seed_range
-    explicit = ex.cells.get((in_v, a))
-    view = seed_map(explicit.leaves if explicit else (), hi)
-    for leaf in ex.cells[(in_v, ex.any_address)].leaves:
-        seeds = range(leaf.seed, hi + 1, leaf.step)
+    view = seed_map(cells.get((in_v, a), ()), hi)
+    for row in cells.get((in_v, "any"), ()):
+        seeds = range(row.seed, hi + 1, row.step)
         taken = {s in view for s in seeds}
-        assert len(taken) == 1, (in_v, a, leaf.seed)
+        assert len(taken) == 1, (in_v, a, row.seed)
         if taken == {False}:
-            view.update(dict.fromkeys(seeds, leaf))
+            view.update(dict.fromkeys(seeds, row))
     assert sorted(view) == list(range(lo, hi + 1)), (in_v, a)
     return view
 
 
 def outcome_rows(view):
-    return {s: (leaf.outcome, leaf.blocker) for s, leaf in view.items()}
+    return {s: (row.outcome, row.blocker) for s, row in view.items()}
 
 
 def test_delta_rerun_matches_fresh_cells(corpus, domain):
-    # after the per-class reruns every cell must hold exactly the leaves of
+    # after the per-class reruns every cell must hold exactly the rows of
     # running it from scratch under the final interpretation; with address
     # classing the explicit cells hold only the classes that compared with
     # their address, so each address is compared seed by seed instead
@@ -458,24 +473,22 @@ def test_delta_rerun_matches_fresh_cells(corpus, domain):
         for name, p in programs:
             info = least_fixpoint_info(p, d)
             ex = info.executor
+            fresh = fresh_grid(ex, info.interp)
             if not ex.address_classing:
-                for (in_v, la), cell in ex.cells.items():
-                    fresh = run_cell(ex, in_v, la, info.interp)
-                    assert leaf_rows(cell) == leaf_rows(fresh), \
-                        (name, d.seed_range, in_v, la)
+                assert grid_rows(ex) == grid_rows(fresh), (name, d.seed_range)
                 continue
+            cells, fresh_cells = rows_by_cell(ex), rows_by_cell(fresh)
             lo, hi = d.last_addr_range
             for in_v in ex.in_values():
                 for a in range(lo, hi + 1):
-                    fresh = run_cell(ex, in_v, a, info.interp)
-                    assert outcome_rows(address_view(ex, in_v, a)) == \
-                        outcome_rows(seed_map(fresh.leaves, ex.seed_range[1])), \
+                    assert outcome_rows(address_view(ex, cells, in_v, a)) == \
+                        outcome_rows(address_view(fresh, fresh_cells, in_v, a)), \
                         (name, d.seed_range, in_v, a)
 
 
 def test_delta_rerun_runs_only_blocked_classes():
-    # the two leaves of the cell are blocked on different tuples; adding one
-    # of them reruns only the seeds of the classes blocked on it
+    # the classes of the cell are blocked on two different tuples; adding
+    # one of them reruns only the seeds of the classes blocked on it
     p = prog("""prog {
       pred P(Int);
       seed seed;
@@ -490,7 +503,7 @@ def test_delta_rerun_runs_only_blocked_classes():
     (cell,) = ex.cells.values()
     assert cell.blockers() == {("P", (0,)), ("P", (1,))}
     target = ("P", (0,))
-    classes = [(l.seed, l.step) for l in cell.leaves if l.blocker == target]
+    classes = [(r.seed, r.step) for r in ex.rows() if r.blocker == target]
     seeds = []
     run = ex.compiled.run
 
@@ -505,8 +518,7 @@ def test_delta_rerun_runs_only_blocked_classes():
     for s in seeds:
         assert any(s >= seed and (s - seed) % step == 0
                    for seed, step in classes), s
-    fresh = run_cell(ex, None, None, interp)
-    assert leaf_rows(cell) == leaf_rows(fresh)
+    assert grid_rows(ex) == grid_rows(fresh_grid(ex, interp))
 
 
 @contextmanager
@@ -535,15 +547,14 @@ def check_address_classing(p, d, label):
     cp = CompiledProgram(p)
     seeds = range(ex.seed_range[0], ex.seed_range[1] + 1)
     addresses = range(d.last_addr_range[0], d.last_addr_range[1] + 1)
+    cells = rows_by_cell(ex)
     for in_v in ex.in_values():
-        cells = [c for c in ex.cells.values() if c.in_v == in_v]
-        assert sum(leaf.weight * ex.owned(cell, leaf)[0] for cell in cells
-                   for leaf in cell.leaves) == len(seeds) * len(addresses)
-        views = {a: address_view(ex, in_v, a) for a in addresses}
-        for leaf in ex.cells[(in_v, ex.any_address)].leaves:
-            mine = [a for a in addresses if views[a][leaf.seed] is leaf]
-            owned = ex.owned(ex.cells[(in_v, ex.any_address)], leaf)
-            assert mine and owned == (len(mine), mine[0])
+        assert sum(r.weight * r.addresses for (i, _), rows in cells.items()
+                   if i == in_v for r in rows) == len(seeds) * len(addresses)
+        views = {a: address_view(ex, cells, in_v, a) for a in addresses}
+        for row in cells.get((in_v, "any"), ()):
+            mine = [a for a in addresses if views[a][row.seed] is row]
+            assert mine and (row.addresses, row.least) == (len(mine), mine[0])
         for a, view in views.items():
             for s in seeds:
                 res = cp.run(inputs=initial_stack(p, in_v, s, a, d.heap_op_fuel),
@@ -669,8 +680,8 @@ def test_range_inside_every_comparison_matches_plain(corpus, domain):
         for e in (enc_r(p), enc_rw(p)):
             info = least_fixpoint_info(e.program, d)
             ex = info.executor
-            assert all(not cell.leaves for (_, la), cell in ex.cells.items()
-                       if la is ex.any_address), name
+            assert not any(r.last_addr is ex.any_address for r in ex.rows()), \
+                name
             got = verdict_from_executor(e.program, d, info).to_json()
             with plain_addresses():
                 want = check_safety(e.program, d).to_json()
@@ -697,60 +708,52 @@ DRAWS_AROUND_QUERY = """prog {
 }"""
 
 
-def check_blocked_leaves(ex, interp, label) -> int:
-    """Every seed of each blocked leaf's class, resumed from the leaf's
+def check_blocked_rows(ex, interp, label) -> int:
+    """Every seed of each blocked row's class, resumed from the row's
     point, against a fresh run of the same seed: under ``interp`` (the run
     stops at the same query again) and with the blocker added (it gets past
     it).  Returns the number of runs compared."""
-    lo, hi = ex.seed_range
-    n = hi - lo + 1
-    results = []
-    run = ex.compiled.run
+    d = ex.domain
+    probe = ex.any_address
 
-    def recording_run(**kwargs):
-        res = run(**kwargs)
-        results.append(res)
-        return res
+    def one(row, rels, seed, point=None, known=frozenset()):
+        # one run at the row's cell as the executor makes it: a sentinel
+        # run starts from the values the blocked run had compared with
+        inputs = initial_stack(ex.program, row.in_v, seed, row.last_addr,
+                               d.heap_op_fuel)
+        probe.compared = set(known)
+        res = ex.compiled.run(inputs=inputs, interp=rels,
+                              loop_fuel=d.loop_fuel, heap_fuel=d.heap_op_fuel,
+                              resume=point)
+        compared = probe.compared if row.last_addr is probe else None
+        return (res.outcome, res.blocker, res.bits_consumed, res.env,
+                compared)
 
-    def one(cell, interp, i, leaf=None):
-        # the executor's own loop over the single seed at offset i; every
-        # other seed is marked, so that a fresh run blocked at a draw site
-        # settles no other seed of its node
-        results.clear()
-        marked = bytearray(b"\x01") * n
-        marked[i] = 0
-        (got,) = ex._run_seeds(cell, interp, i, n, marked, leaf)
-        (res,) = results
-        return ((got.seed, got.outcome, got.blocker, got.weight, got.step),
-                res.bits_consumed, res.env, got.compared)
-
-    ex.compiled.run = recording_run
     checked = 0
-    for cell in ex.cells.values():
-        for leaf in cell.leaves:
-            if leaf.blocker is None:
-                continue
-            assert leaf.resume is not None, (label, leaf)
-            grown = interp.copy()
-            grown.add(*leaf.blocker)
-            for rels in (interp, grown):
-                for i in range(leaf.seed - lo, n, leaf.step):
-                    assert one(cell, rels, i, leaf) == one(cell, rels, i), \
-                        (label, cell.in_v, cell.last_addr, lo + i, rels)
-                    checked += 1
-    del ex.compiled.run
+    for row in ex.rows():
+        if row.blocker is None:
+            continue
+        assert row.resume is not None, (label, row)
+        grown = interp.copy()
+        grown.add(*row.blocker)
+        for rels in (interp, grown):
+            for seed in range(row.seed, ex.seed_range[1] + 1, row.step):
+                assert one(row, rels, seed, row.resume, row.compared) == \
+                    one(row, rels, seed), \
+                    (label, row.in_v, row.last_addr, seed, rels)
+                checked += 1
     return checked
 
 
 def check_resumed_runs(ex, label, rounds: int = 4) -> int:
-    """``check_blocked_leaves`` after ``run_all`` under the empty
+    """``check_blocked_rows`` after ``run_all`` under the empty
     interpretation and after each of the first fixpoint iterations, so that
     runs also resume deep inside the program."""
     interp = Interpretation.empty()
     ex.run_all(interp)
     checked = 0
     for _ in range(rounds):
-        checked += check_blocked_leaves(ex, interp, label)
+        checked += check_blocked_rows(ex, interp, label)
         added = {t for t in ex.failing_tuples()
                  if t[1] not in interp.relation(t[0])}
         if not added:
@@ -807,8 +810,8 @@ def test_resumed_runs_of_generated_draws_before_queries(domain):
     for seed in range(40):
         ex = GridExecutor(progen.gen_program(seed, draw_then_query=True), d)
         check_resumed_runs(ex, seed)
-        drawn += sum(1 for cell in ex.cells.values() for leaf in cell.leaves
-                     if leaf.blocker is not None and leaf.weight > 1)
+        drawn += sum(1 for r in ex.rows()
+                     if r.blocker is not None and r.weight > 1)
     assert drawn >= 150, drawn
 
 
@@ -844,17 +847,8 @@ def no_draw_sites():
         yield
 
 
-def grid_rows(ex):
-    """The leaf rows of every cell, in seed order, by (in, address); the
-    sentinel address is named, since each executor has its own."""
-    return {(in_v, "any" if la is ex.any_address else la): sorted(
-        ((l.seed, l.outcome, l.blocker, l.weight, l.step, l.compared)
-         for l in cell.leaves), key=lambda row: row[0])
-        for (in_v, la), cell in ex.cells.items()}
-
-
 def check_draw_sites(p, d, label, info=None) -> int:
-    """The fixed point, the verdict and the leaves of every cell against
+    """The fixed point, the verdict and the rows of every cell against
     the same program run with no draw sites; returns the number of
     sites.  ``info`` is the program's fixed point at ``d`` if already
     computed."""
@@ -940,7 +934,7 @@ SITE_NONDET = """prog {
 
 def test_draw_sites_match_per_seed_runs(corpus_matrix, domain, monkeypatch):
     # a run blocked at a draw site stands for its node: the node's other
-    # seeds take their leaves from the site's draw table, or run from the
+    # seeds take their rows from the site's draw table, or run from the
     # point when their tuple holds or their draws need more loop fuel than
     # the point has; every leaf, the fixed point and the verdict must be
     # those of running each class

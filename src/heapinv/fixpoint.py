@@ -65,24 +65,34 @@ which allows four big savings without changing the computed sets:
   that reads what they drew only as bare arguments) returns the state
   before the draws as its resume point, after b seed bits.  Every seed
   congruent to its own mod 2^b reaches that point (the node's seeds), and
-  the draws read nothing but the seed's next bits, so the site's memoised
-  draw table gives each seed's drawn values, bits and loop fuel.  A seed of
-  the node whose draws fit the point's loop fuel, and whose tuple (the
-  blocked run's with the drawn arguments replaced) is not in the relation,
-  is blocked there as its run would be: its leaf, with step 2^(b + bits
-  drawn), the shared point and the node's compared values, is appended
-  with no run.  Any other unmarked seed of the node is run from the point,
-  in seed order, before the loop that found the node goes on.  A resumed
-  call takes only the node's seeds in its own class.  An explicit call
-  takes the whole node: its run compared ``$last_addr`` with the cell's
-  address before the site (a sentinel run that had not would have reached
-  the site in the same state and blocked there without comparing, so no
-  explicit run would have been made), so every seed of the node did, and
-  each has its leaf at that address.  A node's seeds can meet further
-  nodes, and the depth of that nesting is bounded only by the loop and
-  heap fuel of the domain, so the loops in progress are kept on an
-  explicit stack rather than by recursion, which could exceed Python's
-  recursion limit.
+  the draws read nothing but the seed's next bits.  The site inverts its
+  memoised draw table over the node's seeds (``DrawSite.classes``): each
+  drawn value tuple maps to its seed classes, with the bits and loop fuel
+  their draws use.  A class whose draws fit the point's loop fuel, and
+  whose tuple (the blocked run's with the drawn arguments replaced) is not
+  in the relation, is blocked there as its run would be; these classes,
+  the blocked run's own among them, are marked with one slice over the
+  node and kept as one ``Record``: the point, the site, b, the outcome,
+  the blocked tuple, the compared values, the node's offset and stride,
+  and the set of value tuples it settled.  The node's other unmarked seeds
+  are run from the point, in seed order, before the loop that found the
+  node goes on.  The nodes of a resumed call lie in its class, since a
+  run from the class's point draws at least the class's bits before it
+  reaches another site.  An explicit call takes the whole node: its run compared
+  ``$last_addr`` with the cell's address before the site (a sentinel run
+  that had not would have reached the site in the same state and blocked
+  there without comparing, so no explicit run would have been made), so
+  every seed of the node did, and each has its class at that address; at
+  the sentinel a record's whole node is likewise run at each address of
+  its compared values.  The executor indexes the records by site and by
+  the arguments the site does not draw, so a rerun looks each added tuple
+  up there and runs from the point only the classes whose drawn values
+  make it.  Records are always blocked on an assume, so verdicts and
+  harvesting never look at them; ``rows`` lists their classes one by one.
+  A node's seeds can meet further nodes, and the depth of that nesting is
+  bounded only by the loop and heap fuel of the domain, so the loops in
+  progress are kept on an explicit stack rather than by recursion, which
+  could exceed Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -94,7 +104,7 @@ from typing import Iterator, NamedTuple
 # dimensions of the grid enumerated
 from .encode import V_COUNTER as COUNTER_VAR, V_LAST_ADDR as LAST_ADDR_VAR
 from .interp import (
-    Bot, CompiledProgram, FUEL_EXHAUSTED, ObjVal, Undefined, Value,
+    Bot, CompiledProgram, DrawSite, FUEL_EXHAUSTED, ObjVal, Undefined, Value,
 )
 from .lang import (
     FAILURE_PRED, HavocStmt, NondetStmt, Program, variable_uses,
@@ -252,17 +262,40 @@ class Leaf:
     compared: frozenset = frozenset()
 
 
+@dataclass(slots=True, eq=False)
+class Record:
+    """The seed classes of a draw-site node that the site's draw table
+    settled: the node is the offsets ``offset, offset + stride, ...`` of
+    the range, and a class stands here when its draws make a value tuple
+    of ``settled`` within the point's loop fuel.  Each is blocked at the
+    node's point, on ``blocker`` with the drawn arguments replaced."""
+    resume: tuple        # the node's point: the state before the draws
+    site: DrawSite
+    bits: int            # seed bits consumed before the draws
+    outcome: object      # the blocked runs' outcome
+    blocker: tuple       # (pred, args) of the run that found the node
+    compared: frozenset  # as a blocked leaf's
+    offset: int
+    stride: int
+    settled: set         # drawn value tuples whose classes stand here
+
+
 @dataclass
 class Cell:
     in_v: int | None
     last_addr: int | _AnyAddress | None
     leaves: list[Leaf] = field(default_factory=list)
-    # with address classing, one mark per seed that a leaf of this
-    # (explicit-address) cell stands for
+    records: list[Record] = field(default_factory=list)
+    # with address classing, one mark per seed that a leaf or record of
+    # this (explicit-address) cell stands for
     covered: bytearray | None = None
 
     def blockers(self) -> set[tuple]:
-        return {l.blocker for l in self.leaves if l.blocker is not None}
+        out = {l.blocker for l in self.leaves if l.blocker is not None}
+        for r in self.records:
+            name, args = r.blocker
+            out.update((name, r.site.splice(args, v)) for v in r.settled)
+        return out
 
 
 class Row(NamedTuple):
@@ -307,6 +340,21 @@ class _AnyAddress:
     __hash__ = object.__hash__
 
 
+def _unmarked(marked: bytearray, start: int, stride: int) -> Iterator[int]:
+    """The offsets ``start, start + stride, ...`` that are unmarked when
+    the loop over them reaches them, in order."""
+    if stride == 1:
+        i = marked.find(0, start)
+        while i >= 0:
+            yield i
+            i = marked.find(0, i + 1)
+        return
+    k = marked[start::stride].find(0)
+    while k >= 0:
+        yield start + k * stride
+        k = marked[start::stride].find(0, k + 1)
+
+
 def _failing(leaves) -> set[tuple]:
     """(pred, args) pairs of the leaves that failed a predicate assertion."""
     return {(leaf.outcome.pred, leaf.outcome.args) for leaf in leaves
@@ -341,6 +389,12 @@ class GridExecutor:
         self.cells: dict[tuple, Cell] = {}
         # the compared sets of sentinel leaves, one object per value
         self._compared: dict[frozenset, frozenset] = {}
+        # the draw sites by the predicate of their assume, and every cell's
+        # records by (site, the arguments the site does not draw)
+        self._sites: dict[str, list[DrawSite]] = {}
+        for site in self.compiled.sites.values():
+            self._sites.setdefault(site.pred, []).append(site)
+        self._records: dict[tuple, list[tuple[Cell, Record]]] = {}
 
     # enumeration dimensions
 
@@ -358,25 +412,25 @@ class GridExecutor:
 
     def _run_seeds(self, cell: Cell, interp, start: int, stride: int,
                    marked: bytearray | None = None,
-                   blocked: Leaf | None = None) -> list[Leaf]:
+                   blocked: Leaf | Record | None = None) -> list[Leaf]:
         """Leaves of the unmarked seeds at offsets ``start, start + stride,
         ...`` of the cell's seed range: an unmarked seed is run and marks
         its class, each seed of which it stands for, and a leaf's seed is
-        its class's least seed.  The classes are disjoint, so the loop stops
-        once they cover its seeds.  ``marked`` (one mark per seed of the
-        range) defaults to no seed marked.  A leaf of the address sentinel
-        keeps the set of values its run compared ``$last_addr`` with.  When
-        the seeds lie in the class of a ``blocked`` leaf of the cell, every
-        run continues from the leaf's resume point, and a sentinel run
-        starts from the values the blocked run had compared with.
+        its class's least seed.  ``marked`` (one mark per seed of the range)
+        defaults to no seed marked.  A leaf of the address sentinel keeps
+        the set of values its run compared ``$last_addr`` with.  When the
+        seeds lie in a ``blocked`` class of the cell (a leaf, or a class of
+        a record), every run continues from its resume point, and a
+        sentinel run starts from the values the blocked run had compared
+        with.
 
         A run blocked at a draw site stops before the draws, after b seed
         bits, and every seed congruent to its own mod 2^b reaches that point
-        (its node).  The node's unmarked seeds are then visited in order, in
-        a resumed call only those of the call's class: a seed whose draws
-        fit the point's loop fuel and give a tuple outside the relation is
-        blocked there and gets its leaf from the site's draw table, any
-        other is run from the point."""
+        (its node).  The node's classes that the site's draw table settles
+        are marked and filed on the cell as one ``Record``, the run's own
+        class among them; the node's other unmarked seeds are then run from
+        the point, in seed order, before the loop that found the node goes
+        on."""
         # the runs of a cell differ only in the seed, set in place per run
         inputs = initial_stack(self.program, cell.in_v, None, cell.last_addr,
                                self.domain.heap_op_fuel)
@@ -397,140 +451,215 @@ class GridExecutor:
         leaves = []
         append = leaves.append
         # the seed loops in progress: the call's own, then one per node that
-        # a run of the loop below it blocked at, with the node's point,
-        # compared values, site, bits before the draws and blocked run
-        loops = [(iter(range(start, n, stride)), resume, known, None, 0, None,
-                  None)]
+        # a run of the loop below it blocked at, with the node's point and
+        # compared values
+        loops = [(_unmarked(marked, start, stride), resume, known)]
         while loops:
-            seeds, point, known, site, b, outcome, blocker = loops[-1]
-            if site is not None:
-                name, node_args = blocker
-                rel = interp.relation(name)
-                fuel_left = point[-4]
+            seeds, point, known = loops[-1]
             for i in seeds:
-                if marked[i]:
+                if seed_var is not None:
+                    inputs[seed_var] = lo + i
+                if sentinel:
+                    probe.compared = set(known)
+                result, _, _, _, bits, stop, _, after = run(
+                    inputs=inputs, interp=interp, loop_fuel=loop_fuel,
+                    heap_fuel=heap_fuel, resume=point)
+                compared = known
+                if sentinel:
+                    compared = frozenset(probe.compared)
+                    compared = interned.setdefault(compared, compared)
+                site = sites.get(after[-1]) if after is not None else None
+                if site is None:
+                    step = 1 << bits if classing else n
+                    if step > n:
+                        step = n
+                    j = i % step
+                    weight = (n - 1 - j) // step + 1
+                    append(Leaf(lo + j, result, stop, weight, step, after,
+                                compared))
+                    marked[j::step] = b"\x01" * weight
                     continue
-                ran = True
-                if site is not None:
-                    values, used, fuel = site.draw((lo + i) >> b)
-                    if fuel <= fuel_left:
-                        args = site.splice(node_args, values)
-                        if args not in rel:
-                            # blocked at the node's point, as its run would be
-                            ran = False
-                            result, stop, bits, after, compared = (
-                                outcome, (name, args), b + used, point, known)
-                if ran:
-                    if seed_var is not None:
-                        inputs[seed_var] = lo + i
-                    if sentinel:
-                        probe.compared = set(known)
-                    result, _, _, _, bits, stop, _, after = run(
-                        inputs=inputs, interp=interp, loop_fuel=loop_fuel,
-                        heap_fuel=heap_fuel, resume=point)
-                    compared = known
-                    if sentinel:
-                        compared = frozenset(probe.compared)
-                        compared = interned.setdefault(compared, compared)
-                step = 1 << bits if classing else n
-                if step > n:
-                    step = n
-                j = i % step
-                weight = (n - 1 - j) // step + 1
-                append(Leaf(lo + j, result, stop, weight, step, after,
-                            compared))
-                marked[j::step] = b"\x01" * weight
-                if not ran:
-                    continue
-                at = sites.get(after[-1]) if after is not None else None
-                if at is not None:
-                    # visit the node before any other seed of this loop
-                    span = 1 << after[-2]
-                    if span > n:
-                        span = n
-                    if blocked is not None and span < stride:
-                        span = stride
-                    loops.append((iter(range(i % span, n, span)), after,
-                                  compared, at, after[-2], result, stop))
-                    break
-                if site is None and 0 not in marked[start::stride]:
-                    loops.clear()
-                    break
+                # visit the node before any other seed of this loop
+                span = 1 << after[-2]
+                if span > n:
+                    span = n
+                cell.records.append(self._settle(
+                    interp, marked, Record(after, site, after[-2], result,
+                                           stop, compared, i % span, span,
+                                           set())))
+                loops.append((_unmarked(marked, i % span, span), after,
+                              compared))
+                break
             else:
                 loops.pop()
-                if len(loops) == 1 and 0 not in marked[start::stride]:
-                    break
         return leaves
+
+    def _table(self, rec: Record) -> tuple[dict, int]:
+        """The site's inverted draw table over the record's node, and the
+        most loop fuel a class of it needs."""
+        lo, hi = self.seed_range
+        return rec.site.classes((lo + rec.offset) >> rec.bits,
+                                (hi - lo - rec.offset) // rec.stride + 1)
+
+    def _classes(self, rec: Record, values: tuple) -> Iterator[tuple]:
+        """The least offset and the step of each class of the record's node
+        whose draws make ``values`` within the point's loop fuel."""
+        n = self.seed_range[1] - self.seed_range[0] + 1
+        fuel = rec.resume[-4]
+        for k, used, need in self._table(rec)[0][values]:
+            if need <= fuel:
+                step = 1 << (rec.bits + used)
+                yield rec.offset + k * rec.stride, step if step < n else n
+
+    def _settle(self, interp, marked: bytearray, rec: Record) -> Record:
+        """Put in the record the value tuples of its node that the draw
+        table settles, and mark their classes: those whose draws fit the
+        point's loop fuel and whose tuple is not in the relation, so that
+        their runs would block at the point as the run that found the node
+        did.  None of these classes is marked yet.  Every seed of the node
+        reaches the point, a node is visited once, and any other run of a
+        seed of the node got past the site or ran out of fuel in its draws,
+        so its class holds only seeds that draw what it drew.  (A class that
+        an explicit cell marked under a smaller interpretation holds its
+        seeds' classes under a larger one.)  So the whole node is marked,
+        and then the other classes get back the marks they had."""
+        n = len(marked)
+        table, most = self._table(rec)
+        name, args = rec.blocker
+        rel = interp.relation(name)
+        splice = rec.site.splice
+        held = {v for v in table if splice(args, v) in rel}
+        fuel = rec.resume[-4]
+        if most <= fuel:
+            rec.settled = table.keys() - held
+            others = [table[v] for v in held]
+        else:
+            rec.settled = {v for v, classes in table.items() if v not in held
+                           and any(need <= fuel for _, _, need in classes)}
+            others = [[c for c in classes if v in held or c[2] > fuel]
+                      for v, classes in table.items()]
+        o, span = rec.offset, rec.stride
+        before = marked[o::span]
+        marked[o::span] = b"\x01" * len(before)
+        for classes in others:
+            for k, used, _ in classes:
+                step = 1 << (rec.bits + used)
+                if step > n:
+                    step = n
+                marked[o + k * span::step] = before[k::1 << used]
+        return rec
 
     def run_all(self, interp):
         addresses = ([self.any_address] if self.address_classing
                      else self.last_addr_values())
         self.cells = {}
+        self._records = {}
         for in_v in self.in_values():
             for la in addresses:
                 cell = self.cells[(in_v, la)] = Cell(in_v, la)
                 cell.leaves, _ = self._run_class(cell, interp, 0, 1)
 
     def _run_class(self, cell: Cell, interp, start: int, stride: int,
-                   blocked: Leaf | None = None
+                   blocked: Leaf | Record | None = None
                    ) -> tuple[list[Leaf], list[Leaf]]:
         """Run the seeds at offsets ``start, start + stride, ...`` of the
-        cell, resuming the ``blocked`` leaf's run if given.  At the address
-        sentinel, each run's class is then run at every address of the range
-        that the run compared ``$last_addr`` with, on the seeds the explicit
-        cell there does not mark yet.  Returns the cell's new leaves that
-        stand for some grid point, and the new explicit leaves."""
+        cell, resuming the ``blocked`` class's run if given.  At the address
+        sentinel, each run's class, and each new record's node, is then run
+        at every address of the range that the run compared ``$last_addr``
+        with, on the seeds the explicit cell there does not mark yet.  New
+        records are kept on their cells and indexed for reruns.  Returns the
+        cell's new leaves that stand for some grid point, and the new
+        explicit leaves."""
+        first = len(cell.records)
         leaves = self._run_seeds(cell, interp, start, stride, None, blocked)
-        if cell.last_addr is not self.any_address:
-            return leaves, []
+        explicit: list[Leaf] = []
+        if cell.last_addr is self.any_address:
+            lo = self.seed_range[0]
+            leaves = [leaf for leaf in leaves if self._explicit(
+                cell, interp, leaf.compared, leaf.seed - lo, leaf.step,
+                explicit)]
+            cell.records[first:] = [rec for rec in cell.records[first:]
+                                    if self._explicit(
+                                        cell, interp, rec.compared,
+                                        rec.offset, rec.stride, explicit)]
+        self._index(cell, first)
+        return leaves, explicit
+
+    def _explicit(self, cell: Cell, interp, compared: frozenset, start: int,
+                  stride: int, explicit: list[Leaf]) -> bool:
+        """Run the sentinel cell's seeds at offsets ``start, start + stride,
+        ...`` at each address of the range in ``compared``, on the seeds the
+        explicit cell there does not mark yet, and add the new explicit
+        leaves to ``explicit``.  False when ``compared`` covers the range:
+        the path the runs took is never taken, so they stand for no grid
+        point."""
         in_v = cell.in_v
         lo_a, hi_a = self.domain.last_addr_range
         lo, hi = self.seed_range
-        explicit: list[Leaf] = []
-        kept = []
-        for leaf in leaves:
-            hits = 0
-            for a in leaf.compared:
-                if not lo_a <= a <= hi_a:
-                    continue
-                hits += 1
-                at = self.cells.get((in_v, a))
-                if at is None:
-                    at = self.cells[(in_v, a)] = \
-                        Cell(in_v, a, covered=bytearray(hi - lo + 1))
-                if not at.covered[leaf.seed - lo]:
-                    new = self._run_seeds(at, interp, leaf.seed - lo,
-                                          leaf.step, at.covered)
-                    at.leaves += new
-                    explicit += new
-            # a run that compared with every address stands for no grid
-            # point: the path it took is never taken
-            if hits <= hi_a - lo_a:
-                kept.append(leaf)
-        return kept, explicit
+        hits = 0
+        for a in compared:
+            if not lo_a <= a <= hi_a:
+                continue
+            hits += 1
+            at = self.cells.get((in_v, a))
+            if at is None:
+                at = self.cells[(in_v, a)] = \
+                    Cell(in_v, a, covered=bytearray(hi - lo + 1))
+            if 0 in at.covered[start::stride]:
+                first = len(at.records)
+                new = self._run_seeds(at, interp, start, stride, at.covered)
+                at.leaves += new
+                explicit += new
+                self._index(at, first)
+        return hits <= hi_a - lo_a
+
+    def _index(self, cell: Cell, first: int) -> None:
+        """File the cell's records from the ``first`` on under their
+        predicate's site and the arguments the site does not draw."""
+        for rec in cell.records[first:]:
+            key = (rec.site.start, rec.site.rest(rec.blocker[1]))
+            self._records.setdefault(key, []).append((cell, rec))
 
     def rerun_blocked(self, interp, added: set[tuple]) -> set[tuple]:
         """Rerun the seed class of every leaf blocked on a tuple of ``added``
-        from the leaf's resume point, and return the failing tuples of the
-        leaves that replace them.  A sentinel class is rerun at the
-        sentinel, from the values the blocked run had compared with, so
-        only the addresses it newly compares with get explicit runs."""
+        from the leaf's resume point, and the classes of every record that
+        drew an added tuple from the record's point, and return the failing
+        tuples of the leaves that replace them.  A sentinel class is rerun
+        at the sentinel, from the values the blocked run had compared with,
+        so only the addresses it newly compares with get explicit runs."""
         lo = self.seed_range[0]
         fresh: list[Leaf] = []
         # explicit cells grow while sentinel cells are rerun; their new
-        # leaves ran under ``interp`` and are never blocked on ``added``
+        # leaves and records ran under ``interp`` and are never blocked on
+        # ``added``
         for cell in list(self.cells.values()):
             blocked = [leaf for leaf in cell.leaves if leaf.blocker in added]
             if not blocked:
                 continue
-            leaves = [leaf for leaf in cell.leaves if leaf.blocker not in added]
+            cell.leaves = [leaf for leaf in cell.leaves
+                           if leaf.blocker not in added]
             for leaf in blocked:
                 new, explicit = self._run_class(cell, interp, leaf.seed - lo,
                                                 leaf.step, leaf)
-                leaves += new
+                cell.leaves += new
                 fresh += new
                 fresh += explicit
-            cell.leaves = leaves
+        for name, args in added:
+            for site in self._sites.get(name, ()):
+                entries = self._records.get((site.start, site.rest(args)))
+                values = site.drawn(args)
+                for cell, rec in [e for e in entries or ()
+                                  if values in e[1].settled]:
+                    rec.settled.remove(values)
+                    if not rec.settled:
+                        cell.records.remove(rec)
+                        entries[:] = [e for e in entries if e[1] is not rec]
+                    for j, step in self._classes(rec, values):
+                        new, explicit = self._run_class(cell, interp, j,
+                                                        step, rec)
+                        cell.leaves += new
+                        fresh += new
+                        fresh += explicit
         return _failing(fresh)
 
     # harvesting
@@ -548,13 +677,25 @@ class GridExecutor:
         return hi - lo + 1 - sum(lo <= a <= hi for a in compared), least
 
     def rows(self) -> Iterator[Row]:
-        """Every seed class of the grid, cell by cell, in no fixed order."""
+        """Every seed class of the grid, cell by cell, in no fixed order;
+        a record gives one row per class it stands for."""
+        lo, hi = self.seed_range
         for cell in self.cells.values():
             for leaf in cell.leaves:
                 yield Row(cell.in_v, cell.last_addr,
                           *self.owned(cell, leaf.compared), leaf.seed,
                           leaf.step, leaf.weight, leaf.outcome, leaf.blocker,
                           leaf.compared, leaf.resume)
+            for rec in cell.records:
+                owned = self.owned(cell, rec.compared)
+                name, args = rec.blocker
+                for values in rec.settled:
+                    blocker = (name, rec.site.splice(args, values))
+                    for j, step in self._classes(rec, values):
+                        yield Row(cell.in_v, cell.last_addr, *owned, lo + j,
+                                  step, (hi - lo - j) // step + 1,
+                                  rec.outcome, blocker, rec.compared,
+                                  rec.resume)
 
     def failing_tuples(self) -> set[tuple]:
         """(pred, args) pairs from failed predicate assertions."""

@@ -326,24 +326,32 @@ class DrawSite:
     The draws read the seed variable alone, so ``draw(s)`` gives what they
     make of each value ``s`` of it at the site: the values of the assume's
     drawn arguments, the seed bits consumed and the loop fuel used.
-    ``splice(args, values)`` puts those values into a blocked run's
-    argument tuple at the drawn positions."""
+    ``classes(s0, count)`` inverts that table over a range of values.
+    ``splice(args, values)`` puts drawn values into a blocked run's argument
+    tuple at the drawn positions; ``drawn(args)`` and ``rest(args)`` take an
+    argument tuple of the assume's predicate ``pred`` apart again."""
 
-    __slots__ = ("start", "slots", "splice", "_seed_var", "_drawers",
-                 "_drawn_args", "_memo")
+    __slots__ = ("start", "pred", "slots", "splice", "drawn", "rest",
+                 "_seed_var", "_drawers", "_drawn_args", "_memo", "_inverse")
 
     def __init__(self, start: int, seed_var: str, drawers: list[tuple],
-                 args: list[Expr], slots: tuple[int, ...]):
+                 query: AssumePred, slots: tuple[int, ...]):
         self.start = start
+        self.pred = query.pred
         self._seed_var = seed_var
         self._drawers = drawers  # (target, the havoc instruction's drawer)
         # the env positions of the values the first havoc records
         self.slots = slots
         drawn = {target for target, _ in drawers}
+        args = query.args
         positions = [k for k, a in enumerate(args)
                      if isinstance(a, Var) and a.name in drawn]
+        others = [k for k in range(len(args)) if k not in positions]
+        self.drawn = lambda args: tuple([args[k] for k in positions])
+        self.rest = lambda args: tuple([args[k] for k in others])
         self._drawn_args = [args[k].name for k in positions]
         self._memo: dict[int, tuple] = {}
+        self._inverse: dict[tuple, dict] = {}
         a = positions[0] if positions else 0
         b = a + len(positions)
         if positions == list(range(a, b)):
@@ -366,6 +374,29 @@ class DrawSite:
             got = self._memo[s] = (
                 tuple([env[name] for name in self._drawn_args]), st.bits,
                 _DRAW_FUEL - st.loop_fuel)
+        return got
+
+    def classes(self, s0: int, count: int) -> tuple[dict, int]:
+        """The draw table of the values ``s0, ..., s0 + count - 1`` of the
+        seed variable, inverted: each drawn value tuple maps to its classes
+        ``(k, bits, fuel)``.  A class is the values ``s0 + k + m 2^bits`` of
+        the range, least first; their draws read the same ``bits`` bits,
+        so they make the same values with the same loop ``fuel``.  Also
+        returns the most loop fuel a class needs.  Built once per range,
+        with one draw per class."""
+        got = self._inverse.get((s0, count))
+        if got is None:
+            table: dict[tuple, list[tuple]] = {}
+            seen = bytearray(count)
+            most = k = 0
+            while k >= 0:
+                values, bits, fuel = self.draw(s0 + k)
+                table.setdefault(values, []).append((k, bits, fuel))
+                if fuel > most:
+                    most = fuel
+                seen[k::1 << bits] = b"\x01" * len(range(k, count, 1 << bits))
+                k = seen.find(0, k + 1)
+            got = self._inverse[(s0, count)] = (table, most)
         return got
 
 
@@ -570,7 +601,7 @@ class _Compiler:
         self.sites = {k: DrawSite(
             k, seed_var,
             [(flat[j][0][1].target, self._drawers[j]) for j in range(k, q)],
-            flat[q][0][1].args, tuple(map(names.index, self._recorded[k])))
+            flat[q][0][1], tuple(map(names.index, self._recorded[k])))
             for k, q in spans.items()}
         return code
 

@@ -501,15 +501,19 @@ class GridExecutor:
         return rec.site.classes((lo + rec.offset) >> rec.bits,
                                 (hi - lo - rec.offset) // rec.stride + 1)
 
-    def _classes(self, rec: Record, values: tuple) -> Iterator[tuple]:
-        """The least offset and the step of each class of the record's node
-        whose draws make ``values`` within the point's loop fuel."""
+    def _classes(self, rec: Record, settled) -> Iterator[tuple]:
+        """The value tuple, the least offset and the step of each class of
+        the record's node whose draws make a tuple of ``settled`` within
+        the point's loop fuel."""
         n = self.seed_range[1] - self.seed_range[0] + 1
         fuel = rec.resume[-4]
-        for k, used, need in self._table(rec)[0][values]:
-            if need <= fuel:
-                step = 1 << (rec.bits + used)
-                yield rec.offset + k * rec.stride, step if step < n else n
+        table = self._table(rec)[0]
+        for values in settled:
+            for k, used, need in table[values]:
+                if need <= fuel:
+                    step = 1 << (rec.bits + used)
+                    yield (values, rec.offset + k * rec.stride,
+                           step if step < n else n)
 
     def _settle(self, interp, marked: bytearray, rec: Record) -> Record:
         """Put in the record the value tuples of its node that the draw
@@ -654,7 +658,7 @@ class GridExecutor:
                     if not rec.settled:
                         cell.records.remove(rec)
                         entries[:] = [e for e in entries if e[1] is not rec]
-                    for j, step in self._classes(rec, values):
+                    for _, j, step in self._classes(rec, (values,)):
                         new, explicit = self._run_class(cell, interp, j,
                                                         step, rec)
                         cell.leaves += new
@@ -689,13 +693,11 @@ class GridExecutor:
             for rec in cell.records:
                 owned = self.owned(cell, rec.compared)
                 name, args = rec.blocker
-                for values in rec.settled:
-                    blocker = (name, rec.site.splice(args, values))
-                    for j, step in self._classes(rec, values):
-                        yield Row(cell.in_v, cell.last_addr, *owned, lo + j,
-                                  step, (hi - lo - j) // step + 1,
-                                  rec.outcome, blocker, rec.compared,
-                                  rec.resume)
+                for values, j, step in self._classes(rec, rec.settled):
+                    yield Row(cell.in_v, cell.last_addr, *owned, lo + j, step,
+                              (hi - lo - j) // step + 1, rec.outcome,
+                              (name, rec.site.splice(args, values)),
+                              rec.compared, rec.resume)
 
     def failing_tuples(self) -> set[tuple]:
         """(pred, args) pairs from failed predicate assertions."""

@@ -1,15 +1,16 @@
 import gc
 import random
+import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
 
 from heapinv import interp as interp_module, lang, replay
-from heapinv.corpus import VARIANTS
+from heapinv.corpus import VARIANTS, encode_variant
 from heapinv.encode import enc_n, enc_r, enc_rw, encode
 from heapinv.fixpoint import (
-    LAST_ADDR_VAR, FixpointInfo, GridExecutor, InputDomain,
+    LAST_ADDR_VAR, FixpointInfo, GridExecutor, InputDomain, Record,
     Interpretation, IterationCapExceeded, check_equisafety, check_safety,
     immediate_consequence, initial_stack, least_fixpoint, least_fixpoint_info,
     sweep_under, verdict_from_executor,
@@ -1012,18 +1013,150 @@ def test_leaf_order_does_not_change_the_grid(corpus_matrix, domain):
                     row.verdicts[variant].to_json(), label
 
 
-def test_fixpoint_leaves_no_cyclic_garbage(corpus, domain):
+def memory_programs(corpus):
+    """Two heap programs whose fixed points rerun through records, with
+    every encoding of them."""
+    programs = []
+    for name in ("two-level-links", "list-build-traverse"):
+        entry = next(e for e in corpus if e.name == name)
+        p = entry.load()
+        programs.append(p)
+        programs += [q for v in VARIANTS
+                     if (q := encode_variant(entry, p, v)) is not None]
+    return programs
+
+
+def drive_oracle(programs, domain):
+    """Each program through the oracle's three entry points: a fixed point,
+    one application of T alone (the sweep's path) and a sweep."""
+    for p in programs:
+        least_fixpoint_info(p, domain)
+        GridExecutor(p, domain).run_all(Interpretation.empty())
+        sweep_under(p, domain, Interpretation.empty())
+
+
+def test_fixpoint_leaves_no_cyclic_garbage(corpus, domain, monkeypatch):
     # the oracle's structures free themselves by reference counting: with
-    # the cyclic collector off, a fixed point leaves nothing for it
-    programs = [encode(next(e for e in corpus if e.name == name).load(),
-                       VARIANTS[variant][0]).program
-                for name in ("two-level-links", "list-build-traverse")
-                for variant in ("r", "rw_ct")]
+    # the cyclic collector off, its entry points leave nothing for it
+    programs = memory_programs(corpus)
+    resumed = []
+    run_class = GridExecutor._run_class
+
+    def counting_run_class(self, cell, interp, start, stride, blocked=None):
+        resumed.append(isinstance(blocked, Record))
+        return run_class(self, cell, interp, start, stride, blocked)
+
+    monkeypatch.setattr(GridExecutor, "_run_class", counting_run_class)
     gc.collect()
     gc.disable()
     try:
-        for p in programs:
-            least_fixpoint_info(p, domain)
+        drive_oracle(programs, domain)
         assert gc.collect() == 0
     finally:
         gc.enable()
+    assert resumed.count(True) > 100, resumed.count(True)
+
+
+def test_oracle_keeps_no_memory_between_tasks(corpus, domain):
+    # nothing the oracle builds outlives its task (no cache on a module, a
+    # class or a program): a second pass over the same tasks leaves as
+    # much memory allocated as the first.  A full collection empties the
+    # interpreter's free lists, which keep freed tuples allocated.
+    programs = memory_programs(corpus)
+    drive_oracle(programs, domain)
+    tracemalloc.start()
+    try:
+        drive_oracle(programs, domain)
+        gc.collect()
+        first = tracemalloc.get_traced_memory()[0]
+        drive_oracle(programs, domain)
+        gc.collect()
+        second = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert abs(second - first) <= 64 * 1024, (first, second)
+
+
+# One draw site, after a comparison of ``$last_addr`` once encoded: under
+# the empty interpretation its node blocks on every drawn value of x.
+SITE_ON_MANY_VALUES = """prog {
+  adt Node { node(data: Int, next: Addr); }
+  heaptype Node;
+  pred P(Int);
+  input in;
+  seed seed;
+  var p: Addr; var x: Int;
+  p := alloc(node(0, null));
+  havoc(x);
+  assume(P(x));
+  assert(x != 2);
+}"""
+
+
+def test_record_rerun_runs_only_the_added_value(domain, monkeypatch):
+    # a record stands for every class of its node that the draw table
+    # settled; adding one of its tuples reruns only the classes that drew
+    # that value, and the rows are then those of a fresh grid
+    source = prog(SITE_ON_MANY_VALUES)
+    runs = []
+    run = CompiledProgram.run
+
+    def counting_run(self, *args, **kwargs):
+        res = run(self, *args, **kwargs)
+        runs.append(res.env["x"])
+        return res
+
+    monkeypatch.setattr(CompiledProgram, "run", counting_run)
+    # the source has no prophecy address; encoded, its allocation compares
+    # $last_addr with 1 before the site
+    for p, sentinel in ((source, False), (enc_r(source).program, True)):
+        ex = GridExecutor(p, domain)
+        assert ex.address_classing == sentinel
+        ex.run_all(Interpretation.empty())
+        cells = [c for c in ex.cells.values() if c.records]
+        assert all(len(c.records) == 1 for c in cells)
+        assert len(cells) == (2 if sentinel else 1)
+        if sentinel:
+            (probe,) = [c for c in cells if c.last_addr is ex.any_address]
+            assert probe.records[0].compared == {1}
+        target = ("P", (1,))
+        blockers = set().union(*(c.blockers() for c in cells))
+        assert target in blockers and len(blockers) > 2
+        classes = [r for r in ex.rows() if r.blocker == target]
+        runs.clear()
+        interp = Interpretation({"P": {(1,)}})
+        assert ex.rerun_blocked(interp, {target}) == set()
+        assert runs == [1] * len(classes), runs
+        assert not any(r.blocker == target for r in ex.rows())
+        assert grid_rows(ex) == grid_rows(fresh_grid(ex, interp)), sentinel
+
+
+def test_rows_partition_the_grid(corpus_matrix):
+    # the rows of every matrix task stand for each grid point once: every
+    # seed of an (in, address) pair lies in one row, so a record that
+    # dropped or double-counted seeds fails here
+    for name, row in corpus_matrix.items():
+        if name == "__build_seconds__":
+            continue
+        for variant, info in row.fixinfo.items():
+            ex = info.executor
+            lo, hi = ex.seed_range
+            n = hi - lo + 1
+            d = ex.domain
+            every = range(d.last_addr_range[0], d.last_addr_range[1] + 1)
+            marks: dict[tuple, bytearray] = {}
+            total = 0
+            for r in ex.rows():
+                total += r.weight * r.addresses
+                if r.last_addr is not ex.any_address:
+                    addresses = [r.last_addr]
+                else:
+                    addresses = [a for a in every if a not in r.compared]
+                assert len(addresses) == r.addresses, (name, variant)
+                j = r.seed - lo
+                for a in addresses:
+                    seen = marks.setdefault((r.in_v, a), bytearray(n))
+                    assert not any(seen[j::r.step]), (name, variant, r)
+                    seen[j::r.step] = b"\x01" * r.weight
+            assert total * ex.collapsed_multiplier() == d.grid_size(), \
+                (name, variant)

@@ -22,7 +22,7 @@ _META = dict(compare=False, repr=False, kw_only=True)
 # Types
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Type:
     """Type tag: Int, Addr, or Obj(adt). Obj carries the ADT name and, when
     parsed, the position of its type name."""
@@ -45,13 +45,13 @@ def obj_type(adt_name: str) -> Type:
     return Type("Obj", adt_name)
 
 
-@dataclass
+@dataclass(slots=True)
 class CtorDecl:
     name: str
     fields: list[tuple[str, Type]]
 
 
-@dataclass
+@dataclass(slots=True)
 class AdtDecl:
     """Non-recursive algebraic datatype; the first constructor is the default
     one (its all-defaults value serves as defObj when the ADT is the heap
@@ -62,7 +62,7 @@ class AdtDecl:
     pos: tuple[int, int] = field(default=(0, 0), **_META)
 
 
-@dataclass
+@dataclass(slots=True)
 class PredDecl:
     name: str
     arg_types: list[Type]
@@ -72,57 +72,57 @@ class PredDecl:
 # Expressions
 
 
-@dataclass
+@dataclass(slots=True)
 class Expr:
     pos: tuple[int, int] = field(default=(0, 0), **_META)
 
 
-@dataclass
+@dataclass(slots=True)
 class IntLit(Expr):
     value: int
 
 
-@dataclass
+@dataclass(slots=True)
 class Var(Expr):
     name: str
 
 
-@dataclass
+@dataclass(slots=True)
 class Null(Expr):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class DefObj(Expr):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class Unary(Expr):
     op: str  # "-" | "!"
     operand: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class Binary(Expr):
     op: str  # + - * / % < <= > >= = != && ||
     left: Expr
     right: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class CtorApp(Expr):
     ctor: str
     args: list[Expr]
 
 
-@dataclass
+@dataclass(slots=True)
 class SelApp(Expr):
     sel: str
     arg: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class TestApp(Expr):
     """Constructor tester, written ``is_<ctor>(e)``; yields 0/1."""
 
@@ -134,84 +134,84 @@ class TestApp(Expr):
 # Statements
 
 
-@dataclass
+@dataclass(slots=True)
 class Stmt:
     loc: int = field(default=0, **_META)
     pos: tuple[int, int] = field(default=(0, 0), **_META)
 
 
-@dataclass
+@dataclass(slots=True)
 class Assign(Stmt):
     target: str
     expr: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class Alloc(Stmt):
     target: str
     expr: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class Read(Stmt):
     target: str
     addr: str  # address operand must be a variable
 
 
-@dataclass
+@dataclass(slots=True)
 class Write(Stmt):
     addr: str
     expr: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class Skip(Stmt):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class Block(Stmt):
     """Statement sequence; carries no control location of its own."""
 
     stmts: tuple[Stmt, ...] = ()
 
 
-@dataclass
+@dataclass(slots=True)
 class If(Stmt):
     cond: Expr
     then: Stmt
     els: Stmt  # empty Block when the source has no else branch
 
 
-@dataclass
+@dataclass(slots=True)
 class While(Stmt):
     cond: Expr
     body: Stmt
 
 
-@dataclass
+@dataclass(slots=True)
 class AssumeExpr(Stmt):
     expr: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class AssertExpr(Stmt):
     expr: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class AssumePred(Stmt):
     pred: str
     args: list[Expr]
 
 
-@dataclass
+@dataclass(slots=True)
 class AssertPred(Stmt):
     pred: str
     args: list[Expr]
 
 
-@dataclass
+@dataclass(slots=True)
 class HavocStmt(Stmt):
     """Macro statement ``havoc(x);``: sets x to an arbitrary value derived
     from the seed variable.  Evaluated with exactly the semantics of the
@@ -220,7 +220,7 @@ class HavocStmt(Stmt):
     target: str
 
 
-@dataclass
+@dataclass(slots=True)
 class NondetStmt(Stmt):
     """Native nondeterministic assignment ``nondet(x);``.  Emitted instead of
     the havoc macro when encoding for CHC back-ends that support
@@ -237,7 +237,7 @@ class NondetStmt(Stmt):
 FAILURE_PRED = "F"
 
 
-@dataclass
+@dataclass(slots=True)
 class Program:
     adts: list[AdtDecl] = field(default_factory=list)
     heap_adt: str | None = None
@@ -270,7 +270,7 @@ class SourceError(Exception):
         self.message = message
 
 
-@dataclass
+@dataclass(slots=True)
 class Diagnostic:
     line: int
     col: int
@@ -304,7 +304,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     kind: str  # "num" | "id" | "kw" | "op" | "eof"
     text: str
@@ -809,22 +809,30 @@ def map_statements(stmt: Stmt, leaf: Callable[[Stmt], list[Stmt]],
     number the locations of their output in place (``assign_locations``),
     so an output sharing a statement object with its input would renumber
     the input, or any other program built from it."""
+    return _map_branch(stmt, leaf, cond)
 
-    def rebuild(s: Stmt) -> list[Stmt]:
-        if isinstance(s, Block):
-            return [Block(tuple(x for c in s.stmts for x in rebuild(c)),
-                          pos=s.pos)]
-        if isinstance(s, If):
-            return [If(cond(s.cond), branch(s.then), branch(s.els), pos=s.pos)]
-        if isinstance(s, While):
-            return [While(cond(s.cond), branch(s.body), pos=s.pos)]
-        return [copy(x) if x is s else x for x in leaf(s)]
 
-    def branch(s: Stmt) -> Block:
-        out = rebuild(s)
-        return out[0] if isinstance(s, Block) else Block(tuple(out))
+# The two steps of ``map_statements`` are module functions, not closures
+# that call each other: such closures would form a reference cycle that
+# keeps ``leaf`` and everything it refers to alive until the cyclic
+# collector runs.
 
-    return branch(stmt)
+def _map_rebuild(s: Stmt, leaf, cond) -> list[Stmt]:
+    if isinstance(s, Block):
+        return [Block(tuple(x for c in s.stmts
+                            for x in _map_rebuild(c, leaf, cond)), pos=s.pos)]
+    if isinstance(s, If):
+        return [If(cond(s.cond), _map_branch(s.then, leaf, cond),
+                   _map_branch(s.els, leaf, cond), pos=s.pos)]
+    if isinstance(s, While):
+        return [While(cond(s.cond), _map_branch(s.body, leaf, cond),
+                      pos=s.pos)]
+    return [copy(x) if x is s else x for x in leaf(s)]
+
+
+def _map_branch(s: Stmt, leaf, cond) -> Block:
+    out = _map_rebuild(s, leaf, cond)
+    return out[0] if isinstance(s, Block) else Block(tuple(out))
 
 
 def expr_children(e: Expr) -> list[Expr]:
@@ -991,15 +999,18 @@ class TypeChecker:
         seen: set[str] = set()
 
         def reach(name: str) -> bool:
-            if name == adt.name and seen:
-                return True
-            if name in seen or name not in self.adts:
-                return False
-            seen.add(name)
-            for c in self.adts[name].ctors:
-                for _, fty in c.fields:
-                    if fty.kind == "Obj" and reach(fty.adt):
-                        return True
+            # a search with its own stack: a closure that called itself
+            # would be a reference cycle
+            stack = [name]
+            while stack:
+                name = stack.pop()
+                if name == adt.name and seen:
+                    return True
+                if name in seen or name not in self.adts:
+                    continue
+                seen.add(name)
+                stack += [fty.adt for c in self.adts[name].ctors
+                          for _, fty in c.fields if fty.kind == "Obj"]
             return False
 
         for c in adt.ctors:

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import pathlib
@@ -612,6 +613,23 @@ def test_transformations_leave_their_input_alone(corpus):
         # the encoder shares expression leaves with its input: no pass may
         # change one in place
         assert pretty_print(source) == printed, entry.name
+
+
+def test_parsing_and_encoding_leave_no_cyclic_garbage(corpus):
+    # with the cyclic collector off, parsing a program and encoding it
+    # under every variant leave nothing for the collector: a cycle would
+    # keep each transformation's working state alive until it runs
+    gc.collect()
+    gc.disable()
+    try:
+        for entry in corpus:
+            source = entry.load()
+            for variant in VARIANTS:
+                encode_variant(entry, source, variant)
+            expand_program_havocs(source)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 GOLDEN_ENCODINGS = pathlib.Path(__file__).parent / "golden" / "encodings.json"

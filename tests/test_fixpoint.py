@@ -10,8 +10,8 @@ from heapinv import interp as interp_module, lang, replay
 from heapinv.corpus import VARIANTS, encode_variant
 from heapinv.encode import enc_n, enc_r, enc_rw, encode
 from heapinv.fixpoint import (
-    LAST_ADDR_VAR, FixpointInfo, GridExecutor, InputDomain, Record,
-    Interpretation, IterationCapExceeded, check_equisafety, check_safety,
+    LAST_ADDR_VAR, FixpointInfo, GridExecutor, InputDomain, Interpretation,
+    IterationCapExceeded, Record, check_equisafety, check_safety,
     immediate_consequence, initial_stack, least_fixpoint, least_fixpoint_info,
     sweep_under, verdict_from_executor,
 )

@@ -44,10 +44,11 @@ draws, and the site's draw table tells what each of them draws.
 
 Each expression node compiles to one closure over its operands' own
 closures: a binary operator is ``g(f(env), h(env))`` whatever its operands
-are, and an assignment is one instruction.  Program runs take about 11% of
-a corpus-matrix fixpoint pass (the seed-class bookkeeping around them takes
-most of the rest), so closures specialised by operand shape would save too
-little to pay for their code.  What stays specialised:
+are, and an assignment is one instruction.  Program runs take about 20% of
+a corpus-matrix fixpoint pass (the seed-class bookkeeping around them, most
+of all building the draw sites' inverted tables, takes most of the rest),
+so closures specialised by operand shape would save too little to pay for
+their code.  What stays specialised:
 
 * a variable is an ``itemgetter``, and a nonzero constant divisor skips the
   zero check;

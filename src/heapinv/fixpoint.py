@@ -72,27 +72,27 @@ which allows four big savings without changing the computed sets:
   whose tuple (the blocked run's with the drawn arguments replaced) is not
   in the relation, is blocked there as its run would be; these classes,
   the blocked run's own among them, are marked with one slice over the
-  node and kept as one ``Record``: the point, the site, b, the outcome,
-  the blocked tuple, the compared values, the node's offset and stride,
-  and the set of value tuples it settled.  The node's other unmarked seeds
-  are run from the point, in seed order, before the loop that found the
-  node goes on.  The nodes of a resumed call lie in its class, since a
-  run from the class's point draws at least the class's bits before it
-  reaches another site.  An explicit call takes the whole node: its run compared
-  ``$last_addr`` with the cell's address before the site (a sentinel run
-  that had not would have reached the site in the same state and blocked
-  there without comparing, so no explicit run would have been made), so
-  every seed of the node did, and each has its class at that address; at
-  the sentinel a record's whole node is likewise run at each address of
-  its compared values.  The executor indexes the records by site and by
-  the arguments the site does not draw, so a rerun looks each added tuple
-  up there and runs from the point only the classes whose drawn values
-  make it.  Records are always blocked on an assume, so verdicts and
-  harvesting never look at them; ``rows`` lists their classes one by one.
-  A node's seeds can meet further nodes, and the depth of that nesting is
-  bounded only by the loop and heap fuel of the domain, so the loops in
-  progress are kept on an explicit stack rather than by recursion, which
-  could exceed Python's recursion limit.
+  node and kept as one ``Record``: the point (which holds b, and so the
+  node's stride), the site, the outcome, the blocked tuple, the compared
+  values, the node's offset and the set of value tuples it settled.  The
+  node's other unmarked seeds are run from the point, in seed order,
+  before the loop that found the node goes on.  The nodes of a resumed
+  call lie in its class, since a run from the class's point draws at least
+  the class's bits before it reaches another site.  An explicit call takes
+  the whole node: its run compared ``$last_addr`` with the cell's address
+  before the site (a sentinel run that had not would have reached the site
+  in the same state and blocked there without comparing, so no explicit
+  run would have been made), so every seed of the node did, and each has
+  its class at that address; at the sentinel a record's whole node is
+  likewise run at each address of its compared values.  The executor
+  indexes the records by site and by the arguments the site does not draw,
+  so a rerun looks each added tuple up there and runs from the point only
+  the classes whose drawn values make it.  Records are always blocked on
+  an assume, so verdicts and harvesting never look at them; ``rows`` lists
+  their classes one by one.  A node's seeds can meet further nodes, and
+  the depth of that nesting is bounded only by the loop and heap fuel of
+  the domain, so the loops in progress are kept on an explicit stack
+  rather than by recursion, which could exceed Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -268,15 +268,15 @@ class Record:
     settled: the node is the offsets ``offset, offset + stride, ...`` of
     the range, and a class stands here when its draws make a value tuple
     of ``settled`` within the point's loop fuel.  Each is blocked at the
-    node's point, on ``blocker`` with the drawn arguments replaced."""
+    node's point, on ``blocker`` with the drawn arguments replaced.  The
+    point ends with the seed bits b consumed before the draws, and
+    ``stride`` is 2^b, at most the range size."""
     resume: tuple        # the node's point: the state before the draws
     site: DrawSite
-    bits: int            # seed bits consumed before the draws
     outcome: object      # the blocked runs' outcome
     blocker: tuple       # (pred, args) of the run that found the node
     compared: frozenset  # as a blocked leaf's
     offset: int
-    stride: int
     settled: set         # drawn value tuples whose classes stand here
 
 
@@ -484,9 +484,8 @@ class GridExecutor:
                 if span > n:
                     span = n
                 cell.records.append(self._settle(
-                    interp, marked, Record(after, site, after[-2], result,
-                                           stop, compared, i % span, span,
-                                           set())))
+                    interp, marked, Record(after, site, result, stop,
+                                           compared, i % span, set())))
                 loops.append((_unmarked(marked, i % span, span), after,
                               compared))
                 break
@@ -494,25 +493,32 @@ class GridExecutor:
                 loops.pop()
         return leaves
 
+    def _stride(self, rec: Record) -> int:
+        """The spacing of the record's node: 2^b, at most the range size."""
+        n = self.seed_range[1] - self.seed_range[0] + 1
+        return min(1 << rec.resume[-2], n)
+
     def _table(self, rec: Record) -> tuple[dict, int]:
         """The site's inverted draw table over the record's node, and the
         most loop fuel a class of it needs."""
         lo, hi = self.seed_range
-        return rec.site.classes((lo + rec.offset) >> rec.bits,
-                                (hi - lo - rec.offset) // rec.stride + 1)
+        return rec.site.classes((lo + rec.offset) >> rec.resume[-2],
+                                (hi - lo - rec.offset) // self._stride(rec)
+                                + 1)
 
     def _classes(self, rec: Record, settled) -> Iterator[tuple]:
         """The value tuple, the least offset and the step of each class of
         the record's node whose draws make a tuple of ``settled`` within
         the point's loop fuel."""
         n = self.seed_range[1] - self.seed_range[0] + 1
-        fuel = rec.resume[-4]
+        fuel, bits = rec.resume[-4], rec.resume[-2]
+        span = self._stride(rec)
         table = self._table(rec)[0]
         for values in settled:
             for k, used, need in table[values]:
                 if need <= fuel:
-                    step = 1 << (rec.bits + used)
-                    yield (values, rec.offset + k * rec.stride,
+                    step = 1 << (bits + used)
+                    yield (values, rec.offset + k * span,
                            step if step < n else n)
 
     def _settle(self, interp, marked: bytearray, rec: Record) -> Record:
@@ -533,7 +539,7 @@ class GridExecutor:
         rel = interp.relation(name)
         splice = rec.site.splice
         held = {v for v in table if splice(args, v) in rel}
-        fuel = rec.resume[-4]
+        fuel, bits = rec.resume[-4], rec.resume[-2]
         if most <= fuel:
             rec.settled = table.keys() - held
             others = [table[v] for v in held]
@@ -542,12 +548,12 @@ class GridExecutor:
                            and any(need <= fuel for _, _, need in classes)}
             others = [[c for c in classes if v in held or c[2] > fuel]
                       for v, classes in table.items()]
-        o, span = rec.offset, rec.stride
+        o, span = rec.offset, self._stride(rec)
         before = marked[o::span]
         marked[o::span] = b"\x01" * len(before)
         for classes in others:
             for k, used, _ in classes:
-                step = 1 << (rec.bits + used)
+                step = 1 << (bits + used)
                 if step > n:
                     step = n
                 marked[o + k * span::step] = before[k::1 << used]
@@ -585,7 +591,8 @@ class GridExecutor:
             cell.records[first:] = [rec for rec in cell.records[first:]
                                     if self._explicit(
                                         cell, interp, rec.compared,
-                                        rec.offset, rec.stride, explicit)]
+                                        rec.offset, self._stride(rec),
+                                        explicit)]
         self._index(cell, first)
         return leaves, explicit
 

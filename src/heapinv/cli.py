@@ -109,7 +109,9 @@ def _config(args) -> EncodingConfig:
             drops.append((pred, int(idx)))
         except ValueError:
             raise CliError(f"--drop expects PRED:IDX, got {item!r}")
-    scope = tuple(s for s in args.scope_vars.split(",") if s)
+    scope = tuple(args.scope_vars.split(",")) if args.scope_vars else ()
+    if "" in scope:
+        raise CliError("--scope-vars expects A,B,...")
     return EncodingConfig(
         base=args.enc, tagging=args.tag, caching=args.cache,
         scope_vars=scope, drop_args=tuple(drops),
@@ -224,11 +226,12 @@ def cmd_equisafe(args) -> int:
     prog = _load_program(args.file)
     domain = _domain(args)
     if args.cosim:
+        config = _config(args)
         if args.enc != "r" or args.tag or args.cache or args.scope_vars \
                 or args.drop:
             raise CliError("--cosim applies to the plain r encoding")
         p_star = enc_n(prog)
-        encoded = encode(p_star, _config(args)).program
+        encoded = encode(p_star, config).program
     else:
         encoded = _encode_program(prog, args)
     result = fp.check_equisafety(prog, encoded, domain)

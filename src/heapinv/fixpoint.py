@@ -65,16 +65,21 @@ which allows four big savings without changing the computed sets:
   that reads what they drew only as bare arguments) returns the state
   before the draws as its resume point, after b seed bits.  Every seed
   congruent to its own mod 2^b reaches that point (the node's seeds), and
-  the draws read nothing but the seed's next bits.  The site inverts its
-  memoised draw table over the node's seeds (``DrawSite.classes``): each
-  drawn value tuple maps to its seed classes, with the bits and loop fuel
-  their draws use.  A class whose draws fit the point's loop fuel, and
-  whose tuple (the blocked run's with the drawn arguments replaced) is not
-  in the relation, is blocked there as its run would be; these classes,
-  the blocked run's own among them, are marked with one slice over the
-  node and kept as one ``Record``: the point (which holds b, and so the
-  node's stride), the site, the outcome, the blocked tuple, the compared
-  values, the node's offset and the set of value tuples it settled.  The
+  the draws read nothing but the seed's next bits.  The site's draw table
+  over the node's seeds, inverted (``DrawSite.classes``), maps each drawn
+  value tuple to its seed classes, with the bits and loop fuel their draws
+  use.  It is built in one loop with one draw per class, once per range
+  and per shape of site in the executor's compiled program, and shared by
+  every node of that shape and range.  A class whose draws fit the point's
+  loop fuel, and whose tuple (the blocked run's with the drawn arguments
+  replaced) is not in the relation, is blocked there as its run would be.
+  A relation is a membership test, probed only when it is not empty: from
+  the empty interpretation, ``run_all`` never probes.  These classes, the
+  blocked run's own among them, are marked with one slice over the node
+  and kept as one ``Record``: the point (which holds b, and so the node's
+  stride), the site, the outcome, the blocked tuple, the compared values,
+  the node's offset, the shared table, and the few value tuples of the
+  table that the record leaves out.  The
   node's other unmarked seeds are run from the point, in seed order,
   before the loop that found the node goes on.  The nodes of a resumed
   call lie in its class, since a run from the class's point draws at least
@@ -266,18 +271,28 @@ class Leaf:
 class Record:
     """The seed classes of a draw-site node that the site's draw table
     settled: the node is the offsets ``offset, offset + stride, ...`` of
-    the range, and a class stands here when its draws make a value tuple
-    of ``settled`` within the point's loop fuel.  Each is blocked at the
-    node's point, on ``blocker`` with the drawn arguments replaced.  The
-    point ends with the seed bits b consumed before the draws, and
-    ``stride`` is 2^b, at most the range size."""
+    the range, ``table`` is the site's inverted draw table over the node,
+    and a class stands here when its draws make a value tuple of the table
+    that is not ``excluded``, within the point's loop fuel.  Each is
+    blocked at the node's point, on ``blocker`` with the drawn arguments
+    replaced.  The point ends with the seed bits b consumed before the
+    draws, and ``stride`` is 2^b, at most the range size."""
     resume: tuple        # the node's point: the state before the draws
     site: DrawSite
     outcome: object      # the blocked runs' outcome
     blocker: tuple       # (pred, args) of the run that found the node
     compared: frozenset  # as a blocked leaf's
     offset: int
-    settled: set         # drawn value tuples whose classes stand here
+    table: dict          # shared with every node of the site's shape
+    # the value tuples of the table whose classes do not stand here: in the
+    # relation at the visit, taken out by reruns, or with every class past
+    # the point's loop fuel
+    excluded: frozenset = frozenset()
+
+    def settled(self) -> Iterator[tuple]:
+        """The drawn value tuples whose classes stand here."""
+        excluded = self.excluded
+        return (v for v in self.table if v not in excluded)
 
 
 @dataclass
@@ -294,7 +309,7 @@ class Cell:
         out = {l.blocker for l in self.leaves if l.blocker is not None}
         for r in self.records:
             name, args = r.blocker
-            out.update((name, r.site.splice(args, v)) for v in r.settled)
+            out.update((name, r.site.splice(args, v)) for v in r.settled())
         return out
 
 
@@ -483,10 +498,13 @@ class GridExecutor:
                 span = 1 << after[-2]
                 if span > n:
                     span = n
+                offset = i % span
+                table, most = site.classes((lo + offset) >> after[-2],
+                                           (n - 1 - offset) // span + 1)
                 cell.records.append(self._settle(
-                    interp, marked, Record(after, site, result, stop,
-                                           compared, i % span, set())))
-                loops.append((_unmarked(marked, i % span, span), after,
+                    interp, marked, most, Record(after, site, result, stop,
+                                                 compared, offset, table)))
+                loops.append((_unmarked(marked, offset, span), after,
                               compared))
                 break
             else:
@@ -498,14 +516,6 @@ class GridExecutor:
         n = self.seed_range[1] - self.seed_range[0] + 1
         return min(1 << rec.resume[-2], n)
 
-    def _table(self, rec: Record) -> tuple[dict, int]:
-        """The site's inverted draw table over the record's node, and the
-        most loop fuel a class of it needs."""
-        lo, hi = self.seed_range
-        return rec.site.classes((lo + rec.offset) >> rec.resume[-2],
-                                (hi - lo - rec.offset) // self._stride(rec)
-                                + 1)
-
     def _classes(self, rec: Record, settled) -> Iterator[tuple]:
         """The value tuple, the least offset and the step of each class of
         the record's node whose draws make a tuple of ``settled`` within
@@ -513,7 +523,7 @@ class GridExecutor:
         n = self.seed_range[1] - self.seed_range[0] + 1
         fuel, bits = rec.resume[-4], rec.resume[-2]
         span = self._stride(rec)
-        table = self._table(rec)[0]
+        table = rec.table
         for values in settled:
             for k, used, need in table[values]:
                 if need <= fuel:
@@ -521,33 +531,39 @@ class GridExecutor:
                     yield (values, rec.offset + k * span,
                            step if step < n else n)
 
-    def _settle(self, interp, marked: bytearray, rec: Record) -> Record:
-        """Put in the record the value tuples of its node that the draw
-        table settles, and mark their classes: those whose draws fit the
-        point's loop fuel and whose tuple is not in the relation, so that
-        their runs would block at the point as the run that found the node
-        did.  None of these classes is marked yet.  Every seed of the node
-        reaches the point, a node is visited once, and any other run of a
-        seed of the node got past the site or ran out of fuel in its draws,
-        so its class holds only seeds that draw what it drew.  (A class that
-        an explicit cell marked under a smaller interpretation holds its
-        seeds' classes under a larger one.)  So the whole node is marked,
-        and then the other classes get back the marks they had."""
+    def _settle(self, interp, marked: bytearray, most: int,
+                rec: Record) -> Record:
+        """Exclude from the record the value tuples of its node that the
+        draw table does not settle, and mark the classes of the others:
+        those whose draws fit the point's loop fuel (``most`` is the most
+        that a class of the table needs) and whose tuple is not in the
+        relation, so that their runs would block at the point as the run
+        that found the node did.  None of these classes is marked yet.
+        Every seed of the node reaches the point, a node is visited once,
+        and any other run of a seed of the node got past the site or ran
+        out of fuel in its draws, so its class holds only seeds that draw
+        what it drew.  (A class that an explicit cell marked under a
+        smaller interpretation holds its seeds' classes under a larger
+        one.)  So the whole node is marked, and then the other classes get
+        back the marks they had."""
         n = len(marked)
-        table, most = self._table(rec)
+        table = rec.table
         name, args = rec.blocker
         rel = interp.relation(name)
         splice = rec.site.splice
-        held = {v for v in table if splice(args, v) in rel}
+        # a relation is a membership test and may be infinite (a formula's),
+        # so it is never iterated; an empty one holds nothing
+        held = {v for v in table if splice(args, v) in rel} if rel else set()
         fuel, bits = rec.resume[-4], rec.resume[-2]
         if most <= fuel:
-            rec.settled = table.keys() - held
             others = [table[v] for v in held]
         else:
-            rec.settled = {v for v, classes in table.items() if v not in held
-                           and any(need <= fuel for _, _, need in classes)}
+            held.update([v for v, classes in table.items()
+                         if all(need > fuel for _, _, need in classes)])
             others = [[c for c in classes if v in held or c[2] > fuel]
                       for v, classes in table.items()]
+        if held:
+            rec.excluded = frozenset(held)
         o, span = rec.offset, self._stride(rec)
         before = marked[o::span]
         marked[o::span] = b"\x01" * len(before)
@@ -660,9 +676,10 @@ class GridExecutor:
                 entries = self._records.get((site.start, site.rest(args)))
                 values = site.drawn(args)
                 for cell, rec in [e for e in entries or ()
-                                  if values in e[1].settled]:
-                    rec.settled.remove(values)
-                    if not rec.settled:
+                                  if values in e[1].table
+                                  and values not in e[1].excluded]:
+                    rec.excluded |= {values}
+                    if len(rec.excluded) == len(rec.table):
                         cell.records.remove(rec)
                         entries[:] = [e for e in entries if e[1] is not rec]
                     for _, j, step in self._classes(rec, (values,)):
@@ -700,7 +717,7 @@ class GridExecutor:
             for rec in cell.records:
                 owned = self.owned(cell, rec.compared)
                 name, args = rec.blocker
-                for values, j, step in self._classes(rec, rec.settled):
+                for values, j, step in self._classes(rec, rec.settled()):
                     yield Row(cell.in_v, cell.last_addr, *owned, lo + j, step,
                               (hi - lo - j) // step + 1, rec.outcome,
                               (name, rec.site.splice(args, values)),

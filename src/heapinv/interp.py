@@ -45,8 +45,8 @@ draws, and the site's draw table tells what each of them draws.
 Each expression node compiles to one closure over its operands' own
 closures: a binary operator is ``g(f(env), h(env))`` whatever its operands
 are, and an assignment is one instruction.  Program runs take about 20% of
-a corpus-matrix fixpoint pass (the seed-class bookkeeping around them, most
-of all building the draw sites' inverted tables, takes most of the rest),
+a corpus-matrix fixpoint pass (the seed-class bookkeeping around them,
+the draw sites' inverted tables included, takes most of the rest),
 so closures specialised by operand shape would save too little to pay for
 their code.  What stays specialised:
 
@@ -324,35 +324,44 @@ class DrawSite:
     seed and drawn variables, and a run stopped by the assume returns as
     its resume point the state before the draws (pc ``start``).
 
-    The draws read the seed variable alone, so ``draw(s)`` gives what they
-    make of each value ``s`` of it at the site: the values of the assume's
-    drawn arguments, the seed bits consumed and the loop fuel used.
-    ``classes(s0, count)`` inverts that table over a range of values.
+    The draws read the seed variable alone, so each value ``s`` of it at
+    the site makes one set of values of the assume's drawn arguments, with
+    the seed bits consumed and the loop fuel used.  ``classes(s0, count)``
+    inverts that draw table over a range of values, in one loop that draws
+    once per class.  The table depends only on the site's shape: the drawer
+    of each havoc (one per drawn type and loop fuel charge in a compiled
+    program) and the draw each drawn argument takes its value from.  Sites
+    of one compiled program with the same shape share one dict of tables by
+    range, which lives as long as the compiled program.
     ``splice(args, values)`` puts drawn values into a blocked run's argument
     tuple at the drawn positions; ``drawn(args)`` and ``rest(args)`` take an
     argument tuple of the assume's predicate ``pred`` apart again."""
 
     __slots__ = ("start", "pred", "slots", "splice", "drawn", "rest",
-                 "_seed_var", "_drawers", "_drawn_args", "_memo", "_inverse")
+                 "_seed_var", "_drawers", "_drawn_args", "_tables")
 
     def __init__(self, start: int, seed_var: str, drawers: list[tuple],
-                 query: AssumePred, slots: tuple[int, ...]):
+                 query: AssumePred, slots: tuple[int, ...], shapes: dict):
         self.start = start
         self.pred = query.pred
         self._seed_var = seed_var
         self._drawers = drawers  # (target, the havoc instruction's drawer)
         # the env positions of the values the first havoc records
         self.slots = slots
-        drawn = {target for target, _ in drawers}
+        targets = [target for target, _ in drawers]
         args = query.args
         positions = [k for k, a in enumerate(args)
-                     if isinstance(a, Var) and a.name in drawn]
+                     if isinstance(a, Var) and a.name in targets]
         others = [k for k in range(len(args)) if k not in positions]
         self.drawn = lambda args: tuple([args[k] for k in positions])
         self.rest = lambda args: tuple([args[k] for k in others])
         self._drawn_args = [args[k].name for k in positions]
-        self._memo: dict[int, tuple] = {}
-        self._inverse: dict[tuple, dict] = {}
+        # a drawn argument takes the value of the last draw of its variable
+        last = {target: j for j, target in enumerate(targets)}
+        picks = tuple(last[name] for name in self._drawn_args)
+        # (s0, count) -> (inverted table, most loop fuel), shared by shape
+        self._tables: dict[tuple, tuple] = shapes.setdefault(
+            (tuple(draw for _, draw in drawers), picks), {})
         a = positions[0] if positions else 0
         b = a + len(positions)
         if positions == list(range(a, b)):
@@ -365,39 +374,43 @@ class DrawSite:
                 return tuple(out)
             self.splice = splice
 
-    def draw(self, s: int) -> tuple[tuple, int, int]:
-        got = self._memo.get(s)
-        if got is None:
-            st = _State([], _DRAW_FUEL, 0, (), 0, None)
-            env = {self._seed_var: s}
-            for target, draw in self._drawers:
-                env[target] = draw(st, env)
-            got = self._memo[s] = (
-                tuple([env[name] for name in self._drawn_args]), st.bits,
-                _DRAW_FUEL - st.loop_fuel)
-        return got
-
     def classes(self, s0: int, count: int) -> tuple[dict, int]:
         """The draw table of the values ``s0, ..., s0 + count - 1`` of the
         seed variable, inverted: each drawn value tuple maps to its classes
         ``(k, bits, fuel)``.  A class is the values ``s0 + k + m 2^bits`` of
         the range, least first; their draws read the same ``bits`` bits,
         so they make the same values with the same loop ``fuel``.  Also
-        returns the most loop fuel a class needs.  Built once per range,
-        with one draw per class."""
-        got = self._inverse.get((s0, count))
+        returns the most loop fuel a class needs.  Built once per range and
+        shape, with one draw per class from one state and env."""
+        got = self._tables.get((s0, count))
         if got is None:
+            seed_var, drawers, names = (self._seed_var, self._drawers,
+                                        self._drawn_args)
+            st = _State([], _DRAW_FUEL, 0, (), 0, None)
+            env: dict = {}
             table: dict[tuple, list[tuple]] = {}
             seen = bytearray(count)
             most = k = 0
             while k >= 0:
-                values, bits, fuel = self.draw(s0 + k)
-                table.setdefault(values, []).append((k, bits, fuel))
+                st.bits = 0
+                st.loop_fuel = _DRAW_FUEL
+                env[seed_var] = s0 + k
+                for target, draw in drawers:
+                    env[target] = draw(st, env)
+                bits = st.bits
+                fuel = _DRAW_FUEL - st.loop_fuel
+                values = tuple([env[name] for name in names])
+                classes = table.get(values)
+                if classes is None:
+                    table[values] = [(k, bits, fuel)]
+                else:
+                    classes.append((k, bits, fuel))
                 if fuel > most:
                     most = fuel
-                seen[k::1 << bits] = b"\x01" * len(range(k, count, 1 << bits))
+                step = 1 << bits
+                seen[k::step] = b"\x01" * ((count - 1 - k) // step + 1)
                 k = seen.find(0, k + 1)
-            got = self._inverse[(s0, count)] = (table, most)
+            got = self._tables[(s0, count)] = (table, most)
         return got
 
 
@@ -430,6 +443,8 @@ class _Compiler:
         self._site_of: dict[int, int] = {}
         self._recorded: dict[int, list[str]] = {}
         self._drawers: dict[int, Callable] = {}
+        # one drawer per (drawn type, whether it charges loop fuel)
+        self._drawer_of: dict[tuple, Callable] = {}
 
     # expressions --------------------------------------------------------
 
@@ -599,10 +614,12 @@ class _Compiler:
                 else self.test(op[0], op[1], nxt, els)
                 for me, (op, nxt, els) in enumerate(flat)]
         names = list(self.program.var_types)  # the order of a run's env
+        shapes: dict[tuple, dict] = {}  # the sites' tables, by shape
         self.sites = {k: DrawSite(
             k, seed_var,
             [(flat[j][0][1].target, self._drawers[j]) for j in range(k, q)],
-            flat[q][0][1], tuple(map(names.index, self._recorded[k])))
+            flat[q][0][1], tuple(map(names.index, self._recorded[k])),
+            shapes)
             for k, q in spans.items()}
         return code
 
@@ -795,8 +812,10 @@ class _Compiler:
         seed_var = self.program.seed_var
         if seed_var is None:
             raise ValueError("havoc/nondet requires a seed declaration")
-        draw = self._drawers[me] = self._drawer(
-            self.program.var_types[target], charge_loop_fuel)
+        kind = (self.program.var_types[target], charge_loop_fuel)
+        if kind not in self._drawer_of:
+            self._drawer_of[kind] = self._drawer(*kind)
+        draw = self._drawers[me] = self._drawer_of[kind]
         if me in self._recorded:
             # the first havoc of a draw site records the state that the
             # site's resume point restores

@@ -252,6 +252,11 @@ BAD_INPUT_FILES = {
 
 @pytest.mark.parametrize("argv", [
     ("encode", "write-read-false", "--enc", "r", "--scope-vars", "nosuch"),
+    ("encode", "write-read-false", "--enc", "r", "--scope-vars", ","),
+    ("encode", "write-read-false", "--enc", "r", "--scope-vars", "in,,in"),
+    ("encode", "write-read-false", "--enc", "r", "--scope-vars", "in,"),
+    ("equisafe", "write-read-false", "--enc", "r", "--cosim",
+     "--scope-vars", ","),
     ("encode", "write-read-false", "--enc", "r", "--drop", "R:9"),
     ("equisafe", "write-read-false", "--enc", "rwfun"),
     ("fixpoint", "write-read-false", "--seed-range", "5:1"),
@@ -269,7 +274,9 @@ BAD_INPUT_FILES = {
     ("fixpoint", "long-chain.up"),
     ("fixpoint", "write-read-false", "--seed-range", "0:1000000000000000"),
     ("fixpoint", "list-build-traverse", "--in-range", "0:1000000000000000"),
-], ids=["unknown-scope-var", "drop-out-of-range", "rwfun-unacknowledged",
+], ids=["unknown-scope-var", "scope-vars-comma", "scope-vars-empty-middle",
+        "scope-vars-trailing-comma", "cosim-scope-vars-comma",
+        "drop-out-of-range", "rwfun-unacknowledged",
         "empty-seed-range", "negative-loop-fuel", "negative-heap-op-fuel",
         "negative-iteration-cap", "negative-seed", "formula-divides-by-zero",
         "interp-list", "interp-string", "interp-null", "interp-params-string",
@@ -286,6 +293,24 @@ def test_bad_input_is_one_line_error(capsys, tmp_path, argv):
     assert code == EXIT_ERROR
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command,names", [
+    ("encode", ","), ("encode", "in,,in"), ("encode", "in,"),
+    ("encode", "a,,b"),
+    ("equisafe", ","),
+])
+def test_empty_scope_var_name_is_refused(capsys, command, names):
+    # an empty name is refused before any other check of the encoding
+    # flags; no --scope-vars at all still means no scope variables
+    extra = ["--cosim"] if command == "equisafe" else []
+    code, out, err = run_cli(capsys, command, corpus_path("write-read-false"),
+                             "--enc", "r", *extra, "--scope-vars", names)
+    assert (code, out, err) == (EXIT_ERROR, "",
+                                "error: --scope-vars expects A,B,...\n")
+    code, _, err = run_cli(capsys, "encode", corpus_path("write-read-false"),
+                           "--enc", "r", "--scope-vars", "")
+    assert code == EXIT_OK, err
 
 
 @pytest.mark.parametrize("kind", ["if", "paren", "chain"])

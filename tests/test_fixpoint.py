@@ -993,6 +993,113 @@ def test_draw_sites_match_per_seed_runs(corpus_matrix, domain, monkeypatch):
     assert FUEL_EXHAUSTED in from_point and None in from_point
 
 
+def reference_draw(site, s):
+    """What the site's draws make of the seed value ``s``, drawn from
+    scratch: the drawn arguments' values, the seed bits consumed and the
+    loop fuel used."""
+    st = interp_module._State([], interp_module._DRAW_FUEL, 0, (), 0, None)
+    env = {site._seed_var: s}
+    for target, draw in site._drawers:
+        env[target] = draw(st, env)
+    return (tuple([env[name] for name in site._drawn_args]), st.bits,
+            interp_module._DRAW_FUEL - st.loop_fuel)
+
+
+def check_draw_table(site, s0, count, label):
+    """``site.classes(s0, count)`` against drawing every seed value of the
+    range one at a time: the classes partition the range, every value of a
+    class draws what the class says, and the table lists the classes in
+    the order of their least values, with the most loop fuel of any."""
+    draws = [reference_draw(site, s0 + k) for k in range(count)]
+    table, most = site.classes(s0, count)
+    covered = bytearray(count)
+    for values, classes in table.items():
+        for k, bits, fuel in classes:
+            for m in range(k, count, 1 << bits):
+                assert draws[m] == (values, bits, fuel), (label, s0 + m)
+                assert not covered[m], (label, s0 + m)
+                covered[m] = 1
+    assert all(covered), label
+    expected: dict[tuple, list] = {}
+    for k, (values, bits, fuel) in enumerate(draws):
+        if covered[k] != 2:
+            expected.setdefault(values, []).append((k, bits, fuel))
+            covered[k::1 << bits] = b"\x02" * len(range(k, count, 1 << bits))
+    assert list(table.items()) == list(expected.items()), label
+    assert most == max(fuel for _, _, fuel in draws), label
+
+
+# Seven draw sites.  The first two have one shape, whatever their
+# variables; the nondet draw of the third is another.  The last four draw
+# twice and differ only in the draws their arguments take, the last of
+# its variable's draws for each.
+SITE_SHAPES = """prog {
+  pred P(Int);
+  pred Q(Int, Int);
+  input in;
+  seed seed;
+  var x: Int; var y: Int;
+  havoc(x);
+  assume(P(x));
+  x := x + 1;
+  havoc(y);
+  assume(Q(in, y));
+  nondet(y);
+  assume(P(y));
+  havoc(x);
+  havoc(y);
+  assume(Q(x, y));
+  havoc(x);
+  havoc(y);
+  assume(Q(y, x));
+  havoc(y);
+  havoc(y);
+  assume(Q(in, y));
+  havoc(y);
+  havoc(x);
+  assume(Q(in, y));
+  assert(x != y + in);
+}"""
+
+
+def test_draw_tables_match_per_seed_draws(corpus_matrix, domain):
+    # every draw table, built in one loop per shape and range, equals the
+    # table made by drawing each seed value from scratch
+    ranges = ((0, 256), (0, 64), (0, 1), (5, 196), (3, 100))
+    sites = shared = 0
+    for name, row in corpus_matrix.items():
+        if name == "__build_seconds__":
+            continue
+        for variant, info in row.fixinfo.items():
+            compiled = list(info.executor.compiled.sites.values())
+            sites += len(compiled)
+            for site in compiled:
+                for s0, count in ranges:
+                    check_draw_table(site, s0, count,
+                                     (name, variant, site.start, s0))
+            tables = {id(site.classes(0, 256)[0]) for site in compiled}
+            shared += len(compiled) - len(tables)
+    assert sites > 300 and shared > 50, (sites, shared)
+    for src in (SITE_ADT_DRAW, SITE_NONDET, SITE_SHAPES):
+        for site in CompiledProgram(prog(src)).sites.values():
+            for s0, count in ranges:
+                check_draw_table(site, s0, count, (src, site.start, s0))
+    # one table per shape and range in an executor, none shared between
+    # executors
+    p = prog(SITE_SHAPES)
+    first, second = (list(GridExecutor(p, domain).compiled.sites.values())
+                     for _ in range(2))
+    assert len(first) == 7
+    tables = [[site.classes(0, 256)[0] for site in sites]
+              for sites in (first, second)]
+    for own in tables:
+        assert own[0] is own[1] and len(set(map(id, own))) == 6
+        assert own == tables[0]
+    # a nondet draw charges no loop fuel, a havoc of the same type does
+    assert first[2].classes(0, 256)[1] == 0 < first[0].classes(0, 256)[1]
+    assert set(map(id, tables[0])).isdisjoint(map(id, tables[1]))
+
+
 def test_leaf_order_does_not_change_the_grid(corpus_matrix, domain):
     # any seed of a class runs as its least seed does, so a class is
     # marked whole wherever a loop meets it: the order in which the seed

@@ -6,10 +6,7 @@ from .lang import (
     Program, SourceError, Diagnostic, assign_locations, parse_and_check,
     parse_program, pretty_print, typecheck,
 )
-from .interp import (
-    Bot, CompiledProgram, ObjVal, Top, Undefined, heap_allocate, heap_read,
-    heap_write,
-)
+from .interp import Bot, CompiledProgram, ObjVal, Top, Undefined
 from .fixpoint import (
     InputDomain, Interpretation, check_equisafety, check_safety,
     immediate_consequence, least_fixpoint,
@@ -28,8 +25,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Program", "SourceError", "Diagnostic", "assign_locations",
     "parse_and_check", "parse_program", "pretty_print", "typecheck",
-    "Bot", "CompiledProgram", "ObjVal", "Top", "Undefined", "heap_allocate",
-    "heap_read", "heap_write",
+    "Bot", "CompiledProgram", "ObjVal", "Top", "Undefined",
     "InputDomain", "Interpretation", "check_equisafety", "check_safety",
     "cosim_check", "immediate_consequence", "least_fixpoint",
     "EncodedProgram", "EncodingConfig", "apply_scope_vars", "enc_n",

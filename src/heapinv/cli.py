@@ -86,6 +86,12 @@ def _domain(args) -> fp.InputDomain:
     )
 
 
+# the flags that configure an r, rw, rwfun or rwmem encoding
+_CONFIG_FLAGS = ("--tag", "--cache", "--scope-vars", "--drop",
+                 "--assume-memsafe", "--native-havoc", "--strip-asserts",
+                 "--alloc-init-write")
+
+
 def _add_encoding_args(p: argparse.ArgumentParser, require: bool = True):
     p.add_argument("--enc", required=require, default=None,
                    choices=["n", "r", "rw", "rwfun", "rwmem"])
@@ -122,8 +128,14 @@ def _config(args) -> EncodingConfig:
 
 
 def _encode_program(prog: Program, args) -> Program:
-    if args.enc == "n":
-        return enc_n(prog)
+    """The program under ``--enc``: unchanged without it, else encoded.  A
+    configuration flag without an encoding it configures is an error."""
+    if args.enc in (None, "n"):
+        for flag in _CONFIG_FLAGS:
+            if getattr(args, flag[2:].replace("-", "_")):
+                raise CliError(
+                    f"{flag} applies only with --enc r, rw, rwfun or rwmem")
+        return prog if args.enc is None else enc_n(prog)
     return encode(prog, _config(args)).program
 
 
@@ -258,9 +270,7 @@ def cmd_equisafe(args) -> int:
 
 
 def cmd_emit_chc(args) -> int:
-    prog = _load_program(args.file)
-    if args.enc is not None:
-        prog = _encode_program(prog, args)
+    prog = _encode_program(_load_program(args.file), args)
     _emit(chc.emit_smtlib(chc.to_chc(prog)), args.output)
     return EXIT_OK
 

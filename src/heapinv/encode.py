@@ -205,6 +205,16 @@ class _HeapEncoder:
             raise EncodingError(
                 "the rwfun encoding is only correct for memory-safe programs; "
                 "pass assume_memsafe to acknowledge this")
+        if config.assume_memsafe and config.base != "rwfun":
+            raise EncodingError(
+                "assume_memsafe applies only to the rwfun encoding")
+        if config.strip_asserts and config.base != "rwmem":
+            raise EncodingError(
+                "strip_asserts applies only to the rwmem encoding")
+        if config.alloc_init_write and config.base not in ("rwfun", "rwmem"):
+            raise EncodingError(
+                "alloc_init_write applies only to the rwfun and rwmem "
+                "encodings")
         self.src = program
         self.cfg = config
         assign_locations(program)

@@ -60,6 +60,11 @@ class FormulaInterpretation:
             pd = preds.get(name)
             if pd is None:
                 raise ValueError(f"formula for undeclared predicate {name!r}")
+            repeated = next((a for k, a in enumerate(params)
+                             if a in params[:k]), None)
+            if repeated is not None:
+                raise ValueError(f"formula for {name!r} names parameter "
+                                 f"{repeated!r} twice")
             if len(params) != len(pd.arg_types):
                 raise ValueError(
                     f"formula for {name!r} names {len(params)} parameters, "

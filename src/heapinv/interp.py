@@ -1,17 +1,22 @@
 """Reference executable semantics.
 
-Two heap models are provided:
+Two heap models are provided, chosen by ``CompiledProgram(mode=...)``:
 
-* sequence mode: the heap is a finite sequence of objects, addresses are
-  1-based indices, 0 is the null address.  Reads outside the allocated
-  range return the distinguished default object; writes outside it leave
-  the heap unchanged.
-* trace mode: the heap is a chronological list of (address, object) write
-  events; an allocation and a write at a valid address append one, and a
-  read returns the most recent event for a valid address.  Both modes are
-  observably equivalent and cross-checked in the test suite.  A trace-mode
-  run also records its heap reads and seed draws in order, beside the
-  writes, for replay; it never stops at a draw site and cannot resume.
+* ``heap`` (sequence) mode: the heap is a finite list of objects,
+  addresses are 1-based indices, 0 is the null address.  Allocation
+  appends and returns the new length; reads outside the allocated range
+  return the distinguished default object; writes outside it leave the
+  heap unchanged.
+* ``trace`` mode: the heap is a chronological list of (address, object)
+  write events; an allocation and a write at a valid address append one,
+  and a read returns the most recent event for a valid address
+  (``trace_read``).  A trace-mode run also records its heap reads and seed
+  draws in order, beside the writes, for replay; it never stops at a draw
+  site and cannot resume.
+
+The compiled alloc/read/write instructions are the only definition of
+either model.  The test suite checks the read/write/allocate laws on them
+in both modes and checks that the two modes are observably equivalent.
 
 Every run starts from an empty heap.
 
@@ -106,28 +111,7 @@ def default_obj(adt_name: str, adts: dict[str, AdtDecl]) -> ObjVal:
 
 
 # ---------------------------------------------------------------------------
-# Heap operations (sequence model)
-
-
-def heap_allocate(heap: list, obj: ObjVal) -> tuple[list, int]:
-    """Append the object; the fresh address is the new length."""
-    new = list(heap)
-    new.append(obj)
-    return new, len(new)
-
-
-def heap_read(heap: list, addr: int, def_obj: ObjVal) -> ObjVal:
-    if 0 < addr <= len(heap):
-        return heap[addr - 1]
-    return def_obj
-
-
-def heap_write(heap: list, addr: int, obj: ObjVal) -> list:
-    if 0 < addr <= len(heap):
-        new = list(heap)
-        new[addr - 1] = obj
-        return new
-    return heap
+# Trace-mode heap read
 
 
 def trace_read(trace: list[tuple[int, ObjVal]], allocs: int, addr: int,

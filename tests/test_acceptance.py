@@ -8,6 +8,7 @@ session and its build time is charged to the equi-safety criterion.
 import itertools
 import random
 import time
+from operator import itemgetter
 
 import pytest
 
@@ -17,12 +18,11 @@ from heapinv.fixpoint import (
     Interpretation, check_safety, immediate_consequence, sweep_under,
 )
 from heapinv.formula import load_interpretation
-from heapinv.interp import (
-    CompiledProgram, ObjVal, Top, default_obj, heap_allocate, heap_read,
-    heap_write,
+from heapinv.interp import TOP, CompiledProgram, ObjVal, Top, default_obj
+from heapinv.lang import parse_and_check
+from heapinv.replay import (
+    cosim_check, encode_value_bits, pack_bits, replay_bits,
 )
-from heapinv.lang import AdtDecl, CtorDecl, INT, parse_and_check
-from heapinv.replay import cosim_check, pack_bits, replay_bits
 
 import progen
 
@@ -36,43 +36,82 @@ def report(number, elapsed, budget, message):
 # 1. heap operation laws, exhaustively up to length 4
 
 
+def heap_law_program(n: int):
+    """Allocate n drawn objects, read every address 0..n+2, write a drawn
+    object at address ``q``, read every address again, then allocate one
+    more drawn object and read it back.  The addresses ``q`` and ``a0`` ..
+    ``a{n+2}`` are inputs: the language has no Int-to-Addr conversion."""
+    addrs = range(n + 3)
+    decls = "".join(
+        [f"var p{k}: Addr;\n" for k in range(1, n + 1)]
+        + [f"var a{b}: Addr; var x{b}: Bit; var y{b}: Bit;\n" for b in addrs])
+    body = "".join(
+        [f"havoc(o); p{k} := alloc(o);\n" for k in range(1, n + 1)]
+        + [f"x{b} := read(a{b});\n" for b in addrs]
+        + ["havoc(w); write(q, w);\n"]
+        + [f"y{b} := read(a{b});\n" for b in addrs]
+        + ["havoc(v); z := alloc(v); zr := read(z);\n"])
+    return parse_and_check(
+        "prog {\nadt Bit { zero(b: Int); one(c: Int); }\nheaptype Bit;\n"
+        "seed seed;\nvar o: Bit; var w: Bit; var v: Bit; var zr: Bit;\n"
+        "var q: Addr; var z: Addr;\n" + decls + body + "}\n")
+
+
 def test_criterion_1_heap_law_suite():
+    # the laws are checked on the compiled runtime, the heap that every
+    # oracle run uses, in both of its models
     t0 = time.time()
-    bit = AdtDecl("Bit", [CtorDecl("zero", [("b", INT)]),
-                          CtorDecl("one", [("c", INT)])])
-    adts = {"Bit": bit}
     objs = [ObjVal("zero", (0,)), ObjVal("zero", (1,)),
             ObjVal("one", (0,)), ObjVal("one", (1,))]
-    def_obj = default_obj("Bit", adts)
-    assert def_obj == ObjVal("zero", (0,))
-    checked = 0
+    checked = runs = 0
     for n in range(0, 5):
-        for combo in itertools.product(objs, repeat=n):
-            h = list(combo)
-            # allocation appends and returns the new length
-            for o in objs:
-                h2, a = heap_allocate(h, o)
-                assert h2 == h + [o] and a == len(h) + 1
-                assert heap_read(h2, a, def_obj) == o
-            for a in range(0, n + 3):
-                # default object outside the allocated range
-                if not (0 < a <= n):
-                    assert heap_read(h, a, def_obj) == def_obj
-                for o in objs:
-                    h2 = heap_write(h, a, o)
-                    if 0 < a <= n:
-                        assert heap_read(h2, a, def_obj) == o
-                    else:
-                        assert h2 == h  # invalid write is a no-op
-                    for b in range(0, n + 3):
-                        if b != a:
-                            assert heap_read(h2, b, def_obj) == \
-                                heap_read(h, b, def_obj)
+        program = heap_law_program(n)
+        adts = program.adts_by_name()
+        def_obj = default_obj("Bit", adts)
+        assert def_obj == objs[0]
+        bits_of = [encode_value_bits(o, program.var_types["o"], adts)
+                   for o in objs]
+        addrs = range(n + 3)
+        # one tuple per run: the allocated addresses, the reads before and
+        # after the write, and the final object read back
+        observe = itemgetter(*[f"p{k}" for k in range(1, n + 1)], "z",
+                             *[f"x{b}" for b in addrs],
+                             *[f"y{b}" for b in addrs], "zr")
+        inputs = {f"a{b}": b for b in addrs}
+        compiled = [CompiledProgram(program, mode=mode)
+                    for mode in ("heap", "trace")]
+        for heap in itertools.product(range(4), repeat=n):
+            heap_bits = [bit for k in heap for bit in bits_of[k]]
+            # the default object outside the allocated range
+            before = [objs[heap[b - 1]] if 0 < b <= n else def_obj
+                      for b in addrs]
+            for w in range(4):
+                # the last allocation draws each object once per heap
+                v = (w + 1) % 4
+                inputs["seed"] = pack_bits(heap_bits + bits_of[w]
+                                           + bits_of[v])
+                for q in addrs:
+                    inputs["q"] = q
+                    # a write changes only its own valid address; an
+                    # invalid write is a no-op
+                    after = list(before)
+                    if 0 < q <= n:
+                        after[q] = objs[w]
+                    # allocation appends: addresses 1..n+1, the count n+1,
+                    # and the last object reads back
+                    want = (TOP, n + 1, (*range(1, n + 2), *before, *after,
+                                         objs[v]))
+                    for cp in compiled:
+                        res = cp.run(inputs)
+                        got = (res.outcome, res.heap_len, observe(res.env))
+                        assert got == want, (cp.mode, heap, q, w)
+                    runs += 2
                     checked += 1
     elapsed = time.time() - t0
     report(1, elapsed, 1.0,
            f"read/write/allocate laws hold on all {checked} "
-           "(heap, address, object) cases up to length 4")
+           "(heap, address, object) cases up to length 4 in the compiled "
+           f"heap and trace models ({runs} runs)")
 
 
 # ---------------------------------------------------------------------------

@@ -244,6 +244,8 @@ BAD_INPUT_FILES = {
     "null.json": "null",
     "params-string.json": json.dumps(
         {"preds": {"P": {"params": "a", "formula": "a > 0"}}}),
+    "params-repeated.json": json.dumps(
+        {"preds": {"P": {"params": ["a", "a"], "formula": "a > 0"}}}),
     "deep-if.up": nested_program("if", 1000),
     "deep-parens.up": nested_program("paren", 1000),
     "long-chain.up": nested_program("chain", 1000),
@@ -269,6 +271,7 @@ BAD_INPUT_FILES = {
     ("run", "assume-p.up", "--interp", "string.json"),
     ("run", "assume-p.up", "--interp", "null.json"),
     ("run", "assume-p.up", "--interp", "params-string.json"),
+    ("run", "assume-p.up", "--interp", "params-repeated.json"),
     ("fixpoint", "deep-if.up"),
     ("fixpoint", "deep-parens.up"),
     ("fixpoint", "long-chain.up"),
@@ -280,6 +283,7 @@ BAD_INPUT_FILES = {
         "empty-seed-range", "negative-loop-fuel", "negative-heap-op-fuel",
         "negative-iteration-cap", "negative-seed", "formula-divides-by-zero",
         "interp-list", "interp-string", "interp-null", "interp-params-string",
+        "interp-params-repeated",
         "if-nested-1000-deep", "parens-nested-1000-deep",
         "chain-of-1000-additions", "huge-seed-range", "huge-in-range"])
 def test_bad_input_is_one_line_error(capsys, tmp_path, argv):
@@ -311,6 +315,30 @@ def test_empty_scope_var_name_is_refused(capsys, command, names):
     code, _, err = run_cli(capsys, "encode", corpus_path("write-read-false"),
                            "--enc", "r", "--scope-vars", "")
     assert code == EXIT_OK, err
+
+
+@pytest.mark.parametrize("argv,named", [
+    (("encode", "write-read-false", "--enc", "n", "--tag"), "--tag"),
+    (("encode", "write-read-false", "--enc", "n", "--drop", "junk"),
+     "--drop"),
+    (("encode", "write-read-false", "--enc", "n", "--scope-vars", ","),
+     "--scope-vars"),
+    (("equisafe", "write-read-false", "--enc", "n", "--cache"), "--cache"),
+    (("emit-chc", "no-heap-arith", "--tag", "--drop", "junk"), "--tag"),
+    (("encode", "write-read-false", "--enc", "r", "--strip-asserts"),
+     "strip_asserts"),
+    (("encode", "write-read-false", "--enc", "r", "--alloc-init-write"),
+     "alloc_init_write"),
+    (("encode", "write-read-false", "--enc", "rwmem", "--assume-memsafe"),
+     "assume_memsafe"),
+], ids=["n-tag", "n-drop", "n-scope-vars", "n-cache", "no-enc-tag-drop",
+        "r-strip-asserts", "r-alloc-init-write", "rwmem-assume-memsafe"])
+def test_flag_the_encoding_ignores_is_refused(capsys, argv, named):
+    command, name, *rest = argv
+    code, out, err = run_cli(capsys, command, corpus_path(name), *rest)
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert named in err, err
 
 
 @pytest.mark.parametrize("kind", ["if", "paren", "chain"])

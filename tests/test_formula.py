@@ -55,6 +55,16 @@ def test_validation_errors():
         load_interpretation({"nope": {}}, PROG)
 
 
+def test_repeated_parameter_is_refused():
+    # binding one name twice would silently keep the last tuple component
+    with pytest.raises(ValueError, match="'P'.*'a' twice"):
+        load_interpretation(
+            {"preds": {"P": {"params": ["a", "a"], "formula": "a > 0"}}},
+            PROG)
+    with pytest.raises(ValueError, match="'R'.*'n' twice"):
+        FormulaInterpretation(PROG, {"R": (["n", "c", "n"], "data(n) = c")})
+
+
 def test_division_by_zero_is_a_value_error():
     # a formula's division by zero must not read as an assertion failure
     fi = FormulaInterpretation(PROG, {"P": (["a"], "1 / (a - a)")})

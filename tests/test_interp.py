@@ -6,8 +6,7 @@ from hypothesis import given, strategies as st
 from heapinv.fixpoint import Interpretation
 from heapinv.interp import (
     ASSUME_FAILED, Bot, CompiledProgram, FUEL_EXHAUSTED, ObjVal, TOP,
-    Undefined, _BotSignal, _Compiler, heap_allocate, heap_read, heap_write,
-    trunc_div, trunc_mod,
+    Undefined, _BotSignal, _Compiler, trunc_div, trunc_mod,
 )
 from heapinv.lang import TestApp as IsCtor  # a Test* name would be collected
 from heapinv.lang import Var, expand_program_havocs, parse_and_check
@@ -15,63 +14,6 @@ from heapinv.lang import Var, expand_program_havocs, parse_and_check
 import progen
 
 NODE = ObjVal("node", (7, 0))
-NODE2 = ObjVal("node", (9, 1))
-DEF = ObjVal("node", (0, 0))
-
-
-# ---------------------------------------------------------------------------
-# heap operations
-
-
-def test_allocate_on_empty():
-    h, a = heap_allocate([], NODE)
-    assert h == [NODE] and a == 1
-
-
-def test_allocate_appends():
-    h, a = heap_allocate([NODE], NODE2)
-    assert h == [NODE, NODE2] and a == 2
-
-
-def test_allocation_count():
-    h = []
-    for n in range(1, 9):
-        h, a = heap_allocate(h, NODE)
-        assert a == n and len(h) == n
-
-
-def test_read_out_of_range_gives_default():
-    assert heap_read([], 5, DEF) == DEF
-    assert heap_read([NODE], 0, DEF) == DEF
-    assert heap_read([NODE], 2, DEF) == DEF
-
-
-def test_read_after_allocate():
-    h, a = heap_allocate([], NODE)
-    assert heap_read(h, a, DEF) == NODE
-
-
-def test_invalid_write_is_noop():
-    assert heap_write([], 1, NODE) == []
-    assert heap_write([NODE], 0, NODE2) == [NODE]
-    assert heap_write([NODE], 2, NODE2) == [NODE]
-
-
-def test_write_read_laws_sampled():
-    objs = [NODE, NODE2, DEF]
-    rng = random.Random(7)
-    for _ in range(200):
-        h = [rng.choice(objs) for _ in range(rng.randint(0, 4))]
-        a = rng.randint(0, 5)
-        o = rng.choice(objs)
-        h2 = heap_write(h, a, o)
-        if 0 < a <= len(h):
-            assert heap_read(h2, a, DEF) == o
-        else:
-            assert h2 == h
-        for b in range(0, 6):
-            if b != a:
-                assert heap_read(h2, b, DEF) == heap_read(h, b, DEF)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,14 @@ declared variables.  Predicate assertions put the uninterpreted predicate
 in a clause head; predicate assumptions put it in the body alongside the
 location predicate (making the clause set non-linear).  Satisfiability of
 the emitted system certifies program safety.
+
+The state is built once per program and shared: every location predicate
+declares the same sort tuple, every clause without fresh variables
+quantifies over the same ``ClauseSet.state`` tuple, and every location
+atom whose arguments are the variables themselves holds the same
+``ClauseSet.state_args`` tuple.  Everything shared is a tuple, so no
+clause can change another.  ``emit_smtlib`` recognises the shared tuples
+by identity and renders each once per clause set.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ class ChcError(Exception):
 @dataclass
 class PredApp:
     name: str
-    args: list
+    args: tuple
 
 
 @dataclass
@@ -42,15 +50,17 @@ class Clause:
     head: PredApp | None            # None encodes False
     body: list[PredApp]
     constraint: list                # conjunction of Bool terms
-    vars: list[tuple[str, str]]     # quantified variables with sorts
+    vars: tuple[tuple[str, str], ...]  # quantified variables with sorts
 
 
 @dataclass
 class ClauseSet:
     adts: list                      # AdtDecl list (declaration order)
-    preds: dict[str, list[str]]     # name -> argument sorts
+    preds: dict[str, tuple[str, ...]]  # name -> argument sorts
     clauses: list[Clause] = field(default_factory=list)
     entry: str = ""
+    state: tuple[tuple[str, str], ...] = ()  # every variable with its sort
+    state_args: tuple[str, ...] = ()         # the names of ``state``
 
     def false_clauses(self) -> list[Clause]:
         return [c for c in self.clauses if c.head is None]
@@ -71,10 +81,15 @@ class _Translator:
             raise ChcError("program still contains heap statements; encode it first")
         self.p = program
         self.adts = program.adts_by_name()
-        self.state = [(name, _sort_of(ty)) for name, ty in program.var_types.items()]
-        self.cs = ClauseSet(adts=list(program.adts), preds={})
+        names = tuple(program.var_types)
+        self.loc_sorts = tuple(_sort_of(t) for t in program.var_types.values())
+        self.slot = {n: i for i, n in enumerate(names)}
+        self.cs = ClauseSet(adts=list(program.adts), preds={},
+                            state=tuple(zip(names, self.loc_sorts)),
+                            state_args=names)
+        self.state, self.args = self.cs.state, names
         for pd in program.preds:
-            self.cs.preds[pd.name] = [_sort_of(t) for t in pd.arg_types]
+            self.cs.preds[pd.name] = tuple(_sort_of(t) for t in pd.arg_types)
         self.loc_count = 0
         self.fresh_count = 0
 
@@ -83,19 +98,18 @@ class _Translator:
     def new_loc(self) -> str:
         name = f"L{self.loc_count}"
         self.loc_count += 1
-        self.cs.preds[name] = [s for _, s in self.state]
+        self.cs.preds[name] = self.loc_sorts
         return name
 
-    def state_args(self, env: dict[str, Term]) -> list:
-        return [env[n] for n, _ in self.state]
+    def assigned(self, target: str, value: Term) -> tuple:
+        """The state arguments with ``target`` replaced by ``value``."""
+        args = list(self.args)
+        args[self.slot[target]] = value
+        return tuple(args)
 
-    def base_env(self) -> dict[str, Term]:
-        return {n: n for n, _ in self.state}
-
-    def fresh(self, base: str, sort: str, cvars: list) -> str:
+    def fresh(self, base: str) -> str:
         name = f"{base}!{self.fresh_count}"
         self.fresh_count += 1
-        cvars.append((name, sort))
         return name
 
     # terms
@@ -194,28 +208,27 @@ class _Translator:
     # clauses
 
     def clause(self, head: PredApp | None, body: list[PredApp],
-               constraint: list, extra_vars: list) -> None:
-        cvars = list(self.state) + extra_vars
+               constraint: list, extra_vars: tuple = ()) -> None:
+        cvars = self.state + extra_vars if extra_vars else self.state
         self.cs.clauses.append(Clause(head, body, constraint, cvars))
 
     def translate(self) -> ClauseSet:
         entry = self.new_loc()
         self.cs.entry = entry
         # single entry clause: every variable starts unconstrained
-        self.clause(PredApp(entry, self.state_args(self.base_env())), [], [], [])
+        self.clause(PredApp(entry, self.args), [], [])
         self.stmt(self.p.body, entry)
         return self.cs
 
     def goto(self, pre: str, post: str, constraint: list,
-             env: dict[str, Term] | None = None,
-             extra_body: list | None = None,
-             extra_vars: list | None = None) -> None:
-        env = env or self.base_env()
-        body = [PredApp(pre, self.state_args(self.base_env()))]
-        if extra_body:
-            body.extend(extra_body)
-        self.clause(PredApp(post, self.state_args(env)), body, constraint,
-                    extra_vars or [])
+             head_args: tuple | None = None,
+             extra_body: PredApp | None = None,
+             extra_vars: tuple = ()) -> None:
+        body = [PredApp(pre, self.args)]
+        if extra_body is not None:
+            body.append(extra_body)
+        self.clause(PredApp(post, head_args or self.args), body, constraint,
+                    extra_vars)
 
     def stmt(self, s: Stmt, pre: str) -> str:
         if isinstance(s, Block):
@@ -227,18 +240,14 @@ class _Translator:
             return pre
         if isinstance(s, Assign):
             post = self.new_loc()
-            env = self.base_env()
-            env[s.target] = self.term(s.expr)
-            self.goto(pre, post, [], env)
+            self.goto(pre, post, [], self.assigned(s.target, self.term(s.expr)))
             return post
         if isinstance(s, (HavocStmt, NondetStmt)):
             post = self.new_loc()
-            cvars: list = []
             sort = _sort_of(self.p.var_types[s.target])
-            fresh = self.fresh(s.target.replace("$", "_"), sort, cvars)
-            env = self.base_env()
-            env[s.target] = fresh
-            self.goto(pre, post, [], env, extra_vars=cvars)
+            fresh = self.fresh(s.target.replace("$", "_"))
+            self.goto(pre, post, [], self.assigned(s.target, fresh),
+                      extra_vars=((fresh, sort),))
             return post
         if isinstance(s, If):
             cond = self.formula(s.cond)
@@ -268,20 +277,18 @@ class _Translator:
             return post
         if isinstance(s, AssertExpr):
             cond = self.formula(s.expr)
-            self.clause(None, [PredApp(pre, self.state_args(self.base_env()))],
-                        [("not", cond)], [])
+            self.clause(None, [PredApp(pre, self.args)], [("not", cond)])
             post = self.new_loc()
             self.goto(pre, post, [cond])
             return post
         if isinstance(s, AssumePred):
             post = self.new_loc()
-            app = PredApp(s.pred, [self.term(a) for a in s.args])
-            self.goto(pre, post, [], extra_body=[app])
+            app = PredApp(s.pred, tuple(self.term(a) for a in s.args))
+            self.goto(pre, post, [], extra_body=app)
             return post
         if isinstance(s, AssertPred):
-            app = PredApp(s.pred, [self.term(a) for a in s.args])
-            self.clause(app, [PredApp(pre, self.state_args(self.base_env()))],
-                        [], [])
+            app = PredApp(s.pred, tuple(self.term(a) for a in s.args))
+            self.clause(app, [PredApp(pre, self.args)], [])
             post = self.new_loc()
             self.goto(pre, post, [])
             return post
@@ -330,7 +337,8 @@ def _declaration_order(adts: list) -> list:
 
 def emit_smtlib(cs: ClauseSet) -> str:
     """Byte-stable HORN-fragment rendering of a clause set.  A datatype is
-    declared after the datatypes its fields name."""
+    declared after the datatypes its fields name.  The shared state tuples
+    are rendered once, and so is a guard that several clauses test."""
     out = ["(set-logic HORN)"]
     for adt in _declaration_order(cs.adts):
         ctors = []
@@ -338,12 +346,43 @@ def emit_smtlib(cs: ClauseSet) -> str:
             flds = " ".join(f"({fn} {_sort_of(ft)})" for fn, ft in c.fields)
             ctors.append(f"({c.name}{(' ' + flds) if flds else ''})")
         out.append(f"(declare-datatypes (({adt.name} 0)) ((" + " ".join(ctors) + ")))")
+    sorts_seen = sorts_text = None
     for name, sorts in cs.preds.items():
-        out.append(f"(declare-fun {name} ({' '.join(sorts)}) Bool)")
+        if sorts is not sorts_seen:  # location predicates share one tuple
+            sorts_seen, sorts_text = sorts, " ".join(sorts)
+        out.append(f"(declare-fun {name} ({sorts_text}) Bool)")
+    state, state_args = cs.state, cs.state_args
+    state_text = " ".join(state_args)
+    qstate = " ".join(f"({n} {s})" for n, s in state)
+    guards: dict = {}
+
+    def atom(app: PredApp) -> str:
+        args = app.args
+        if not args:
+            return app.name
+        if args is state_args:
+            return f"({app.name} {state_text})"
+        try:
+            return f"({app.name} {' '.join(args)})"
+        except TypeError:  # an argument is a compound term
+            return f"({app.name} {' '.join(map(_render, args))})"
+
+    def guard(t: Term) -> str:
+        if isinstance(t, str):
+            return t
+        text = guards.get(t)
+        if text is None:
+            if t[0] == "not":
+                text = f"(not {guard(t[1])})"
+            else:
+                text = _render(t)
+            guards[t] = text
+        return text
+
     for cl in cs.clauses:
-        head = "false" if cl.head is None else _render(_app(cl.head))
-        atoms = [_render(_app(a)) for a in cl.body]
-        atoms += [_render(c) for c in cl.constraint]
+        head = "false" if cl.head is None else atom(cl.head)
+        atoms = [atom(a) for a in cl.body]
+        atoms += [guard(c) for c in cl.constraint]
         if not atoms:
             body = "true"
         elif len(atoms) == 1:
@@ -351,19 +390,14 @@ def emit_smtlib(cs: ClauseSet) -> str:
         else:
             body = "(and " + " ".join(atoms) + ")"
         impl = f"(=> {body} {head})"
-        if cl.vars:
-            qvars = " ".join(f"({n} {s})" for n, s in cl.vars)
+        qvars = (qstate if cl.vars is state
+                 else " ".join(f"({n} {s})" for n, s in cl.vars))
+        if qvars:
             out.append(f"(assert (forall ({qvars}) {impl}))")
         else:
             out.append(f"(assert {impl})")
     out.append("(check-sat)")
     return "\n".join(out) + "\n"
-
-
-def _app(app: PredApp) -> Term:
-    if not app.args:
-        return app.name
-    return (app.name, *app.args)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import chc, fixpoint as fp, replay
@@ -141,8 +142,11 @@ def _encode_program(prog: Program, args) -> Program:
 
 def _emit(text: str, out: str | None):
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {out}: {exc.strerror or exc}")
     else:
         sys.stdout.write(text)
 
@@ -276,6 +280,14 @@ def cmd_emit_chc(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if not (math.isfinite(args.timeout) and args.timeout > 0):
+        raise CliError("--timeout must be a finite positive number of "
+                       f"seconds, got {args.timeout}")
+    try:
+        with open(args.file, "rb"):
+            pass
+    except OSError as exc:
+        raise CliError(f"cannot read {args.file}: {exc.strerror or exc}")
     res = chc.solve(args.file, solver_cmd=args.solver, timeout=args.timeout)
     if res.is_error:
         print(f"error: {res.detail}", file=sys.stderr)
@@ -391,7 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--solver", default=None,
                    help="command template with a {file} placeholder")
-    p.add_argument("--timeout", type=float, default=300.0)
+    p.add_argument("--timeout", type=float, default=300.0,
+                   help="seconds; a finite positive number")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("corpus", help="run the bundled corpus")

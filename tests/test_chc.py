@@ -1,6 +1,13 @@
+import hashlib
+import json
+import pathlib
+import re
+
 import pytest
 
-from heapinv.chc import ChcError, emit_smtlib, to_chc
+from heapinv.chc import (
+    ChcError, _declaration_order, _sort_of, emit_smtlib, to_chc,
+)
 from heapinv.corpus import VARIANTS, encode_variant
 from heapinv.encode import EncodingConfig, enc_r, enc_rw, encode
 from heapinv.lang import parse_and_check
@@ -239,3 +246,103 @@ def test_every_sort_is_declared_before_use(corpus):
                 assert undeclared_sorts(text) == [], (entry.name, variant)
                 checked += 1
     assert checked == 196
+
+
+# ---------------------------------------------------------------------------
+# the clause sets the emit benchmark renders, checked against a plain
+# renderer and pinned byte for byte
+
+GOLDEN_SMTLIB = pathlib.Path(__file__).parent / "golden" / "smtlib.json"
+
+
+@pytest.fixture(scope="module")
+def emitted(corpus):
+    """``entry/variant`` -> clause set for every corpus entry under every
+    heap-eliminating registry variant it is eligible for, plus
+    list-build-traverse under r with native havoc (``r_native``)."""
+    out = {}
+    for entry in corpus:
+        source = entry.load()
+        for variant, (encoding, _) in VARIANTS.items():
+            if isinstance(encoding, EncodingConfig):
+                p = encode_variant(entry, source, variant)
+                if p is not None:
+                    out[f"{entry.name}/{variant}"] = to_chc(p)
+        if entry.name == "list-build-traverse":
+            p = enc_r(source, native_havoc=True).program
+            out[f"{entry.name}/r_native"] = to_chc(p)
+    return out
+
+
+def plain_render(t):
+    if isinstance(t, str):
+        return t
+    return "(" + " ".join(plain_render(x) for x in t) + ")"
+
+
+def plain_atom(app):
+    return app.name if not app.args else plain_render((app.name, *app.args))
+
+
+def plain_emit(cs):
+    """Every term rendered afresh, with nothing shared between clauses."""
+    out = ["(set-logic HORN)"]
+    for adt in _declaration_order(cs.adts):
+        ctors = []
+        for c in adt.ctors:
+            flds = " ".join(f"({fn} {_sort_of(ft)})" for fn, ft in c.fields)
+            ctors.append(f"({c.name}{(' ' + flds) if flds else ''})")
+        out.append(f"(declare-datatypes (({adt.name} 0)) (("
+                   + " ".join(ctors) + ")))")
+    for name, sorts in cs.preds.items():
+        out.append(f"(declare-fun {name} ({' '.join(sorts)}) Bool)")
+    for cl in cs.clauses:
+        head = "false" if cl.head is None else plain_atom(cl.head)
+        atoms = [plain_atom(a) for a in cl.body]
+        atoms += [plain_render(c) for c in cl.constraint]
+        if not atoms:
+            body = "true"
+        elif len(atoms) == 1:
+            body = atoms[0]
+        else:
+            body = "(and " + " ".join(atoms) + ")"
+        impl = f"(=> {body} {head})"
+        if cl.vars:
+            qvars = " ".join(f"({n} {s})" for n, s in cl.vars)
+            out.append(f"(assert (forall ({qvars}) {impl}))")
+        else:
+            out.append(f"(assert {impl})")
+    out.append("(check-sat)")
+    return "\n".join(out) + "\n"
+
+
+def test_emit_matches_the_plain_renderer(emitted):
+    assert len(emitted) == 197
+    for key, cs in emitted.items():
+        assert emit_smtlib(cs) == plain_emit(cs), key
+
+
+def test_emit_matches_the_smtlib_manifest(emitted):
+    # pins the rendering of every clause set above, as recorded in
+    # tests/golden/smtlib.json
+    want = json.loads(GOLDEN_SMTLIB.read_text(encoding="utf-8"))
+    got = {key: hashlib.sha256(emit_smtlib(cs).encode("utf-8")).hexdigest()
+           for key, cs in emitted.items()}
+    assert got == want
+
+
+def test_shared_sequences_are_tuples(emitted):
+    # a consumer cannot change one clause or predicate through another
+    programs = [progen.gen_program(seed) for seed in range(10)]
+    sets = list(emitted.values()) + [
+        to_chc(enc_rw(p, native_havoc=True).program) for p in programs]
+    for cs in sets:
+        assert all(type(sorts) is tuple for sorts in cs.preds.values())
+        # built once: every location predicate holds the entry's sorts
+        assert all(sorts is cs.preds[cs.entry]
+                   for name, sorts in cs.preds.items()
+                   if re.fullmatch(r"L\d+", name))
+        for cl in cs.clauses:
+            assert type(cl.vars) is tuple
+            atoms = cl.body + ([cl.head] if cl.head is not None else [])
+            assert all(type(a.args) is tuple for a in atoms)

@@ -4,6 +4,8 @@ import pathlib
 import pkgutil
 import random
 import re
+import shlex
+import sys
 import types
 
 import jsonschema
@@ -166,6 +168,53 @@ def test_solve_tool_error_exit_two(capsys, tmp_path):
     assert code == EXIT_ERROR and "error" in err
 
 
+def stub_solver(tmp_path):
+    """A solver command that answers sat and leaves a file saying it ran."""
+    script = tmp_path / "stub_solver.py"
+    script.write_text("import pathlib, sys\n"
+                      "pathlib.Path(sys.argv[0]).with_name('ran').touch()\n"
+                      "print('sat')\n")
+    return (f"{shlex.quote(sys.executable)} {shlex.quote(str(script))} {{file}}",
+            tmp_path / "ran")
+
+
+def test_solve_runs_the_stub_solver(capsys, tmp_path):
+    smt = tmp_path / "x.smt2"
+    smt.write_text("(set-logic HORN)\n(check-sat)\n")
+    solver, ran = stub_solver(tmp_path)
+    code, out, err = run_cli(capsys, "solve", str(smt), "--solver", solver,
+                             "--timeout", "0.5e2")
+    assert (code, out, err) == (EXIT_OK, "sat\n", "")
+    assert ran.exists()
+
+
+@pytest.mark.parametrize("file,timeout,message", [
+    ("x.smt2", "nan", "--timeout must be a finite positive number of "
+                      "seconds, got nan"),
+    ("x.smt2", "inf", "--timeout must be a finite positive number of "
+                      "seconds, got inf"),
+    ("x.smt2", "-inf", "--timeout must be a finite positive number of "
+                       "seconds, got -inf"),
+    ("x.smt2", "-1", "--timeout must be a finite positive number of "
+                     "seconds, got -1.0"),
+    ("x.smt2", "0", "--timeout must be a finite positive number of "
+                    "seconds, got 0.0"),
+    ("missing.smt2", "5", "cannot read {path}: No such file or directory"),
+    (".", "5", "cannot read {path}: Is a directory"),
+], ids=["nan", "inf", "minus-inf", "negative", "zero", "missing-file",
+        "directory"])
+def test_solve_refuses_bad_input_before_any_solver_runs(
+        capsys, tmp_path, file, timeout, message):
+    (tmp_path / "x.smt2").write_text("(set-logic HORN)\n(check-sat)\n")
+    path = str(tmp_path / file)
+    solver, ran = stub_solver(tmp_path)
+    code, out, err = run_cli(capsys, "solve", path, "--solver", solver,
+                             f"--timeout={timeout}")
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == f"error: {message.format(path=path)}\n"
+    assert not ran.exists()
+
+
 def test_parse_error_reported_with_position(capsys, tmp_path):
     bad = tmp_path / "bad.up"
     bad.write_text("prog { var x Int; }")
@@ -250,6 +299,8 @@ BAD_INPUT_FILES = {
     "deep-parens.up": nested_program("paren", 1000),
     "long-chain.up": nested_program("chain", 1000),
 }
+# output paths under the temporary directory that cannot be written
+BAD_OUTPUT_PATHS = {"missing-dir": "no/such/dir/out", "a-directory": "."}
 
 
 @pytest.mark.parametrize("argv", [
@@ -277,6 +328,10 @@ BAD_INPUT_FILES = {
     ("fixpoint", "long-chain.up"),
     ("fixpoint", "write-read-false", "--seed-range", "0:1000000000000000"),
     ("fixpoint", "list-build-traverse", "--in-range", "0:1000000000000000"),
+    ("encode", "write-read-false", "--enc", "r", "-o", "missing-dir"),
+    ("encode", "write-read-false", "--enc", "r", "-o", "a-directory"),
+    ("emit-chc", "write-read-false", "--enc", "r", "-o", "missing-dir"),
+    ("emit-chc", "write-read-false", "--enc", "r", "-o", "a-directory"),
 ], ids=["unknown-scope-var", "scope-vars-comma", "scope-vars-empty-middle",
         "scope-vars-trailing-comma", "cosim-scope-vars-comma",
         "drop-out-of-range", "rwfun-unacknowledged",
@@ -285,12 +340,16 @@ BAD_INPUT_FILES = {
         "interp-list", "interp-string", "interp-null", "interp-params-string",
         "interp-params-repeated",
         "if-nested-1000-deep", "parens-nested-1000-deep",
-        "chain-of-1000-additions", "huge-seed-range", "huge-in-range"])
+        "chain-of-1000-additions", "huge-seed-range", "huge-in-range",
+        "encode-out-in-missing-dir", "encode-out-is-a-directory",
+        "emit-chc-out-in-missing-dir", "emit-chc-out-is-a-directory"])
 def test_bad_input_is_one_line_error(capsys, tmp_path, argv):
     for name, text in BAD_INPUT_FILES.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     command, name, *rest = argv
-    rest = [str(tmp_path / a) if a in BAD_INPUT_FILES else a for a in rest]
+    rest = [str(tmp_path / BAD_OUTPUT_PATHS.get(a, a))
+            if a in BAD_INPUT_FILES or a in BAD_OUTPUT_PATHS else a
+            for a in rest]
     path = (str(tmp_path / name) if name in BAD_INPUT_FILES
             else corpus_path(name))
     code, out, err = run_cli(capsys, command, path, *rest)

@@ -29,7 +29,7 @@ from .lang import (
     ADDR, INT, Alloc, Assign, AssertExpr, AssertPred, AssumeExpr, AssumePred,
     Binary, Block, CtorApp, DefObj, Expr, HavocStmt, If, IntLit, NondetStmt,
     Null, Program, Read, SelApp, Skip, Stmt, TestApp, Type, Unary, Var,
-    While, Write, contains_heap_statements,
+    While, Write,
 )
 
 Term = object  # str | tuple of Terms, rendered as S-expressions
@@ -77,8 +77,6 @@ def _sort_of(ty: Type) -> str:
 
 class _Translator:
     def __init__(self, program: Program):
-        if contains_heap_statements(program):
-            raise ChcError("program still contains heap statements; encode it first")
         self.p = program
         self.adts = program.adts_by_name()
         names = tuple(program.var_types)

@@ -32,6 +32,15 @@ class CliError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Rejects a bad command line with a ``CliError``, which ``main``
+    reports as one ``error:`` line like any other bad input.  Subcommand
+    parsers are made of the same class."""
+
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message}")
+
+
 def _load_program(path: str) -> Program:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -351,7 +360,7 @@ def cmd_corpus(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="heapinv",
         description="Heap-eliminating encodings over uninterpreted "
                     "predicates, with a bounded differential oracle")
@@ -420,8 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (CliError, EncodingError, chc.ChcError,
             fp.IterationCapExceeded) as exc:

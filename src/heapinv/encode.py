@@ -228,7 +228,8 @@ class _HeapEncoder:
             return NondetStmt(target)
         return HavocStmt(target)
 
-    # predicate applications, with tagging/scope hooks applied uniformly
+    # predicate applications, with the tagging arguments; scope variables
+    # are appended afterwards by ``apply_scope_vars``
 
     def _r_args(self, third: Expr, write_loc: Expr,
                 read_loc: int | None) -> list[Expr]:

@@ -89,12 +89,12 @@ which allows four big savings without changing the computed sets:
   in the same state and blocked there without comparing, so no explicit
   run would have been made), so every seed of the node did, and each has
   its class at that address; at the sentinel a record's whole node is
-  likewise run at each address of its compared values.  The executor
-  indexes the records by site and by the arguments the site does not draw,
-  so a rerun looks each added tuple up there and runs from the point only
-  the classes whose drawn values make it.  Records are always blocked on
-  an assume, so verdicts and harvesting never look at them; ``rows`` lists
-  their classes one by one.  A node's seeds can meet further nodes, and
+  likewise run at each address of its compared values.  A rerun scans
+  each cell's records for the added tuples that the blocked tuple makes
+  with drawn values the record stands for, and runs from the point only
+  the classes that drew them.  Records are always blocked on an assume,
+  so verdicts and harvesting never look at them; ``rows`` lists their
+  classes one by one.  A node's seeds can meet further nodes, and
   the depth of that nesting is bounded only by the loop and heap fuel of
   the domain, so the loops in progress are kept on an explicit stack
   rather than by recursion, which could exceed Python's recursion limit.
@@ -404,12 +404,6 @@ class GridExecutor:
         self.cells: dict[tuple, Cell] = {}
         # the compared sets of sentinel leaves, one object per value
         self._compared: dict[frozenset, frozenset] = {}
-        # the draw sites by the predicate of their assume, and every cell's
-        # records by (site, the arguments the site does not draw)
-        self._sites: dict[str, list[DrawSite]] = {}
-        for site in self.compiled.sites.values():
-            self._sites.setdefault(site.pred, []).append(site)
-        self._records: dict[tuple, list[tuple[Cell, Record]]] = {}
 
     # enumeration dimensions
 
@@ -579,23 +573,20 @@ class GridExecutor:
         addresses = ([self.any_address] if self.address_classing
                      else self.last_addr_values())
         self.cells = {}
-        self._records = {}
         for in_v in self.in_values():
             for la in addresses:
                 cell = self.cells[(in_v, la)] = Cell(in_v, la)
-                cell.leaves, _ = self._run_class(cell, interp, 0, 1)
+                self._run_class(cell, interp, 0, 1)
 
     def _run_class(self, cell: Cell, interp, start: int, stride: int,
-                   blocked: Leaf | Record | None = None
-                   ) -> tuple[list[Leaf], list[Leaf]]:
+                   blocked: Leaf | Record | None = None) -> list[Leaf]:
         """Run the seeds at offsets ``start, start + stride, ...`` of the
         cell, resuming the ``blocked`` class's run if given.  At the address
         sentinel, each run's class, and each new record's node, is then run
         at every address of the range that the run compared ``$last_addr``
-        with, on the seeds the explicit cell there does not mark yet.  New
-        records are kept on their cells and indexed for reruns.  Returns the
-        cell's new leaves that stand for some grid point, and the new
-        explicit leaves."""
+        with, on the seeds the explicit cell there does not mark yet.  The
+        new leaves and records that stand for some grid point are filed on
+        their cells; returns the new leaves of every cell."""
         first = len(cell.records)
         leaves = self._run_seeds(cell, interp, start, stride, None, blocked)
         explicit: list[Leaf] = []
@@ -609,8 +600,8 @@ class GridExecutor:
                                         cell, interp, rec.compared,
                                         rec.offset, self._stride(rec),
                                         explicit)]
-        self._index(cell, first)
-        return leaves, explicit
+        cell.leaves += leaves
+        return leaves + explicit
 
     def _explicit(self, cell: Cell, interp, compared: frozenset, start: int,
                   stride: int, explicit: list[Leaf]) -> bool:
@@ -633,61 +624,52 @@ class GridExecutor:
                 at = self.cells[(in_v, a)] = \
                     Cell(in_v, a, covered=bytearray(hi - lo + 1))
             if 0 in at.covered[start::stride]:
-                first = len(at.records)
                 new = self._run_seeds(at, interp, start, stride, at.covered)
                 at.leaves += new
                 explicit += new
-                self._index(at, first)
         return hits <= hi_a - lo_a
-
-    def _index(self, cell: Cell, first: int) -> None:
-        """File the cell's records from the ``first`` on under their
-        predicate's site and the arguments the site does not draw."""
-        for rec in cell.records[first:]:
-            key = (rec.site.start, rec.site.rest(rec.blocker[1]))
-            self._records.setdefault(key, []).append((cell, rec))
 
     def rerun_blocked(self, interp, added: set[tuple]) -> set[tuple]:
         """Rerun the seed class of every leaf blocked on a tuple of ``added``
         from the leaf's resume point, and the classes of every record that
         drew an added tuple from the record's point, and return the failing
-        tuples of the leaves that replace them.  A sentinel class is rerun
+        tuples of the leaves that replace them.  A record drew ``t`` when
+        the value tuple ``site.drawn(t)`` stands there and puts ``t`` back
+        together from the record's blocked tuple.  A sentinel class is rerun
         at the sentinel, from the values the blocked run had compared with,
         so only the addresses it newly compares with get explicit runs."""
         lo = self.seed_range[0]
+        by_pred: dict[str, list[tuple]] = {}
+        for name, args in added:
+            by_pred.setdefault(name, []).append(args)
         fresh: list[Leaf] = []
         # explicit cells grow while sentinel cells are rerun; their new
         # leaves and records ran under ``interp`` and are never blocked on
         # ``added``
         for cell in list(self.cells.values()):
-            blocked = [leaf for leaf in cell.leaves if leaf.blocker in added]
-            if not blocked:
-                continue
-            cell.leaves = [leaf for leaf in cell.leaves
-                           if leaf.blocker not in added]
-            for leaf in blocked:
-                new, explicit = self._run_class(cell, interp, leaf.seed - lo,
-                                                leaf.step, leaf)
-                cell.leaves += new
-                fresh += new
-                fresh += explicit
-        for name, args in added:
-            for site in self._sites.get(name, ()):
-                entries = self._records.get((site.start, site.rest(args)))
-                values = site.drawn(args)
-                for cell, rec in [e for e in entries or ()
-                                  if values in e[1].table
-                                  and values not in e[1].excluded]:
-                    rec.excluded |= {values}
-                    if len(rec.excluded) == len(rec.table):
-                        cell.records.remove(rec)
-                        entries[:] = [e for e in entries if e[1] is not rec]
-                    for _, j, step in self._classes(rec, (values,)):
-                        new, explicit = self._run_class(cell, interp, j,
-                                                        step, rec)
-                        cell.leaves += new
-                        fresh += new
-                        fresh += explicit
+            classes = [(leaf.seed - lo, leaf.step, leaf)
+                       for leaf in cell.leaves if leaf.blocker in added]
+            if classes:
+                cell.leaves = [leaf for leaf in cell.leaves
+                               if leaf.blocker not in added]
+            for rec in cell.records:
+                name, args = rec.blocker
+                tuples = by_pred.get(name)
+                if tuples is None:
+                    continue
+                site, table, excluded = rec.site, rec.table, rec.excluded
+                drew = [v for t in tuples
+                        if (v := site.drawn(t)) in table
+                        and v not in excluded and site.splice(args, v) == t]
+                if drew:
+                    rec.excluded = excluded.union(drew)
+                    classes += [(j, step, rec)
+                                for _, j, step in self._classes(rec, drew)]
+            if classes:
+                cell.records = [rec for rec in cell.records
+                                if len(rec.excluded) < len(rec.table)]
+            for start, stride, blocked in classes:
+                fresh += self._run_class(cell, interp, start, stride, blocked)
         return _failing(fresh)
 
     # harvesting

@@ -318,16 +318,15 @@ class DrawSite:
     of one compiled program with the same shape share one dict of tables by
     range, which lives as long as the compiled program.
     ``splice(args, values)`` puts drawn values into a blocked run's argument
-    tuple at the drawn positions; ``drawn(args)`` and ``rest(args)`` take an
-    argument tuple of the assume's predicate ``pred`` apart again."""
+    tuple at the drawn positions, and ``drawn(args)`` takes them out of an
+    argument tuple of the assume's predicate."""
 
-    __slots__ = ("start", "pred", "slots", "splice", "drawn", "rest",
+    __slots__ = ("start", "slots", "splice", "drawn",
                  "_seed_var", "_drawers", "_drawn_args", "_tables")
 
     def __init__(self, start: int, seed_var: str, drawers: list[tuple],
                  query: AssumePred, slots: tuple[int, ...], shapes: dict):
         self.start = start
-        self.pred = query.pred
         self._seed_var = seed_var
         self._drawers = drawers  # (target, the havoc instruction's drawer)
         # the env positions of the values the first havoc records
@@ -336,9 +335,7 @@ class DrawSite:
         args = query.args
         positions = [k for k, a in enumerate(args)
                      if isinstance(a, Var) and a.name in targets]
-        others = [k for k in range(len(args)) if k not in positions]
         self.drawn = lambda args: tuple([args[k] for k in positions])
-        self.rest = lambda args: tuple([args[k] for k in others])
         self._drawn_args = [args[k].name for k in positions]
         # a drawn argument takes the value of the last draw of its variable
         last = {target: j for j, target in enumerate(targets)}

@@ -1183,10 +1183,10 @@ class TypeChecker:
 
 
 def typecheck(program: Program) -> list[Diagnostic]:
-    """Check the program, annotating every expression with its type.
-
-    Returns the list of diagnostics; an empty list means the program is
-    well-typed.  Checking continues past the first error.
+    """Check the program and return its diagnostics; an empty list means
+    the program is well-typed.  Checking continues past the first error.
+    A bare ``Obj`` in a field, predicate or variable declaration is
+    resolved to the heap ADT in place; expressions are left as they are.
     """
     return TypeChecker(program).run()
 
@@ -1359,52 +1359,61 @@ def expand_havoc(stmt: HavocStmt, program: Program,
         return Block(tuple(_int_havoc_stmts(stmt.target, program.seed_var)))
     if ty.kind != "Obj":
         raise ValueError(f"cannot havoc variable of type {ty}")
-    adts = program.adts_by_name()
+    stmts, final = _ObjHavoc(program, fresh, new_vars).obj(ty.adt)
+    return Block(tuple(stmts + [Assign(stmt.target, final)]))
 
-    def build_obj(adt_name: str) -> tuple[list[Stmt], Expr]:
-        adt = adts[adt_name]
 
-        def build_ctor(ctor: CtorDecl) -> tuple[list[Stmt], Expr]:
-            stmts: list[Stmt] = []
-            args: list[Expr] = []
-            for fname, fty in ctor.fields:
-                if fty == INT:
-                    tmp = fresh.fresh("h")
-                    new_vars[tmp] = INT
-                    stmts.extend(_int_havoc_stmts(tmp, program.seed_var))
-                    args.append(Var(tmp))
-                elif fty.kind == "Obj":
-                    sub_stmts, sub_expr = build_obj(fty.adt)
-                    stmts.extend(sub_stmts)
-                    args.append(sub_expr)
-                else:
-                    raise ValueError(f"cannot havoc Addr field {fname!r}")
-            return stmts, CtorApp(ctor.name, args)
+class _ObjHavoc:
+    """Field-wise havoc of an ADT value: ``obj`` returns the statements that
+    draw one and the expression that holds it, declaring each temporary in
+    ``new_vars``."""
 
-        if len(adt.ctors) == 1:
-            return build_ctor(adt.ctors[0])
+    def __init__(self, program: Program, fresh: FreshNames,
+                 new_vars: dict[str, Type]):
+        self.adts = program.adts_by_name()
+        self.seed_var = program.seed_var
+        self.fresh = fresh
+        self.new_vars = new_vars
+
+    def temp(self, base: str, ty: Type) -> str:
+        name = self.fresh.fresh(base)
+        self.new_vars[name] = ty
+        return name
+
+    def ctor(self, ctor: CtorDecl) -> tuple[list[Stmt], Expr]:
+        stmts: list[Stmt] = []
+        args: list[Expr] = []
+        for fname, fty in ctor.fields:
+            if fty == INT:
+                tmp = self.temp("h", INT)
+                stmts.extend(_int_havoc_stmts(tmp, self.seed_var))
+                args.append(Var(tmp))
+            elif fty.kind == "Obj":
+                sub_stmts, sub_expr = self.obj(fty.adt)
+                stmts.extend(sub_stmts)
+                args.append(sub_expr)
+            else:
+                raise ValueError(f"cannot havoc Addr field {fname!r}")
+        return stmts, CtorApp(ctor.name, args)
+
+    def obj(self, adt_name: str) -> tuple[list[Stmt], Expr]:
+        ctors = self.adts[adt_name].ctors
+        if len(ctors) == 1:
+            return self.ctor(ctors[0])
         # several constructors: draw a chooser int; the default constructor
         # catches every value without an explicit case, keeping totality
-        chooser = fresh.fresh("h")
-        new_vars[chooser] = INT
-        tmp_obj = fresh.fresh("ho")
-        new_vars[tmp_obj] = obj_type(adt_name)
-        stmts: list[Stmt] = list(_int_havoc_stmts(chooser, program.seed_var))
-        d_stmts, d_expr = build_ctor(adt.ctors[0])
+        chooser = self.temp("h", INT)
+        tmp_obj = self.temp("ho", obj_type(adt_name))
+        stmts: list[Stmt] = list(_int_havoc_stmts(chooser, self.seed_var))
+        d_stmts, d_expr = self.ctor(ctors[0])
         branch: Stmt = Block(tuple(d_stmts + [Assign(tmp_obj, d_expr)]))
-        for idx in range(len(adt.ctors) - 1, 0, -1):
-            c_stmts, c_expr = build_ctor(adt.ctors[idx])
+        for idx in range(len(ctors) - 1, 0, -1):
+            c_stmts, c_expr = self.ctor(ctors[idx])
             branch = If(Binary("=", Var(chooser), IntLit(idx)),
                         Block(tuple(c_stmts + [Assign(tmp_obj, c_expr)])),
                         branch)
         stmts.append(branch)
-        stmts.append(Assign(stmt.target, Var(tmp_obj)))
-        return stmts, Var(stmt.target)
-
-    stmts, final = build_obj(ty.adt)
-    if not (isinstance(final, Var) and final.name == stmt.target):
-        stmts = stmts + [Assign(stmt.target, final)]
-    return Block(tuple(stmts))
+        return stmts, Var(tmp_obj)
 
 
 def expand_program_havocs(program: Program) -> Program:

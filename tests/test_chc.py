@@ -64,14 +64,21 @@ def test_body_atom_bound_is_two():
         assert cs.max_body_atoms() <= 2
 
 
-def test_heap_statements_rejected():
-    src = """prog {
-      adt Node { node(data: Int, next: Addr); }
+@pytest.mark.parametrize("body", [
+    "p := alloc(defObj);",
+    "if (in > 0) { skip; } else { x := read(p); }",
+    "while (in > 0) { if (in = 1) { write(p, x); } in := in - 1; }",
+], ids=["alloc", "read-in-if", "write-in-while"])
+def test_heap_statements_rejected(body):
+    src = f"""prog {{
+      adt Node {{ node(data: Int, next: Addr); }}
       heaptype Node;
-      var p: Addr;
-      p := alloc(defObj);
-    }"""
-    with pytest.raises(ChcError):
+      input in;
+      var p: Addr; var x: Node;
+      {body}
+    }}"""
+    with pytest.raises(ChcError, match="^program still contains heap "
+                                       "statements; encode it first$"):
         to_chc(parse_and_check(src))
 
 
@@ -210,6 +217,45 @@ def undeclared_sorts(text: str) -> list[str]:
         elif form[0] == "declare-fun":
             missing += [sort for sort in form[2] if sort not in declared]
     return missing
+
+
+def emitted_forms(src: str) -> list:
+    """The S-expressions of the program's SMT-LIB, every sort declared."""
+    text = emit_smtlib(to_chc(parse_and_check(src)))
+    assert undeclared_sorts(text) == []
+    return tokenize_sexprs(text)
+
+
+def last_head(forms: list) -> list:
+    """The head of the last ``(assert (forall (...) (=> body head)))``."""
+    (_, (_, _, (_, _, head))) = [f for f in forms if f[0] == "assert"][-1]
+    return head
+
+
+TWO_CTORS = "adt T { a(v: Int); b(); }"
+
+
+def test_tester_in_value_position_is_an_ite():
+    forms = emitted_forms(f"prog {{ {TWO_CTORS} var x: T; var y: Int; "
+                          "y := is_b(x); }")
+    assert last_head(forms) == ["L1", "x", ["ite", [["_", "is", "b"], "x"],
+                                            "1", "0"]]
+
+
+def test_nullary_constructor_is_a_bare_symbol():
+    forms = emitted_forms(f"prog {{ {TWO_CTORS} var x: T; x := b(); }}")
+    assert last_head(forms) == ["L1", "b"]
+
+
+def test_program_without_variables_has_no_quantifiers():
+    forms = emitted_forms("prog { assert(0); }")
+    assert [f for f in forms if f[0] == "declare-fun"] == [
+        ["declare-fun", "L0", [], "Bool"], ["declare-fun", "L1", [], "Bool"]]
+    asserts = [f[1] for f in forms if f[0] == "assert"]
+    assert asserts[0] == ["=>", "true", "L0"]
+    assert len(asserts) == 3
+    assert all(a[0] == "=>" and "forall" not in str(a) for a in asserts)
+    assert ["=>", ["and", "L0", ["not", "false"]], "false"] in asserts
 
 
 @pytest.mark.parametrize("field", ["Node", "Obj"])

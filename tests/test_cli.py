@@ -125,6 +125,55 @@ def test_equisafe_cosim_report(capsys):
     assert payload["cosim"]["ok"] is True
 
 
+def test_equisafe_human_cosim_line(capsys):
+    # README's worked example
+    path = corpus_path("list-build-traverse")
+    code, out, _ = run_cli(capsys, "equisafe", path, "--enc", "r", "--cosim")
+    assert code == EXIT_OK
+    assert out.splitlines() == [
+        f"{path}: agree(safe) (original=safe, encoded=safe)",
+        "co-simulation: ok over 49 points"]
+
+
+def test_fixpoint_human_report_names_the_witness(capsys):
+    path = corpus_path("write-read-false")
+    code, out, _ = run_cli(capsys, "fixpoint", path, "--format", "json")
+    (witness,) = json.loads(out)["witnesses"]
+    assert (witness["pred"], witness["args"]) == ("F", [])
+    code, out, _ = run_cli(capsys, "fixpoint", path)
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert lines[0] == "verdict: unsafe"
+    assert lines[-1] == f"witness: {witness['inputs']} -> F()"
+
+
+# P(1) is asserted before the assume that reads the input, so the fixed
+# point holds it and a run at in = 1 gets past the assume
+ASSERT_THEN_ASSUME = """prog {
+  pred P(Int);
+  input in;
+  assert(P(1));
+  assume(P(in));
+  assert(in != 1);
+}"""
+
+
+def test_run_under_the_fixed_point(capsys, tmp_path):
+    path = tmp_path / "assert-then-assume.up"
+    path.write_text(ASSERT_THEN_ASSUME, encoding="utf-8")
+    outcomes = {}
+    for interp in ("empty", "fixpoint"):
+        code, out, _ = run_cli(capsys, "run", str(path), "--in", "1",
+                               "--interp", interp)
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        validate(payload)
+        outcomes[interp] = payload["outcome"]
+    assert outcomes == {
+        "empty": {"kind": "bot", "pred": "P", "args": [1]},
+        "fixpoint": {"kind": "bot", "pred": "F", "args": []}}
+
+
 def test_equisafe_disagree_exit_one(capsys, tmp_path):
     # the functional-safety variant on a program outside its precondition
     code, out, _ = run_cli(capsys, "equisafe", corpus_path("rwfun-gap-witness"),
@@ -332,6 +381,11 @@ BAD_OUTPUT_PATHS = {"missing-dir": "no/such/dir/out", "a-directory": "."}
     ("encode", "write-read-false", "--enc", "r", "-o", "a-directory"),
     ("emit-chc", "write-read-false", "--enc", "r", "-o", "missing-dir"),
     ("emit-chc", "write-read-false", "--enc", "r", "-o", "a-directory"),
+    ("run", "write-read-false", "--in", "x"),
+    ("solve", "write-read-false", "--timeout", "-inf"),
+    ("fixpoint", "write-read-false", "--bogus"),
+    ("encode", "write-read-false"),
+    ("bogus", "write-read-false"),
 ], ids=["unknown-scope-var", "scope-vars-comma", "scope-vars-empty-middle",
         "scope-vars-trailing-comma", "cosim-scope-vars-comma",
         "drop-out-of-range", "rwfun-unacknowledged",
@@ -342,7 +396,10 @@ BAD_OUTPUT_PATHS = {"missing-dir": "no/such/dir/out", "a-directory": "."}
         "if-nested-1000-deep", "parens-nested-1000-deep",
         "chain-of-1000-additions", "huge-seed-range", "huge-in-range",
         "encode-out-in-missing-dir", "encode-out-is-a-directory",
-        "emit-chc-out-in-missing-dir", "emit-chc-out-is-a-directory"])
+        "emit-chc-out-in-missing-dir", "emit-chc-out-is-a-directory",
+        "run-in-not-an-int", "solve-timeout-minus-inf",
+        "fixpoint-unknown-option", "encode-without-enc",
+        "unknown-subcommand"])
 def test_bad_input_is_one_line_error(capsys, tmp_path, argv):
     for name, text in BAD_INPUT_FILES.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
@@ -537,10 +594,7 @@ def test_cli_fuzz_exit_codes(capsys, tmp_path):
     files = _fuzz_programs(tmp_path, rng)
     for _ in range(1000):
         argv = _fuzz_argv(rng, files, tmp_path)
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects the arguments
-            code = exc.code
+        code = main(argv)
         err = capsys.readouterr().err
         assert code in (EXIT_OK, EXIT_DISAGREE, EXIT_ERROR), argv
         assert "Traceback" not in err, argv

@@ -615,6 +615,18 @@ def test_transformations_leave_their_input_alone(corpus):
         assert pretty_print(source) == printed, entry.name
 
 
+# A havoc of an ADT with several constructors around one with several: the
+# corpus havocs Int variables only.
+OBJ_HAVOC = """prog {
+  adt In { a(v: Int); b(); }
+  adt Out { o1(i: In); o2(w: Int); o3(); }
+  heaptype Out;
+  seed seed;
+  var o: Out;
+  havoc(o);
+}"""
+
+
 def test_parsing_and_encoding_leave_no_cyclic_garbage(corpus):
     # with the cyclic collector off, parsing a program and encoding it
     # under every variant leave nothing for the collector: a cycle would
@@ -627,6 +639,7 @@ def test_parsing_and_encoding_leave_no_cyclic_garbage(corpus):
             for variant in VARIANTS:
                 encode_variant(entry, source, variant)
             expand_program_havocs(source)
+        expand_program_havocs(parse_and_check(OBJ_HAVOC))
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -1243,6 +1243,51 @@ def test_record_rerun_runs_only_the_added_value(domain, monkeypatch):
         assert grid_rows(ex) == grid_rows(fresh_grid(ex, interp)), sentinel
 
 
+# One draw site per input: every cell's record draws the same values of x,
+# and only the undrawn argument ``in`` tells the cells' tuples apart.
+SITE_PER_INPUT = """prog {
+  pred P(Int, Int);
+  input in;
+  seed seed;
+  var x: Int;
+  havoc(x);
+  assume(P(in, x));
+  assert(x != 2);
+}"""
+
+
+def test_record_rerun_needs_the_undrawn_arguments(domain, monkeypatch):
+    # an added tuple reruns only the records whose blocked tuple, with the
+    # drawn value put back, is that tuple: P(1, 1) reruns the classes of
+    # in = 1 that drew 1, and no class of another input that drew 1 too
+    p = prog(SITE_PER_INPUT)
+    ex = GridExecutor(p, domain)
+    ex.run_all(Interpretation.empty())
+    lo, hi = domain.in_range
+    assert sorted(ex.cells) == [(i, None) for i in range(lo, hi + 1)]
+    assert all(len(c.records) == 1 and not c.leaves
+               for c in ex.cells.values())
+    target = ("P", (1, 1))
+    classes = sorted(r.seed for r in ex.rows() if r.blocker == target)
+    assert len(classes) == 3
+    assert len([r for r in ex.rows() if r.blocker[1][1] == 1]) == \
+        3 * len(ex.cells)
+    runs = []
+    run = CompiledProgram.run
+
+    def counting_run(self, *args, **kwargs):
+        res = run(self, *args, **kwargs)
+        runs.append((kwargs["inputs"]["in"], kwargs["inputs"]["seed"],
+                     res.env["x"]))
+        return res
+
+    monkeypatch.setattr(CompiledProgram, "run", counting_run)
+    interp = Interpretation({"P": {(1, 1)}})
+    assert ex.rerun_blocked(interp, {target}) == set()
+    assert sorted(runs) == [(1, s, 1) for s in classes], runs
+    assert grid_rows(ex) == grid_rows(fresh_grid(ex, interp))
+
+
 def test_rows_partition_the_grid(corpus_matrix):
     # the rows of every matrix task stand for each grid point once: every
     # seed of an (in, address) pair lies in one row, so a record that

@@ -437,25 +437,40 @@ def test_havoc_without_seed_rejected():
     assert any("seed" in d.message for d in typecheck(p))
 
 
-def test_havoc_obj_multi_ctor():
-    src = """prog {
-      adt Pair { mk(fst: Int, snd: Int); unit(tag: Int); }
-      heaptype Pair;
+# ADT declarations of the havoced variable ``o: Out``
+HAVOC_SHAPES = {
+    "single-ctor": "adt Out { mk(fst: Int, snd: Int); }",
+    "multi-ctor": "adt Out { mk(fst: Int, snd: Int); unit(tag: Int); }",
+    "nested-single-ctor": "adt In { inn(v: Int); } "
+                          "adt Out { outer(i: In, w: Int); }",
+    "nested-multi-ctor": "adt In { a(v: Int); b(); } "
+                         "adt Out { outer(i: In, w: Int); }",
+    "multi-around-nested-multi": "adt In { a(v: Int); b(); } "
+                                 "adt Out { o1(i: In); o2(w: Int); o3(); }",
+}
+
+
+@pytest.mark.parametrize("adts", HAVOC_SHAPES.values(), ids=HAVOC_SHAPES)
+def test_havoc_obj_multi_ctor(adts):
+    # the expansion draws the same value as the native havoc, seed by seed
+    src = f"""prog {{
+      {adts}
+      heaptype Out;
       seed seed;
-      var o: Pair;
+      var o: Out;
       havoc(o);
-    }"""
+    }}"""
     p = parse_and_check(src)
     expanded = expand_program_havocs(p)
     assert typecheck(expanded) == []
     cn, ce = CompiledProgram(p), CompiledProgram(expanded)
-    for s in range(256):
+    for s in range(1024):
         rn, re_ = cn.run(inputs={"seed": s}), ce.run(inputs={"seed": s})
         assert rn.outcome == re_.outcome
         if rn.outcome == TOP:
             assert rn.env["o"] == re_.env["o"], f"seed {s}"
     ctors = {cn.run(inputs={"seed": s}).env["o"].ctor for s in range(64)}
-    assert ctors == {"mk", "unit"}
+    assert len(ctors) == len(p.adts_by_name()["Out"].ctors)
 
 
 def test_namespace_collisions_rejected():

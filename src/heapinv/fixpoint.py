@@ -102,6 +102,7 @@ which allows four big savings without changing the computed sets:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
@@ -198,6 +199,10 @@ class InputDomain:
         for lo, hi in (self.in_range, self.seed_range, self.last_addr_range):
             if lo > hi:
                 raise ValueError("empty input range")
+            # the executor lists and marks a range's values one by one
+            if hi - lo >= sys.maxsize:
+                raise ValueError(f"input range {lo}:{hi} holds more than "
+                                 f"{sys.maxsize} values")
         if self.seed_range[0] < 0:
             raise ValueError("seeds must be nonnegative")
         if self.last_addr_range[0] < 0:

@@ -78,7 +78,7 @@ from typing import Callable, NamedTuple
 
 from .lang import (
     AdtDecl, Alloc, Assign, AssertExpr, AssertPred, AssumeExpr, AssumePred,
-    Binary, Block, CtorApp, DefObj, Expr, FAILURE_PRED, HavocStmt, If,
+    Binary, Block, CtorApp, DefObj, Expr, FAILURE_PRED, HavocStmt, If, INT,
     IntLit, NondetStmt, Null, Program, Read, SelApp, Skip, Stmt, TestApp,
     Type, Unary, Var, While, Write, expr_vars, variable_uses,
 )
@@ -294,6 +294,31 @@ def _draw_int(seed_var: str, charge_loop_fuel: bool, st: _State,
     env[seed_var] = s >> 1
     st.bits += bits
     return x
+
+
+def draw_code(v: Value, ty: Type, adts: dict) -> tuple[int, int]:
+    """``(code, nbits)``: the seed bits, least significant first, under
+    which a draw of type ``ty`` gives ``v``.  An Int is its sign bit, a 1
+    and a digit for each bit of v below the sign, most significant first
+    (``>>`` gives two's complement), then a 0; an object is its
+    constructor's index, if it has several, then its fields in order."""
+    if ty.kind != "Obj":
+        k = (~v if v < 0 else v).bit_length()
+        code, nbits = (1 if v < 0 else 0), 1
+        for j in reversed(range(k)):
+            code |= (1 | (v >> j & 1) << 1) << nbits
+            nbits += 2
+        return code, nbits + 1
+    ctors = adts[ty.adt].ctors
+    # ``_Compiler._drawer`` picks ctors[c] for a drawn 1 <= c < len(ctors),
+    # else ctors[0], so index i draws ctors[i]
+    i = next(i for i, c in enumerate(ctors) if c.name == v.ctor)
+    code, nbits = draw_code(i, INT, adts) if len(ctors) > 1 else (0, 0)
+    for fv, (_, fty) in zip(v.fields, ctors[i].fields):
+        c, m = draw_code(fv, fty, adts)
+        code |= c << nbits
+        nbits += m
+    return code, nbits
 
 
 # more loop fuel than any draw from a seed of a finite range uses

@@ -1,9 +1,12 @@
 """Replay of recorded source runs in the read-invariant encoding.
 
-A trace-mode run records its seed draws and heap reads in order, beside
-its heap writes.  ``replay_bits`` turns the draws and reads into the seed
-under which the encoding takes the same path, and ``cosim_check`` compares
-the final states of the two runs at every prophecy address.
+A trace-mode run records its heap reads and its seed draws in order,
+beside its heap writes; a draw as ``(code, nbits)``, the seed bits it
+consumed.  ``replay_seed`` joins the draws' codes and the codes of the
+values read (``interp.draw_code``, the draw's inverse) into one
+``(seed, nbits)``, under which the encoding takes the same path, and
+``cosim_check`` compares the final states of the two runs at every
+prophecy address.
 """
 
 from __future__ import annotations
@@ -13,73 +16,35 @@ from dataclasses import dataclass
 from .encode import READ_PRED, V_CNT_ALLOC, V_LAST
 from .fixpoint import InputDomain, Interpretation, initial_stack
 from .interp import (
-    CompiledProgram, RunResult, Undefined, Value, default_obj, trace_read,
+    CompiledProgram, RunResult, Undefined, default_obj, draw_code, trace_read,
 )
-from .lang import Program, Type
+from .lang import Program
 
 
 # ---------------------------------------------------------------------------
 # Seed construction for executions with known draw sequences
 
 
-def encode_int_bits(v: int) -> list[int]:
-    """Bits (least significant first) that make the havoc macro produce v."""
-    bits = [1 if v < 0 else 0]
-    if v < 0:
-        # appending digits to -1: after k digits x = -2^k + digits
-        k = 0
-        while -(1 << k) > v:
-            k += 1
-        digits = format((1 << k) + v, f"0{k}b") if k else ""
-    else:
-        digits = format(v, "b") if v else ""
-    for d in digits:
-        bits.append(1)
-        bits.append(int(d))
-    bits.append(0)
-    return bits
-
-
-def encode_value_bits(v: Value, ty: Type, adts: dict) -> list[int]:
-    """Bits for a havoc draw of the given type producing exactly v."""
-    if ty.kind != "Obj":
-        return encode_int_bits(v)
-    adt = adts[ty.adt]
-    bits = []
-    if len(adt.ctors) > 1:
-        idx = next(i for i, c in enumerate(adt.ctors) if c.name == v.ctor)
-        bits.extend(encode_int_bits(idx))
-        ctor = adt.ctors[idx]
-    else:
-        ctor = adt.ctors[0]
-    for fv, (_, fty) in zip(v.fields, ctor.fields):
-        bits.extend(encode_value_bits(fv, fty, adts))
-    return bits
-
-
-def pack_bits(bits: list[int]) -> int:
-    seed = 0
-    for i, b in enumerate(bits):
-        seed |= b << i
-    return seed
-
-
-def replay_bits(events: list, last_addr: int, encoded: Program) -> list[int]:
-    """Seed bits under which the ``encoded`` program replays a source run
-    with the recorded ``events`` at prophecy address ``last_addr``: each
-    draw of the source takes the bits it consumed, and each read of another
-    address, a havoc in the encoding, takes the bits that produce the value
-    read."""
+def replay_seed(events: list, last_addr: int,
+                encoded: Program) -> tuple[int, int]:
+    """``(seed, nbits)``: the seed under which the ``encoded`` program
+    replays a source run with the recorded ``events`` at prophecy address
+    ``last_addr``, and the seed bits that replay draws.  Each draw of the
+    source takes the code it consumed, and each read of another address, a
+    havoc in the encoding, takes the code that draws the value read."""
     adts = encoded.adts_by_name()
     heap_ty = encoded.heap_obj_type()
-    bits: list[int] = []
+    seed = nbits = 0
     for ev in events:
         if ev[0] == "draw":
-            _, raw, nbits = ev
-            bits.extend((raw >> i) & 1 for i in range(nbits))
+            _, code, m = ev
         elif ev[1] != last_addr:
-            bits.extend(encode_value_bits(ev[2], heap_ty, adts))
-    return bits
+            code, m = draw_code(ev[2], heap_ty, adts)
+        else:
+            continue
+        seed |= code << nbits
+        nbits += m
+    return seed, nbits
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +110,10 @@ def cosim_check(p_star: Program, p_encoded: Program, domain: InputDomain,
     budget counter inserted) and its read-invariant encoding.
 
     For every (input, prophecy address) pair, the defined execution of the
-    encoded program is realised by constructing a seed with
-    ``replay_bits``.  The encoded program runs under the read-trace
-    interpretation, built from the same source runs it is compared with:
+    encoded program is realised by the ``(seed, nbits)`` of
+    ``replay_seed``, at enough loop fuel to draw its ``nbits`` bits.  The
+    encoded program runs under the read-trace interpretation, built from
+    the same source runs it is compared with:
     one per (counter value, source seed, input).  Checks: equal outcomes,
     equal final values of the common variables (the seed variable is
     excluded: the encoding consumes seed bits the original never touches),
@@ -172,12 +138,11 @@ def cosim_check(p_star: Program, p_encoded: Program, domain: InputDomain,
             interp = _read_relation(runs)
             for in_v, res1 in runs:
                 for la in range(la_lo, la_hi + 1):
-                    bits = replay_bits(res1.events, la, p_encoded)
-                    inputs2 = initial_stack(p_encoded, in_v, pack_bits(bits),
-                                            la, n)
+                    seed, nbits = replay_seed(res1.events, la, p_encoded)
+                    inputs2 = initial_stack(p_encoded, in_v, seed, la, n)
                     res2 = enc.run(inputs=inputs2, interp=interp,
                                    loop_fuel=max(domain.loop_fuel,
-                                                 4 * len(bits) + 8),
+                                                 4 * nbits + 8),
                                    heap_fuel=domain.heap_op_fuel)
                     detail = _compare_point(res1, res2, common, la, def_obj)
                     if detail:

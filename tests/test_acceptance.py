@@ -18,11 +18,11 @@ from heapinv.fixpoint import (
     Interpretation, check_safety, immediate_consequence, sweep_under,
 )
 from heapinv.formula import load_interpretation
-from heapinv.interp import TOP, CompiledProgram, ObjVal, Top, default_obj
-from heapinv.lang import parse_and_check
-from heapinv.replay import (
-    cosim_check, encode_value_bits, pack_bits, replay_bits,
+from heapinv.interp import (
+    TOP, CompiledProgram, ObjVal, Top, default_obj, draw_code,
 )
+from heapinv.lang import parse_and_check
+from heapinv.replay import cosim_check, replay_seed
 
 import progen
 
@@ -57,20 +57,28 @@ def heap_law_program(n: int):
         "var q: Addr; var z: Addr;\n" + decls + body + "}\n")
 
 
-def test_criterion_1_heap_law_suite():
-    # the laws are checked on the compiled runtime, the heap that every
-    # oracle run uses, in both of its models
-    t0 = time.time()
+def joined_seed(codes) -> int:
+    """The seed whose draws give the ``(code, nbits)`` codes in turn."""
+    seed = nbits = 0
+    for code, m in codes:
+        seed |= code << nbits
+        nbits += m
+    return seed
+
+
+def check_heap_laws(lengths) -> tuple[int, int]:
+    """Assert the laws on every heap of each length, in the compiled heap
+    and trace models; return the (heap, address, object) cases checked and
+    the runs they took."""
     objs = [ObjVal("zero", (0,)), ObjVal("zero", (1,)),
             ObjVal("one", (0,)), ObjVal("one", (1,))]
     checked = runs = 0
-    for n in range(0, 5):
+    for n in lengths:
         program = heap_law_program(n)
         adts = program.adts_by_name()
         def_obj = default_obj("Bit", adts)
         assert def_obj == objs[0]
-        bits_of = [encode_value_bits(o, program.var_types["o"], adts)
-                   for o in objs]
+        code_of = [draw_code(o, program.var_types["o"], adts) for o in objs]
         addrs = range(n + 3)
         # one tuple per run: the allocated addresses, the reads before and
         # after the write, and the final object read back
@@ -81,15 +89,14 @@ def test_criterion_1_heap_law_suite():
         compiled = [CompiledProgram(program, mode=mode)
                     for mode in ("heap", "trace")]
         for heap in itertools.product(range(4), repeat=n):
-            heap_bits = [bit for k in heap for bit in bits_of[k]]
             # the default object outside the allocated range
             before = [objs[heap[b - 1]] if 0 < b <= n else def_obj
                       for b in addrs]
             for w in range(4):
                 # the last allocation draws each object once per heap
                 v = (w + 1) % 4
-                inputs["seed"] = pack_bits(heap_bits + bits_of[w]
-                                           + bits_of[v])
+                inputs["seed"] = joined_seed(
+                    [*(code_of[k] for k in heap), code_of[w], code_of[v]])
                 for q in addrs:
                     inputs["q"] = q
                     # a write changes only its own valid address; an
@@ -107,6 +114,14 @@ def test_criterion_1_heap_law_suite():
                         assert got == want, (cp.mode, heap, q, w)
                     runs += 2
                     checked += 1
+    return checked, runs
+
+
+def test_criterion_1_heap_law_suite():
+    # the laws are checked on the compiled runtime, the heap that every
+    # oracle run uses, in both of its models
+    t0 = time.time()
+    checked, runs = check_heap_laws(range(5))
     elapsed = time.time() - t0
     report(1, elapsed, 1.0,
            f"read/write/allocate laws hold on all {checked} "
@@ -261,11 +276,11 @@ def test_criterion_6_solved_invariant_check(domain, corpus):
                         heap_fuel=domain.heap_op_fuel)
         for la in range(domain.last_addr_range[0],
                         domain.last_addr_range[1] + 1):
-            bits = replay_bits(res1.events, la, enc.program)
+            seed, nbits = replay_seed(res1.events, la, enc.program)
             res2 = encoded.run(
-                inputs={"in": in_v, "seed": pack_bits(bits), "$last_addr": la},
+                inputs={"in": in_v, "seed": seed, "$last_addr": la},
                 interp=interp,
-                loop_fuel=max(domain.loop_fuel, 4 * len(bits) + 8),
+                loop_fuel=max(domain.loop_fuel, 4 * nbits + 8),
                 heap_fuel=domain.heap_op_fuel)
             assert isinstance(res2.outcome, Top), (in_v, la, res2.outcome)
             tops += 1

@@ -377,6 +377,12 @@ BAD_OUTPUT_PATHS = {"missing-dir": "no/such/dir/out", "a-directory": "."}
     ("fixpoint", "long-chain.up"),
     ("fixpoint", "write-read-false", "--seed-range", "0:1000000000000000"),
     ("fixpoint", "list-build-traverse", "--in-range", "0:1000000000000000"),
+    ("fixpoint", "list-build-traverse", "--seed-range", f"0:{2 ** 70}"),
+    ("fixpoint", "list-build-traverse", "--in-range", f"0:{2 ** 70}"),
+    ("fixpoint", "list-build-traverse", "--last-addr-range", f"0:{2 ** 70}"),
+    ("corpus", None, "--filter", "trivially", "--seed-range", f"0:{2 ** 70}"),
+    ("equisafe", "list-build-traverse", "--enc", "r",
+     "--in-range", f"0:{2 ** 70}"),
     ("encode", "write-read-false", "--enc", "r", "-o", "missing-dir"),
     ("encode", "write-read-false", "--enc", "r", "-o", "a-directory"),
     ("emit-chc", "write-read-false", "--enc", "r", "-o", "missing-dir"),
@@ -395,6 +401,9 @@ BAD_OUTPUT_PATHS = {"missing-dir": "no/such/dir/out", "a-directory": "."}
         "interp-params-repeated",
         "if-nested-1000-deep", "parens-nested-1000-deep",
         "chain-of-1000-additions", "huge-seed-range", "huge-in-range",
+        "seed-range-past-maxsize", "in-range-past-maxsize",
+        "last-addr-range-past-maxsize", "corpus-seed-range-past-maxsize",
+        "equisafe-in-range-past-maxsize",
         "encode-out-in-missing-dir", "encode-out-is-a-directory",
         "emit-chc-out-in-missing-dir", "emit-chc-out-is-a-directory",
         "run-in-not-an-int", "solve-timeout-minus-inf",
@@ -407,9 +416,10 @@ def test_bad_input_is_one_line_error(capsys, tmp_path, argv):
     rest = [str(tmp_path / BAD_OUTPUT_PATHS.get(a, a))
             if a in BAD_INPUT_FILES or a in BAD_OUTPUT_PATHS else a
             for a in rest]
-    path = (str(tmp_path / name) if name in BAD_INPUT_FILES
-            else corpus_path(name))
-    code, out, err = run_cli(capsys, command, path, *rest)
+    # the corpus command takes no file
+    paths = ([] if name is None else [str(tmp_path / name)]
+             if name in BAD_INPUT_FILES else [corpus_path(name)])
+    code, out, err = run_cli(capsys, command, *paths, *rest)
     assert code == EXIT_ERROR
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err

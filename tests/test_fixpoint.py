@@ -22,7 +22,7 @@ from heapinv.lang import (
     Assign, AssertExpr, AssumeExpr, Binary, Block, If, IntLit, Var,
     parse_and_check, variable_uses,
 )
-from heapinv.replay import cosim_check, encode_int_bits, pack_bits
+from heapinv.replay import cosim_check
 
 import progen
 
@@ -214,15 +214,6 @@ def test_unused_input_dimension_collapses():
     assert not ex.enumerate_in
     ex.run_all(Interpretation.empty())
     assert len(ex.cells) == 1
-
-
-def test_encode_int_bits_roundtrip_wide():
-    p = prog("prog { seed seed; var x: Int; havoc(x); }")
-    cp = CompiledProgram(p)
-    for v in list(range(-40, 41)) + [123, -999, 2 ** 20 + 3]:
-        res = cp.run(inputs={"seed": pack_bits(encode_int_bits(v))},
-                     loop_fuel=10 ** 6)
-        assert res.env["x"] == v
 
 
 def test_read_trace_interpretation_contains_grid_fixpoint():

@@ -1,6 +1,9 @@
 import re
+from functools import lru_cache, partial
+from itertools import product
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from heapinv.cli import EXIT_ERROR, main
 from heapinv.lang import (
@@ -8,7 +11,7 @@ from heapinv.lang import (
     While, Write, assign_locations, expand_program_havocs, parse_and_check,
     parse_program, pretty_print, statement_locations, typecheck,
 )
-from heapinv.interp import CompiledProgram, TOP
+from heapinv.interp import CompiledProgram, ObjVal, TOP, draw_code
 
 import progen
 
@@ -412,21 +415,6 @@ def test_havoc_seed_table_native_matches_macro():
         assert (res.env["x"], res.env["seed"]) == (x, seed_after), f"seed {s}"
 
 
-def test_havoc_pair_coverage():
-    # two consecutive draws reach every value pair in [-3..3]^2 with a seed
-    # below 2^16
-    from heapinv.replay import encode_int_bits, pack_bits
-    p = parse_and_check(
-        "prog { seed seed; var x: Int; var y: Int; havoc(x); havoc(y); }")
-    cp = CompiledProgram(p)
-    for v1 in range(-3, 4):
-        for v2 in range(-3, 4):
-            seed = pack_bits(encode_int_bits(v1) + encode_int_bits(v2))
-            assert seed < 2 ** 16
-            res = cp.run(inputs={"seed": seed})
-            assert (res.env["x"], res.env["y"]) == (v1, v2)
-
-
 def test_havoc_of_addr_rejected():
     p = parse_program("prog { seed seed; var p: Addr; havoc(p); }")
     assert typecheck(p)
@@ -471,6 +459,73 @@ def test_havoc_obj_multi_ctor(adts):
             assert rn.env["o"] == re_.env["o"], f"seed {s}"
     ctors = {cn.run(inputs={"seed": s}).env["o"].ctor for s in range(64)}
     assert len(ctors) == len(p.adts_by_name()["Out"].ctors)
+
+
+# the drawn types of the round-trip test: Int, and ``Out`` of each shape
+DRAWN_TYPES = {"Int": "", **HAVOC_SHAPES}
+
+
+@lru_cache(maxsize=None)
+def draw_programs(shape: str, count: int):
+    """A program that draws ``count`` values of the shape's type in turn,
+    compiled in heap mode, in trace mode and with ``expand_havoc``'s
+    expansion of its draws; and the type with its ADTs."""
+    ty = "Int" if shape == "Int" else "Out"
+    heaptype = "" if shape == "Int" else "heaptype Out;"
+    p = parse_and_check(
+        f"prog {{ {DRAWN_TYPES[shape]} {heaptype} seed seed; "
+        + "".join(f"var x{i}: {ty}; " for i in range(count))
+        + "".join(f"havoc(x{i}); " for i in range(count)) + "}")
+    return (CompiledProgram(p), CompiledProgram(p, mode="trace"),
+            CompiledProgram(expand_program_havocs(p)),
+            p.var_types["x0"], p.adts_by_name())
+
+
+def drawn_values(ty, adts):
+    """Values of the type, Ints of any size."""
+    if ty.kind != "Obj":
+        return st.integers() | st.sampled_from([2 ** 40, -(2 ** 40)])
+    return st.one_of([
+        st.tuples(*[drawn_values(fty, adts) for _, fty in c.fields])
+        .map(partial(ObjVal, c.name)) for c in adts[ty.adt].ctors])
+
+
+def draw_cases(shape: str):
+    *_, ty, adts = draw_programs(shape, 1)
+    return st.tuples(st.just(shape),
+                     st.lists(drawn_values(ty, adts), min_size=1, max_size=2))
+
+
+@given(st.sampled_from(sorted(DRAWN_TYPES)).flatmap(draw_cases))
+@example(("Int", [2 ** 40, -(2 ** 40)]))
+@example(("Int", [*range(-40, 41), 123, -999, 2 ** 20 + 3]))
+# consecutive draws reach every pair in [-3..3]^2; each code has at most 6
+# bits, so a pair's seed is below 2^12
+@example(("Int", [v for pair in product(range(-3, 4), repeat=2)
+                  for v in pair]))
+def test_draw_code_round_trip(case):
+    # at the seed that joins the values' codes, the native draws give the
+    # values and consume exactly the codes' bits, a trace-mode run records
+    # each code, and the expanded macro draws the same values
+    shape, values = case
+    heap, trace, expanded, ty, adts = draw_programs(shape, len(values))
+    seed = nbits = 0
+    events = []
+    for v in values:
+        code, m = draw_code(v, ty, adts)
+        events.append(("draw", code, m))
+        seed |= code << nbits
+        nbits += m
+    fuel = 4 * nbits + 8
+    names = [f"x{i}" for i in range(len(values))]
+    res = heap.run(inputs={"seed": seed}, loop_fuel=fuel)
+    assert res.outcome == TOP
+    assert [res.env[x] for x in names] == values
+    assert res.bits_consumed == nbits
+    assert trace.run(inputs={"seed": seed}, loop_fuel=fuel).events == events
+    res = expanded.run(inputs={"seed": seed}, loop_fuel=fuel)
+    assert res.outcome == TOP
+    assert [res.env[x] for x in names] == values
 
 
 def test_namespace_collisions_rejected():

@@ -16,7 +16,7 @@ from heapinv.fixpoint import (
     sweep_under, verdict_from_executor,
 )
 from heapinv.interp import (
-    FUEL_EXHAUSTED, CompiledProgram, ObjVal, Undefined,
+    FUEL_EXHAUSTED, CompiledProgram, ObjVal, Undefined, draw_code,
 )
 from heapinv.lang import (
     Assign, AssertExpr, AssumeExpr, Binary, Block, If, IntLit, Var,
@@ -214,6 +214,15 @@ def test_unused_input_dimension_collapses():
     assert not ex.enumerate_in
     ex.run_all(Interpretation.empty())
     assert len(ex.cells) == 1
+
+
+def test_encode_int_bits_roundtrip_wide():
+    p = prog("prog { seed seed; var x: Int; havoc(x); }")
+    cp = CompiledProgram(p)
+    for v in list(range(-40, 41)) + [123, -999, 2 ** 20 + 3]:
+        code, _ = draw_code(v, p.var_types["x"], p.adts_by_name())
+        res = cp.run(inputs={"seed": code}, loop_fuel=10 ** 6)
+        assert res.env["x"] == v
 
 
 def test_read_trace_interpretation_contains_grid_fixpoint():

@@ -498,11 +498,6 @@ def draw_cases(shape: str):
 
 @given(st.sampled_from(sorted(DRAWN_TYPES)).flatmap(draw_cases))
 @example(("Int", [2 ** 40, -(2 ** 40)]))
-@example(("Int", [*range(-40, 41), 123, -999, 2 ** 20 + 3]))
-# consecutive draws reach every pair in [-3..3]^2; each code has at most 6
-# bits, so a pair's seed is below 2^12
-@example(("Int", [v for pair in product(range(-3, 4), repeat=2)
-                  for v in pair]))
 def test_draw_code_round_trip(case):
     # at the seed that joins the values' codes, the native draws give the
     # values and consume exactly the codes' bits, a trace-mode run records
@@ -526,6 +521,21 @@ def test_draw_code_round_trip(case):
     res = expanded.run(inputs={"seed": seed}, loop_fuel=fuel)
     assert res.outcome == TOP
     assert [res.env[x] for x in names] == values
+
+
+def test_havoc_pair_coverage():
+    # two consecutive draws reach every value pair in [-3..3]^2 with a seed
+    # below 2^16
+    p = parse_and_check(
+        "prog { seed seed; var x: Int; var y: Int; havoc(x); havoc(y); }")
+    cp = CompiledProgram(p)
+    ty, adts = p.var_types["x"], p.adts_by_name()
+    for v1, v2 in product(range(-3, 4), repeat=2):
+        (c1, n1), (c2, _) = draw_code(v1, ty, adts), draw_code(v2, ty, adts)
+        seed = c1 | c2 << n1
+        assert seed < 2 ** 16
+        res = cp.run(inputs={"seed": seed})
+        assert (res.env["x"], res.env["y"]) == (v1, v2)
 
 
 def test_namespace_collisions_rejected():

@@ -70,12 +70,14 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _add_domain_args(p: argparse.ArgumentParser):
-    p.add_argument("--in-range", default="-3:3", metavar="LO:HI")
-    p.add_argument("--seed-range", default="0:255", metavar="LO:HI")
-    p.add_argument("--last-addr-range", default="0:6", metavar="LO:HI")
-    p.add_argument("--loop-fuel", type=int, default=64)
-    p.add_argument("--heap-op-fuel", type=int, default=32)
-    p.add_argument("--iteration-cap", type=int, default=None)
+    d = fp.InputDomain  # its field defaults are the options'
+    for flag, (lo, hi) in (("--in-range", d.in_range),
+                           ("--seed-range", d.seed_range),
+                           ("--last-addr-range", d.last_addr_range)):
+        p.add_argument(flag, default=f"{lo}:{hi}", metavar="LO:HI")
+    p.add_argument("--loop-fuel", type=int, default=d.loop_fuel)
+    p.add_argument("--heap-op-fuel", type=int, default=d.heap_op_fuel)
+    p.add_argument("--iteration-cap", type=int, default=d.iteration_cap)
 
 
 def _input_domain(**kw) -> fp.InputDomain:
@@ -180,6 +182,9 @@ def _outcome_json(o):
 
 def cmd_run(args) -> int:
     prog = _load_program(args.file)
+    # the point gets a domain's checks, also when --all-inputs replaces it
+    _input_domain(in_range=(args.in_value,) * 2, seed_range=(args.seed,) * 2,
+                  last_addr_range=(args.last_addr,) * 2)
     domain = _input_domain(loop_fuel=args.loop_fuel,
                            heap_op_fuel=args.heap_op_fuel)
     if args.interp == "empty":
@@ -377,8 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="in_value", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--last-addr", type=int, default=0)
-    p.add_argument("--loop-fuel", type=int, default=64)
-    p.add_argument("--heap-op-fuel", type=int, default=32)
+    p.add_argument("--loop-fuel", type=int, default=fp.InputDomain.loop_fuel)
+    p.add_argument("--heap-op-fuel", type=int,
+                   default=fp.InputDomain.heap_op_fuel)
     p.add_argument("--interp", default="empty",
                    help="'empty', 'fixpoint', or a formula file")
     p.add_argument("--trace-mode", action="store_true")

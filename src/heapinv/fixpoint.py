@@ -63,7 +63,8 @@ which allows four big savings without changing the computed sets:
 * under seed classing, a run blocked at the assume of a draw site
   (``interp.DrawSite``: havocs entered only at the first, then an assume
   that reads what they drew only as bare arguments) returns the state
-  before the draws as its resume point, after b seed bits.  Every seed
+  before the draws as its resume point, after b seed bits: the site's
+  first havoc stores the bits, the loop fuel and the env.  Every seed
   congruent to its own mod 2^b reaches that point (the node's seeds), and
   the draws read nothing but the seed's next bits.  The site's draw table
   over the node's seeds, inverted (``DrawSite.classes``), maps each drawn
@@ -264,7 +265,7 @@ class Leaf:
     outcome: object
     blocker: tuple | None
     weight: int          # number of seeds in the class within range
-    step: int            # spacing of the class: 2^bits, at most the range size
+    step: int            # 2^bits; the range size without seed classing
     # a blocked run's resume point (``RunResult.resume``); for a sentinel
     # run, the values it compared ``$last_addr`` with (up to the query when
     # blocked)
@@ -281,7 +282,7 @@ class Record:
     that is not ``excluded``, within the point's loop fuel.  Each is
     blocked at the node's point, on ``blocker`` with the drawn arguments
     replaced.  The point ends with the seed bits b consumed before the
-    draws, and ``stride`` is 2^b, at most the range size."""
+    draws, and ``stride`` is 2^b."""
     resume: tuple        # the node's point: the state before the draws
     site: DrawSite
     outcome: object      # the blocked runs' outcome
@@ -485,8 +486,6 @@ class GridExecutor:
                 site = sites.get(after[-1]) if after is not None else None
                 if site is None:
                     step = 1 << bits if classing else n
-                    if step > n:
-                        step = n
                     j = i % step
                     weight = (n - 1 - j) // step + 1
                     append(Leaf(lo + j, result, stop, weight, step, after,
@@ -495,8 +494,6 @@ class GridExecutor:
                     continue
                 # visit the node before any other seed of this loop
                 span = 1 << after[-2]
-                if span > n:
-                    span = n
                 offset = i % span
                 table, most = site.classes((lo + offset) >> after[-2],
                                            (n - 1 - offset) // span + 1)
@@ -510,25 +507,15 @@ class GridExecutor:
                 loops.pop()
         return leaves
 
-    def _stride(self, rec: Record) -> int:
-        """The spacing of the record's node: 2^b, at most the range size."""
-        n = self.seed_range[1] - self.seed_range[0] + 1
-        return min(1 << rec.resume[-2], n)
-
     def _classes(self, rec: Record, settled) -> Iterator[tuple]:
         """The value tuple, the least offset and the step of each class of
         the record's node whose draws make a tuple of ``settled`` within
         the point's loop fuel."""
-        n = self.seed_range[1] - self.seed_range[0] + 1
         fuel, bits = rec.resume[-4], rec.resume[-2]
-        span = self._stride(rec)
-        table = rec.table
         for values in settled:
-            for k, used, need in table[values]:
+            for k, used, need in rec.table[values]:
                 if need <= fuel:
-                    step = 1 << (bits + used)
-                    yield (values, rec.offset + k * span,
-                           step if step < n else n)
+                    yield values, rec.offset + (k << bits), 1 << (bits + used)
 
     def _settle(self, interp, marked: bytearray, most: int,
                 rec: Record) -> Record:
@@ -545,7 +532,6 @@ class GridExecutor:
         smaller interpretation holds its seeds' classes under a larger
         one.)  So the whole node is marked, and then the other classes get
         back the marks they had."""
-        n = len(marked)
         table = rec.table
         name, args = rec.blocker
         rel = interp.relation(name)
@@ -563,15 +549,12 @@ class GridExecutor:
                       for v, classes in table.items()]
         if held:
             rec.excluded = frozenset(held)
-        o, span = rec.offset, self._stride(rec)
+        o, span = rec.offset, 1 << bits
         before = marked[o::span]
         marked[o::span] = b"\x01" * len(before)
         for classes in others:
             for k, used, _ in classes:
-                step = 1 << (bits + used)
-                if step > n:
-                    step = n
-                marked[o + k * span::step] = before[k::1 << used]
+                marked[o + (k << bits)::span << used] = before[k::1 << used]
         return rec
 
     def run_all(self, interp):
@@ -603,7 +586,7 @@ class GridExecutor:
             cell.records[first:] = [rec for rec in cell.records[first:]
                                     if self._explicit(
                                         cell, interp, rec.compared,
-                                        rec.offset, self._stride(rec),
+                                        rec.offset, 1 << rec.resume[-2],
                                         explicit)]
         cell.leaves += leaves
         return leaves + explicit

@@ -41,11 +41,11 @@ Under seed classing the assume of a draw site (``DrawSite``: a run of
 havoc/nondet instructions that no jump enters but at its first, followed
 directly by a predicate assume whose arguments read the drawn variables
 only as bare variables) stops a run with a point taken before the draws
-instead: the site's first havoc records the seed bits consumed, the loop
-fuel and the values of the seed and drawn variables, and the point holds
-those with the first havoc's index.  Resuming there draws again, so every
-seed congruent to the run's own modulo 2^bits continues it, whatever its
-draws, and the site's draw table tells what each of them draws.
+instead: the site's first havoc stores the seed bits consumed, the loop
+fuel and the env, which only the site's havocs change before the assume,
+and the point holds those with its index.  Resuming there draws again, so
+every seed congruent to the run's own modulo 2^bits continues it,
+whatever its draws, and the site's draw table tells what each draws.
 
 Each expression node compiles to one closure over its operands' own
 closures: a binary operator is ``g(f(env), h(env))`` whatever its operands
@@ -214,9 +214,8 @@ class _State:
         self.bits = bits  # seed bits consumed by havoc/nondet draws
         self.events = events  # trace mode: see ``RunResult.events``
         # ``blocker``, the (pred, args) of a failed query, is set when a
-        # query stops the run; ``site``, the (bits, loop fuel, values of the
-        # seed and drawn variables) before the draws, by a draw site's first
-        # havoc
+        # query stops the run; ``site``, the (bits, loop fuel, env values)
+        # before the draws, by a draw site's first havoc
 
 
 def _spend_heap_fuel(st: _State) -> None:
@@ -329,9 +328,9 @@ class DrawSite:
     """A run of havoc/nondet instructions that no jump enters except at the
     first one, followed directly by a predicate assume whose arguments read
     the drawn variables only as bare variables.  The site's first havoc
-    records the seed bits consumed, the loop fuel and the values of the
-    seed and drawn variables, and a run stopped by the assume returns as
-    its resume point the state before the draws (pc ``start``).
+    stores the seed bits consumed, the loop fuel and the env, and a run
+    stopped by the assume returns as its resume point the state before the
+    draws (pc ``start``).
 
     The draws read the seed variable alone, so each value ``s`` of it at
     the site makes one set of values of the assume's drawn arguments, with
@@ -346,16 +345,14 @@ class DrawSite:
     tuple at the drawn positions, and ``drawn(args)`` takes them out of an
     argument tuple of the assume's predicate."""
 
-    __slots__ = ("start", "slots", "splice", "drawn",
+    __slots__ = ("start", "splice", "drawn",
                  "_seed_var", "_drawers", "_drawn_args", "_tables")
 
     def __init__(self, start: int, seed_var: str, drawers: list[tuple],
-                 query: AssumePred, slots: tuple[int, ...], shapes: dict):
+                 query: AssumePred, shapes: dict):
         self.start = start
         self._seed_var = seed_var
         self._drawers = drawers  # (target, the havoc instruction's drawer)
-        # the env positions of the values the first havoc records
-        self.slots = slots
         targets = [target for target, _ in drawers]
         args = query.args
         positions = [k for k, a in enumerate(args)
@@ -442,12 +439,11 @@ class _Compiler:
         self.preds: dict[str, int] = {}
         # the length of the code, set by ``code``: the index a run ends at
         self.end = 0
-        # set by ``code``: the draw sites by first havoc index, the first
-        # havoc index of each site's query, the variables each site's first
-        # havoc records, and every havoc's drawer
+        # set by ``code``: the draw sites by first havoc index (a site's
+        # first havoc stores the bits, the loop fuel and the env), the first
+        # havoc index of each site's query, and every havoc's drawer
         self.sites: dict[int, DrawSite] = {}
         self._site_of: dict[int, int] = {}
-        self._recorded: dict[int, list[str]] = {}
         self._drawers: dict[int, Callable] = {}
         # one drawer per (drawn type, whether it charges loop fuel)
         self._drawer_of: dict[tuple, Callable] = {}
@@ -611,21 +607,15 @@ class _Compiler:
                  None if op[0] == "do" else index[dest(op[2])])
                 for i, op in enumerate(ops) if op[0] != "jump"]
         spans = self._draw_sites(flat) if find_sites else {}
-        seed_var = self.program.seed_var
         self._site_of = {q: k for k, q in spans.items()}
-        self._recorded = {k: list(dict.fromkeys(
-            [seed_var] + [flat[j][0][1].target for j in range(k, q)]))
-            for k, q in spans.items()}
         code = [self.instr(op[1], me, nxt) if op[0] == "do"
                 else self.test(op[0], op[1], nxt, els)
                 for me, (op, nxt, els) in enumerate(flat)]
-        names = list(self.program.var_types)  # the order of a run's env
         shapes: dict[tuple, dict] = {}  # the sites' tables, by shape
         self.sites = {k: DrawSite(
-            k, seed_var,
+            k, self.program.seed_var,
             [(flat[j][0][1].target, self._drawers[j]) for j in range(k, q)],
-            flat[q][0][1], tuple(map(names.index, self._recorded[k])),
-            shapes)
+            flat[q][0][1], shapes)
             for k, q in spans.items()}
         return code
 
@@ -822,13 +812,11 @@ class _Compiler:
         if kind not in self._drawer_of:
             self._drawer_of[kind] = self._drawer(*kind)
         draw = self._drawers[me] = self._drawer_of[kind]
-        if me in self._recorded:
-            # the first havoc of a draw site records the state that the
+        if me in self._site_of.values():
+            # the first havoc of a draw site stores the state that the
             # site's resume point restores
-            recorded = itemgetter(*self._recorded[me])
-
             def fhavoc_site(st, env):
-                st.site = (st.bits, st.loop_fuel, recorded(env))
+                st.site = (st.bits, st.loop_fuel, tuple(env.values()))
                 env[target] = draw(st, env)
                 return nxt
             return fhavoc_site
@@ -963,15 +951,11 @@ class CompiledProgram:
                 else:
                     outcome = _UNDEF_ASSUME
                 pc = q >> 1
-                site = self.sites.get(pc)
-                if site is None:
-                    values, bits, fuel = env.values(), st.bits, st.loop_fuel
-                else:
+                if pc in self.sites:
                     # a draw site's query: the state before the draws
-                    bits, fuel, before = st.site
-                    values = list(env.values())
-                    for k, v in zip(site.slots, before):
-                        values[k] = v
+                    bits, fuel, values = st.site
+                else:
+                    values, bits, fuel = env.values(), st.bits, st.loop_fuel
                 # an empty heap is kept as the shared empty tuple
                 point = (*values, st.heap or (), fuel, st.heap_fuel, bits,
                          pc)

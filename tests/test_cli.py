@@ -347,6 +347,9 @@ BAD_INPUT_FILES = {
     "deep-if.up": nested_program("if", 1000),
     "deep-parens.up": nested_program("paren", 1000),
     "long-chain.up": nested_program("chain", 1000),
+    # declares $last_addr, an input no source program can name
+    "list-r.up": pretty_print(
+        enc_r(corpus_by_name()["list-build-traverse"].load()).program),
 }
 # output paths under the temporary directory that cannot be written
 BAD_OUTPUT_PATHS = {"missing-dir": "no/such/dir/out", "a-directory": "."}
@@ -366,6 +369,9 @@ BAD_OUTPUT_PATHS = {"missing-dir": "no/such/dir/out", "a-directory": "."}
     ("fixpoint", "write-read-false", "--heap-op-fuel", "-1"),
     ("fixpoint", "write-read-false", "--iteration-cap", "-1"),
     ("run", "write-read-false", "--seed", "-3"),
+    ("run", "list-r.up", "--last-addr", "-5"),
+    ("run", "list-r.up", "--all-inputs", "--seed", "-1"),
+    ("run", "list-r.up", "--all-inputs", "--last-addr", "-5"),
     ("run", "assume-p.up", "--interp", "div-zero.json"),
     ("run", "assume-p.up", "--interp", "list.json"),
     ("run", "assume-p.up", "--interp", "string.json"),
@@ -396,7 +402,9 @@ BAD_OUTPUT_PATHS = {"missing-dir": "no/such/dir/out", "a-directory": "."}
         "scope-vars-trailing-comma", "cosim-scope-vars-comma",
         "drop-out-of-range", "rwfun-unacknowledged",
         "empty-seed-range", "negative-loop-fuel", "negative-heap-op-fuel",
-        "negative-iteration-cap", "negative-seed", "formula-divides-by-zero",
+        "negative-iteration-cap", "negative-seed", "negative-last-addr",
+        "all-inputs-negative-seed", "all-inputs-negative-last-addr",
+        "formula-divides-by-zero",
         "interp-list", "interp-string", "interp-null", "interp-params-string",
         "interp-params-repeated",
         "if-nested-1000-deep", "parens-nested-1000-deep",

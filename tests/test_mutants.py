@@ -16,11 +16,16 @@ import textwrap
 
 import pytest
 
+from heapinv.chc import emit_smtlib
+from heapinv.corpus import load_corpus
+from heapinv.encode import enc_r
 from heapinv.fixpoint import GridExecutor, InputDomain
 from heapinv.interp import _Compiler, draw_code
 
 import test_acceptance
+import test_chc
 import test_fixpoint
+import test_interp
 import test_lang
 
 
@@ -41,6 +46,16 @@ def rerun_check():
             InputDomain(), mp)
 
 
+def address_check():
+    p = enc_r(test_fixpoint.prog(test_fixpoint.NARROW_AT_ADDRESS)).program
+    test_fixpoint.check_address_classing(p, InputDomain(), "narrow")
+
+
+def record_offset_check():
+    p = test_fixpoint.prog(test_fixpoint.SITE_AFTER_BRANCH)
+    test_fixpoint.check_draw_sites(p, InputDomain(), "after-branch")
+
+
 MUTANTS = {
     # a record reruns the classes that drew the added tuple's drawn value,
     # whatever the tuple's other arguments
@@ -56,6 +71,40 @@ MUTANTS = {
         "env[t] = h[a - 1] if 0 < a <= len(h) else d",
         "env[t] = h[a - 1] if 0 < a <= len(h) else h[0] if h and a else d",
         lambda: test_acceptance.check_heap_laws([2])),
+    # a heap-mode write at the null address changes the last object
+    "write-at-null": (
+        _Compiler.instr,
+        "if 0 < a <= len(h):",
+        "if 0 <= a <= len(h):",
+        lambda: test_acceptance.check_heap_laws([2])),
+    # a negated guard is rendered with an extra space
+    "negated-guard-spacing": (
+        emit_smtlib,
+        'f"(not {guard(t[1])})"',
+        'f"(not  {guard(t[1])})"',
+        lambda: test_chc.test_golden_file_for_encoded_list_program(
+            load_corpus())),
+    # a sentinel record is kept without the explicit runs at the addresses
+    # its run compared $last_addr with
+    "sentinel-record-without-explicit-runs": (
+        GridExecutor._run_class,
+        "cell, interp, rec.compared,",
+        "cell, interp, frozenset(),",
+        address_check),
+    # a draw site's point is taken after its first draw
+    "site-point-after-the-first-draw": (
+        _Compiler._havoc,
+        "st.site = (st.bits, st.loop_fuel, tuple(env.values()))\n"
+        "            env[target] = draw(st, env)",
+        "env[target] = draw(st, env)\n"
+        "            st.site = (st.bits, st.loop_fuel, tuple(env.values()))",
+        test_interp.test_draw_site_point_is_the_state_before_the_draws),
+    # a record's class offset is not scaled by the node's stride
+    "record-class-offset-unscaled": (
+        GridExecutor._classes,
+        "rec.offset + (k << bits)",
+        "rec.offset + k",
+        record_offset_check),
     # the inverse of the draw drops the sign bit of a negative Int
     "draw-code-without-sign": (
         draw_code,

@@ -1,8 +1,13 @@
+import argparse
 import ast
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import heapinv
+from heapinv.cli import build_parser
+from heapinv.encode import EncodingConfig
+from heapinv.fixpoint import InputDomain
 
 SOURCES = sorted(Path(heapinv.__file__).parent.glob("*.py"))
 
@@ -46,3 +51,45 @@ def test_every_exported_name_resolves():
                if not hasattr(heapinv, name)]
     assert missing == []
     assert len(set(heapinv.__all__)) == len(heapinv.__all__)
+
+
+ENCODING = ("--enc", "--tag", "--cache", "--scope-vars", "--drop",
+            "--assume-memsafe", "--native-havoc", "--strip-asserts",
+            "--alloc-init-write")
+DOMAIN = ("--in-range", "--seed-range", "--last-addr-range", "--loop-fuel",
+          "--heap-op-fuel", "--iteration-cap")
+# every knob of the library's configuration and of the command line
+KNOBS = {
+    "EncodingConfig": {"base", "tagging", "caching", "scope_vars",
+                       "drop_args", "assume_memsafe", "native_havoc",
+                       "strip_asserts", "alloc_init_write"},
+    "InputDomain": {"in_range", "seed_range", "last_addr_range", "loop_fuel",
+                    "heap_op_fuel", "iteration_cap"},
+    "heapinv": {"-h", "--help"},
+    "encode": {"-h", "--help", *ENCODING, "-o", "--output"},
+    "run": {"-h", "--help", "--in", "--seed", "--last-addr", "--loop-fuel",
+            "--heap-op-fuel", "--interp", "--trace-mode", "--all-inputs"},
+    "fixpoint": {"-h", "--help", *DOMAIN, "--format"},
+    "equisafe": {"-h", "--help", *ENCODING, *DOMAIN, "--cosim", "--format"},
+    "emit-chc": {"-h", "--help", *ENCODING, "-o", "--output"},
+    "solve": {"-h", "--help", "--solver", "--timeout"},
+    "corpus": {"-h", "--help", "--enc", "--filter", *DOMAIN, "--format"},
+}
+
+
+def options(parser: argparse.ArgumentParser) -> set[str]:
+    return {s for action in parser._actions for s in action.option_strings}
+
+
+def test_no_knob_is_added_or_removed_silently():
+    ap = build_parser()
+    (sub,) = [a for a in ap._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    got = {"EncodingConfig": {f.name for f in fields(EncodingConfig)},
+           "InputDomain": {f.name for f in fields(InputDomain)},
+           "heapinv": options(ap)}
+    got.update({name: options(p) for name, p in sub.choices.items()})
+    assert got == KNOBS, (
+        "a new or removed option, flag or configuration field needs its "
+        "justification under ROADMAP aim 2 (no new knobs) and a CHANGES.md "
+        "line; then update KNOBS")

@@ -360,6 +360,11 @@ class _AnyAddress:
     # hashed by identity: it is the address of the sentinel cells' keys
     __hash__ = object.__hash__
 
+    # the same in every run, so that rows and resume points holding the
+    # probe repr alike
+    def __repr__(self):
+        return "any_address"
+
 
 def _unmarked(marked: bytearray, start: int, stride: int) -> Iterator[int]:
     """The offsets ``start, start + stride, ...`` that are unmarked when

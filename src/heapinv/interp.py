@@ -270,6 +270,9 @@ _NEGATED = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "=": "!=", "!=": "="}
 
 _new_tuple = tuple.__new__  # ObjVal(ctor, fields) without its Python __new__
 
+# the expression kinds that compile to one value
+_CONSTANTS = (IntLit, Null, DefObj)
+
 
 def _draw_int(seed_var: str, charge_loop_fuel: bool, st: _State,
               env: dict) -> int:
@@ -353,14 +356,13 @@ class DrawSite:
         self.start = start
         self._seed_var = seed_var
         self._drawers = drawers  # (target, the havoc instruction's drawer)
-        targets = [target for target, _ in drawers]
+        # a drawn argument takes the value of the last draw of its variable
+        last = {target: j for j, (target, _) in enumerate(drawers)}
         args = query.args
         positions = [k for k, a in enumerate(args)
-                     if isinstance(a, Var) and a.name in targets]
+                     if type(a) is Var and a.name in last]
         self.drawn = lambda args: tuple([args[k] for k in positions])
         self._drawn_args = [args[k].name for k in positions]
-        # a drawn argument takes the value of the last draw of its variable
-        last = {target: j for j, target in enumerate(targets)}
         picks = tuple(last[name] for name in self._drawn_args)
         # (s0, count) -> (inverted table, most loop fuel), shared by shape
         self._tables: dict[tuple, tuple] = shapes.setdefault(
@@ -451,9 +453,10 @@ class _Compiler:
     # expressions --------------------------------------------------------
 
     def constant(self, e: Expr) -> Value:
-        if isinstance(e, IntLit):
+        t = type(e)
+        if t is IntLit:
             return e.value
-        if isinstance(e, Null):
+        if t is Null:
             return 0
         if self.def_obj is None:
             raise ValueError("defObj used without heaptype")
@@ -461,44 +464,45 @@ class _Compiler:
 
     def binary(self, op: str, left: Expr, right: Expr) -> Callable:
         g = _OPS[op]
-        if (op in _UNCHECKED and isinstance(right, IntLit)
+        if (op in _UNCHECKED and type(right) is IntLit
                 and right.value != 0):
             g = _UNCHECKED[op]
         f, h = self.expr(left), self.expr(right)
         return lambda env: g(f(env), h(env))
 
     def expr(self, e: Expr) -> Callable[[dict], Value]:
-        if isinstance(e, Var):
+        t = type(e)
+        if t is Var:
             return itemgetter(e.name)
-        if isinstance(e, (IntLit, Null, DefObj)):
+        if t in _CONSTANTS:
             v = self.constant(e)
             return lambda env: v
-        if isinstance(e, Binary):
+        if t is Binary:
             if e.op in _NEGATED or e.op in ("&&", "||"):
                 c = self.cond(e)
                 return lambda env: 1 if c(env) else 0
             if e.op not in _OPS:
                 raise ValueError(f"unknown operator {e.op!r}")
             return self.binary(e.op, e.left, e.right)
-        if isinstance(e, Unary):
+        if t is Unary:
             if e.op == "!":
                 c = self.cond(e.operand)
                 return lambda env: 0 if c(env) else 1
-            if isinstance(e.operand, Var):
+            if type(e.operand) is Var:
                 n = e.operand.name
                 return lambda env: -env[n]
             f = self.expr(e.operand)
             return lambda env: -f(env)
-        if isinstance(e, CtorApp):
+        if t is CtorApp:
             name = e.ctor
-            if all(isinstance(a, (IntLit, Null, DefObj)) for a in e.args):
+            if all(type(a) in _CONSTANTS for a in e.args):
                 v = ObjVal(name, tuple(map(self.constant, e.args)))
                 return lambda env: v
             fields = self.tuple_of(e.args)
             return lambda env: _new_tuple(ObjVal, (name, fields(env)))
-        if isinstance(e, SelApp):
+        if t is SelApp:
             ctor_name, idx, dflt = self.sel_index[e.sel]
-            if ctor_name in self.sole_ctors and isinstance(e.arg, Var):
+            if ctor_name in self.sole_ctors and type(e.arg) is Var:
                 n = e.arg.name
                 return lambda env: env[n][1][idx]
             f = self.expr(e.arg)
@@ -511,7 +515,7 @@ class _Compiler:
                 # field-type default, keeping evaluation total
                 return o[1][idx] if o[0] == ctor_name else dflt
             return fsel
-        if isinstance(e, TestApp):
+        if t is TestApp:
             c = self.cond(e)
             return lambda env: 1 if c(env) else 0
         raise ValueError(f"cannot compile expression {e!r}")
@@ -521,7 +525,8 @@ class _Compiler:
         nonzero.  Comparisons are tested directly, and ``&&`` and ``||``
         evaluate their right operand only when the left one does not
         decide the result."""
-        if isinstance(e, Binary):
+        t = type(e)
+        if t is Binary:
             if e.op in _NEGATED:
                 return self.binary(e.op, e.left, e.right)
             if e.op == "&&":
@@ -530,15 +535,15 @@ class _Compiler:
             if e.op == "||":
                 lc, rc = self.cond(e.left), self.cond(e.right)
                 return lambda env: lc(env) or rc(env)
-        elif isinstance(e, Unary) and e.op == "!":
+        elif t is Unary and e.op == "!":
             inner = e.operand
-            if isinstance(inner, Binary) and inner.op in _NEGATED:
+            if type(inner) is Binary and inner.op in _NEGATED:
                 return self.binary(_NEGATED[inner.op], inner.left, inner.right)
             c = self.cond(inner)
             return lambda env: not c(env)
-        elif isinstance(e, TestApp):
+        elif t is TestApp:
             name = e.ctor
-            if isinstance(e.arg, Var):
+            if type(e.arg) is Var:
                 n = e.arg.name
                 return lambda env: env[n][0] == name
             f = self.expr(e.arg)
@@ -548,8 +553,9 @@ class _Compiler:
     def tuple_of(self, exprs) -> Callable[[dict], tuple]:
         """Closure building the tuple of the expressions' values: an
         itemgetter when there are two or more and all are variables."""
-        if len(exprs) >= 2 and all(isinstance(x, Var) for x in exprs):
-            return itemgetter(*(x.name for x in exprs))
+        names = [x.name for x in exprs if type(x) is Var]
+        if len(exprs) >= 2 and len(names) == len(exprs):
+            return itemgetter(*names)
         fs = [self.expr(x) for x in exprs]
         return lambda env: tuple([f(env) for f in fs])
 
@@ -580,46 +586,34 @@ class _Compiler:
              find_sites: bool = False) -> list[Callable[[_State, dict], int]]:
         """The statement as a flat list of instructions, entered at 0 and
         left at the list's length ``end``.  Blocks are laid out in order;
-        an ``if`` is a branch to its else part with a jump over it, a
-        ``while`` a test that branches past its body, which jumps back.
-        Jumps are then folded into their predecessors' next indices, so
-        they cost nothing at run time.  A failed predicate query at index
-        i records its blocker and returns the stop index ``end + 1 + 2i``
-        (assume) or ``end + 2 + 2i`` (assert); with ``find_sites``, the assume
-        of a draw site whose first havoc is at index k returns
-        ``end + 1 + 2k`` instead."""
-        ops: list[list] = []
-        self._layout(body, ops)
-        end = len(ops)
-
-        def dest(i: int) -> int:
-            while i < end and ops[i][0] == "jump":
-                i = ops[i][1]
-            return i
-
-        index = {}
-        for i, op in enumerate(ops):
-            if op[0] != "jump":
-                index[i] = len(index)
-        index[end] = self.end = len(index)
-        # (op, next index, else index of a test) per instruction
-        flat = [(op, index[dest(i + 1)],
-                 None if op[0] == "do" else index[dest(op[2])])
-                for i, op in enumerate(ops) if op[0] != "jump"]
+        an ``if`` is a branch to its else part whose then part continues
+        past it, a ``while`` a test that branches past its body, which
+        continues at the test.  No jump is laid out: each instruction's
+        next index is where control goes, so jumps cost nothing at run
+        time.  A failed predicate query at index i records its blocker
+        and returns the stop index ``end + 1 + 2i`` (assume) or ``end + 2
+        + 2i`` (assert); with ``find_sites``, the assume of a draw site
+        whose first havoc is at index k returns ``end + 1 + 2k``
+        instead."""
+        flat: list[list] = []
+        exits = self._layout(body, flat, [])
+        self.end = end = len(flat)
+        for op, f in exits:
+            op[f] = end
         spans = self._draw_sites(flat) if find_sites else {}
         self._site_of = {q: k for k, q in spans.items()}
-        code = [self.instr(op[1], me, nxt) if op[0] == "do"
-                else self.test(op[0], op[1], nxt, els)
-                for me, (op, nxt, els) in enumerate(flat)]
+        code = [self.instr(node, me, nxt) if kind == "do"
+                else self.test(kind, node, nxt, els)
+                for me, (kind, node, nxt, els) in enumerate(flat)]
         shapes: dict[tuple, dict] = {}  # the sites' tables, by shape
         self.sites = {k: DrawSite(
             k, self.program.seed_var,
-            [(flat[j][0][1].target, self._drawers[j]) for j in range(k, q)],
-            flat[q][0][1], shapes)
+            [(flat[j][1].target, self._drawers[j]) for j in range(k, q)],
+            flat[q][1], shapes)
             for k, q in spans.items()}
         return code
 
-    def _draw_sites(self, flat: list[tuple]) -> dict[int, int]:
+    def _draw_sites(self, flat: list[list]) -> dict[int, int]:
         """The draw sites of the flat code: the index of each one's query by
         the index of its first havoc.  A site is the longest run of
         havoc/nondet instructions that ends right before a predicate assume
@@ -627,51 +621,56 @@ class _Compiler:
         argument of the assume but a bare variable reads a drawn
         variable."""
         entries = [0] * (len(flat) + 1)
-        for _, nxt, els in flat:
+        for _, _, nxt, els in flat:
             entries[nxt] += 1
             if els is not None:
                 entries[els] += 1
         spans = {}
-        for q, (op, _, _) in enumerate(flat):
-            if not isinstance(op[1], AssumePred):
+        for q, (_, node, _, _) in enumerate(flat):
+            if type(node) is not AssumePred:
                 continue
             k = q
-            while (k and entries[k] == 1 and flat[k - 1][1] == k
-                   and isinstance(flat[k - 1][0][1], (HavocStmt, NondetStmt))):
+            while (k and entries[k] == 1 and flat[k - 1][2] == k
+                   and type(flat[k - 1][1]) in (HavocStmt, NondetStmt)):
                 k -= 1
-            drawn = {flat[j][0][1].target for j in range(k, q)}
-            if k < q and not any(drawn & expr_vars(a) for a in op[1].args
-                                 if not isinstance(a, Var)):
+            drawn = {flat[j][1].target for j in range(k, q)}
+            if k < q and not any(drawn & expr_vars(a) for a in node.args
+                                 if type(a) is not Var):
                 spans[k] = q
         return spans
 
-    def _layout(self, s: Stmt, ops: list) -> None:
-        """Append the statement's ops: ``["do", stmt]``, ``["jump", to]``
-        and the tests ``[kind, cond, else_to]`` (``branch`` or ``loop``)
-        that fall through to the next op when the condition holds."""
-        if isinstance(s, Block):
+    def _layout(self, s: Stmt, flat: list, exits: list) -> list:
+        """Append the statement's instructions ``[kind, node, next, else]``
+        to ``flat``: ``do`` a simple statement, or a test (``branch`` or
+        ``loop``) that goes to ``next`` when its condition holds.  ``exits``
+        holds the (instruction, field) pairs that lead into the statement;
+        its first instruction takes them, and the pairs that lead past it
+        are returned.  An ``if``'s then part thus exits past its else part
+        and a loop body to its test, with no jump laid out."""
+        t = type(s)
+        if t is Block:
             for x in s.stmts:
-                self._layout(x, ops)
-        elif isinstance(s, Skip):
-            pass
-        elif isinstance(s, If):
-            test = ["branch", s.cond, None]
-            ops.append(test)
-            self._layout(s.then, ops)
-            jump = ["jump", None]
-            ops.append(jump)
-            test[2] = len(ops)
-            self._layout(s.els, ops)
-            jump[1] = len(ops)
-        elif isinstance(s, While):
-            head = len(ops)
-            test = ["loop", s.cond, None]
-            ops.append(test)
-            self._layout(s.body, ops)
-            ops.append(["jump", head])
-            test[2] = len(ops)
-        else:
-            ops.append(["do", s])
+                exits = self._layout(x, flat, exits)
+            return exits
+        if t is Skip:
+            return exits
+        i = len(flat)
+        for op, f in exits:
+            op[f] = i
+        if t is If:
+            op = ["branch", s.cond, None, None]
+            flat.append(op)
+            then = self._layout(s.then, flat, [(op, 2)])
+            return then + self._layout(s.els, flat, [(op, 3)])
+        if t is While:
+            op = ["loop", s.cond, None, None]
+            flat.append(op)
+            for body, f in self._layout(s.body, flat, [(op, 2)]):
+                body[f] = i
+            return [(op, 3)]
+        op = ["do", s, None, None]
+        flat.append(op)
+        return [(op, 2)]
 
     def test(self, kind: str, cond: Expr, nxt: int,
              els: int) -> Callable[[_State, dict], int]:
@@ -697,7 +696,8 @@ class _Compiler:
               nxt: int) -> Callable[[_State, dict], int]:
         """The instruction at index ``me`` of a simple statement, continuing
         at ``nxt``."""
-        if isinstance(s, Assign):
+        kind = type(s)
+        if kind is Assign:
             t = s.target
             f = self.expr(s.expr)
 
@@ -705,7 +705,7 @@ class _Compiler:
                 env[t] = f(env)
                 return nxt
             return fassign
-        if isinstance(s, AssumeExpr):
+        if kind is AssumeExpr:
             c = self.cond(s.expr)
 
             def fassume(st, env):
@@ -713,7 +713,7 @@ class _Compiler:
                     return nxt
                 raise _UndefSignal(_UNDEF_ASSUME)
             return fassume
-        if isinstance(s, AssertExpr):
+        if kind is AssertExpr:
             c = self.cond(s.expr)
 
             def fassert(st, env):
@@ -721,14 +721,14 @@ class _Compiler:
                     return nxt
                 raise _BotSignal(FAILURE_PRED, ())
             return fassert
-        if isinstance(s, (AssumePred, AssertPred)):
+        if kind is AssumePred or kind is AssertPred:
             # a query changes no state before it stops the run, so the run
             # can resume at it
             name = s.pred
             k = self.preds.setdefault(name, len(self.preds))
             args_of = self.tuple_of(s.args)
             stop = (self.end + 1 + 2 * self._site_of.get(me, me)
-                    + isinstance(s, AssertPred))
+                    + (kind is AssertPred))
 
             def fquery(st, env):
                 args = args_of(env)
@@ -737,9 +737,9 @@ class _Compiler:
                 st.blocker = (name, args)
                 return stop
             return fquery
-        if isinstance(s, (HavocStmt, NondetStmt)):
-            return self._havoc(s.target, me, nxt, isinstance(s, HavocStmt))
-        if isinstance(s, Alloc):
+        if kind is HavocStmt or kind is NondetStmt:
+            return self._havoc(s.target, me, nxt, kind is HavocStmt)
+        if kind is Alloc:
             t = s.target
             f = self.expr(s.expr)
             if self.mode == "heap":
@@ -759,7 +759,7 @@ class _Compiler:
                 env[t] = a
                 return nxt
             return falloc_t
-        if isinstance(s, Read):
+        if kind is Read:
             t = s.target
             p = s.addr
             d = self.def_obj
@@ -779,7 +779,7 @@ class _Compiler:
                 st.events.append(("read", a, v))
                 return nxt
             return fread_t
-        if isinstance(s, Write):
+        if kind is Write:
             p = s.addr
             f = self.expr(s.expr)
             if self.mode == "heap":

@@ -767,17 +767,25 @@ def parse_expr_text(text: str, adts: list[AdtDecl] | None = None) -> Expr:
 
 def walk_statements(stmt: Stmt):
     """Pre-order traversal over statements; Block nodes are structure, not
-    statements, and are not yielded."""
-    if isinstance(stmt, Block):
-        for s in stmt.stmts:
-            yield from walk_statements(s)
-        return
-    yield stmt
-    if isinstance(stmt, If):
-        yield from walk_statements(stmt.then)
-        yield from walk_statements(stmt.els)
-    elif isinstance(stmt, While):
-        yield from walk_statements(stmt.body)
+    statements, and are not yielded.  One loop over an explicit stack of
+    the statements still to visit, a block's pushed in reverse and an
+    ``if``'s else part below its then part, so that each statement is
+    yielded directly, not through one ``yield from`` per level of
+    nesting."""
+    stack = [stmt]
+    pop, push = stack.pop, stack.append
+    while stack:
+        s = pop()
+        t = type(s)
+        if t is Block:
+            stack.extend(reversed(s.stmts))
+            continue
+        yield s
+        if t is If:
+            push(s.els)
+            push(s.then)
+        elif t is While:
+            push(s.body)
 
 
 def assign_locations(program: Program) -> Program:
@@ -835,38 +843,27 @@ def _map_branch(s: Stmt, leaf, cond) -> Block:
     return out[0] if isinstance(s, Block) else Block(tuple(out))
 
 
-def expr_children(e: Expr) -> list[Expr]:
-    if isinstance(e, Unary):
-        return [e.operand]
-    if isinstance(e, Binary):
-        return [e.left, e.right]
-    if isinstance(e, CtorApp):
-        return list(e.args)
-    if isinstance(e, (SelApp, TestApp)):
-        return [e.arg]
-    return []
-
-
 def expr_vars(e: Expr) -> set[str]:
-    """The names of the variables the expression reads."""
+    """The names of the variables the expression reads: one loop over an
+    explicit stack of subexpressions, each node visited once."""
     out = set()
     stack = [e]
+    pop, push = stack.pop, stack.append
     while stack:
-        x = stack.pop()
-        if isinstance(x, Var):
+        x = pop()
+        t = type(x)
+        if t is Var:
             out.add(x.name)
-        stack.extend(expr_children(x))
+        elif t is Binary:
+            push(x.left)
+            push(x.right)
+        elif t is Unary:
+            push(x.operand)
+        elif t is SelApp or t is TestApp:
+            push(x.arg)
+        elif t is CtorApp:
+            stack.extend(x.args)
     return out
-
-
-def stmt_exprs(s: Stmt) -> list[Expr]:
-    if isinstance(s, (Assign, Alloc, Write, AssumeExpr, AssertExpr)):
-        return [s.expr]
-    if isinstance(s, (If, While)):
-        return [s.cond]
-    if isinstance(s, (AssumePred, AssertPred)):
-        return list(s.args)
-    return []
 
 
 def variable_uses(program: Program) -> tuple[set[str], set[str]]:
@@ -874,32 +871,75 @@ def variable_uses(program: Program) -> tuple[set[str], set[str]]:
     expression or heap address operand reads, and the names used other than
     as a direct operand of ``=`` or ``!=`` (read anywhere else, a statement
     target or a heap address operand).  A run depends on a variable outside
-    the second set only through those equality tests."""
+    the second set only through those equality tests.
+
+    One loop over an explicit stack of statements collects their targets,
+    address operands and expressions; a second loop over an explicit stack
+    of subexpressions visits each node once.  Order does not matter, as
+    both results are sets."""
     read: set[str] = set()
     loose: set[str] = set()
-    stack: list[Expr] = []
-    for s in walk_statements(program.body):
-        target = getattr(s, "target", None)
-        if target is not None:
-            loose.add(target)
-        addr = getattr(s, "addr", None)
-        if addr is not None:
-            read.add(addr)
-            loose.add(addr)
-        stack.extend(stmt_exprs(s))
-    while stack:
-        e = stack.pop()
-        if isinstance(e, Var):
+    exprs: list[Expr] = []
+    stmts: list[Stmt] = [program.body]
+    pop, push = stmts.pop, stmts.append
+    expr = exprs.append
+    while stmts:
+        s = pop()
+        t = type(s)
+        if t is Assign or t is Alloc:
+            loose.add(s.target)
+            expr(s.expr)
+        elif t is Block:
+            stmts.extend(s.stmts)
+        elif t is If:
+            expr(s.cond)
+            push(s.then)
+            push(s.els)
+        elif t is While:
+            expr(s.cond)
+            push(s.body)
+        elif t is AssumePred or t is AssertPred:
+            exprs.extend(s.args)
+        elif t is AssumeExpr or t is AssertExpr:
+            expr(s.expr)
+        elif t is Read:
+            loose.add(s.target)
+            read.add(s.addr)
+            loose.add(s.addr)
+        elif t is Write:
+            read.add(s.addr)
+            loose.add(s.addr)
+            expr(s.expr)
+        elif t is HavocStmt or t is NondetStmt:
+            loose.add(s.target)
+    pop, push = exprs.pop, exprs.append
+    while exprs:
+        e = pop()
+        t = type(e)
+        if t is Var:
             read.add(e.name)
             loose.add(e.name)
-        elif isinstance(e, Binary) and e.op in ("=", "!="):
-            for c in (e.left, e.right):
-                if isinstance(c, Var):
-                    read.add(c.name)
+        elif t is Binary:
+            left, right = e.left, e.right
+            if e.op == "=" or e.op == "!=":
+                # a bare variable operand of an equality test is read only
+                if type(left) is Var:
+                    read.add(left.name)
                 else:
-                    stack.append(c)
-        else:
-            stack.extend(expr_children(e))
+                    push(left)
+                if type(right) is Var:
+                    read.add(right.name)
+                else:
+                    push(right)
+            else:
+                push(left)
+                push(right)
+        elif t is Unary:
+            push(e.operand)
+        elif t is SelApp or t is TestApp:
+            push(e.arg)
+        elif t is CtorApp:
+            exprs.extend(e.args)
     return read, loose
 
 

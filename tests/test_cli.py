@@ -5,12 +5,14 @@ import pkgutil
 import random
 import re
 import shlex
+import subprocess
 import sys
 import types
 
 import jsonschema
 import pytest
 
+import heapinv
 import progen
 from heapinv.cli import EXIT_DISAGREE, EXIT_ERROR, EXIT_OK, build_parser, main
 from heapinv.corpus import VARIANTS, corpus_by_name
@@ -632,3 +634,24 @@ def test_readme_lists_every_long_option():
         if opt.startswith("--") and opt != "--help"
         and not re.search(re.escape(opt) + r"(?![\w-])", section)})
     assert missing == []
+
+
+def run_module(*argv):
+    """``python -m heapinv ARGV`` in a fresh interpreter that imports the
+    package under test."""
+    env = {"PYTHONPATH": str(pathlib.Path(heapinv.__file__).parent.parent),
+           "PATH": ""}
+    return subprocess.run([sys.executable, "-m", "heapinv", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+
+
+def test_python_m_heapinv_runs_the_cli():
+    done = run_module("--help")
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stdout.startswith("usage: heapinv ")
+    done = run_module("fixpoint")
+    assert done.returncode == EXIT_ERROR
+    assert done.stdout == ""
+    assert done.stderr.count("\n") == 1
+    assert done.stderr.startswith("error: ")

@@ -694,6 +694,20 @@ def test_range_inside_every_comparison_matches_plain(corpus, domain):
             assert got == want, name
 
 
+def test_sentinel_rows_repr_alike_in_every_run(corpus, domain):
+    # a sentinel row holds the address probe as its cell's address and in
+    # its resume point, so the probe's repr must not be its memory address
+    entry = next(e for e in corpus if e.name == "list-build-traverse")
+    p = enc_r(entry.load()).program
+
+    def reprs():
+        ex = least_fixpoint_info(p, domain).executor
+        rows = list(ex.rows())
+        assert any(r.last_addr is ex.any_address for r in rows)
+        return sorted(map(repr, rows))
+    assert reprs() == reprs()
+
+
 # Draws before and after a query: a resumed run must draw its later values
 # from the bits its own seed has left.
 DRAWS_AROUND_QUERY = """prog {

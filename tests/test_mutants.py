@@ -16,17 +16,22 @@ import textwrap
 
 import pytest
 
-from heapinv.chc import emit_smtlib
-from heapinv.corpus import load_corpus
-from heapinv.encode import enc_r
-from heapinv.fixpoint import GridExecutor, InputDomain
+from heapinv.chc import _Translator, emit_smtlib
+from heapinv.corpus import corpus_by_name, encode_variant, load_corpus
+from heapinv.encode import _HeapEncoder, enc_r
+from heapinv.fixpoint import (
+    GridExecutor, InputDomain, _AnyAddress, check_safety,
+)
 from heapinv.interp import _Compiler, draw_code
+from heapinv.lang import variable_uses, walk_statements
 
 import test_acceptance
 import test_chc
+import test_chc_ground
 import test_fixpoint
 import test_interp
 import test_lang
+import test_walks
 
 
 def mutate(monkeypatch, func, old: str, new: str) -> None:
@@ -54,6 +59,13 @@ def address_check():
 def record_offset_check():
     p = test_fixpoint.prog(test_fixpoint.SITE_AFTER_BRANCH)
     test_fixpoint.check_draw_sites(p, InputDomain(), "after-branch")
+
+
+def verdict_check(name, variant):
+    """The entry's verdict under the variant is the manifest's."""
+    entry = corpus_by_name()[name]
+    p = encode_variant(entry, entry.load(), variant)
+    assert check_safety(p, InputDomain()).kind == entry.expected, name
 
 
 MUTANTS = {
@@ -111,6 +123,47 @@ MUTANTS = {
         "code, nbits = (1 if v < 0 else 0), 1",
         "code, nbits = 0, 1",
         test_lang.test_draw_code_round_trip),
+    # the walk visits an if's else branch before its then branch
+    "walk-else-before-then": (
+        walk_statements,
+        "push(s.els)\n            push(s.then)",
+        "push(s.then)\n            push(s.els)",
+        lambda: test_walks.check_walks(test_walks.corpus_programs())),
+    # a bare variable operand of != counts as a use beyond equality tests
+    "ne-operand-used-loosely": (
+        variable_uses,
+        'if e.op == "=" or e.op == "!=":',
+        'if e.op == "=":',
+        lambda: test_walks.check_walks(
+            test_walks.progen_programs(range(200)))),
+    # encoder: a read havocs its value and assumes R whatever its address,
+    # as if no read were at $last_addr
+    "read-without-last-addr-test": (
+        _HeapEncoder.encode,
+        "out: list[Stmt] = [_if(_eq(_v(V_LAST_ADDR), _v(s.addr)), then, els)]",
+        "out: list[Stmt] = els",
+        lambda: verdict_check("single-read-wrong", "r")),
+    # address classing: the probe records none of the values it is
+    # compared with, so no explicit address is ever run
+    "probe-records-nothing": (
+        _AnyAddress.__eq__,
+        "self.compared.add(other)",
+        "pass",
+        address_check),
+    # seed classing: a leaf's class is marked (and weighed) with half its
+    # stride, so it claims seeds that draw other values
+    "class-marked-with-half-stride": (
+        GridExecutor._run_seeds,
+        "step = 1 << bits if classing else n",
+        "step = (1 << bits >> 1 or 1) if classing else n",
+        test_fixpoint.test_seed_classing_matches_full_enumeration),
+    # CHC: a predicate assert becomes a query clause with the predicate in
+    # its body instead of a clause that derives it
+    "assert-pred-in-clause-body": (
+        _Translator.stmt,
+        "self.clause(app, [PredApp(pre, self.args)], [])",
+        "self.clause(None, [PredApp(pre, self.args), app], [])",
+        test_chc_ground.test_ground_saturation_matches_oracle),
 }
 
 

@@ -59,6 +59,20 @@ def _load_program(path: str) -> Program:
     return prog
 
 
+def _render(render, *args, **kw) -> str:
+    """``render(*args, **kw)``; an Int in the result too long to convert to
+    decimal text ends in a CliError, not a traceback."""
+    try:
+        return render(*args, **kw)
+    except ValueError:
+        raise CliError("cannot print the result: it holds an Int of more "
+                       f"than {sys.get_int_max_str_digits()} digits") from None
+
+
+def _json(report) -> str:
+    return _render(json.dumps, report, sort_keys=True)
+
+
 def _parse_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.rpartition(":")
     if not sep:
@@ -228,10 +242,9 @@ def cmd_run(args) -> int:
                             args.seed):
                 for la in dim(fp.LAST_ADDR_VAR in prog.var_types,
                               domain.last_addr_range, args.last_addr):
-                    print(json.dumps(one(in_v, seed, la), sort_keys=True))
+                    print(_json(one(in_v, seed, la)))
     else:
-        print(json.dumps(one(args.in_value, args.seed, args.last_addr),
-                         sort_keys=True))
+        print(_json(one(args.in_value, args.seed, args.last_addr)))
     return EXIT_OK
 
 
@@ -240,15 +253,16 @@ def cmd_fixpoint(args) -> int:
     verdict = fp.check_safety(prog, _domain(args))
     report = verdict.to_json()
     if args.format == "json":
-        print(json.dumps(report, sort_keys=True))
+        print(_json(report))
     else:
         print(f"verdict: {verdict.kind}")
         print(f"iterations: {verdict.iterations}")
         print(f"predicate sizes: {verdict.pred_sizes}")
         print(f"fuel-exhausted executions: {verdict.inconclusive_count}")
         if verdict.witness:
-            print(f"witness: {verdict.witness.inputs} -> "
-                  f"{verdict.witness.pred}{verdict.witness.args}")
+            w = verdict.witness
+            print(_render("witness: {} -> {}{}".format,
+                          w.inputs, w.pred, w.args))
     return EXIT_OK
 
 
@@ -271,7 +285,7 @@ def cmd_equisafe(args) -> int:
         report = result.to_json()
         if cosim_report is not None:
             report["cosim"] = cosim_report.to_json()
-        print(json.dumps(report, sort_keys=True))
+        print(_json(report))
     else:
         print(f"{args.file}: {result.kind}"
               f" (original={result.verdict_left.kind},"

@@ -229,7 +229,7 @@ class _HeapEncoder:
         return HavocStmt(target)
 
     # predicate applications, with the tagging arguments; scope variables
-    # are appended afterwards by ``apply_scope_vars``
+    # are appended to R's afterwards by ``apply_scope_vars``
 
     def _r_args(self, third: Expr, write_loc: Expr,
                 read_loc: int | None) -> list[Expr]:
@@ -484,9 +484,15 @@ def _rewrite_pred_args(enc: EncodedProgram, preds: set[str], args, types,
 
 def apply_scope_vars(enc: EncodedProgram, names: list[str]) -> EncodedProgram:
     """Append the current values of the named Int variables as extra
-    arguments at every occurrence of the encoding predicates.  The extras
-    are never havoced in assume branches: as history they are uniquely
-    determined by the surrounding execution."""
+    arguments at every occurrence of the read predicate ``R``.  A read
+    asserts and assumes ``R`` at the same statement, so the extras are
+    never havoced in assume branches: as history they are uniquely
+    determined by the surrounding execution.
+
+    ``W`` gets no extras: a write asserts it with the values at the write
+    and a read assumes it with the values at the read, so a variable
+    changed in between would leave the read no tuple to match, and the
+    program after it unreachable."""
     if not names:
         return enc
     prog = enc.program
@@ -496,10 +502,10 @@ def apply_scope_vars(enc: EncodedProgram, names: list[str]) -> EncodedProgram:
             raise EncodingError(f"unknown scope variable {nm!r}")
         if ty != INT:
             raise EncodingError(f"scope variable {nm!r} must have type Int, has {ty}")
-    # the source may not declare R or W (_validate_source), so these are
-    # exactly the predicates the encoding introduced
+    # every heap encoding declares R, and the source may not
+    # (_validate_source)
     return _rewrite_pred_args(
-        enc, {READ_PRED, WRITE_PRED} & set(prog.preds_by_name()),
+        enc, {READ_PRED},
         lambda _, xs: list(xs) + [Var(nm) for nm in names],
         lambda _, tys: list(tys) + [INT] * len(names),
         "scope augmentation")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from copy import copy
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 # source positions, (line, col), are kept out of equality and printing
 _META = dict(compare=False, repr=False, kw_only=True)
@@ -293,49 +293,61 @@ _KEYWORDS = {
     "null", "defObj", "Int", "Addr", "Obj",
 }
 
+# One match per token: the gap of whitespace and comments before it, then
+# the token, a character that starts none (an error), or the end of the text.
+# Digits are ASCII: int() would read any Unicode decimal digit.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>\s+|//[^\n]*)
-    | (?P<num>\d+)
-    | (?P<id>[A-Za-z_$][A-Za-z0-9_$]*)
-    | (?P<op>:=|<=|>=|!=|&&|\|\||[-+*/%<>=!;:,(){}])
+      (\s*(?://[^\n]*\s*)*)
+      (?: ([0-9]+)
+        | ([A-Za-z_$][A-Za-z0-9_$]*)
+        | (:=|<=|>=|!=|&&|\|\||[-+*/%<>=!;:,(){}])
+        | (\S)
+        | \Z )
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(slots=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "num" | "id" | "kw" | "op" | "eof"
     text: str
     line: int
     col: int
 
 
+_new_tuple = tuple.__new__  # Token(...) without its Python __new__
+
+
 def _tokenize(text: str) -> list[Token]:
     toks = []
+    append, new, keywords = toks.append, _new_tuple, _KEYWORDS
     line, col = 1, 1
-    i = 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise SourceError(line, col, f"unexpected character {text[i]!r}")
-        lexeme = m.group(0)
-        if m.lastgroup == "num":
-            toks.append(Token("num", lexeme, line, col))
-        elif m.lastgroup == "id":
-            kind = "kw" if lexeme in _KEYWORDS else "id"
-            toks.append(Token(kind, lexeme, line, col))
-        elif m.lastgroup == "op":
-            toks.append(Token("op", lexeme, line, col))
-        nl = lexeme.count("\n")
-        if nl:
-            line += nl
-            col = len(lexeme) - lexeme.rfind("\n")
+    for gap, num, ident, op, bad in _TOKEN_RE.findall(text):
+        if gap:
+            if gap == " ":
+                col += 1
+            elif "\n" in gap:
+                line += gap.count("\n")
+                col = len(gap) - gap.rfind("\n")
+            else:
+                col += len(gap)
+        if ident:
+            append(new(Token, (
+                "kw" if ident in keywords else "id", ident, line, col)))
+            col += len(ident)
+        elif op:
+            append(new(Token, ("op", op, line, col)))
+            col += len(op)
+        elif num:
+            append(new(Token, ("num", num, line, col)))
+            col += len(num)
+        elif bad:
+            raise SourceError(line, col, f"unexpected character {bad!r}")
         else:
-            col += len(lexeme)
-        i = m.end()
-    toks.append(Token("eof", "", line, col))
+            # the end; a text that ends in a gap matches the end twice
+            break
+    append(_new_tuple(Token, ("eof", "", line, col)))
     return toks
 
 
@@ -368,7 +380,8 @@ class _Parser:
         self.depth = 0   # blocks, brackets and operators around the position
         self.height = 0  # operator nesting inside the last parsed expression
 
-    # token helpers
+    # token helpers; ``text`` is always an operator or a keyword, and only
+    # an "op" or "kw" token can have such a text
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -379,20 +392,20 @@ class _Parser:
         return t
 
     def at(self, text: str) -> bool:
-        t = self.peek()
-        return t.text == text and t.kind in ("op", "kw")
+        return self.toks[self.pos].text == text
 
     def accept(self, text: str) -> bool:
-        if self.at(text):
+        if self.toks[self.pos].text == text:
             self.pos += 1
             return True
         return False
 
     def expect(self, text: str) -> Token:
-        t = self.peek()
-        if not self.at(text):
+        t = self.toks[self.pos]
+        if t.text != text:
             raise SourceError(t.line, t.col, f"expected {text!r}, found {t.text!r}")
-        return self.next()
+        self.pos += 1
+        return t
 
     def expect_ident(self) -> Token:
         t = self.peek()
@@ -409,7 +422,8 @@ class _Parser:
 
     def enter(self, tok: Token) -> None:
         """Open one level of nesting at ``tok``; the caller closes it."""
-        self.check_nesting(tok, 1)
+        if self.depth >= MAX_NESTING:
+            self.err(tok, f"nesting deeper than {MAX_NESTING} levels")
         self.depth += 1
 
     # declarations
@@ -451,7 +465,16 @@ class _Parser:
                             "constructor or selector name")
 
     def parse_decl(self):
-        if self.accept("adt"):
+        # ``at_decl`` holds: the first token is a declaration keyword, or a
+        # contextual ``input`` / ``seed``
+        which = self.next().text
+        if which == "var":
+            name_t = self.expect_ident()
+            self.expect(":")
+            ty = self.parse_type()
+            self.expect(";")
+            self.declare_var(name_t, ty)
+        elif which == "adt":
             name_t = self.expect_ident()
             if name_t.text in (a.name for a in self.prog.adts):
                 self.err(name_t, f"duplicate adt declaration {name_t.text!r}")
@@ -463,14 +486,14 @@ class _Parser:
                 self.err(name_t, f"adt {name_t.text!r} declares no constructors")
             self.prog.adts.append(AdtDecl(name_t.text, ctors,
                                           pos=(name_t.line, name_t.col)))
-        elif self.accept("heaptype"):
+        elif which == "heaptype":
             name_t = self.expect_ident()
             if self.prog.heap_adt is not None:
                 self.err(name_t, "duplicate heaptype declaration")
             self.prog.heap_adt = name_t.text
             self.prog.heap_pos = (name_t.line, name_t.col)
             self.expect(";")
-        elif self.accept("pred"):
+        elif which == "pred":
             name_t = self.expect_ident()
             if name_t.text == FAILURE_PRED:
                 self.err(name_t, f"predicate name {FAILURE_PRED!r} is reserved")
@@ -485,14 +508,7 @@ class _Parser:
             self.expect(")")
             self.expect(";")
             self.prog.preds.append(PredDecl(name_t.text, tys))
-        elif self.accept("var"):
-            name_t = self.expect_ident()
-            self.expect(":")
-            ty = self.parse_type()
-            self.expect(";")
-            self.declare_var(name_t, ty)
-        elif self.peek().text in ("input", "seed"):
-            which = self.next().text
+        else:
             name_t = self.expect_ident()
             self.expect(";")
             if which == "input":
@@ -551,20 +567,32 @@ class _Parser:
     # statements
 
     def parse_stmt(self) -> Stmt:
-        t = self.peek()
+        t = self.toks[self.pos]
         p = (t.line, t.col)
-        if self.accept("skip"):
-            self.expect(";")
-            return Skip(pos=p)
-        if self.accept("write"):
-            self.expect("(")
-            addr_t = self.expect_ident()
-            self.expect(",")
+        text = t.text
+        if t.kind == "id":
+            self.pos += 1
+            self.expect(":=")
+            head = self.toks[self.pos].text
+            if head == "alloc":
+                self.pos += 1
+                self.expect("(")
+                e = self.parse_expr()
+                self.expect(")")
+                self.expect(";")
+                return Alloc(text, e, pos=p)
+            if head == "read":
+                self.pos += 1
+                self.expect("(")
+                addr_t = self.expect_ident()
+                self.expect(")")
+                self.expect(";")
+                return Read(text, addr_t.text, pos=p)
             e = self.parse_expr()
-            self.expect(")")
             self.expect(";")
-            return Write(addr_t.text, e, pos=p)
-        if self.accept("if"):
+            return Assign(text, e, pos=p)
+        if text == "if":
+            self.pos += 1
             self.expect("(")
             cond = self.parse_expr()
             self.expect(")")
@@ -573,53 +601,49 @@ class _Parser:
             if self.accept("else"):
                 els = self.parse_block()
             return If(cond, then, els, pos=p)
-        if self.accept("while"):
+        if text == "assert":
+            self.pos += 1
+            return self.parse_assert_assume(AssertExpr, AssertPred, p)
+        if text == "assume":
+            self.pos += 1
+            return self.parse_assert_assume(AssumeExpr, AssumePred, p)
+        if text == "write":
+            self.pos += 1
+            self.expect("(")
+            addr_t = self.expect_ident()
+            self.expect(",")
+            e = self.parse_expr()
+            self.expect(")")
+            self.expect(";")
+            return Write(addr_t.text, e, pos=p)
+        if text == "while":
+            self.pos += 1
             self.expect("(")
             cond = self.parse_expr()
             self.expect(")")
             body = self.parse_block()
             return While(cond, body, pos=p)
-        if self.accept("assume"):
-            return self.parse_assert_assume(AssumeExpr, AssumePred, p)
-        if self.accept("assert"):
-            return self.parse_assert_assume(AssertExpr, AssertPred, p)
-        if self.accept("havoc"):
+        if text == "skip":
+            self.pos += 1
+            self.expect(";")
+            return Skip(pos=p)
+        if text == "havoc" or text == "nondet":
+            self.pos += 1
             self.expect("(")
             x = self.expect_ident()
             self.expect(")")
             self.expect(";")
-            return HavocStmt(x.text, pos=p)
-        if self.accept("nondet"):
-            self.expect("(")
-            x = self.expect_ident()
-            self.expect(")")
-            self.expect(";")
-            return NondetStmt(x.text, pos=p)
-        if t.kind == "id":
-            target = self.next()
-            self.expect(":=")
-            if self.accept("alloc"):
-                self.expect("(")
-                e = self.parse_expr()
-                self.expect(")")
-                self.expect(";")
-                return Alloc(target.text, e, pos=p)
-            if self.accept("read"):
-                self.expect("(")
-                addr_t = self.expect_ident()
-                self.expect(")")
-                self.expect(";")
-                return Read(target.text, addr_t.text, pos=p)
-            e = self.parse_expr()
-            self.expect(";")
-            return Assign(target.text, e, pos=p)
-        self.err(t, f"expected a statement, found {t.text!r}")
+            cls = HavocStmt if text == "havoc" else NondetStmt
+            return cls(x.text, pos=p)
+        self.err(t, f"expected a statement, found {text!r}")
 
     def parse_block(self) -> Block:
         self.enter(self.expect("{"))
         stmts = []
-        while not self.accept("}"):
+        toks = self.toks
+        while toks[self.pos].text != "}":
             stmts.append(self.parse_stmt())
+        self.pos += 1
         self.depth -= 1
         return Block(tuple(stmts))
 
@@ -654,12 +678,13 @@ class _Parser:
         ``_BIN_LEVELS[min_level]`` (precedence climbing)."""
         e = self.parse_unary()
         height = self.height
+        toks = self.toks
         while True:
-            op_t = self.peek()
-            level = _PRECEDENCE.get(op_t.text) if op_t.kind == "op" else None
+            op_t = toks[self.pos]
+            level = _PRECEDENCE.get(op_t.text)
             if level is None or level < min_level:
                 break
-            self.next()
+            self.pos += 1
             self.enter(op_t)
             rhs = self.parse_expr(level + 1)
             self.depth -= 1
@@ -671,9 +696,9 @@ class _Parser:
         return e
 
     def parse_unary(self) -> Expr:
-        t = self.peek()
+        t = self.toks[self.pos]
         if t.text in ("-", "!"):
-            self.next()
+            self.pos += 1
             self.enter(t)
             operand = self.parse_unary()
             self.depth -= 1
@@ -685,11 +710,22 @@ class _Parser:
         return self.parse_atom()
 
     def parse_atom(self) -> Expr:
-        t = self.next()
+        t = self.toks[self.pos]
+        self.pos += 1
         p = (t.line, t.col)
         self.height = 0
+        if t.kind == "id":
+            if self.toks[self.pos].text == "(":
+                return self.parse_call(t)
+            return Var(t.text, pos=p)
         if t.kind == "num":
-            return IntLit(int(t.text), pos=p)
+            try:
+                return IntLit(int(t.text), pos=p)
+            except ValueError:
+                # more digits than int() converts, and than str() prints
+                # (sys.get_int_max_str_digits())
+                self.err(t, f"integer literal of {len(t.text)} digits is "
+                            "too long")
         if t.text == "null":
             return Null(pos=p)
         if t.text == "defObj":
@@ -700,10 +736,6 @@ class _Parser:
             self.depth -= 1
             self.expect(")")
             return e
-        if t.kind == "id":
-            if self.at("("):
-                return self.parse_call(t)
-            return Var(t.text, pos=p)
         self.err(t, f"expected an expression, found {t.text!r}")
 
     def parse_call(self, name_t: Token) -> Expr:
@@ -973,14 +1005,19 @@ class TypeChecker:
         self.diags: list[Diagnostic] = []
         self.adts = program.adts_by_name()
         self.preds = program.preds_by_name()
-        # selector -> (adt name, constructor, field index)
-        self.sels: dict[str, tuple[str, CtorDecl, int]] = {}
-        self.ctors: dict[str, tuple[str, CtorDecl]] = {}
+        # each ADT's object type, built once; the heap's is None without a
+        # heaptype declaration
+        obj_tys = {a.name: obj_type(a.name) for a in program.adts}
+        heap = program.heap_adt
+        self.heap_ty = None if heap is None else obj_tys.get(heap, obj_type(heap))
+        # selector -> (adt type, constructor, field index)
+        self.sels: dict[str, tuple[Type, CtorDecl, int]] = {}
+        self.ctors: dict[str, tuple[Type, CtorDecl]] = {}
         for a in program.adts:
             for c in a.ctors:
-                self.ctors[c.name] = (a.name, c)
+                self.ctors[c.name] = (obj_tys[a.name], c)
                 for i, (fname, _) in enumerate(c.fields):
-                    self.sels[fname] = (a.name, c, i)
+                    self.sels[fname] = (obj_tys[a.name], c, i)
 
     def error(self, node, msg: str):
         line, col = getattr(node, "pos", (0, 0))
@@ -997,10 +1034,13 @@ class TypeChecker:
         p = self.p
         if p.heap_adt is not None and p.heap_adt not in self.adts:
             self.diags.append(Diagnostic(*p.heap_pos, f"heaptype {p.heap_adt!r} is not a declared adt"))
+        # only an Obj type can be ill-formed or need resolving, so only an
+        # Obj type's check builds its message
         for a in p.adts:
             for c in a.ctors:
                 for fname, fty in c.fields:
-                    self.check_type_wf(fty, f"field {fname!r} of {c.name!r}")
+                    if fty.kind == "Obj":
+                        self.check_type_wf(fty, f"field {fname!r} of {c.name!r}")
                 c.fields = [(fname, self.resolve(fty))
                             for fname, fty in c.fields]
         # after every field is resolved: a bare Obj field can close a cycle
@@ -1008,11 +1048,15 @@ class TypeChecker:
             self.check_adt_acyclic(a)
         for pd in p.preds:
             for i, ty in enumerate(pd.arg_types):
-                self.check_type_wf(ty, f"argument {i} of predicate {pd.name!r}")
+                if ty.kind == "Obj":
+                    self.check_type_wf(ty, f"argument {i} of predicate {pd.name!r}")
             pd.arg_types = [self.resolve(ty) for ty in pd.arg_types]
-        for name, ty in list(p.var_types.items()):
-            self.check_type_wf(ty, f"variable {name!r}")
-            p.var_types[name] = self.resolve(ty)
+        var_types = p.var_types
+        for name, ty in var_types.items():
+            if ty.kind == "Obj":
+                self.check_type_wf(ty, f"variable {name!r}")
+                if ty.adt is None:
+                    var_types[name] = self.resolve(ty)
         if p.input_var is not None and p.var_types.get(p.input_var) != INT:
             self.diags.append(Diagnostic(0, 0, "input variable must have type Int"))
         if p.seed_var is not None and p.var_types.get(p.seed_var) != INT:
@@ -1020,19 +1064,17 @@ class TypeChecker:
 
     def resolve(self, ty: Type) -> Type:
         """Resolve the bare ``Obj`` shorthand to the heap ADT."""
-        if ty.kind == "Obj" and ty.adt is None:
-            if self.p.heap_adt is None:
-                return ty
-            return obj_type(self.p.heap_adt)
+        if ty.kind == "Obj" and ty.adt is None and self.heap_ty is not None:
+            return self.heap_ty
         return ty
 
     def check_type_wf(self, ty: Type, what: str):
-        if ty.kind == "Obj":
-            if ty.adt is None:
-                if self.p.heap_adt is None:
-                    self.error(ty, f"{what}: bare Obj type needs a heaptype declaration")
-            elif ty.adt not in self.adts:
-                self.error(ty, f"{what}: unknown adt {ty.adt!r}")
+        """``ty`` is an Obj type."""
+        if ty.adt is None:
+            if self.p.heap_adt is None:
+                self.error(ty, f"{what}: bare Obj type needs a heaptype declaration")
+        elif ty.adt not in self.adts:
+            self.error(ty, f"{what}: unknown adt {ty.adt!r}")
 
     def check_adt_acyclic(self, adt: AdtDecl):
         # non-recursive: no constructor field may reach the declaring ADT
@@ -1060,6 +1102,10 @@ class TypeChecker:
                     return
 
     # statements
+    #
+    # Both walks dispatch on ``type(node)``, and test two types for
+    # equality by identity before ``Type.__eq__``: INT, ADDR and the
+    # checker's ADT types are shared objects.
 
     def var_type(self, name: str, node) -> Type | None:
         ty = self.p.var_types.get(name)
@@ -1068,45 +1114,25 @@ class TypeChecker:
         return ty
 
     def check_stmt(self, s: Stmt):
-        if isinstance(s, Block):
+        t = type(s)
+        if t is Assign:
+            tty = self.p.var_types.get(s.target)
+            if tty is None:
+                self.error(s, f"undeclared variable {s.target!r}")
+            ety = self.check_expr(s.expr)
+            if tty is not None and ety is not None and tty is not ety \
+                    and tty != ety:
+                self.error(s, f"type mismatch: cannot assign {ety} to {s.target}: {tty}")
+        elif t is Block:
             for c in s.stmts:
                 self.check_stmt(c)
-        elif isinstance(s, Assign):
-            tty = self.var_type(s.target, s)
-            ety = self.check_expr(s.expr)
-            if tty is not None and ety is not None and tty != ety:
-                self.error(s, f"type mismatch: cannot assign {ety} to {s.target}: {tty}")
-        elif isinstance(s, Alloc):
-            tty = self.var_type(s.target, s)
-            if tty is not None and tty != ADDR:
-                self.error(s, f"alloc target {s.target!r} must have type Addr, has {tty}")
-            ety = self.check_expr(s.expr)
-            if ety is not None and (self.p.heap_adt is None or ety != obj_type(self.p.heap_adt)):
-                self.error(s, "alloc operand must be a heap object")
-        elif isinstance(s, Read):
-            tty = self.var_type(s.target, s)
-            aty = self.var_type(s.addr, s)
-            if aty is not None and aty != ADDR:
-                self.error(s, f"read address {s.addr!r} must have type Addr, has {aty}")
-            if tty is not None and (self.p.heap_adt is None or tty != obj_type(self.p.heap_adt)):
-                self.error(s, f"read target {s.target!r} must be a heap object")
-        elif isinstance(s, Write):
-            aty = self.var_type(s.addr, s)
-            if aty is not None and aty != ADDR:
-                self.error(s, f"write address {s.addr!r} must have type Addr, has {aty}")
-            ety = self.check_expr(s.expr)
-            if ety is not None and (self.p.heap_adt is None or ety != obj_type(self.p.heap_adt)):
-                self.error(s, "write operand must be a heap object")
-        elif isinstance(s, If):
+        elif t is If:
             self.check_cond(s.cond)
             self.check_stmt(s.then)
             self.check_stmt(s.els)
-        elif isinstance(s, While):
-            self.check_cond(s.cond)
-            self.check_stmt(s.body)
-        elif isinstance(s, (AssumeExpr, AssertExpr)):
+        elif t is AssumeExpr or t is AssertExpr:
             self.check_cond(s.expr)
-        elif isinstance(s, (AssumePred, AssertPred)):
+        elif t is AssumePred or t is AssertPred:
             pd = self.preds.get(s.pred)
             if pd is None:
                 self.error(s, f"undeclared predicate {s.pred!r}")
@@ -1118,9 +1144,33 @@ class TypeChecker:
                               f"{len(pd.arg_types)} arguments, got {len(s.args)}")
             for a, want in zip(s.args, pd.arg_types):
                 got = self.check_expr(a)
-                if got is not None and got != want:
+                if got is not None and got is not want and got != want:
                     self.error(s, f"type mismatch in argument of {s.pred!r}: expected {want}, got {got}")
-        elif isinstance(s, (HavocStmt, NondetStmt)):
+        elif t is While:
+            self.check_cond(s.cond)
+            self.check_stmt(s.body)
+        elif t is Alloc:
+            tty = self.var_type(s.target, s)
+            if tty is not None and tty is not ADDR and tty != ADDR:
+                self.error(s, f"alloc target {s.target!r} must have type Addr, has {tty}")
+            ety = self.check_expr(s.expr)
+            if ety is not None and not self.is_heap_ty(ety):
+                self.error(s, "alloc operand must be a heap object")
+        elif t is Read:
+            tty = self.var_type(s.target, s)
+            aty = self.var_type(s.addr, s)
+            if aty is not None and aty is not ADDR and aty != ADDR:
+                self.error(s, f"read address {s.addr!r} must have type Addr, has {aty}")
+            if tty is not None and not self.is_heap_ty(tty):
+                self.error(s, f"read target {s.target!r} must be a heap object")
+        elif t is Write:
+            aty = self.var_type(s.addr, s)
+            if aty is not None and aty is not ADDR and aty != ADDR:
+                self.error(s, f"write address {s.addr!r} must have type Addr, has {aty}")
+            ety = self.check_expr(s.expr)
+            if ety is not None and not self.is_heap_ty(ety):
+                self.error(s, "write operand must be a heap object")
+        elif t is HavocStmt or t is NondetStmt:
             tty = self.var_type(s.target, s)
             if tty == ADDR:
                 self.error(s, f"cannot havoc Addr variable {s.target!r}")
@@ -1128,12 +1178,14 @@ class TypeChecker:
                 if self._adt_has_addr_field(tty.adt):
                     self.error(s, f"cannot havoc {s.target!r}: adt {tty.adt!r} has Addr fields")
             if self.p.seed_var is None:
-                kind = "havoc" if isinstance(s, HavocStmt) else "nondet"
+                kind = "havoc" if t is HavocStmt else "nondet"
                 self.error(s, f"{kind} requires a seed declaration")
-        elif isinstance(s, Skip):
-            pass
-        else:
-            self.error(s, f"unknown statement {type(s).__name__}")
+        elif t is not Skip:
+            self.error(s, f"unknown statement {t.__name__}")
+
+    def is_heap_ty(self, ty: Type) -> bool:
+        heap_ty = self.heap_ty
+        return heap_ty is not None and (ty is heap_ty or ty == heap_ty)
 
     def _adt_has_addr_field(self, adt_name: str | None) -> bool:
         if adt_name is None or adt_name not in self.adts:
@@ -1148,7 +1200,7 @@ class TypeChecker:
 
     def check_cond(self, e: Expr):
         ty = self.check_expr(e)
-        if ty is not None and ty != INT:
+        if ty is not None and ty is not INT and ty != INT:
             self.error(e, f"condition must have type Int, has {ty}")
 
     # expressions
@@ -1156,69 +1208,76 @@ class TypeChecker:
     def check_expr(self, e: Expr) -> Type | None:
         # every declared type is resolved by ``check_decls``, so no bare Obj
         # reaches here while a heaptype is declared
-        if isinstance(e, IntLit):
+        t = type(e)
+        if t is Var:
+            ty = self.p.var_types.get(e.name)
+            if ty is None:
+                self.error(e, f"undeclared variable {e.name!r}")
+            return ty
+        if t is IntLit:
             return INT
-        if isinstance(e, Var):
-            return self.var_type(e.name, e)
-        if isinstance(e, Null):
-            return ADDR
-        if isinstance(e, DefObj):
-            if self.p.heap_adt is None:
-                self.error(e, "defObj needs a heaptype declaration")
-                return None
-            return obj_type(self.p.heap_adt)
-        if isinstance(e, Unary):
-            oty = self.check_expr(e.operand)
-            if oty is not None and oty != INT:
-                self.error(e, f"arithmetic on {oty}" if oty == ADDR
-                           else f"unary {e.op!r} needs an Int operand, got {oty}")
-            return INT
-        if isinstance(e, Binary):
+        if t is Binary:
             lty = self.check_expr(e.left)
             rty = self.check_expr(e.right)
-            if e.op in ("=", "!="):
-                if lty is not None and rty is not None and lty != rty:
+            if e.op == "=" or e.op == "!=":
+                if lty is not None and rty is not None and lty is not rty \
+                        and lty != rty:
                     self.error(e, f"cannot compare {lty} with {rty}")
                 return INT
             for side in (lty, rty):
+                if side is INT or side is None:
+                    continue
                 if side == ADDR:
                     self.error(e, "arithmetic on Addr")
-                elif side is not None and side != INT:
+                elif side != INT:
                     self.error(e, f"operator {e.op!r} needs Int operands, got {side}")
             return INT
-        if isinstance(e, CtorApp):
-            info = self.ctors.get(e.ctor)
-            if info is None:
-                self.error(e, f"unknown constructor {e.ctor!r}")
-                return None
-            adt_name, ctor = info
-            if len(e.args) != len(ctor.fields):
-                self.error(e, f"constructor {e.ctor!r} expects {len(ctor.fields)} arguments, got {len(e.args)}")
-            for a, (fname, fty) in zip(e.args, ctor.fields):
-                got = self.check_expr(a)
-                if got is not None and got != fty:
-                    self.error(e, f"field {fname!r} of {e.ctor!r} expects {fty}, got {got}")
-            return obj_type(adt_name)
-        if isinstance(e, SelApp):
+        if t is SelApp:
             info = self.sels.get(e.sel)
             if info is None:
                 self.error(e, f"unknown selector {e.sel!r}")
                 return None
-            adt_name, ctor, i = info
+            adt_ty, ctor, i = info
             got = self.check_expr(e.arg)
-            if got is not None and got != obj_type(adt_name):
-                self.error(e, f"selector {e.sel!r} applies to {adt_name}, got {got}")
+            if got is not None and got is not adt_ty and got != adt_ty:
+                self.error(e, f"selector {e.sel!r} applies to {adt_ty}, got {got}")
             return ctor.fields[i][1]
-        if isinstance(e, TestApp):
+        if t is CtorApp:
+            info = self.ctors.get(e.ctor)
+            if info is None:
+                self.error(e, f"unknown constructor {e.ctor!r}")
+                return None
+            adt_ty, ctor = info
+            if len(e.args) != len(ctor.fields):
+                self.error(e, f"constructor {e.ctor!r} expects {len(ctor.fields)} arguments, got {len(e.args)}")
+            for a, (fname, fty) in zip(e.args, ctor.fields):
+                got = self.check_expr(a)
+                if got is not None and got is not fty and got != fty:
+                    self.error(e, f"field {fname!r} of {e.ctor!r} expects {fty}, got {got}")
+            return adt_ty
+        if t is Null:
+            return ADDR
+        if t is DefObj:
+            if self.heap_ty is None:
+                self.error(e, "defObj needs a heaptype declaration")
+            return self.heap_ty
+        if t is Unary:
+            oty = self.check_expr(e.operand)
+            if oty is not None and oty is not INT and oty != INT:
+                self.error(e, f"arithmetic on {oty}" if oty == ADDR
+                           else f"unary {e.op!r} needs an Int operand, got {oty}")
+            return INT
+        if t is TestApp:
             info = self.ctors.get(e.ctor)
             if info is None:
                 self.error(e, f"unknown constructor {e.ctor!r} in tester")
                 return INT
+            adt_ty = info[0]
             got = self.check_expr(e.arg)
-            if got is not None and got != obj_type(info[0]):
-                self.error(e, f"tester is_{e.ctor} applies to {info[0]}, got {got}")
+            if got is not None and got is not adt_ty and got != adt_ty:
+                self.error(e, f"tester is_{e.ctor} applies to {adt_ty}, got {got}")
             return INT
-        self.error(e, f"unknown expression {type(e).__name__}")
+        self.error(e, f"unknown expression {t.__name__}")
         return None
 
 

@@ -349,6 +349,12 @@ BAD_INPUT_FILES = {
     "deep-if.up": nested_program("if", 1000),
     "deep-parens.up": nested_program("paren", 1000),
     "long-chain.up": nested_program("chain", 1000),
+    # a literal past the interpreter's digit limit for int(), a product
+    # past the limit for printing it, and a digit that is not ASCII
+    "long-literal.up": "prog { input in; var x: Int; x := " + "9" * 5000 + "; }",
+    "long-product.up": "prog { input in; var x: Int; x := "
+                       + "9" * 4000 + " * " + "9" * 4000 + "; }",
+    "arabic-digit.up": "prog { input in; var x: Int; x := \u0663; }",
     # declares $last_addr, an input no source program can name
     "list-r.up": pretty_print(
         enc_r(corpus_by_name()["list-build-traverse"].load()).program),
@@ -383,6 +389,9 @@ BAD_OUTPUT_PATHS = {"missing-dir": "no/such/dir/out", "a-directory": "."}
     ("fixpoint", "deep-if.up"),
     ("fixpoint", "deep-parens.up"),
     ("fixpoint", "long-chain.up"),
+    ("fixpoint", "long-literal.up"),
+    ("run", "long-product.up", "--in", "0"),
+    ("run", "arabic-digit.up"),
     ("fixpoint", "write-read-false", "--seed-range", "0:1000000000000000"),
     ("fixpoint", "list-build-traverse", "--in-range", "0:1000000000000000"),
     ("fixpoint", "list-build-traverse", "--seed-range", f"0:{2 ** 70}"),
@@ -410,7 +419,8 @@ BAD_OUTPUT_PATHS = {"missing-dir": "no/such/dir/out", "a-directory": "."}
         "interp-list", "interp-string", "interp-null", "interp-params-string",
         "interp-params-repeated",
         "if-nested-1000-deep", "parens-nested-1000-deep",
-        "chain-of-1000-additions", "huge-seed-range", "huge-in-range",
+        "chain-of-1000-additions", "literal-of-5000-digits",
+        "product-of-8000-digits", "non-ascii-digit", "huge-seed-range", "huge-in-range",
         "seed-range-past-maxsize", "in-range-past-maxsize",
         "last-addr-range-past-maxsize", "corpus-seed-range-past-maxsize",
         "equisafe-in-range-past-maxsize",

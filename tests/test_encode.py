@@ -487,6 +487,53 @@ def test_scope_vars_appended_everywhere():
     assert len(q.preds_by_name()["R"].arg_types) == 4
 
 
+# the scope variable k changes between the write and the read of p
+SCOPE_CHANGES_AFTER_WRITE = """prog {
+  adt Node { node(data: Int, next: Addr); }
+  heaptype Node;
+  input in; seed seed; var p: Addr; var x: Node; var k: Int;
+  k := 0;
+  p := alloc(node(1, null));
+  k := 1;
+  x := read(p);
+  assert(data(x) = 2);
+}"""
+
+
+def scope_var_cases(seeds=(51, 106)):
+    """Programs and scope variables that change between a write and a
+    read: the program above, and the progen programs of the seeds (51 is
+    unsafe, 106 inconclusive) with their drawn Int variables."""
+    yield "changed-after-write", parse_and_check(SCOPE_CHANGES_AFTER_WRITE), \
+        ("k",)
+    for seed in seeds:
+        p = progen.gen_program(seed, allow_havoc=True)
+        drawn = {s.target for s in stmts_of(p) if isinstance(s, HavocStmt)}
+        yield f"progen {seed}", p, tuple(sorted(drawn))
+
+
+def check_scoped_verdicts(base: str, seeds=(51, 106)) -> None:
+    for label, p, names in scope_var_cases(seeds):
+        e = encode(p, EncodingConfig(base=base, scope_vars=names))
+        res = check_equisafety(p, e.program, InputDomain())
+        assert res.agree, (label, res.verdict_left.kind,
+                           res.verdict_right.kind)
+
+
+@pytest.mark.parametrize("base", ["r", "rw"])
+def test_scope_vars_keep_the_verdict(base):
+    # scope variables go on R only: on W, a read would look for the
+    # values at the read among the tuples written with the values at the
+    # write, and miss the failure after it
+    check_scoped_verdicts(base)
+    label, p, names = next(scope_var_cases())
+    plain = encode(p, EncodingConfig(base=base)).program
+    scoped = encode(p, EncodingConfig(base=base, scope_vars=names)).program
+    arity = {d.name: len(d.arg_types) for d in plain.preds}
+    assert {d.name: len(d.arg_types) for d in scoped.preds} == \
+        dict(arity, R=arity["R"] + len(names))
+
+
 def test_scope_vars_empty_is_identity():
     e = enc_r(parse_and_check(SINGLE_READ))
     assert apply_scope_vars(e, []) is e

@@ -196,7 +196,8 @@ EXPR_DECLS = """prog {
 """
 
 
-@pytest.mark.parametrize("stmt, col, message", [
+# one ill-typed statement under EXPR_DECLS: its column and its message
+EXPR_TYPE_ERRORS = [
     ("k := -p;", 8, "arithmetic on Addr"),
     ("k := -n;", 8, "unary '-' needs an Int operand, got Node"),
     ("k := p + 1;", 10, "arithmetic on Addr"),
@@ -209,7 +210,10 @@ EXPR_DECLS = """prog {
     ("if (n) { skip; }", 7, "condition must have type Int, has Node"),
     ("while (q) { skip; }", 10, "condition must have type Int, has Pair"),
     ("k := z;", 8, "undeclared variable 'z'"),
-])
+]
+
+
+@pytest.mark.parametrize("stmt, col, message", EXPR_TYPE_ERRORS)
 def test_expression_type_errors(stmt, col, message):
     diags = typecheck(parse_program(f"{EXPR_DECLS}  {stmt}\n}}"))
     assert [(d.line, d.col, d.message) for d in diags] == [(6, col, message)]
@@ -226,13 +230,19 @@ def test_heap_statement_and_argument_types_rejected():
         (13, "cannot havoc 'q': adt 'Pair' has Addr fields")]
 
 
-@pytest.mark.parametrize(
-    "src", [MUTUALLY_RECURSIVE_ADTS, ILL_TYPED_HEAP, UNDECLARED_TYPES,
-            UNDECLARED_HEAPTYPE, RECURSIVE_THROUGH_BARE_OBJ,
-            NONDET_WITHOUT_SEED],
-    ids=["mutually-recursive-adts", "ill-typed-heap", "undeclared-types",
-         "undeclared-heaptype", "recursive-through-bare-obj",
-         "nondet-without-seed"])
+# the ill-typed programs above
+ILL_TYPED_SOURCES = {
+    "mutually-recursive-adts": MUTUALLY_RECURSIVE_ADTS,
+    "ill-typed-heap": ILL_TYPED_HEAP,
+    "undeclared-types": UNDECLARED_TYPES,
+    "undeclared-heaptype": UNDECLARED_HEAPTYPE,
+    "recursive-through-bare-obj": RECURSIVE_THROUGH_BARE_OBJ,
+    "nondet-without-seed": NONDET_WITHOUT_SEED,
+}
+
+
+@pytest.mark.parametrize("src", ILL_TYPED_SOURCES.values(),
+                         ids=ILL_TYPED_SOURCES)
 def test_cli_lists_type_errors_with_positions(capsys, tmp_path, src):
     bad = tmp_path / "bad.up"
     bad.write_text(src)

@@ -18,17 +18,19 @@ import pytest
 
 from heapinv.chc import _Translator, emit_smtlib
 from heapinv.corpus import corpus_by_name, encode_variant, load_corpus
-from heapinv.encode import _HeapEncoder, enc_r
+from heapinv.encode import _HeapEncoder, apply_scope_vars, enc_r
 from heapinv.fixpoint import (
     GridExecutor, InputDomain, _AnyAddress, check_safety,
 )
 from heapinv.interp import _Compiler, draw_code
-from heapinv.lang import variable_uses, walk_statements
+from heapinv.lang import _tokenize, variable_uses, walk_statements
 
 import test_acceptance
 import test_chc
 import test_chc_ground
+import test_encode
 import test_fixpoint
+import test_front_end
 import test_interp
 import test_lang
 import test_walks
@@ -164,6 +166,20 @@ MUTANTS = {
         "self.clause(app, [PredApp(pre, self.args)], [])",
         "self.clause(None, [PredApp(pre, self.args), app], [])",
         test_chc_ground.test_ground_saturation_matches_oracle),
+    # encoder: scope variables are appended to W as well as to R, so a
+    # read whose scope variable changed since the write finds no tuple
+    "scope-vars-on-w": (
+        apply_scope_vars,
+        "enc, {READ_PRED},",
+        "enc, {READ_PRED, WRITE_PRED},",
+        lambda: test_encode.check_scoped_verdicts("rw", seeds=())),
+    # lexer: a gap's newlines (a comment's line end among them) advance
+    # the line but leave the column counting on from the line before
+    "column-not-reset-after-a-gap-newline": (
+        _tokenize,
+        'col = len(gap) - gap.rfind("\\n")',
+        "col += len(gap)",
+        lambda: test_front_end.check_tokens(test_front_end.corpus_sources())),
 }
 
 

@@ -13,8 +13,8 @@ from .fixpoint import (
 )
 from .replay import cosim_check
 from .encode import (
-    EncodedProgram, EncodingConfig, apply_scope_vars, enc_n, enc_r, enc_rw,
-    enc_rwfun, enc_rwmem, remove_arguments,
+    EncodedProgram, EncodingConfig, enc_n, enc_r, enc_rw, enc_rwfun,
+    enc_rwmem,
 )
 from .chc import ClauseSet, emit_smtlib, solve, to_chc
 from .formula import FormulaInterpretation, load_interpretation
@@ -28,8 +28,8 @@ __all__ = [
     "Bot", "CompiledProgram", "ObjVal", "Top", "Undefined",
     "InputDomain", "Interpretation", "check_equisafety", "check_safety",
     "cosim_check", "immediate_consequence", "least_fixpoint",
-    "EncodedProgram", "EncodingConfig", "apply_scope_vars", "enc_n",
-    "enc_r", "enc_rw", "enc_rwfun", "enc_rwmem", "remove_arguments",
+    "EncodedProgram", "EncodingConfig", "enc_n", "enc_r", "enc_rw",
+    "enc_rwfun", "enc_rwmem",
     "ClauseSet", "emit_smtlib", "solve", "to_chc",
     "FormulaInterpretation", "load_interpretation",
     "CorpusEntry", "load_corpus",

@@ -21,7 +21,9 @@ assert/assume statements over fresh uninterpreted predicates:
   asserts are added to reads and writes.
 
 Optional extensions: location tagging, a one-element cache, scope-variable
-augmentation, and argument removal (a sound abstraction).
+augmentation, and argument removal (a sound abstraction).  An encoding is
+one pass: the encoder builds every predicate application and declaration
+with its scope arguments and without its removed positions.
 """
 
 from __future__ import annotations
@@ -29,12 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .lang import (
-    ADDR, INT, AdtDecl, Alloc, Assign, AssertExpr, AssertPred, AssumeExpr,
-    AssumePred, Binary, Block, CtorApp, CtorDecl, DefObj, Expr, HavocStmt,
-    If, IntLit, NondetStmt, Null, PredDecl, Program, Read, SelApp, Skip,
-    Stmt, TestApp, Type, Unary, Var, Write, assign_locations,
-    contains_heap_statements, expr_vars, map_statements, obj_type,
-    typecheck,
+    ADDR, COUNTER_VAR, INT, LAST_ADDR_VAR, AdtDecl, Alloc, Assign,
+    AssertExpr, AssertPred, AssumeExpr, AssumePred, Binary, Block, CtorApp,
+    CtorDecl, DefObj, Expr, HavocStmt, If, IntLit, NondetStmt, Null,
+    PredDecl, Program, Read, SelApp, Skip, Stmt, TestApp, Type, Unary, Var,
+    Write, assign_locations, contains_heap_statements, expr_vars,
+    map_statements, obj_type, typecheck,
 )
 
 READ_PRED = "R"
@@ -45,8 +47,6 @@ V_CNT = "$cnt"
 V_LAST = "$last"
 V_CNT_LAST = "$cnt_last"
 V_T = "$t"
-V_LAST_ADDR = "$last_addr"
-V_COUNTER = "$c"
 V_LAST_LOC = "$last_loc"
 V_TAG_TMP = "$l"
 V_TAG_TMP_W = "$lw"
@@ -124,7 +124,7 @@ def _validate_source(program: Program, need_heap_adt: bool = True) -> None:
     for name in program.var_types:
         # the budget counter may already be present: the heap encodings are
         # routinely composed with the budget instrumentation
-        if name.startswith("$") and name != V_COUNTER:
+        if name.startswith("$") and name != COUNTER_VAR:
             raise EncodingError(
                 f"variable {name!r}: the '$' prefix is reserved for introduced names")
     for pd in program.preds:
@@ -175,8 +175,8 @@ def enc_n(program: Program) -> Program:
     with the heap-operation budget."""
     _validate_source(program, need_heap_adt=False)
     prelude = lambda: [
-        Assign(V_COUNTER, Binary("-", _v(V_COUNTER), _n(1))),
-        AssumeExpr(Binary(">=", _v(V_COUNTER), _n(0))),
+        Assign(COUNTER_VAR, Binary("-", _v(COUNTER_VAR), _n(1))),
+        AssumeExpr(Binary(">=", _v(COUNTER_VAR), _n(0))),
     ]
 
     def tx(s: Stmt) -> list[Stmt]:
@@ -185,7 +185,7 @@ def enc_n(program: Program) -> Program:
         return [s]
 
     var_types = dict(program.var_types)
-    var_types[V_COUNTER] = INT
+    var_types[COUNTER_VAR] = INT
     out = replace(program, var_types=var_types,
                   body=map_statements(program.body, tx))
     assign_locations(out)
@@ -220,6 +220,14 @@ class _HeapEncoder:
         assign_locations(program)
         self.obj_ty = obj_type(program.heap_adt)
         self.in_var = program.input_var
+        # the scope variables go on R only: a write asserts W with the
+        # values at the write and a read assumes it with the values at the
+        # read, so a variable changed in between would leave the read no
+        # tuple to match, and the program after it unreachable
+        self.scope = {READ_PRED: config.scope_vars}
+        self.drop: dict[str, list[int]] = {}
+        for pred, idx in config.drop_args:
+            self.drop.setdefault(pred, []).append(idx)
 
     # havoc emission (macro by default, native statement on request)
 
@@ -228,8 +236,20 @@ class _HeapEncoder:
             return NondetStmt(target)
         return HavocStmt(target)
 
-    # predicate applications, with the tagging arguments; scope variables
-    # are appended to R's afterwards by ``apply_scope_vars``
+    # predicate applications in their final form: with the tagging and
+    # scope arguments, without the removed positions
+
+    def _final(self, pred: str, xs: list, of_var=_v) -> list:
+        """The arguments ``xs`` of ``pred`` (or their types), followed by
+        ``of_var`` of each of its scope variables, less its removed
+        positions: a removed index counts the scope arguments."""
+        scope = self.scope.get(pred)
+        if scope:
+            xs = xs + [of_var(nm) for nm in scope]
+        drop = self.drop.get(pred)
+        if drop:
+            xs = [x for i, x in enumerate(xs) if i not in drop]
+        return xs
 
     def _r_args(self, third: Expr, write_loc: Expr,
                 read_loc: int | None) -> list[Expr]:
@@ -237,13 +257,13 @@ class _HeapEncoder:
         if self.cfg.tagging:
             args.append(write_loc)
             args.append(_n(read_loc))
-        return args
+        return self._final(READ_PRED, args)
 
     def _w_args(self, cnt: Expr, obj: Expr, loc: int | None) -> list[Expr]:
         args = [_v(self.in_var), cnt, obj]
         if self.cfg.tagging:
             args.append(_n(loc) if loc is not None else _v(V_TAG_TMP_W))
-        return args
+        return self._final(WRITE_PRED, args)
 
     # statement rewriting
 
@@ -262,7 +282,7 @@ class _HeapEncoder:
             introduced.append((V_LAST, self.obj_ty, DefObj()))
         else:
             introduced += [(V_CNT_LAST, INT, _n(0)), (V_T, INT, _n(0))]
-        introduced.append((V_LAST_ADDR, INT, None))
+        introduced.append((LAST_ADDR_VAR, INT, None))
         if cfg.tagging:
             introduced += [(V_LAST_LOC, INT, _n(0)), (V_TAG_TMP, INT, None)]
             if base != "r":
@@ -282,6 +302,33 @@ class _HeapEncoder:
             if name == V_T and base == "rw":
                 init.append(AssertPred(
                     WRITE_PRED, self._w_args(_n(0), DefObj(), 0)))
+
+        # the options are checked against the output's variables (a scope
+        # variable of type Addr has become an Int) and the predicates'
+        # arguments with R's scope arguments
+        for nm in cfg.scope_vars:
+            ty = var_types.get(nm)
+            if ty is None:
+                raise EncodingError(f"unknown scope variable {nm!r}")
+            if ty != INT:
+                raise EncodingError(
+                    f"scope variable {nm!r} must have type Int, has {ty}")
+        arg_types = {p.name: list(p.arg_types) for p in self.src.preds}
+        tags = [INT, INT] if cfg.tagging else []
+        # R's third argument is the history tracked for the address
+        arg_types[READ_PRED] = [INT, INT, var_types[tracked]] + tags
+        if base != "r":
+            arg_types[WRITE_PRED] = [INT, INT, self.obj_ty] + tags[:1]
+        for pred, idxs in self.drop.items():
+            if pred not in arg_types:
+                raise EncodingError(f"unknown predicate {pred!r}")
+            arity = len(arg_types[pred]) + len(self.scope.get(pred, ()))
+            for i in idxs:
+                if not (0 <= i < arity):
+                    raise EncodingError(
+                        f"argument index {i} out of range for {pred!r}/{arity}")
+        preds = [PredDecl(name, self._final(name, tys, lambda _: INT))
+                 for name, tys in arg_types.items()]
 
         self._tmp_counter = 0
 
@@ -306,7 +353,7 @@ class _HeapEncoder:
             return out
 
         def track(addr: str, value: Expr, loc: int) -> If:
-            return _if(_eq(_v(V_LAST_ADDR), _v(addr)), update(value, loc))
+            return _if(_eq(_v(LAST_ADDR_VAR), _v(addr)), update(value, loc))
 
         def tx_alloc(s: Alloc) -> list[Stmt]:
             e = _tx_expr(s.expr)
@@ -344,7 +391,7 @@ class _HeapEncoder:
                 els.append(self._havoc(V_TAG_TMP))
             els.append(AssumePred(READ_PRED, self._r_args(
                 _v(dest), _v(V_TAG_TMP), s.loc)))
-            out: list[Stmt] = [_if(_eq(_v(V_LAST_ADDR), _v(s.addr)), then, els)]
+            out: list[Stmt] = [_if(_eq(_v(LAST_ADDR_VAR), _v(s.addr)), then, els)]
             if base != "r":
                 out.append(self._havoc(s.target))
                 if cfg.tagging:
@@ -375,7 +422,7 @@ class _HeapEncoder:
                     # the cache update (an invalid write changes nothing)
                     return [_if(valid(s.addr), [track(s.addr, e, s.loc)]
                                 + cache_update(s.addr, e))]
-                return [_if(_and(_eq(_v(V_LAST_ADDR), _v(s.addr)), valid(s.addr)),
+                return [_if(_and(_eq(_v(LAST_ADDR_VAR), _v(s.addr)), valid(s.addr)),
                             update(e, s.loc))]
             then = [AssertPred(WRITE_PRED, self._w_args(_v(V_CNT), e, s.loc)),
                     track(s.addr, _v(V_CNT), s.loc)]
@@ -397,19 +444,13 @@ class _HeapEncoder:
             if isinstance(s, (Assign, AssumeExpr, AssertExpr)):
                 return [replace(s, expr=_tx_expr(s.expr))]
             if isinstance(s, (AssumePred, AssertPred)):
-                return [replace(s, args=[_tx_expr(a) for a in s.args])]
+                return [replace(s, args=self._final(
+                    s.pred, [_tx_expr(a) for a in s.args]))]
             if isinstance(s, (Skip, HavocStmt, NondetStmt)):
                 return [s]
             raise EncodingError(f"cannot encode statement {type(s).__name__}")
 
         body_stmts = init + list(map_statements(self.src.body, tx, _tx_expr).stmts)
-
-        preds = [PredDecl(p.name, list(p.arg_types)) for p in self.src.preds]
-        tags = [INT, INT] if cfg.tagging else []
-        # R's third argument is the history tracked for the address
-        preds.append(PredDecl(READ_PRED, [INT, INT, var_types[tracked]] + tags))
-        if base != "r":
-            preds.append(PredDecl(WRITE_PRED, [INT, INT, self.obj_ty] + tags[:1]))
 
         out = Program(
             adts=_addr_fields_to_int(self.src.adts),
@@ -424,15 +465,7 @@ class _HeapEncoder:
         diags = typecheck(out)
         if diags:
             raise AssertionError(f"encoder produced an ill-typed program: {diags[0]}")
-        enc = EncodedProgram(out, self.src, cfg)
-        if cfg.scope_vars:
-            enc = apply_scope_vars(enc, list(cfg.scope_vars))
-        if cfg.drop_args:
-            drop: dict[str, list[int]] = {}
-            for pred, idx in cfg.drop_args:
-                drop.setdefault(pred, []).append(idx)
-            enc = remove_arguments(enc, drop)
-        return enc
+        return EncodedProgram(out, self.src, cfg)
 
 
 def encode(program: Program, config: EncodingConfig) -> EncodedProgram:
@@ -454,86 +487,6 @@ def enc_rwfun(program: Program, **kw) -> EncodedProgram:
 
 def enc_rwmem(program: Program, **kw) -> EncodedProgram:
     return encode(program, EncodingConfig(base="rwmem", **kw))
-
-
-# ---------------------------------------------------------------------------
-# extension passes
-
-
-def _rewrite_pred_args(enc: EncodedProgram, preds: set[str], args, types,
-                       what: str) -> EncodedProgram:
-    """Rewrite each predicate in ``preds``: ``args(pred, exprs)`` gives the
-    arguments of every application, ``types(pred, arg_types)`` its declared
-    argument types."""
-    prog = enc.program
-
-    def tx(s: Stmt) -> list[Stmt]:
-        if isinstance(s, (AssumePred, AssertPred)) and s.pred in preds:
-            return [type(s)(s.pred, args(s.pred, s.args), pos=s.pos)]
-        return [s]
-
-    decls = [PredDecl(p.name, types(p.name, p.arg_types))
-             if p.name in preds else p for p in prog.preds]
-    out = replace(prog, preds=decls, body=map_statements(prog.body, tx))
-    assign_locations(out)
-    diags = typecheck(out)
-    if diags:
-        raise AssertionError(f"{what} broke typing: {diags[0]}")
-    return EncodedProgram(out, enc.source, enc.config)
-
-
-def apply_scope_vars(enc: EncodedProgram, names: list[str]) -> EncodedProgram:
-    """Append the current values of the named Int variables as extra
-    arguments at every occurrence of the read predicate ``R``.  A read
-    asserts and assumes ``R`` at the same statement, so the extras are
-    never havoced in assume branches: as history they are uniquely
-    determined by the surrounding execution.
-
-    ``W`` gets no extras: a write asserts it with the values at the write
-    and a read assumes it with the values at the read, so a variable
-    changed in between would leave the read no tuple to match, and the
-    program after it unreachable."""
-    if not names:
-        return enc
-    prog = enc.program
-    for nm in names:
-        ty = prog.var_types.get(nm)
-        if ty is None:
-            raise EncodingError(f"unknown scope variable {nm!r}")
-        if ty != INT:
-            raise EncodingError(f"scope variable {nm!r} must have type Int, has {ty}")
-    # every heap encoding declares R, and the source may not
-    # (_validate_source)
-    return _rewrite_pred_args(
-        enc, {READ_PRED},
-        lambda _, xs: list(xs) + [Var(nm) for nm in names],
-        lambda _, tys: list(tys) + [INT] * len(names),
-        "scope augmentation")
-
-
-def remove_arguments(enc: EncodedProgram,
-                     drop: dict[str, list[int]]) -> EncodedProgram:
-    """Remove the given argument positions from predicate declarations and
-    every application.  Sound but possibly incomplete."""
-    if not drop:
-        return enc
-    by_pred: dict[str, set[int]] = {}
-    decl = {p.name: p for p in enc.program.preds}
-    for pred, idxs in drop.items():
-        if pred not in decl:
-            raise EncodingError(f"unknown predicate {pred!r}")
-        arity = len(decl[pred].arg_types)
-        for i in idxs:
-            if not (0 <= i < arity):
-                raise EncodingError(
-                    f"argument index {i} out of range for {pred!r}/{arity}")
-        by_pred[pred] = set(idxs)
-
-    def keep(pred: str, xs: list) -> list:
-        return [x for i, x in enumerate(xs) if i not in by_pred[pred]]
-
-    return _rewrite_pred_args(enc, set(by_pred), keep, keep,
-                              "argument removal")
 
 
 # ---------------------------------------------------------------------------

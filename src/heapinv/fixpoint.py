@@ -107,15 +107,12 @@ import sys
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
-# the encoder-introduced inputs: programs declaring them get those
-# dimensions of the grid enumerated
-from .encode import V_COUNTER as COUNTER_VAR, V_LAST_ADDR as LAST_ADDR_VAR
 from .interp import (
     Bot, CompiledProgram, DrawSite, FUEL_EXHAUSTED, ObjVal, Undefined, Value,
 )
 from .lang import (
-    FAILURE_PRED, HavocStmt, NondetStmt, Program, variable_uses,
-    walk_statements,
+    COUNTER_VAR, FAILURE_PRED, LAST_ADDR_VAR, HavocStmt, NondetStmt, Program,
+    variable_uses, walk_statements,
 )
 
 

@@ -236,6 +236,13 @@ class NondetStmt(Stmt):
 # never be declared or applied in source programs.
 FAILURE_PRED = "F"
 
+# The inputs besides the input and seed variables that the oracle's grid
+# binds, to integers, in a program that declares them: the heap-operation
+# budget of the ``n`` encoding and the prophecy address of the heap
+# encodings.
+COUNTER_VAR = "$c"
+LAST_ADDR_VAR = "$last_addr"
+
 
 @dataclass(slots=True)
 class Program:
@@ -1061,6 +1068,11 @@ class TypeChecker:
             self.diags.append(Diagnostic(0, 0, "input variable must have type Int"))
         if p.seed_var is not None and p.var_types.get(p.seed_var) != INT:
             self.diags.append(Diagnostic(0, 0, "seed variable must have type Int"))
+        for name in (COUNTER_VAR, LAST_ADDR_VAR):
+            ty = var_types.get(name, INT)
+            if ty != INT:
+                self.error(ty, f"variable {name!r} is a grid input and "
+                               "must have type Int")
 
     def resolve(self, ty: Type) -> Type:
         """Resolve the bare ``Obj`` shorthand to the heap ADT."""

@@ -13,7 +13,7 @@ from operator import itemgetter
 import pytest
 
 from heapinv.chc import default_solver_command, emit_smtlib, solve, to_chc
-from heapinv.encode import enc_n, enc_r, remove_arguments
+from heapinv.encode import enc_n, enc_r
 from heapinv.fixpoint import (
     Interpretation, check_safety, immediate_consequence, sweep_under,
 )
@@ -301,7 +301,7 @@ def test_criterion_7_abstraction_incompleteness(domain, corpus_matrix):
     for name, row in corpus_matrix.items():
         if name.startswith("__"):
             continue
-        dropped = remove_arguments(enc_r(row.program), {"R": [1]})
+        dropped = enc_r(row.program, drop_args=(("R", 1),))
         verdict = check_safety(dropped.program, domain)
         if row.entry.expected == "unsafe":
             assert verdict.kind == "unsafe", \

@@ -445,6 +445,40 @@ def test_bad_input_is_one_line_error(capsys, tmp_path, argv):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+GRID_INPUT_OF_NODE_TYPE = """prog {
+  adt Node { node(data: Int, next: Addr); }
+  heaptype Node;
+  input in;
+  seed seed;
+  var NAME: Node;
+  BODY
+}"""
+
+
+@pytest.mark.parametrize("argv,name,body", [
+    (("fixpoint",), "$c", "assert(data($c) = 0);"),
+    (("run",), "$c", "assert(data($c) = 0);"),
+    (("fixpoint",), "$last_addr", "assert(data($last_addr) = 0);"),
+    (("equisafe", "--enc", "n"), "$c",
+     "var p: Addr; $c := node(1, null); p := alloc($c);"
+     " assert(data($c) = 1);"),
+], ids=["fixpoint-counter", "run-counter", "fixpoint-last-addr",
+        "equisafe-n-counter"])
+def test_grid_input_of_another_type_is_a_type_error(capsys, tmp_path, argv,
+                                                     name, body):
+    # the grid binds $c and $last_addr to integers: declared with another
+    # type they are a type error at the type, not a run that crashes
+    path = tmp_path / "grid-input.up"
+    path.write_text(GRID_INPUT_OF_NODE_TYPE.replace("NAME", name)
+                    .replace("BODY", body), encoding="utf-8")
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err.splitlines() == [
+        f"{path}:6:{9 + len(name)}: variable {name!r} is a grid input and "
+        "must have type Int",
+        f"error: {path}: 1 type error(s)"]
+
+
 @pytest.mark.parametrize("command,names", [
     ("encode", ","), ("encode", "in,,in"), ("encode", "in,"),
     ("encode", "a,,b"),
@@ -650,7 +684,7 @@ def run_module(*argv):
     """``python -m heapinv ARGV`` in a fresh interpreter that imports the
     package under test."""
     env = {"PYTHONPATH": str(pathlib.Path(heapinv.__file__).parent.parent),
-           "PATH": ""}
+           "PATH": "", "PYTHONDONTWRITEBYTECODE": "1"}
     return subprocess.run([sys.executable, "-m", "heapinv", *argv],
                           capture_output=True, text=True, env=env,
                           timeout=60)

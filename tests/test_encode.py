@@ -6,17 +6,19 @@ from dataclasses import replace
 
 import pytest
 
+from heapinv.chc import emit_smtlib, to_chc
 from heapinv.corpus import VARIANTS, encode_variant, load_corpus
 from heapinv.encode import (
-    EncodingConfig, EncodingError, apply_scope_vars, enc_n, enc_r, enc_rw,
-    enc_rwfun, enc_rwmem, encode, encoding_is_heap_free, remove_arguments,
+    EncodedProgram, EncodingConfig, EncodingError, enc_n, enc_r, enc_rw,
+    enc_rwfun, enc_rwmem, encode, encoding_is_heap_free,
 )
 from heapinv.fixpoint import InputDomain, check_equisafety, check_safety
 from heapinv.lang import (
-    ADDR, Alloc, Assign, AssertExpr, AssertPred, AssumeExpr, AssumePred,
-    Binary, HavocStmt, If, IntLit, NondetStmt, Read, Var, While, Write,
-    expand_program_havocs, parse_and_check, parse_program, pretty_print,
-    statement_locations, typecheck, walk_statements,
+    ADDR, INT, Alloc, Assign, AssertExpr, AssertPred, AssumeExpr, AssumePred,
+    Binary, HavocStmt, If, IntLit, NondetStmt, PredDecl, Read, Var, While,
+    Write, assign_locations, expand_program_havocs, map_statements,
+    parse_and_check, parse_program, pretty_print, statement_locations,
+    typecheck, walk_statements,
 )
 
 import progen
@@ -534,23 +536,165 @@ def test_scope_vars_keep_the_verdict(base):
         dict(arity, R=arity["R"] + len(names))
 
 
+# The extension passes the encoder replaced, kept as the reference for its
+# one pass: each rebuilt the encoded program, numbered its locations and
+# checked it again.  Scope variables were appended to R, and then the
+# removed positions (counting them) left R, W and the source predicates.
+
+
+def ref_rewrite_pred_args(enc, preds, args, types, what):
+    prog = enc.program
+
+    def tx(s):
+        if isinstance(s, (AssumePred, AssertPred)) and s.pred in preds:
+            return [type(s)(s.pred, args(s.pred, s.args), pos=s.pos)]
+        return [s]
+
+    decls = [PredDecl(p.name, types(p.name, p.arg_types))
+             if p.name in preds else p for p in prog.preds]
+    out = replace(prog, preds=decls, body=map_statements(prog.body, tx))
+    assign_locations(out)
+    diags = typecheck(out)
+    if diags:
+        raise AssertionError(f"{what} broke typing: {diags[0]}")
+    return EncodedProgram(out, enc.source, enc.config)
+
+
+def ref_apply_scope_vars(enc, names):
+    if not names:
+        return enc
+    prog = enc.program
+    for nm in names:
+        ty = prog.var_types.get(nm)
+        if ty is None:
+            raise EncodingError(f"unknown scope variable {nm!r}")
+        if ty != INT:
+            raise EncodingError(
+                f"scope variable {nm!r} must have type Int, has {ty}")
+    return ref_rewrite_pred_args(
+        enc, {"R"},
+        lambda _, xs: list(xs) + [Var(nm) for nm in names],
+        lambda _, tys: list(tys) + [INT] * len(names),
+        "scope augmentation")
+
+
+def ref_remove_arguments(enc, drop):
+    if not drop:
+        return enc
+    by_pred = {}
+    decl = {p.name: p for p in enc.program.preds}
+    for pred, idxs in drop.items():
+        if pred not in decl:
+            raise EncodingError(f"unknown predicate {pred!r}")
+        arity = len(decl[pred].arg_types)
+        for i in idxs:
+            if not (0 <= i < arity):
+                raise EncodingError(
+                    f"argument index {i} out of range for {pred!r}/{arity}")
+        by_pred[pred] = set(idxs)
+
+    def keep(pred, xs):
+        return [x for i, x in enumerate(xs) if i not in by_pred[pred]]
+
+    return ref_rewrite_pred_args(enc, set(by_pred), keep, keep,
+                                 "argument removal")
+
+
+def ref_encode(program, config):
+    """The encoding without its scope variables and removed positions,
+    followed by the reference passes that add and remove them."""
+    plain = encode(program, replace(config, scope_vars=(), drop_args=()))
+    enc = EncodedProgram(plain.program, plain.source, config)
+    enc = ref_apply_scope_vars(enc, list(config.scope_vars))
+    drop = {}
+    for pred, idx in config.drop_args:
+        drop.setdefault(pred, []).append(idx)
+    return ref_remove_arguments(enc, drop)
+
+
+def encoding_outcome(encoder, program, config):
+    """What a test can see of an encoding: its printed program and
+    SMT-LIB text, every statement's location and position, its predicate
+    declarations, variables and config; or the refusal's message."""
+    try:
+        enc = encoder(program, config)
+    except EncodingError as exc:
+        return "refused", str(exc)
+    q = enc.program
+    return (pretty_print(q), emit_smtlib(to_chc(q)),
+            [(s.loc, s.pos) for s in walk_statements(q.body)],
+            [(d.name, d.arg_types) for d in q.preds],
+            list(q.var_types.items()), enc.config)
+
+
+def one_pass_programs():
+    """The corpus programs, and progen programs, which declare a source
+    predicate P."""
+    for entry in load_corpus():
+        yield entry.name, entry.load()
+    for seed in range(4):
+        yield f"progen {seed}", progen.gen_program(seed, allow_havoc=True)
+
+
+ONE_PASS_BASES = [EncodingConfig(base="r"), EncodingConfig(base="rw"),
+                  EncodingConfig(base="rwfun", assume_memsafe=True),
+                  EncodingConfig(base="rwmem")]
+
+
+def one_pass_cases(programs):
+    """Every program under every base, with and without tagging and
+    caching, with each scope set, and with the next removal set in turn:
+    the n-th case takes removal set n mod 7, so across the cases each
+    scope set meets each removal set under every base."""
+    n = 0
+    for label, program in programs:
+        inp = program.input_var
+        objs = [v for v, ty in program.var_types.items() if ty.kind == "Obj"]
+        scopes = [(), (inp,), ("$cnt", inp), (inp, inp), ("nosuch",),
+                  tuple(objs[:1])]
+        for base in ONE_PASS_BASES:
+            for tagging in (False, True):
+                # R's first scope position, after the two tag arguments
+                first_scope = 5 if tagging else 3
+                drops = [(), (("R", 0),), (("R", first_scope),), (("W", 0),),
+                         (("P", 0),), (("R", 9),),
+                         (("R", 1), ("W", 2), ("R", 1))]
+                for caching in (False, True):
+                    for scope in scopes:
+                        yield label, program, replace(
+                            base, tagging=tagging, caching=caching,
+                            scope_vars=scope, drop_args=drops[n % 7])
+                        n += 1
+
+
+def check_one_pass(cases):
+    """One-pass ``encode`` against the plain encoding followed by the
+    reference passes: the same outcome for every (program, config)."""
+    for label, program, config in cases:
+        assert encoding_outcome(encode, program, config) == \
+            encoding_outcome(ref_encode, program, config), (label, config)
+
+
+def test_one_pass_encoding_matches_the_reference_passes():
+    check_one_pass(one_pass_cases(one_pass_programs()))
+
+
 def test_scope_vars_empty_is_identity():
-    e = enc_r(parse_and_check(SINGLE_READ))
-    assert apply_scope_vars(e, []) is e
+    p = parse_and_check(SINGLE_READ)
+    check_one_pass(("single-read", p, replace(c, drop_args=(("R", 1),)))
+                   for c in ONE_PASS_BASES)
 
 
 def test_scope_vars_unknown_or_ill_typed():
-    e = enc_r(parse_and_check(SINGLE_READ))
-    with pytest.raises(EncodingError):
-        apply_scope_vars(e, ["nosuch"])
-    with pytest.raises(EncodingError):
-        apply_scope_vars(e, ["x"])  # object-typed
+    p = parse_and_check(SINGLE_READ)
+    with pytest.raises(EncodingError, match="unknown scope variable"):
+        enc_r(p, scope_vars=("nosuch",))
+    with pytest.raises(EncodingError, match="must have type Int"):
+        enc_r(p, scope_vars=("x",))  # object-typed
 
 
 def test_remove_arguments_everywhere():
-    e = enc_r(parse_and_check(SINGLE_READ))
-    d = remove_arguments(e, {"R": [1]})
-    q = d.program
+    q = enc_r(parse_and_check(SINGLE_READ), drop_args=(("R", 1),)).program
     assert len(q.preds_by_name()["R"].arg_types) == 2
     for s in stmts_of(q):
         if isinstance(s, (AssertPred, AssumePred)) and s.pred == "R":
@@ -559,16 +703,24 @@ def test_remove_arguments_everywhere():
 
 
 def test_remove_arguments_validates_indices():
-    e = enc_r(parse_and_check(SINGLE_READ))
-    with pytest.raises(EncodingError):
-        remove_arguments(e, {"R": [7]})
-    with pytest.raises(EncodingError):
-        remove_arguments(e, {"Z": [0]})
+    p = parse_and_check(SINGLE_READ)
+    with pytest.raises(EncodingError,
+                       match=r"argument index 7 out of range for 'R'/3"):
+        enc_r(p, drop_args=(("R", 7),))
+    with pytest.raises(EncodingError, match="unknown predicate 'Z'"):
+        enc_r(p, drop_args=(("Z", 0),))
 
 
 def test_remove_nothing_is_identity():
-    e = enc_r(parse_and_check(SINGLE_READ))
-    assert remove_arguments(e, {}) is e
+    p = parse_and_check(SINGLE_READ)
+    check_one_pass(("single-read", p, replace(c, scope_vars=("in",)))
+                   for c in ONE_PASS_BASES)
+
+
+def test_removed_index_counts_the_scope_arguments():
+    p = parse_and_check(SINGLE_READ)
+    assert enc_r(p, scope_vars=("in",), drop_args=(("R", 3),)).program == \
+        enc_r(p).program
 
 
 # ---------------------------------------------------------------------------
@@ -646,10 +798,9 @@ def test_transformations_leave_their_input_alone(corpus):
             if encoded is not None:
                 programs.append(encoded)
         programs.append(expand_program_havocs(source))
-        r = enc_r(source)
-        programs += [r.program,
-                     apply_scope_vars(r, [source.input_var]).program,
-                     remove_arguments(r, {"R": [0]}).program]
+        programs += [enc_r(source).program,
+                     enc_r(source, scope_vars=(source.input_var,)).program,
+                     enc_r(source, drop_args=(("R", 0),)).program]
         seen = set()
         for program in programs:
             locs = statement_locations(program)

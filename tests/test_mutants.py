@@ -18,12 +18,14 @@ import pytest
 
 from heapinv.chc import _Translator, emit_smtlib
 from heapinv.corpus import corpus_by_name, encode_variant, load_corpus
-from heapinv.encode import _HeapEncoder, apply_scope_vars, enc_r
+from heapinv.encode import _HeapEncoder, enc_r
 from heapinv.fixpoint import (
     GridExecutor, InputDomain, _AnyAddress, check_safety,
 )
 from heapinv.interp import _Compiler, draw_code
-from heapinv.lang import _tokenize, variable_uses, walk_statements
+from heapinv.lang import (
+    _tokenize, parse_and_check, variable_uses, walk_statements,
+)
 
 import test_acceptance
 import test_chc
@@ -142,7 +144,7 @@ MUTANTS = {
     # as if no read were at $last_addr
     "read-without-last-addr-test": (
         _HeapEncoder.encode,
-        "out: list[Stmt] = [_if(_eq(_v(V_LAST_ADDR), _v(s.addr)), then, els)]",
+        "out: list[Stmt] = [_if(_eq(_v(LAST_ADDR_VAR), _v(s.addr)), then, els)]",
         "out: list[Stmt] = els",
         lambda: verdict_check("single-read-wrong", "r")),
     # address classing: the probe records none of the values it is
@@ -166,13 +168,32 @@ MUTANTS = {
         "self.clause(app, [PredApp(pre, self.args)], [])",
         "self.clause(None, [PredApp(pre, self.args), app], [])",
         test_chc_ground.test_ground_saturation_matches_oracle),
-    # encoder: scope variables are appended to W as well as to R, so a
-    # read whose scope variable changed since the write finds no tuple
+    # encoder: scope variables are appended to W's applications and
+    # declaration as well as to R's, so a read whose scope variable
+    # changed since the write finds no tuple
     "scope-vars-on-w": (
-        apply_scope_vars,
-        "enc, {READ_PRED},",
-        "enc, {READ_PRED, WRITE_PRED},",
+        _HeapEncoder.__init__,
+        "self.scope = {READ_PRED: config.scope_vars}",
+        "self.scope = {READ_PRED: config.scope_vars,\n"
+        "                  WRITE_PRED: config.scope_vars}",
         lambda: test_encode.check_scoped_verdicts("rw", seeds=())),
+    # encoder: the removed positions leave an application before its scope
+    # arguments are appended, so an index past the plain arguments removes
+    # nothing
+    "drop-before-scope": (
+        _HeapEncoder._final,
+        "if scope:\n"
+        "        xs = xs + [of_var(nm) for nm in scope]\n"
+        "    drop = self.drop.get(pred)\n"
+        "    if drop:\n"
+        "        xs = [x for i, x in enumerate(xs) if i not in drop]\n",
+        "drop = self.drop.get(pred)\n"
+        "    if drop:\n"
+        "        xs = [x for i, x in enumerate(xs) if i not in drop]\n"
+        "    if scope:\n"
+        "        xs = xs + [of_var(nm) for nm in scope]\n",
+        lambda: test_encode.check_one_pass(test_encode.one_pass_cases(
+            [("single-read", parse_and_check(test_encode.SINGLE_READ))]))),
     # lexer: a gap's newlines (a comment's line end among them) advance
     # the line but leave the column counting on from the line before
     "column-not-reset-after-a-gap-newline": (

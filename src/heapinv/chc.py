@@ -1,7 +1,8 @@
 """Constrained Horn clause translation and SMT-LIB2 HORN emission.
 
 Heap-free programs (typically encoder outputs) are translated into clauses
-over one location predicate per control point, each ranging over all
+over one location per node of ``lang.layout``, one clause per edge: the
+graph the executor compiles.  Each location predicate ranges over all
 declared variables.  Predicate assertions put the uninterpreted predicate
 in a clause head; predicate assumptions put it in the body alongside the
 location predicate (making the clause set non-linear).  Satisfiability of
@@ -27,9 +28,8 @@ from dataclasses import dataclass, field
 
 from .lang import (
     ADDR, INT, Alloc, Assign, AssertExpr, AssertPred, AssumeExpr, AssumePred,
-    Binary, Block, CtorApp, DefObj, Expr, HavocStmt, If, IntLit, NondetStmt,
-    Null, Program, Read, SelApp, Skip, Stmt, TestApp, Type, Unary, Var,
-    While, Write,
+    Binary, CtorApp, DefObj, Expr, HavocStmt, IntLit, NondetStmt, Null,
+    Program, Read, SelApp, TestApp, Type, Unary, Var, Write, layout,
 )
 
 Term = object  # str | tuple of Terms, rendered as S-expressions
@@ -88,16 +88,7 @@ class _Translator:
         self.state, self.args = self.cs.state, names
         for pd in program.preds:
             self.cs.preds[pd.name] = tuple(_sort_of(t) for t in pd.arg_types)
-        self.loc_count = 0
         self.fresh_count = 0
-
-    # location predicates
-
-    def new_loc(self) -> str:
-        name = f"L{self.loc_count}"
-        self.loc_count += 1
-        self.cs.preds[name] = self.loc_sorts
-        return name
 
     def assigned(self, target: str, value: Term) -> tuple:
         """The state arguments with ``target`` replaced by ``value``."""
@@ -210,14 +201,6 @@ class _Translator:
         cvars = self.state + extra_vars if extra_vars else self.state
         self.cs.clauses.append(Clause(head, body, constraint, cvars))
 
-    def translate(self) -> ClauseSet:
-        entry = self.new_loc()
-        self.cs.entry = entry
-        # single entry clause: every variable starts unconstrained
-        self.clause(PredApp(entry, self.args), [], [])
-        self.stmt(self.p.body, entry)
-        return self.cs
-
     def goto(self, pre: str, post: str, constraint: list,
              head_args: tuple | None = None,
              extra_body: PredApp | None = None,
@@ -228,71 +211,52 @@ class _Translator:
         self.clause(PredApp(post, head_args or self.args), body, constraint,
                     extra_vars)
 
-    def stmt(self, s: Stmt, pre: str) -> str:
-        if isinstance(s, Block):
-            cur = pre
-            for c in s.stmts:
-                cur = self.stmt(c, cur)
-            return cur
-        if isinstance(s, Skip):
-            return pre
-        if isinstance(s, Assign):
-            post = self.new_loc()
-            self.goto(pre, post, [], self.assigned(s.target, self.term(s.expr)))
-            return post
-        if isinstance(s, (HavocStmt, NondetStmt)):
-            post = self.new_loc()
-            sort = _sort_of(self.p.var_types[s.target])
-            fresh = self.fresh(s.target.replace("$", "_"))
-            self.goto(pre, post, [], self.assigned(s.target, fresh),
-                      extra_vars=((fresh, sort),))
-            return post
-        if isinstance(s, If):
-            cond = self.formula(s.cond)
-            then_in, else_in = self.new_loc(), self.new_loc()
-            self.goto(pre, then_in, [cond])
-            self.goto(pre, else_in, [("not", cond)])
-            then_out = self.stmt(s.then, then_in)
-            else_out = self.stmt(s.els, else_in)
-            join = self.new_loc()
-            self.goto(then_out, join, [])
-            self.goto(else_out, join, [])
-            return join
-        if isinstance(s, While):
-            head = self.new_loc()
-            self.goto(pre, head, [])
-            cond = self.formula(s.cond)
-            body_in = self.new_loc()
-            self.goto(head, body_in, [cond])
-            body_out = self.stmt(s.body, body_in)
-            self.goto(body_out, head, [])
-            post = self.new_loc()
-            self.goto(head, post, [("not", cond)])
-            return post
-        if isinstance(s, AssumeExpr):
-            post = self.new_loc()
-            self.goto(pre, post, [self.formula(s.expr)])
-            return post
-        if isinstance(s, AssertExpr):
-            cond = self.formula(s.expr)
-            self.clause(None, [PredApp(pre, self.args)], [("not", cond)])
-            post = self.new_loc()
-            self.goto(pre, post, [cond])
-            return post
-        if isinstance(s, AssumePred):
-            post = self.new_loc()
-            app = PredApp(s.pred, tuple(self.term(a) for a in s.args))
-            self.goto(pre, post, [], extra_body=app)
-            return post
-        if isinstance(s, AssertPred):
-            app = PredApp(s.pred, tuple(self.term(a) for a in s.args))
-            self.clause(app, [PredApp(pre, self.args)], [])
-            post = self.new_loc()
-            self.goto(pre, post, [])
-            return post
-        if isinstance(s, (Alloc, Read, Write)):
-            raise ChcError("program still contains heap statements; encode it first")
-        raise ChcError(f"cannot translate statement {type(s).__name__}")
+    def translate(self) -> ClauseSet:
+        """One location ``L{i}`` per node i of ``lang.layout`` and ``L{end}``
+        for the end, entered at ``L0``; one clause per edge, and one more
+        per assertion."""
+        nodes = layout(self.p.body)
+        locs = [f"L{i}" for i in range(len(nodes) + 1)]
+        for name in locs:
+            self.cs.preds[name] = self.loc_sorts
+        self.cs.entry = locs[0]
+        # single entry clause: every variable starts unconstrained
+        self.clause(PredApp(locs[0], self.args), [], [])
+        for i, (kind, s, nxt, els) in enumerate(nodes):
+            pre, post = locs[i], locs[nxt]
+            if kind != "do":  # a test: s is its condition
+                cond = self.formula(s)
+                self.goto(pre, post, [cond])
+                self.goto(pre, locs[els], [("not", cond)])
+                continue
+            t = type(s)
+            if t is Assign:
+                self.goto(pre, post, [],
+                          self.assigned(s.target, self.term(s.expr)))
+            elif t is HavocStmt or t is NondetStmt:
+                sort = _sort_of(self.p.var_types[s.target])
+                fresh = self.fresh(s.target.replace("$", "_"))
+                self.goto(pre, post, [], self.assigned(s.target, fresh),
+                          extra_vars=((fresh, sort),))
+            elif t is AssumeExpr:
+                self.goto(pre, post, [self.formula(s.expr)])
+            elif t is AssertExpr:
+                cond = self.formula(s.expr)
+                self.clause(None, [PredApp(pre, self.args)], [("not", cond)])
+                self.goto(pre, post, [cond])
+            elif t is AssumePred:
+                app = PredApp(s.pred, tuple(self.term(a) for a in s.args))
+                self.goto(pre, post, [], extra_body=app)
+            elif t is AssertPred:
+                app = PredApp(s.pred, tuple(self.term(a) for a in s.args))
+                self.clause(app, [PredApp(pre, self.args)], [])
+                self.goto(pre, post, [])
+            elif t is Alloc or t is Read or t is Write:
+                raise ChcError("program still contains heap statements; "
+                               "encode it first")
+            else:
+                raise ChcError(f"cannot translate statement {t.__name__}")
+        return self.cs
 
 
 def to_chc(program: Program) -> ClauseSet:

@@ -21,10 +21,11 @@ in both modes and checks that the two modes are observably equivalent.
 Every run starts from an empty heap.
 
 Statements are compiled once into a flat list of instruction closures
-(Feeley & Lapalme, "Using closures for code generation", 1987); evaluation
-is a pure function of (program, initial stack, interpretation, fuel).  Int
-and Addr values are plain Python ints (Addr values are naturals), objects
-are ObjVal tuples.
+(Feeley & Lapalme, "Using closures for code generation", 1987), one per
+node of the control-flow graph ``lang.layout`` gives, the graph the Horn
+translator (``chc``) reads too.  Evaluation is a pure function of
+(program, initial stack, interpretation, fuel).  Int and Addr values are
+plain Python ints (Addr values are naturals), objects are ObjVal tuples.
 
 Each instruction takes ``(state, env)`` and returns the index of the next
 one: ``if`` and ``while`` become conditional jumps to fixed indices, blocks
@@ -78,9 +79,9 @@ from typing import Callable, NamedTuple
 
 from .lang import (
     AdtDecl, Alloc, Assign, AssertExpr, AssertPred, AssumeExpr, AssumePred,
-    Binary, Block, CtorApp, DefObj, Expr, FAILURE_PRED, HavocStmt, If, INT,
-    IntLit, NondetStmt, Null, Program, Read, SelApp, Skip, Stmt, TestApp,
-    Type, Unary, Var, While, Write, expr_vars, variable_uses,
+    Binary, CtorApp, DefObj, Expr, FAILURE_PRED, HavocStmt, INT, IntLit,
+    NondetStmt, Null, Program, Read, SelApp, Stmt, TestApp, Type, Unary, Var,
+    Write, expr_vars, layout, variable_uses,
 )
 
 
@@ -584,22 +585,16 @@ class _Compiler:
 
     def code(self, body: Stmt,
              find_sites: bool = False) -> list[Callable[[_State, dict], int]]:
-        """The statement as a flat list of instructions, entered at 0 and
-        left at the list's length ``end``.  Blocks are laid out in order;
-        an ``if`` is a branch to its else part whose then part continues
-        past it, a ``while`` a test that branches past its body, which
-        continues at the test.  No jump is laid out: each instruction's
-        next index is where control goes, so jumps cost nothing at run
-        time.  A failed predicate query at index i records its blocker
-        and returns the stop index ``end + 1 + 2i`` (assume) or ``end + 2
-        + 2i`` (assert); with ``find_sites``, the assume of a draw site
-        whose first havoc is at index k returns ``end + 1 + 2k``
-        instead."""
-        flat: list[list] = []
-        exits = self._layout(body, flat, [])
-        self.end = end = len(flat)
-        for op, f in exits:
-            op[f] = end
+        """The statement as a flat list of instructions, one per node of
+        ``lang.layout(body)``, entered at 0 and left at the list's length
+        ``end``.  Each instruction's next index is its node's successor,
+        so jumps cost nothing at run time.  A failed predicate query at
+        index i records its blocker and returns the stop index ``end + 1 +
+        2i`` (assume) or ``end + 2 + 2i`` (assert); with ``find_sites``,
+        the assume of a draw site whose first havoc is at index k returns
+        ``end + 1 + 2k`` instead."""
+        flat = layout(body)
+        self.end = len(flat)
         spans = self._draw_sites(flat) if find_sites else {}
         self._site_of = {q: k for k, q in spans.items()}
         code = [self.instr(node, me, nxt) if kind == "do"
@@ -638,39 +633,6 @@ class _Compiler:
                                  if type(a) is not Var):
                 spans[k] = q
         return spans
-
-    def _layout(self, s: Stmt, flat: list, exits: list) -> list:
-        """Append the statement's instructions ``[kind, node, next, else]``
-        to ``flat``: ``do`` a simple statement, or a test (``branch`` or
-        ``loop``) that goes to ``next`` when its condition holds.  ``exits``
-        holds the (instruction, field) pairs that lead into the statement;
-        its first instruction takes them, and the pairs that lead past it
-        are returned.  An ``if``'s then part thus exits past its else part
-        and a loop body to its test, with no jump laid out."""
-        t = type(s)
-        if t is Block:
-            for x in s.stmts:
-                exits = self._layout(x, flat, exits)
-            return exits
-        if t is Skip:
-            return exits
-        i = len(flat)
-        for op, f in exits:
-            op[f] = i
-        if t is If:
-            op = ["branch", s.cond, None, None]
-            flat.append(op)
-            then = self._layout(s.then, flat, [(op, 2)])
-            return then + self._layout(s.els, flat, [(op, 3)])
-        if t is While:
-            op = ["loop", s.cond, None, None]
-            flat.append(op)
-            for body, f in self._layout(s.body, flat, [(op, 2)]):
-                body[f] = i
-            return [(op, 3)]
-        op = ["do", s, None, None]
-        flat.append(op)
-        return [(op, 2)]
 
     def test(self, kind: str, cond: Expr, nxt: int,
              els: int) -> Callable[[_State, dict], int]:

@@ -24,8 +24,9 @@ _META = dict(compare=False, repr=False, kw_only=True)
 
 @dataclass(frozen=True, slots=True)
 class Type:
-    """Type tag: Int, Addr, or Obj(adt). Obj carries the ADT name and, when
-    parsed, the position of its type name."""
+    """Type tag: Int, Addr, or Obj(adt). Obj carries the ADT name.  A parsed
+    Addr or Obj type carries the position of its type name; a parsed Int is
+    the shared ``INT``."""
 
     kind: str  # "Int" | "Addr" | "Obj"
     adt: str | None = None
@@ -563,7 +564,7 @@ class _Parser:
         if t.text == "Int":
             return INT
         if t.text == "Addr":
-            return ADDR
+            return Type("Addr", pos=(t.line, t.col))
         if t.text == "Obj":
             # shorthand for the designated heap ADT; resolved by typecheck
             return Type("Obj", None, pos=(t.line, t.col))
@@ -838,6 +839,57 @@ def assign_locations(program: Program) -> Program:
 
 def statement_locations(program: Program) -> list[int]:
     return [s.loc for s in walk_statements(program.body)]
+
+
+# ---------------------------------------------------------------------------
+# Control-flow graph
+
+
+def layout(body: Stmt) -> list[list]:
+    """The statement's control-flow graph: one node ``[kind, node, next,
+    else]`` per simple statement (``do``) and per test (``branch`` or
+    ``loop``, which goes to ``next`` when its condition holds and to
+    ``else`` when not), in pre-order, entered at 0.  A node's successors
+    are node indices, or the end ``len(nodes)``.  Blocks and ``skip`` leave
+    no node, and no jump is laid out: an ``if``'s then part exits past its
+    else part, a loop body to its test.  The executor compiles these nodes
+    and the Horn translator gives each one a location."""
+    nodes: list[list] = []
+    exits = _layout(body, nodes, [])
+    end = len(nodes)
+    for op, f in exits:
+        op[f] = end
+    return nodes
+
+
+def _layout(s: Stmt, flat: list, exits: list) -> list:
+    """Append the statement's nodes to ``flat``.  ``exits`` holds the
+    (node, field) pairs that lead into the statement; its first node takes
+    them, and the pairs that lead past it are returned."""
+    t = type(s)
+    if t is Block:
+        for x in s.stmts:
+            exits = _layout(x, flat, exits)
+        return exits
+    if t is Skip:
+        return exits
+    i = len(flat)
+    for op, f in exits:
+        op[f] = i
+    if t is If:
+        op = ["branch", s.cond, None, None]
+        flat.append(op)
+        then = _layout(s.then, flat, [(op, 2)])
+        return then + _layout(s.els, flat, [(op, 3)])
+    if t is While:
+        op = ["loop", s.cond, None, None]
+        flat.append(op)
+        for body, f in _layout(s.body, flat, [(op, 2)]):
+            body[f] = i
+        return [(op, 3)]
+    op = ["do", s, None, None]
+    flat.append(op)
+    return [(op, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -1117,7 +1169,8 @@ class TypeChecker:
     #
     # Both walks dispatch on ``type(node)``, and test two types for
     # equality by identity before ``Type.__eq__``: INT, ADDR and the
-    # checker's ADT types are shared objects.
+    # checker's ADT types are shared objects (a declared Addr or Obj type
+    # is not: it carries its position).
 
     def var_type(self, name: str, node) -> Type | None:
         ty = self.p.var_types.get(name)

@@ -182,6 +182,38 @@ PROGRAMS = [
       k := in - 1;
       if (k) { k := 0; } else { assert(in != 1); }
     }""", "unsafe"),
+    # corner cases of the control-flow graph: a loop test as the entry
+    ("""prog {
+      input in;
+      var i: Int;
+      while (i < 2) { i := i + 1; }
+      assert(i >= 2);
+    }""", "safe"),
+    # both edges of a test go to one successor
+    ("""prog {
+      input in;
+      if (in > 0) { } else { }
+      assert(in != -1);
+    }""", "unsafe"),
+    # a loop that is never entered: its body edge goes back to the test
+    ("""prog {
+      input in;
+      while (in > 5) { }
+      assert(in != 1);
+    }""", "unsafe"),
+    # a loop body that ends in an if: its then part exits to the loop test
+    ("""prog {
+      input in;
+      var i: Int;
+      var s: Int;
+      i := 0;
+      s := 0;
+      while (i < 3) {
+        i := i + 1;
+        if (i = 2) { s := s + 1; }
+      }
+      assert(s = 1);
+    }""", "safe"),
 ]
 
 

@@ -445,32 +445,36 @@ def test_bad_input_is_one_line_error(capsys, tmp_path, argv):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
-GRID_INPUT_OF_NODE_TYPE = """prog {
+GRID_INPUT_OF_ANOTHER_TYPE = """prog {
   adt Node { node(data: Int, next: Addr); }
   heaptype Node;
   input in;
   seed seed;
-  var NAME: Node;
+  var NAME: TYPE;
   BODY
 }"""
 
 
-@pytest.mark.parametrize("argv,name,body", [
-    (("fixpoint",), "$c", "assert(data($c) = 0);"),
-    (("run",), "$c", "assert(data($c) = 0);"),
-    (("fixpoint",), "$last_addr", "assert(data($last_addr) = 0);"),
-    (("equisafe", "--enc", "n"), "$c",
+@pytest.mark.parametrize("argv,name,ty,body", [
+    (("fixpoint",), "$c", "Node", "assert(data($c) = 0);"),
+    (("run",), "$c", "Node", "assert(data($c) = 0);"),
+    (("fixpoint",), "$last_addr", "Node", "assert(data($last_addr) = 0);"),
+    (("equisafe", "--enc", "n"), "$c", "Node",
      "var p: Addr; $c := node(1, null); p := alloc($c);"
      " assert(data($c) = 1);"),
+    (("fixpoint",), "$c", "Addr", "assert($c = null);"),
+    (("fixpoint",), "$last_addr", "Addr", "assert($last_addr = null);"),
 ], ids=["fixpoint-counter", "run-counter", "fixpoint-last-addr",
-        "equisafe-n-counter"])
+        "equisafe-n-counter", "fixpoint-addr-counter",
+        "fixpoint-addr-last-addr"])
 def test_grid_input_of_another_type_is_a_type_error(capsys, tmp_path, argv,
-                                                     name, body):
+                                                     name, ty, body):
     # the grid binds $c and $last_addr to integers: declared with another
     # type they are a type error at the type, not a run that crashes
     path = tmp_path / "grid-input.up"
-    path.write_text(GRID_INPUT_OF_NODE_TYPE.replace("NAME", name)
-                    .replace("BODY", body), encoding="utf-8")
+    path.write_text(GRID_INPUT_OF_ANOTHER_TYPE.replace("NAME", name)
+                    .replace("TYPE", ty).replace("BODY", body),
+                    encoding="utf-8")
     code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
     assert (code, out) == (EXIT_ERROR, "")
     assert err.splitlines() == [

@@ -1,13 +1,14 @@
 """Known-dangerous mutants of the library, each killed by a named check.
 
 A mutant is a function, a text in its source, the text that replaces it and
-the check that must then fail.  The source must hold the old text exactly
-once, so that a refactor that moves the text fails here instead of testing
-nothing.  The mutated source is compiled in the function's module and its
-code is patched into the function itself, so every reference to it, a
-name imported elsewhere or a recursive call included, runs the mutant.  A
-mutant of a compiled closure patches the ``_Compiler`` method that builds
-it, and its check compiles again.
+the check that must then fail, or a tuple of checks that must each fail.
+The source must hold the old text exactly once, so that a refactor that
+moves the text fails here instead of testing nothing.  The mutated source
+is compiled in the function's module and its code is patched into the
+function itself, so every reference to it, a name imported elsewhere or a
+recursive call included, runs the mutant.  A mutant of a compiled closure
+patches the ``_Compiler`` method that builds it, and its check compiles
+again.
 """
 
 import __future__
@@ -30,6 +31,7 @@ from heapinv.lang import (
 import test_acceptance
 import test_chc
 import test_chc_ground
+import test_chc_layout
 import test_encode
 import test_fixpoint
 import test_front_end
@@ -63,6 +65,11 @@ def address_check():
 def record_offset_check():
     p = test_fixpoint.prog(test_fixpoint.SITE_AFTER_BRANCH)
     test_fixpoint.check_draw_sites(p, InputDomain(), "after-branch")
+
+
+def chc_layout_check():
+    test_chc_layout.test_layout_translation_matches_the_contracted_reference(
+        load_corpus())
 
 
 def verdict_check(name, variant):
@@ -164,10 +171,20 @@ MUTANTS = {
     # CHC: a predicate assert becomes a query clause with the predicate in
     # its body instead of a clause that derives it
     "assert-pred-in-clause-body": (
-        _Translator.stmt,
+        _Translator.translate,
         "self.clause(app, [PredApp(pre, self.args)], [])",
         "self.clause(None, [PredApp(pre, self.args), app], [])",
         test_chc_ground.test_ground_saturation_matches_oracle),
+    # CHC: a test's condition goes on its else edge and its negation on
+    # its then edge
+    "branch-edges-swapped": (
+        _Translator.translate,
+        'self.goto(pre, post, [cond])\n'
+        '            self.goto(pre, locs[els], [("not", cond)])',
+        'self.goto(pre, post, [("not", cond)])\n'
+        '            self.goto(pre, locs[els], [cond])',
+        (chc_layout_check,
+         test_chc_ground.test_ground_saturation_matches_oracle)),
     # encoder: scope variables are appended to W's applications and
     # declaration as well as to R's, so a read whose scope variable
     # changed since the write finds no tuple
@@ -207,7 +224,10 @@ MUTANTS = {
 @pytest.mark.parametrize("func,old,new,check", MUTANTS.values(),
                          ids=MUTANTS)
 def test_mutant_is_killed(monkeypatch, func, old, new, check):
-    check()
+    checks = check if isinstance(check, tuple) else (check,)
+    for c in checks:
+        c()
     mutate(monkeypatch, func, old, new)
-    with pytest.raises(AssertionError):
-        check()
+    for c in checks:
+        with pytest.raises(AssertionError):
+            c()

@@ -91,7 +91,10 @@ class _Translator:
         self.fresh_count = 0
 
     def assigned(self, target: str, value: Term) -> tuple:
-        """The state arguments with ``target`` replaced by ``value``."""
+        """The state arguments with ``target`` replaced by ``value``: the
+        shared tuple itself when the value is the target variable."""
+        if value == target:
+            return self.args
         args = list(self.args)
         args[self.slot[target]] = value
         return tuple(args)

@@ -162,6 +162,10 @@ def _encode_program(prog: Program, args) -> Program:
                 raise CliError(
                     f"{flag} applies only with --enc r, rw, rwfun or rwmem")
         return prog if args.enc is None else enc_n(prog)
+    if args.enc == "rwfun" and not args.assume_memsafe:
+        # the encoder's own message names its parameter, not the flag
+        raise CliError("the rwfun encoding is only correct for memory-safe "
+                       "programs; pass --assume-memsafe to acknowledge this")
     return encode(prog, _config(args)).program
 
 

@@ -8,7 +8,7 @@ it once more under the fixed point: only expression assertions can still
 fail there.
 
 Executions are deterministic given (input, seed, prophecy address, fuel),
-which allows four big savings without changing the computed sets:
+which allows five big savings without changing the computed sets:
 
 * when the seed variable is only touched by havoc/nondet draws
   (``CompiledProgram.seed_classing``: never read by an expression or
@@ -98,13 +98,33 @@ which allows four big savings without changing the computed sets:
   classes one by one.  A node's seeds can meet further nodes, and
   the depth of that nesting is bounded only by the loop and heap fuel of
   the domain, so the loops in progress are kept on an explicit stack
-  rather than by recursion, which could exceed Python's recursion limit.
+  rather than by recursion, which could exceed Python's recursion limit;
+* when the input variable is read only as a bare argument of predicate
+  queries, at the same positions in every assume and assert of each
+  predicate (``lang.query_positions``), the least fixed point is computed
+  at the least input of the range alone, and each of its tuples is then
+  written at every input of the range in its predicate's positions.  Call
+  an interpretation input-symmetric when its tuples at each input are
+  those at the least input with the input renamed.  Under one, the run at
+  any input is the run at the least input with that input written into
+  its queries' positions: it reads the input nowhere else, and each query
+  holds exactly when its renaming does.  So ``T`` maps an input-symmetric
+  interpretation to one, and the empty interpretation is one; by induction
+  each iterate of the full grid is the expansion of the least input's, and
+  each iteration adds tuples on both or on neither.  The fixed point, the
+  iteration count and the cap's sizes are therefore the full grid's.  The
+  least input's least failure is the least failing grid point, and a class
+  that exhausts its fuel does so at every input, so the verdict counts it
+  once per input.  This holds from the empty interpretation only:
+  ``GridExecutor.run_all``, ``immediate_consequence`` and ``sweep_under``
+  run under an interpretation the caller chose, which need not be
+  input-symmetric, so they keep the full grid.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, NamedTuple
 
 from .interp import (
@@ -112,7 +132,7 @@ from .interp import (
 )
 from .lang import (
     COUNTER_VAR, FAILURE_PRED, LAST_ADDR_VAR, HavocStmt, NondetStmt, Program,
-    variable_uses, walk_statements,
+    query_positions, variable_uses, walk_statements,
 )
 
 
@@ -754,11 +774,51 @@ class IterationCapExceeded(Exception):
         self.sizes = sizes
 
 
+def input_positions(program: Program,
+                    domain: InputDomain) -> dict[str, tuple] | None:
+    """The positions of the input in each queried predicate's tuples when
+    the least fixed point is computed at the least input of the range and
+    then written at every input (see the module docstring), else None."""
+    if program.input_var is None or domain.in_range[0] == domain.in_range[1]:
+        return None
+    positions = query_positions(program, program.input_var)
+    if positions is None or not any(positions.values()):
+        return None
+    return positions
+
+
+def _expand(interp: Interpretation, positions: dict[str, tuple] | None,
+            in_range: tuple[int, int]) -> Interpretation:
+    """The interpretation with every tuple written at each input of the
+    range in its predicate's input positions; itself without positions."""
+    if positions is None:
+        return interp
+    out = Interpretation()
+    for name, rel in interp.rels.items():
+        at = positions.get(name)
+        if not at:
+            out.rels[name] = set(rel)
+            continue
+        out.rels[name] = grown = set()
+        for args in rel:
+            row = list(args)
+            for b in range(in_range[0], in_range[1] + 1):
+                for i in at:
+                    row[i] = b
+                grown.add(tuple(row))
+    return out
+
+
 def least_fixpoint_info(program: Program, domain: InputDomain) -> FixpointInfo:
+    """Iterate T from the empty interpretation over the grid, or over the
+    least input alone when the input only indexes the predicates
+    (``input_positions``); the executor is the one that ran."""
     # iterations counts the applications of T that grew the interpretation;
     # the final, confirming application is always performed
     interp = Interpretation.empty()
-    ex = GridExecutor(program, domain)
+    positions = input_positions(program, domain)
+    ex = GridExecutor(program, domain if positions is None else replace(
+        domain, in_range=(domain.in_range[0],) * 2))
     ex.run_all(interp)
     iterations = 0
     cap = domain.cap()
@@ -769,10 +829,12 @@ def least_fixpoint_info(program: Program, domain: InputDomain) -> FixpointInfo:
             interp.add(pred, args)
         iterations += 1
         if iterations > cap:
-            raise IterationCapExceeded(cap, interp.sizes())
+            raise IterationCapExceeded(
+                cap, _expand(interp, positions, domain.in_range).sizes())
         added = {t for t in ex.rerun_blocked(interp, added)
                  if t[1] not in interp.relation(t[0])}
-    return FixpointInfo(interp, iterations, ex)
+    return FixpointInfo(_expand(interp, positions, domain.in_range),
+                        iterations, ex)
 
 
 def least_fixpoint(program: Program, domain: InputDomain) -> Interpretation:
@@ -826,10 +888,12 @@ def _grid_order(failure: tuple) -> tuple:
 
 
 def _verdict(ex: GridExecutor, iterations: int, sizes: dict,
-             at_fixed_point: bool) -> SafetyVerdict:
+             at_fixed_point: bool, inputs: int = 1) -> SafetyVerdict:
     """Unsafe with a witness at the least failure, else inconclusive when
-    some run exhausted its fuel, else safe.  At the fixed point no
-    predicate assertion can still fail: one that does is an error."""
+    some run exhausted its fuel, else safe.  Each class that exhausted its
+    fuel stands for ``inputs`` inputs per input of the executor.  At the
+    fixed point no predicate assertion can still fail: one that does is an
+    error."""
     least = key = None
     fuel = 0
     for cell in ex.cells.values():
@@ -846,7 +910,7 @@ def _verdict(ex: GridExecutor, iterations: int, sizes: dict,
                     least, key = failure, order
             elif isinstance(o, Undefined) and o.reason == FUEL_EXHAUSTED:
                 fuel += leaf.weight * ex.owned(cell, leaf.compared)[0]
-    fuel *= ex.collapsed_multiplier()
+    fuel *= ex.collapsed_multiplier() * inputs
     if least is not None:
         in_v, seed, la, o = least
         w = ex.witness(in_v, seed, la, o.pred, o.args)
@@ -858,7 +922,14 @@ def _verdict(ex: GridExecutor, iterations: int, sizes: dict,
 
 def verdict_from_executor(program: Program, domain: InputDomain,
                           info: FixpointInfo) -> SafetyVerdict:
-    return _verdict(info.executor, info.iterations, info.interp.sizes(), True)
+    """The verdict at the fixed point ``info`` over ``domain``.  An
+    executor that ran the least input alone stands for every input of the
+    range: its least failure is the least grid point that fails, and each
+    of its classes counts once per input."""
+    ex = info.executor
+    inputs = ((domain.in_range[1] - domain.in_range[0] + 1)
+              // (ex.domain.in_range[1] - ex.domain.in_range[0] + 1))
+    return _verdict(ex, info.iterations, info.interp.sizes(), True, inputs)
 
 
 def check_safety(program: Program, domain: InputDomain) -> SafetyVerdict:

@@ -1034,6 +1034,36 @@ def variable_uses(program: Program) -> tuple[set[str], set[str]]:
     return read, loose
 
 
+def query_positions(program: Program, name: str) -> dict[str, tuple] | None:
+    """The argument positions at which each queried predicate's assumes
+    and asserts hold the variable ``name`` itself, or None unless every
+    query of a predicate holds it at the same positions and nothing else
+    reads or assigns it: no other expression, argument, heap address
+    operand or statement target.  A run then sees the variable only
+    through the tuples of its queries.  One walk of the statements, each
+    expression's variables taken once."""
+    positions: dict[str, tuple] = {}
+    for s in walk_statements(program.body):
+        t = type(s)
+        if t is AssumePred or t is AssertPred:
+            at = []
+            for i, a in enumerate(s.args):
+                if type(a) is Var and a.name == name:
+                    at.append(i)
+                elif name in expr_vars(a):
+                    return None
+            at = tuple(at)
+            if positions.setdefault(s.pred, at) != at:
+                return None
+            continue
+        if name in (getattr(s, "target", None), getattr(s, "addr", None)):
+            return None
+        e = s.cond if t is If or t is While else getattr(s, "expr", None)
+        if e is not None and name in expr_vars(e):
+            return None
+    return positions
+
+
 def contains_heap_statements(program: Program) -> bool:
     return any(isinstance(s, (Alloc, Read, Write)) for s in walk_statements(program.body))
 

@@ -22,7 +22,9 @@ class MatrixRow:
         self.program = program
         self.encoded = {}    # variant -> Program
         self.verdicts = {}   # variant -> SafetyVerdict ("orig", "n", encodings)
-        self.fixinfo = {}    # variant -> FixpointInfo
+        # variant -> FixpointInfo; its executor ran the least input alone
+        # when the input only indexes the predicates
+        self.fixinfo = {}
 
 
 @pytest.fixture(scope="session")

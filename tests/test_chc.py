@@ -392,3 +392,21 @@ def test_shared_sequences_are_tuples(emitted):
             assert type(cl.vars) is tuple
             atoms = cl.body + ([cl.head] if cl.head is not None else [])
             assert all(type(a.args) is tuple for a in atoms)
+
+
+def test_state_atoms_hold_the_shared_tuple(emitted):
+    # a location atom whose arguments are the variables themselves holds
+    # ClauseSet.state_args, the tuple emit_smtlib renders once: also after
+    # an assignment of a variable to itself
+    cs = to_chc(parse_and_check("prog { var x: Int; var y: Int; x := x; }"))
+    assert cs.state_args == ("x", "y")
+    assert all(a.args is cs.state_args for cl in cs.clauses
+               for a in cl.body + [cl.head])
+    programs = [progen.gen_program(seed) for seed in range(60)]
+    sets = list(emitted.values()) + [
+        to_chc(enc(p).program) for p in programs for enc in (enc_r, enc_rw)]
+    for cs in sets:
+        for cl in cs.clauses:
+            atoms = cl.body + ([cl.head] if cl.head is not None else [])
+            assert all(a.args is cs.state_args for a in atoms
+                       if a.args == cs.state_args)

@@ -372,6 +372,7 @@ BAD_OUTPUT_PATHS = {"missing-dir": "no/such/dir/out", "a-directory": "."}
      "--scope-vars", ","),
     ("encode", "write-read-false", "--enc", "r", "--drop", "R:9"),
     ("equisafe", "write-read-false", "--enc", "rwfun"),
+    ("encode", "write-read-false", "--enc", "rwfun"),
     ("fixpoint", "write-read-false", "--seed-range", "5:1"),
     ("fixpoint", "write-read-false", "--loop-fuel", "-1"),
     ("fixpoint", "write-read-false", "--heap-op-fuel", "-1"),
@@ -412,6 +413,7 @@ BAD_OUTPUT_PATHS = {"missing-dir": "no/such/dir/out", "a-directory": "."}
 ], ids=["unknown-scope-var", "scope-vars-comma", "scope-vars-empty-middle",
         "scope-vars-trailing-comma", "cosim-scope-vars-comma",
         "drop-out-of-range", "rwfun-unacknowledged",
+        "encode-rwfun-unacknowledged",
         "empty-seed-range", "negative-loop-fuel", "negative-heap-op-fuel",
         "negative-iteration-cap", "negative-seed", "negative-last-addr",
         "all-inputs-negative-seed", "all-inputs-negative-last-addr",
@@ -443,6 +445,9 @@ def test_bad_input_is_one_line_error(capsys, tmp_path, argv):
     assert code == EXIT_ERROR
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    if "rwfun" in rest:
+        # the line names the flag that acknowledges it
+        assert "--assume-memsafe" in err, err
 
 
 GRID_INPUT_OF_ANOTHER_TYPE = """prog {

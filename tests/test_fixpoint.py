@@ -12,15 +12,15 @@ from heapinv.encode import enc_n, enc_r, enc_rw, encode
 from heapinv.fixpoint import (
     LAST_ADDR_VAR, FixpointInfo, GridExecutor, InputDomain, Interpretation,
     IterationCapExceeded, Record, check_equisafety, check_safety,
-    immediate_consequence, initial_stack, least_fixpoint, least_fixpoint_info,
-    sweep_under, verdict_from_executor,
+    immediate_consequence, initial_stack, input_positions, least_fixpoint,
+    least_fixpoint_info, sweep_under, verdict_from_executor,
 )
 from heapinv.interp import (
     FUEL_EXHAUSTED, CompiledProgram, ObjVal, Undefined, draw_code,
 )
 from heapinv.lang import (
     Assign, AssertExpr, AssumeExpr, Binary, Block, If, IntLit, Var,
-    parse_and_check, variable_uses,
+    parse_and_check, query_positions, variable_uses,
 )
 from heapinv.replay import cosim_check
 
@@ -377,6 +377,27 @@ def naive_least_fixpoint(program, domain):
             return current
         current = nxt
     raise AssertionError("reference iteration did not stabilise")
+
+
+def full_grid_fixpoint_info(program, domain):
+    """Reference: the fixpoint loop over the whole grid, every input of the
+    range run, as it was before the least input stood for the others."""
+    interp = Interpretation.empty()
+    ex = GridExecutor(program, domain)
+    ex.run_all(interp)
+    iterations = 0
+    cap = domain.cap()
+    added = {t for t in ex.failing_tuples()
+             if t[1] not in interp.relation(t[0])}
+    while added:
+        for pred, args in added:
+            interp.add(pred, args)
+        iterations += 1
+        if iterations > cap:
+            raise IterationCapExceeded(cap, interp.sizes())
+        added = {t for t in ex.rerun_blocked(interp, added)
+                 if t[1] not in interp.relation(t[0])}
+    return FixpointInfo(interp, iterations, ex)
 
 
 def test_memoised_fixpoint_matches_reference(corpus, domain):
@@ -840,7 +861,9 @@ def test_every_run_goes_through_the_class_run_method(corpus, domain,
     # the benchmark's tracer counts runs by wrapping the class attribute
     # CompiledProgram.run; resumed runs must pass through it as fresh ones
     # do, and a fixed point takes exactly as many runs as pinned here (the
-    # other seeds of a draw-site node are settled from its draw table)
+    # other seeds of a draw-site node are settled from its draw table; the
+    # input of two-level-links under r only indexes R, so its least input
+    # stands for the 7 of the range, which took 35 runs)
     calls = []
     run = CompiledProgram.run
 
@@ -849,7 +872,7 @@ def test_every_run_goes_through_the_class_run_method(corpus, domain,
         return run(self, *args, **kwargs)
 
     monkeypatch.setattr(CompiledProgram, "run", counting_run)
-    for name, variant, runs in (("two-level-links", "r", 35),
+    for name, variant, runs in (("two-level-links", "r", 5),
                                 ("list-build-traverse", "rw_ct", 95)):
         p = next(e for e in corpus if e.name == name).load()
         calls.clear()
@@ -1302,10 +1325,12 @@ def test_record_rerun_needs_the_undrawn_arguments(domain, monkeypatch):
     assert grid_rows(ex) == grid_rows(fresh_grid(ex, interp))
 
 
-def test_rows_partition_the_grid(corpus_matrix):
+def test_rows_partition_the_grid(corpus_matrix, domain):
     # the rows of every matrix task stand for each grid point once: every
     # seed of an (in, address) pair lies in one row, so a record that
-    # dropped or double-counted seeds fails here
+    # dropped or double-counted seeds fails here.  An executor of the least
+    # input alone stands for every input of the range.
+    inputs = domain.in_range[1] - domain.in_range[0] + 1
     for name, row in corpus_matrix.items():
         if name == "__build_seconds__":
             continue
@@ -1329,5 +1354,195 @@ def test_rows_partition_the_grid(corpus_matrix):
                     seen = marks.setdefault((r.in_v, a), bytearray(n))
                     assert not any(seen[j::r.step]), (name, variant, r)
                     seen[j::r.step] = b"\x01" * r.weight
-            assert total * ex.collapsed_multiplier() == d.grid_size(), \
+            if d != domain:
+                assert d == replace(domain, in_range=(domain.in_range[0],) * 2)
+                total *= inputs
+            assert total * ex.collapsed_multiplier() == domain.grid_size(), \
                 (name, variant)
+
+
+# ---------------------------------------------------------------------------
+# Input classing: the least input stands for every input
+
+
+def renamed_rows(ex, positions, b):
+    """``grid_rows`` of an executor of the least input, keyed by address,
+    with the input positions of every blocker set to ``b``."""
+    def rename(blocker):
+        if blocker is None:
+            return None
+        name, args = blocker
+        args = list(args)
+        for i in positions.get(name, ()):
+            args[i] = b
+        return name, tuple(args)
+    return {la: [(seed, outcome, rename(blocker), weight, step, compared)
+                 for seed, outcome, blocker, weight, step, compared in rows]
+            for (_, la), rows in grid_rows(ex).items()}
+
+
+def check_input_classing(p, d, label, info=None) -> bool:
+    """The fixed point, iteration count and verdict against the full-grid
+    loop; when the least input stood for the range, also the full grid's
+    rows at every input against its rows renamed.  ``info`` is the
+    program's fixed point at ``d`` if already computed.  Returns whether
+    the least input stood for the range."""
+    if info is None:
+        info = least_fixpoint_info(p, d)
+    full = full_grid_fixpoint_info(p, d)
+    assert info.interp == full.interp, label
+    assert info.iterations == full.iterations, label
+    assert verdict_from_executor(p, d, info).to_json() == \
+        verdict_from_executor(p, d, full).to_json(), label
+    positions = input_positions(p, d)
+    classed = info.executor.domain != d
+    assert classed == (positions is not None), label
+    if not classed:
+        return False
+    lo, hi = d.in_range
+    assert info.executor.domain == replace(d, in_range=(lo, lo)), label
+    cells = rows_by_cell(full.executor)
+    for b in range(lo, hi + 1):
+        got = {la: [(r.seed, r.outcome, r.blocker, r.weight, r.step,
+                     r.compared) for r in rows]
+               for (in_v, la), rows in cells.items() if in_v == b}
+        assert got == renamed_rows(info.executor, positions, b), (label, b)
+    return True
+
+
+def test_input_classing_matches_full_grid_on_matrix(corpus_matrix, domain):
+    # every matrix task whose input only indexes its predicates is run at
+    # the least input alone; its fixed point, iteration count, verdict and
+    # rows at each input are those of running every input
+    classed = 0
+    for name, row in corpus_matrix.items():
+        if name == "__build_seconds__":
+            continue
+        for variant, info in row.fixinfo.items():
+            if info.executor.domain == domain:
+                assert input_positions(info.executor.program, domain) is None
+                continue
+            p = row.program if variant == "orig" else row.encoded[variant]
+            classed += check_input_classing(p, domain, (name, variant), info)
+    assert classed == 112, classed
+
+
+def test_input_classing_matches_full_grid_generated(domain):
+    # encoded generated heap programs, with and without draws; both loops
+    # are run only where the input only indexes the predicates, since
+    # elsewhere the two are one loop
+    d = replace(domain, seed_range=(0, 63))
+    classed = 0
+    for seed in range(40):
+        for havoc in (False, True):
+            p = progen.gen_program(seed, allow_havoc=havoc)
+            for variant in ("r", "rw", "r_t", "rw_c", "rw_ct"):
+                q = encode(p, VARIANTS[variant][0]).program
+                if input_positions(q, d) is not None:
+                    assert check_input_classing(q, d, (seed, havoc, variant))
+                    classed += 1
+    assert classed == 82, classed
+
+
+# Each reads the input other than as a bare argument of a predicate query at
+# one position per predicate, and classing it would change its verdict.
+INPUT_NOT_ONLY_AN_INDEX = {
+    # P asserted with the input at position 0, assumed with it at 1
+    "positions-differ": ("""prog {
+      pred P(Int, Int);
+      input in;
+      assert(P(in, 0));
+      assume(P(0, in));
+      assert(0);
+    }""", "unsafe"),
+    "read-by-assume": ("""prog {
+      pred P(Int);
+      input in;
+      assume(in > 0);
+      assert(P(in));
+    }""", "safe"),
+    "read-by-if": ("""prog {
+      pred P(Int);
+      input in;
+      if (in = 2) { assert(0); }
+      assert(P(in));
+    }""", "unsafe"),
+    "inside-a-constructor": ("""prog {
+      adt Box { box(v: Int); }
+      pred P(Box);
+      input in;
+      assert(P(box(in)));
+      assume(P(box(0)));
+      assert(0);
+    }""", "unsafe"),
+    "assigned": ("""prog {
+      pred P(Int);
+      input in;
+      assert(P(in));
+      in := 0;
+      assume(P(in));
+      assert(0);
+    }""", "unsafe"),
+    "havoced": ("""prog {
+      pred P(Int);
+      input in;
+      seed seed;
+      assert(P(in));
+      havoc(in);
+      assume(P(in));
+      assert(0);
+    }""", "unsafe"),
+}
+
+# Once r-encoded, the input only indexes R, and every run spins in the loop.
+LOOP_AFTER_READ = """prog {
+  adt Node { node(data: Int, next: Addr); }
+  heaptype Node;
+  input in;
+  seed seed;
+  var p: Addr; var x: Node; var i: Int;
+  p := alloc(node(1, null));
+  x := read(p);
+  while (data(x) > 0) { i := i + 1; }
+}"""
+
+
+def test_input_classing_keeps_the_full_grid():
+    d = InputDomain()
+    for label, (src, kind) in INPUT_NOT_ONLY_AN_INDEX.items():
+        p = prog(src)
+        assert query_positions(p, "in") is None, label
+        assert not check_input_classing(p, d, label)
+        assert check_safety(p, d).kind == kind, label
+    # one input: the least input is the range
+    p = prog("prog { pred P(Int); input in; assert(P(in)); assume(P(in));"
+             " assert(0); }")
+    assert query_positions(p, "in") == {"P": (0,)}
+    assert check_input_classing(p, InputDomain(), "indexed")
+    assert not check_input_classing(p, InputDomain(in_range=(0, 0)), "0:0")
+
+
+def test_classed_inconclusive_count_is_the_full_grid_count():
+    # the matrix holds no inconclusive verdict: here the classes of the
+    # least input that read the node exhaust their fuel, and each counts
+    # once per input, as the full grid's verdict does
+    d = InputDomain()
+    p = enc_r(prog(LOOP_AFTER_READ)).program
+    assert check_input_classing(p, d, "loop")
+    v = check_safety(p, d)
+    assert v.kind == "inconclusive" and v.inconclusive_count > 0
+
+
+def test_classed_iteration_cap_reports_full_grid_sizes(corpus):
+    # six iterations to its fixed point
+    entry = next(e for e in corpus if e.name == "two-level-links")
+    p = encode_variant(entry, entry.load(), "rw_c")
+    for cap in (0, 2, 5):
+        d = InputDomain(iteration_cap=cap)
+        assert input_positions(p, d) is not None
+        with pytest.raises(IterationCapExceeded) as want:
+            full_grid_fixpoint_info(p, d)
+        with pytest.raises(IterationCapExceeded) as got:
+            least_fixpoint_info(p, d)
+        assert str(got.value) == str(want.value), cap
+        assert got.value.sizes == want.value.sizes

@@ -22,10 +22,12 @@ from heapinv.corpus import corpus_by_name, encode_variant, load_corpus
 from heapinv.encode import _HeapEncoder, enc_r
 from heapinv.fixpoint import (
     GridExecutor, InputDomain, _AnyAddress, check_safety,
+    verdict_from_executor,
 )
 from heapinv.interp import _Compiler, draw_code
 from heapinv.lang import (
-    _tokenize, parse_and_check, variable_uses, walk_statements,
+    _tokenize, parse_and_check, query_positions, variable_uses,
+    walk_statements,
 )
 
 import test_acceptance
@@ -218,6 +220,21 @@ MUTANTS = {
         'col = len(gap) - gap.rfind("\\n")',
         "col += len(gap)",
         lambda: test_front_end.check_tokens(test_front_end.corpus_sources())),
+    # input classing: a predicate whose queries hold the input at
+    # different positions still lets the least input stand for the range
+    "input-positions-unchecked": (
+        query_positions,
+        "if positions.setdefault(s.pred, at) != at:\n"
+        "                return None",
+        "positions.setdefault(s.pred, at)",
+        test_fixpoint.test_input_classing_keeps_the_full_grid),
+    # input classing: a class of the least input that exhausted its fuel
+    # counts once, not once per input of the range
+    "inconclusive-not-scaled": (
+        verdict_from_executor,
+        "info.interp.sizes(), True, inputs)",
+        "info.interp.sizes(), True)",
+        test_fixpoint.test_classed_inconclusive_count_is_the_full_grid_count),
 }
 
 

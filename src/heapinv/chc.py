@@ -20,9 +20,6 @@ by identity and renders each once per clause set.
 from __future__ import annotations
 
 import os
-import shlex
-import shutil
-import subprocess
 import sys
 from dataclasses import dataclass, field
 
@@ -385,6 +382,10 @@ SOLVER_ENV_VAR = "HEAPINV_SOLVER"
 def default_solver_command() -> str | None:
     """Resolution order: HEAPINV_SOLVER, then a z3 binary on PATH, then the
     z3 Python bindings run as a subprocess."""
+    # only the solver functions need these: importing them at module
+    # level costs every command's start-up
+    import shlex
+    import shutil
     env = os.environ.get(SOLVER_ENV_VAR)
     if env:
         return env
@@ -406,6 +407,8 @@ def solve(path: str, solver_cmd: str | None = None,
     exists).  Missing binaries, timeouts and unparseable output are
     reported as errors, never as verdicts.
     """
+    import shlex
+    import subprocess
     cmd = solver_cmd or default_solver_command()
     if cmd is None:
         return SolveResult("error", "no Horn solver available "

@@ -83,11 +83,30 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise CliError(f"bad range {text!r}")
 
 
+_RANGE_FLAGS = ("--in-range", "--seed-range", "--last-addr-range")
+
+
+def _join_ranges(argv: list[str]) -> list[str]:
+    """The arguments with each range flag, or abbreviation of one, that is
+    followed by a value starting with ``-`` and a digit joined to it
+    (``--in-range=-3:3``): argparse takes such a value for an option unless
+    it looks like a negative number, and ``-3:3`` does not.  ``--x=v``
+    parses as ``--x v`` for any option that takes a value."""
+    out: list[str] = []
+    for arg in argv:
+        if (out and len(out[-1]) > 2 and arg[:1] == "-"
+                and arg[1:2].isdigit()
+                and any(f.startswith(out[-1]) for f in _RANGE_FLAGS)):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _add_domain_args(p: argparse.ArgumentParser):
     d = fp.InputDomain  # its field defaults are the options'
-    for flag, (lo, hi) in (("--in-range", d.in_range),
-                           ("--seed-range", d.seed_range),
-                           ("--last-addr-range", d.last_addr_range)):
+    for flag, (lo, hi) in zip(_RANGE_FLAGS, (d.in_range, d.seed_range,
+                                             d.last_addr_range)):
         p.add_argument(flag, default=f"{lo}:{hi}", metavar="LO:HI")
     p.add_argument("--loop-fuel", type=int, default=d.loop_fuel)
     p.add_argument("--heap-op-fuel", type=int, default=d.heap_op_fuel)
@@ -454,7 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(
+            _join_ranges(sys.argv[1:] if argv is None else argv))
         return args.func(args)
     except (CliError, EncodingError, chc.ChcError,
             fp.IterationCapExceeded) as exc:

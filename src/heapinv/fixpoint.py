@@ -101,24 +101,38 @@ which allows five big savings without changing the computed sets:
   rather than by recursion, which could exceed Python's recursion limit;
 * when the input variable is read only as a bare argument of predicate
   queries, at the same positions in every assume and assert of each
-  predicate (``lang.query_positions``), the least fixed point is computed
-  at the least input of the range alone, and each of its tuples is then
-  written at every input of the range in its predicate's positions.  Call
-  an interpretation input-symmetric when its tuples at each input are
-  those at the least input with the input renamed.  Under one, the run at
-  any input is the run at the least input with that input written into
-  its queries' positions: it reads the input nowhere else, and each query
-  holds exactly when its renaming does.  So ``T`` maps an input-symmetric
-  interpretation to one, and the empty interpretation is one; by induction
-  each iterate of the full grid is the expansion of the least input's, and
-  each iteration adds tuples on both or on neither.  The fixed point, the
-  iteration count and the cap's sizes are therefore the full grid's.  The
-  least input's least failure is the least failing grid point, and a class
-  that exhausts its fuel does so at every input, so the verdict counts it
-  once per input.  This holds from the empty interpretation only:
+  predicate, and as a bare operand of comparisons (``lang.query_positions``),
+  and every queried predicate holds it at some position, the least fixed
+  point is computed class by class of inputs.  A tuple that a run at input
+  b asserts holds b at its predicate's input positions, and a query at b
+  asks only for such tuples, so the runs at b see only the tuples at b,
+  and each input's iterates are independent of the others'.  A predicate
+  without the input breaks this: in ``if (in > 0) { assert(P(1)); }
+  assume(P(1)); assert(0);`` the tuple asserted at the inputs above 0
+  unblocks the runs at every input, so such a program runs the full grid.
+  The compiled program records each comparison of the input that a run
+  evaluates as (op, other value), with the input on the left.  A class's
+  least input is the least input not yet covered; its fixed point is
+  computed at that input alone, and the class is every uncovered input
+  that gives each comparison its whole computation recorded the same
+  outcome.  By induction over the iterations and along each run, the
+  computation at such an input b is the least input's with b written into
+  the input positions: the input is read nowhere else, so every other
+  value is the same, every comparison has the same outcome, and each query
+  holds exactly when its renaming does.  So the fixed point is every
+  class's tuples written at each of its inputs; the full grid's k-th
+  iterate at each input is that input's own, so its iteration count is
+  the most any class takes, and with every class run to its fixed point or
+  one iteration past the cap, the cap's sizes are the full grid's.  Inputs
+  that no comparison tells apart form one class.  The least failing
+  class's least input is the least failing input, so its least failure is
+  the least failing grid point; a seed class that exhausts its fuel does
+  so at each input of its class, and the verdict counts it once per input.
+  The classes share one compiled program, so the draw tables are built
+  once.  This holds from the empty interpretation only:
   ``GridExecutor.run_all``, ``immediate_consequence`` and ``sweep_under``
-  run under an interpretation the caller chose, which need not be
-  input-symmetric, so they keep the full grid.
+  run under an interpretation the caller chose, which need not split by
+  input, so they keep the full grid.
 """
 
 from __future__ import annotations
@@ -409,10 +423,11 @@ class GridExecutor:
     """Runs a compiled program over the bounded input grid with per-cell
     memoisation between fixpoint iterations."""
 
-    def __init__(self, program: Program, domain: InputDomain):
+    def __init__(self, program: Program, domain: InputDomain,
+                 compiled: CompiledProgram | None = None):
         self.program = program
         self.domain = domain
-        self.compiled = CompiledProgram(program)
+        self.compiled = compiled or CompiledProgram(program)
         self.enumerate_in = (program.input_var is not None
                              and program.input_var in self.compiled.reads)
         self.enumerate_last_addr = LAST_ADDR_VAR in program.var_types
@@ -763,7 +778,16 @@ def immediate_consequence(program: Program, interp: Interpretation,
 class FixpointInfo:
     interp: Interpretation
     iterations: int
-    executor: GridExecutor
+    executor: GridExecutor  # the first class's
+    # (executor, inputs) of each input class, least input first: the inputs
+    # of the range the executor's runs stand for.  By default the executor
+    # alone, for the inputs of its own range.
+    classes: list[tuple[GridExecutor, range | list[int]]] | None = None
+
+    def __post_init__(self):
+        if self.classes is None:
+            lo, hi = self.executor.domain.in_range
+            self.classes = [(self.executor, range(lo, hi + 1))]
 
 
 class IterationCapExceeded(Exception):
@@ -777,64 +801,115 @@ class IterationCapExceeded(Exception):
 def input_positions(program: Program,
                     domain: InputDomain) -> dict[str, tuple] | None:
     """The positions of the input in each queried predicate's tuples when
-    the least fixed point is computed at the least input of the range and
-    then written at every input (see the module docstring), else None."""
+    the least fixed point is computed class by class of inputs (see the
+    module docstring), else None: every queried predicate must hold the
+    input, and the program must read it."""
     if program.input_var is None or domain.in_range[0] == domain.in_range[1]:
         return None
     positions = query_positions(program, program.input_var)
-    if positions is None or not any(positions.values()):
+    if positions is None or not all(positions.values()):
+        return None
+    # a program without predicates may leave the input unread, and then
+    # its grid has one input already
+    if not positions and not program_uses_input(program):
         return None
     return positions
 
 
-def _expand(interp: Interpretation, positions: dict[str, tuple] | None,
-            in_range: tuple[int, int]) -> Interpretation:
-    """The interpretation with every tuple written at each input of the
-    range in its predicate's input positions; itself without positions."""
-    if positions is None:
-        return interp
-    out = Interpretation()
-    for name, rel in interp.rels.items():
-        at = positions.get(name)
-        if not at:
-            out.rels[name] = set(rel)
-            continue
-        out.rels[name] = grown = set()
-        for args in rel:
-            row = list(args)
-            for b in range(in_range[0], in_range[1] + 1):
-                for i in at:
-                    row[i] = b
-                grown.add(tuple(row))
-    return out
-
-
-def least_fixpoint_info(program: Program, domain: InputDomain) -> FixpointInfo:
-    """Iterate T from the empty interpretation over the grid, or over the
-    least input alone when the input only indexes the predicates
-    (``input_positions``); the executor is the one that ran."""
-    # iterations counts the applications of T that grew the interpretation;
-    # the final, confirming application is always performed
-    interp = Interpretation.empty()
-    positions = input_positions(program, domain)
-    ex = GridExecutor(program, domain if positions is None else replace(
-        domain, in_range=(domain.in_range[0],) * 2))
+def _iterate(ex: GridExecutor, interp: Interpretation, limit: int) -> int:
+    """Apply T over the executor's grid from ``interp`` (empty) until it
+    stops growing or has grown ``limit`` times; returns how often it grew.
+    The final, confirming application is performed unless the limit
+    stops the loop."""
     ex.run_all(interp)
     iterations = 0
-    cap = domain.cap()
     added = {t for t in ex.failing_tuples()
              if t[1] not in interp.relation(t[0])}
     while added:
         for pred, args in added:
             interp.add(pred, args)
         iterations += 1
-        if iterations > cap:
-            raise IterationCapExceeded(
-                cap, _expand(interp, positions, domain.in_range).sizes())
+        if iterations == limit:
+            break
         added = {t for t in ex.rerun_blocked(interp, added)
                  if t[1] not in interp.relation(t[0])}
-    return FixpointInfo(_expand(interp, positions, domain.in_range),
-                        iterations, ex)
+    return iterations
+
+
+def _expand(out: Interpretation, interp: Interpretation,
+            positions: dict[str, tuple], inputs: list[int]) -> None:
+    """Add to ``out`` every tuple of ``interp`` written at each of the
+    inputs in its predicate's input positions."""
+    for name, rel in interp.rels.items():
+        at = positions[name]
+        grown = out.relation(name)
+        for args in rel:
+            row = list(args)
+            for b in inputs:
+                for i in at:
+                    row[i] = b
+                grown.add(tuple(row))
+
+
+def least_fixpoint_info(program: Program, domain: InputDomain) -> FixpointInfo:
+    """Iterate T from the empty interpretation over the grid, or class by
+    class of inputs when the input only indexes the predicates and is
+    compared (``input_positions``).  A class's executor runs its least
+    input; its other inputs give that input's outcome on every comparison
+    of the input that the class's runs evaluated."""
+    # iterations counts the applications of T that grew the interpretation
+    cap = domain.cap()
+    positions = input_positions(program, domain)
+    if positions is None:
+        ex = GridExecutor(program, domain)
+        interp = Interpretation.empty()
+        iterations = _iterate(ex, interp, cap + 1)
+        if iterations > cap:
+            raise IterationCapExceeded(cap, interp.sizes())
+        return FixpointInfo(interp, iterations, ex)
+    compiled = CompiledProgram(program)
+    compared = compiled.input_compared
+    interp = Interpretation.empty()
+    iterations = 0
+    classes = []
+    lo, hi = domain.in_range
+    uncovered = list(range(lo, hi + 1))
+    while uncovered:
+        least = uncovered[0]
+        compared.clear()
+        ex = GridExecutor(program, replace(domain, in_range=(least, least)),
+                          compiled)
+        part = Interpretation.empty()
+        # every class runs to its fixed point or past the cap, so that the
+        # cap's sizes are the full grid's
+        iterations = max(iterations, _iterate(ex, part, cap + 1))
+        members, uncovered = _split(uncovered, least, compared)
+        classes.append((ex, members))
+        _expand(interp, part, positions, members)
+    if iterations > cap:
+        raise IterationCapExceeded(cap, interp.sizes())
+    return FixpointInfo(interp, iterations, classes[0][0], classes)
+
+
+def _split(inputs: list[int], least: int,
+           compared: set[tuple]) -> tuple[list[int], list[int]]:
+    """The inputs (ascending) that give each comparison ``(op, value)`` of
+    ``compared`` the outcome that ``least`` gives it, and the others.  An
+    outcome depends only on whether the input is below, at or above the
+    value, so each comparison bounds the inputs or excludes its value."""
+    lo, hi, off = inputs[0], inputs[-1], set()
+    for op, v in compared:
+        want = op(least, v)
+        if op(v - 1, v) != want:
+            lo = max(lo, v)
+        if op(v + 1, v) != want:
+            hi = min(hi, v)
+        if op(v, v) != want:
+            off.add(v)
+    same, other = [], []
+    for b in inputs:
+        (same if lo <= b <= hi and b not in off else other).append(b)
+    return same, other
 
 
 def least_fixpoint(program: Program, domain: InputDomain) -> Interpretation:
@@ -887,33 +962,36 @@ def _grid_order(failure: tuple) -> tuple:
     return tuple(-(10 ** 9) if v is None else v for v in failure[:3])
 
 
-def _verdict(ex: GridExecutor, iterations: int, sizes: dict,
-             at_fixed_point: bool, inputs: int = 1) -> SafetyVerdict:
-    """Unsafe with a witness at the least failure, else inconclusive when
-    some run exhausted its fuel, else safe.  Each class that exhausted its
-    fuel stands for ``inputs`` inputs per input of the executor.  At the
-    fixed point no predicate assertion can still fail: one that does is an
-    error."""
-    least = key = None
+def _verdict(classes: list[tuple[GridExecutor, int]], iterations: int,
+             sizes: dict, at_fixed_point: bool) -> SafetyVerdict:
+    """Unsafe with a witness at the least failure of the executors, else
+    inconclusive when some run exhausted its fuel, else safe.  Each
+    ``(executor, inputs)`` class that exhausted its fuel stands for
+    ``inputs`` inputs per input of the executor.  At the fixed point no
+    predicate assertion can still fail: one that does is an error."""
+    least = key = at = None
     fuel = 0
-    for cell in ex.cells.values():
-        for leaf in cell.leaves:
-            o = leaf.outcome
-            if isinstance(o, Bot):
-                failure = (cell.in_v, leaf.seed,
-                           ex.owned(cell, leaf.compared)[1], o)
-                if at_fixed_point and o.pred != FAILURE_PRED:
-                    raise AssertionError("predicate assertion failing under "
-                                         f"the fixed point: {failure}")
-                order = _grid_order(failure)
-                if least is None or order < key:
-                    least, key = failure, order
-            elif isinstance(o, Undefined) and o.reason == FUEL_EXHAUSTED:
-                fuel += leaf.weight * ex.owned(cell, leaf.compared)[0]
-    fuel *= ex.collapsed_multiplier() * inputs
+    for ex, inputs in classes:
+        spent = 0
+        for cell in ex.cells.values():
+            for leaf in cell.leaves:
+                o = leaf.outcome
+                if isinstance(o, Bot):
+                    failure = (cell.in_v, leaf.seed,
+                               ex.owned(cell, leaf.compared)[1], o)
+                    if at_fixed_point and o.pred != FAILURE_PRED:
+                        raise AssertionError(
+                            "predicate assertion failing under the fixed "
+                            f"point: {failure}")
+                    order = _grid_order(failure)
+                    if least is None or order < key:
+                        least, key, at = failure, order, ex
+                elif isinstance(o, Undefined) and o.reason == FUEL_EXHAUSTED:
+                    spent += leaf.weight * ex.owned(cell, leaf.compared)[0]
+        fuel += spent * ex.collapsed_multiplier() * inputs
     if least is not None:
         in_v, seed, la, o = least
-        w = ex.witness(in_v, seed, la, o.pred, o.args)
+        w = at.witness(in_v, seed, la, o.pred, o.args)
         return SafetyVerdict("unsafe", w, fuel, iterations, sizes)
     if fuel:
         return SafetyVerdict("inconclusive", None, fuel, iterations, sizes)
@@ -922,14 +1000,15 @@ def _verdict(ex: GridExecutor, iterations: int, sizes: dict,
 
 def verdict_from_executor(program: Program, domain: InputDomain,
                           info: FixpointInfo) -> SafetyVerdict:
-    """The verdict at the fixed point ``info`` over ``domain``.  An
-    executor that ran the least input alone stands for every input of the
-    range: its least failure is the least grid point that fails, and each
-    of its classes counts once per input."""
-    ex = info.executor
-    inputs = ((domain.in_range[1] - domain.in_range[0] + 1)
-              // (ex.domain.in_range[1] - ex.domain.in_range[0] + 1))
-    return _verdict(ex, info.iterations, info.interp.sizes(), True, inputs)
+    """The verdict at the fixed point ``info`` over ``domain``.  The
+    executor of an input class ran the class's least input and stands for
+    each of its inputs: the least failure of the least failing class is
+    the least grid point that fails, and each of its seed classes counts
+    once per input of the class."""
+    return _verdict([(ex, len(inputs) // (ex.domain.in_range[1]
+                                          - ex.domain.in_range[0] + 1))
+                     for ex, inputs in info.classes],
+                    info.iterations, info.interp.sizes(), True)
 
 
 def check_safety(program: Program, domain: InputDomain) -> SafetyVerdict:
@@ -944,7 +1023,7 @@ def sweep_under(program: Program, domain: InputDomain, interp) -> SafetyVerdict:
     Predicate assertion failures count as unsafe here."""
     ex = GridExecutor(program, domain)
     ex.run_all(interp)
-    return _verdict(ex, 0, {}, False)
+    return _verdict([(ex, 1)], 0, {}, False)
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,11 @@ their code.  What stays specialised:
   variables is built by one ``itemgetter``;
 * a predicate query is a plain ``args in relation`` test on the
   interpretation's ``relation(name)`` container, bound by query index once
-  per interpretation, not once per query.
+  per interpretation, not once per query;
+* a comparison with the input variable as one bare operand adds its
+  operator and other operand's value to
+  ``CompiledProgram.input_compared``, by which the fixpoint oracle tells
+  inputs apart.
 """
 
 from __future__ import annotations
@@ -268,6 +272,9 @@ _UNCHECKED = {"/": trunc_div, "%": trunc_mod}
 # the comparison that holds exactly when the key does not (Int and Addr
 # values are totally ordered; objects are compared only with = and !=)
 _NEGATED = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "=": "!=", "!=": "="}
+# the comparison that holds exactly when the key does with its operands
+# swapped
+_FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "!=": "!="}
 
 _new_tuple = tuple.__new__  # ObjVal(ctor, fields) without its Python __new__
 
@@ -450,6 +457,8 @@ class _Compiler:
         self._drawers: dict[int, Callable] = {}
         # one drawer per (drawn type, whether it charges loop fuel)
         self._drawer_of: dict[tuple, Callable] = {}
+        # see ``CompiledProgram.input_compared``
+        self.input_compared: set[tuple] = set()
 
     # expressions --------------------------------------------------------
 
@@ -469,6 +478,24 @@ class _Compiler:
                 and right.value != 0):
             g = _UNCHECKED[op]
         f, h = self.expr(left), self.expr(right)
+        name = self.program.input_var
+        if op in _FLIPPED and name is not None:
+            on_left = type(left) is Var and left.name == name
+            if on_left != (type(right) is Var and right.name == name):
+                record = self.input_compared.add
+                if on_left:
+                    def fleft(env):
+                        v = h(env)
+                        record((g, v))
+                        return g(env[name], v)
+                    return fleft
+                flipped = _OPS[_FLIPPED[op]]
+
+                def fright(env):
+                    v = f(env)
+                    record((flipped, v))
+                    return g(v, env[name])
+                return fright
         return lambda env: g(f(env), h(env))
 
     def expr(self, e: Expr) -> Callable[[dict], Value]:
@@ -829,6 +856,12 @@ class CompiledProgram:
             find_sites=self.seed_classing and not self.trace_mode)
         self.sites = comp.sites
         self.preds = tuple(comp.preds)
+        # grows by each comparison of the input variable that a run
+        # evaluates, as (operator function, other value) with the input on
+        # the left, so that ``op(input, value)`` is its outcome: a run
+        # at another input that gives the same outcome on each takes the
+        # same path.  Whoever reads it clears it.
+        self.input_compared = comp.input_compared
         self.adts = comp.adts
         self.env_template = {
             name: default_value(ty, self.adts)

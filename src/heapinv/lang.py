@@ -1034,15 +1034,22 @@ def variable_uses(program: Program) -> tuple[set[str], set[str]]:
     return read, loose
 
 
+COMPARISONS = frozenset(("<", "<=", ">", ">=", "=", "!="))
+
+
 def query_positions(program: Program, name: str) -> dict[str, tuple] | None:
     """The argument positions at which each queried predicate's assumes
     and asserts hold the variable ``name`` itself, or None unless every
     query of a predicate holds it at the same positions and nothing else
-    reads or assigns it: no other expression, argument, heap address
-    operand or statement target.  A run then sees the variable only
-    through the tuples of its queries.  One walk of the statements, each
-    expression's variables taken once."""
+    reads or assigns it but a comparison (``COMPARISONS``) that has it as a
+    bare operand: no other expression, argument, heap address operand or
+    statement target.  A run then sees the variable only through the
+    tuples of its queries and the outcomes of those comparisons.  One walk
+    of the statements collects their expressions; one loop over an
+    explicit stack then visits each expression node once."""
     positions: dict[str, tuple] = {}
+    exprs: list[Expr] = []
+    expr = exprs.append
     for s in walk_statements(program.body):
         t = type(s)
         if t is AssumePred or t is AssertPred:
@@ -1050,8 +1057,8 @@ def query_positions(program: Program, name: str) -> dict[str, tuple] | None:
             for i, a in enumerate(s.args):
                 if type(a) is Var and a.name == name:
                     at.append(i)
-                elif name in expr_vars(a):
-                    return None
+                else:
+                    expr(a)
             at = tuple(at)
             if positions.setdefault(s.pred, at) != at:
                 return None
@@ -1059,8 +1066,31 @@ def query_positions(program: Program, name: str) -> dict[str, tuple] | None:
         if name in (getattr(s, "target", None), getattr(s, "addr", None)):
             return None
         e = s.cond if t is If or t is While else getattr(s, "expr", None)
-        if e is not None and name in expr_vars(e):
-            return None
+        if e is not None:
+            expr(e)
+    pop, push = exprs.pop, exprs.append
+    while exprs:
+        e = pop()
+        t = type(e)
+        if t is Var:
+            if e.name == name:
+                return None
+        elif t is Binary:
+            left, right = e.left, e.right
+            if e.op in COMPARISONS:
+                if type(left) is not Var or left.name != name:
+                    push(left)
+                if type(right) is not Var or right.name != name:
+                    push(right)
+            else:
+                push(left)
+                push(right)
+        elif t is Unary:
+            push(e.operand)
+        elif t is SelApp or t is TestApp:
+            push(e.arg)
+        elif t is CtorApp:
+            exprs.extend(e.args)
     return positions
 
 

@@ -545,6 +545,29 @@ def test_nesting_at_the_limit_is_accepted(capsys, tmp_path, kind):
     assert f"nesting deeper than {MAX_NESTING} levels" in err
 
 
+def test_range_starting_with_a_minus_follows_its_flag(capsys):
+    # README writes the domain options as ``--in-range -3:3``: a LO:HI
+    # value that starts with "-" after a range flag is the flag's value
+    path = corpus_path("list-build-traverse")
+    default = run_cli(capsys, "fixpoint", path)
+    assert default[0] == EXIT_OK
+    assert run_cli(capsys, "fixpoint", path, "--in-range", "-3:3") == default
+    assert run_cli(capsys, "fixpoint", path, "--in-r", "-3:3") == default
+    code, out, err = run_cli(capsys, "fixpoint", path, "--in-range", "-2:-1",
+                             "--format", "json")
+    assert code == EXIT_OK, err
+    assert json.loads(out)["verdict"] == "safe"
+    for argv in (("equisafe", path, "--enc", "r"),
+                 ("corpus", "--filter", "trivially")):
+        code, _, err = run_cli(capsys, *argv, "--in-range", "-2:-1")
+        assert code == EXIT_OK, (argv, err)
+    # a negative seed or address range reaches the domain's own check
+    for flag, message in (("--seed-range", "seeds must be nonnegative"),
+                          ("--last-addr-range", "addresses are naturals")):
+        assert run_cli(capsys, "fixpoint", path, flag, "-1:3") == \
+            (EXIT_ERROR, "", f"error: {message}\n")
+
+
 def test_package_exports_do_not_shadow_submodules():
     import heapinv
     submodules = {m.name for m in pkgutil.iter_modules(heapinv.__path__)}

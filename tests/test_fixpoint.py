@@ -863,7 +863,9 @@ def test_every_run_goes_through_the_class_run_method(corpus, domain,
     # do, and a fixed point takes exactly as many runs as pinned here (the
     # other seeds of a draw-site node are settled from its draw table; the
     # input of two-level-links under r only indexes R, so its least input
-    # stands for the 7 of the range, which took 35 runs)
+    # stands for the 7 of the range, which took 35 runs; list-build-traverse
+    # compares its input with the loop counter, so inputs -3..0 form one
+    # class and 1, 2 and 3 one each, which took 95 runs over all 7)
     calls = []
     run = CompiledProgram.run
 
@@ -873,7 +875,7 @@ def test_every_run_goes_through_the_class_run_method(corpus, domain,
 
     monkeypatch.setattr(CompiledProgram, "run", counting_run)
     for name, variant, runs in (("two-level-links", "r", 5),
-                                ("list-build-traverse", "rw_ct", 95)):
+                                ("list-build-traverse", "rw_ct", 77)):
         p = next(e for e in corpus if e.name == name).load()
         calls.clear()
         least_fixpoint_info(encode(p, VARIANTS[variant][0]).program, domain)
@@ -1166,7 +1168,7 @@ def memory_programs(corpus):
     """Two heap programs whose fixed points rerun through records, with
     every encoding of them."""
     programs = []
-    for name in ("two-level-links", "list-build-traverse"):
+    for name in ("two-level-links", "list-indexed-data"):
         entry = next(e for e in corpus if e.name == name)
         p = entry.load()
         programs.append(p)
@@ -1328,46 +1330,46 @@ def test_record_rerun_needs_the_undrawn_arguments(domain, monkeypatch):
 def test_rows_partition_the_grid(corpus_matrix, domain):
     # the rows of every matrix task stand for each grid point once: every
     # seed of an (in, address) pair lies in one row, so a record that
-    # dropped or double-counted seeds fails here.  An executor of the least
-    # input alone stands for every input of the range.
-    inputs = domain.in_range[1] - domain.in_range[0] + 1
+    # dropped or double-counted seeds fails here.  The executor of an input
+    # class ran the class's least input and stands for each of its inputs.
     for name, row in corpus_matrix.items():
         if name == "__build_seconds__":
             continue
         for variant, info in row.fixinfo.items():
-            ex = info.executor
-            lo, hi = ex.seed_range
-            n = hi - lo + 1
-            d = ex.domain
-            every = range(d.last_addr_range[0], d.last_addr_range[1] + 1)
-            marks: dict[tuple, bytearray] = {}
             total = 0
-            for r in ex.rows():
-                total += r.weight * r.addresses
-                if r.last_addr is not ex.any_address:
-                    addresses = [r.last_addr]
-                else:
-                    addresses = [a for a in every if a not in r.compared]
-                assert len(addresses) == r.addresses, (name, variant)
-                j = r.seed - lo
-                for a in addresses:
-                    seen = marks.setdefault((r.in_v, a), bytearray(n))
-                    assert not any(seen[j::r.step]), (name, variant, r)
-                    seen[j::r.step] = b"\x01" * r.weight
-            if d != domain:
-                assert d == replace(domain, in_range=(domain.in_range[0],) * 2)
-                total *= inputs
-            assert total * ex.collapsed_multiplier() == domain.grid_size(), \
-                (name, variant)
+            for ex, inputs in info.classes:
+                lo, hi = ex.seed_range
+                n = hi - lo + 1
+                d = ex.domain
+                every = range(d.last_addr_range[0], d.last_addr_range[1] + 1)
+                marks: dict[tuple, bytearray] = {}
+                points = 0
+                for r in ex.rows():
+                    points += r.weight * r.addresses
+                    if r.last_addr is not ex.any_address:
+                        addresses = [r.last_addr]
+                    else:
+                        addresses = [a for a in every if a not in r.compared]
+                    assert len(addresses) == r.addresses, (name, variant)
+                    j = r.seed - lo
+                    for a in addresses:
+                        seen = marks.setdefault((r.in_v, a), bytearray(n))
+                        assert not any(seen[j::r.step]), (name, variant, r)
+                        seen[j::r.step] = b"\x01" * r.weight
+                if d != domain:
+                    assert d == replace(domain, in_range=(inputs[0],) * 2)
+                    points *= len(inputs)
+                total += points * ex.collapsed_multiplier()
+            assert total == domain.grid_size(), (name, variant)
 
 
 # ---------------------------------------------------------------------------
-# Input classing: the least input stands for every input
+# Input classing: each class's least input stands for the class
 
 
 def renamed_rows(ex, positions, b):
-    """``grid_rows`` of an executor of the least input, keyed by address,
-    with the input positions of every blocker set to ``b``."""
+    """``grid_rows`` of an executor of one input, keyed by address, with
+    the input positions of every blocker set to ``b``."""
     def rename(blocker):
         if blocker is None:
             return None
@@ -1383,10 +1385,10 @@ def renamed_rows(ex, positions, b):
 
 def check_input_classing(p, d, label, info=None) -> bool:
     """The fixed point, iteration count and verdict against the full-grid
-    loop; when the least input stood for the range, also the full grid's
-    rows at every input against its rows renamed.  ``info`` is the
-    program's fixed point at ``d`` if already computed.  Returns whether
-    the least input stood for the range."""
+    loop; when the inputs were classed, also the full grid's rows at every
+    input against the rows of its class's executor, renamed.  ``info`` is
+    the program's fixed point at ``d`` if already computed.  Returns
+    whether the inputs were classed."""
     if info is None:
         info = least_fixpoint_info(p, d)
     full = full_grid_fixpoint_info(p, d)
@@ -1398,23 +1400,35 @@ def check_input_classing(p, d, label, info=None) -> bool:
     classed = info.executor.domain != d
     assert classed == (positions is not None), label
     if not classed:
+        assert len(info.classes) == 1, label
         return False
     lo, hi = d.in_range
-    assert info.executor.domain == replace(d, in_range=(lo, lo)), label
+    assert sorted(b for _, inputs in info.classes for b in inputs) == \
+        list(range(lo, hi + 1)), label
     cells = rows_by_cell(full.executor)
-    for b in range(lo, hi + 1):
-        got = {la: [(r.seed, r.outcome, r.blocker, r.weight, r.step,
-                     r.compared) for r in rows]
-               for (in_v, la), rows in cells.items() if in_v == b}
-        assert got == renamed_rows(info.executor, positions, b), (label, b)
+    for ex, inputs in info.classes:
+        least = inputs[0]
+        assert ex.domain == replace(d, in_range=(least, least)), label
+        assert ex.compiled is info.executor.compiled, label
+        for b in inputs:
+            got = {la: [(r.seed, r.outcome, r.blocker, r.weight, r.step,
+                         r.compared) for r in rows]
+                   for (in_v, la), rows in cells.items() if in_v == b}
+            assert got == renamed_rows(ex, positions, b), (label, b)
     return True
 
 
+def class_inputs(p, d):
+    """The inputs of each class of the program's fixed point, in order."""
+    return [list(inputs) for _, inputs in least_fixpoint_info(p, d).classes]
+
+
 def test_input_classing_matches_full_grid_on_matrix(corpus_matrix, domain):
-    # every matrix task whose input only indexes its predicates is run at
-    # the least input alone; its fixed point, iteration count, verdict and
-    # rows at each input are those of running every input
-    classed = 0
+    # every matrix task whose input indexes each of its predicates and is
+    # otherwise only compared is run class by class of inputs; its fixed
+    # point, iteration count, verdict and rows at each input are those of
+    # running every input
+    classed = several = 0
     for name, row in corpus_matrix.items():
         if name == "__build_seconds__":
             continue
@@ -1424,13 +1438,14 @@ def test_input_classing_matches_full_grid_on_matrix(corpus_matrix, domain):
                 continue
             p = row.program if variant == "orig" else row.encoded[variant]
             classed += check_input_classing(p, domain, (name, variant), info)
-    assert classed == 112, classed
+            several += len(info.classes) > 1
+    assert (classed, several) == (160, 48)
 
 
 def test_input_classing_matches_full_grid_generated(domain):
     # encoded generated heap programs, with and without draws; both loops
-    # are run only where the input only indexes the predicates, since
-    # elsewhere the two are one loop
+    # are run only where the inputs are classed, since elsewhere the two
+    # are one loop
     d = replace(domain, seed_range=(0, 63))
     classed = 0
     for seed in range(40):
@@ -1441,11 +1456,12 @@ def test_input_classing_matches_full_grid_generated(domain):
                 if input_positions(q, d) is not None:
                     assert check_input_classing(q, d, (seed, havoc, variant))
                     classed += 1
-    assert classed == 82, classed
+    assert classed == CLASSED_GENERATED, classed
 
 
 # Each reads the input other than as a bare argument of a predicate query at
-# one position per predicate, and classing it would change its verdict.
+# one position per predicate or a bare operand of a comparison, and classing
+# it would change its verdict.
 INPUT_NOT_ONLY_AN_INDEX = {
     # P asserted with the input at position 0, assumed with it at 1
     "positions-differ": ("""prog {
@@ -1454,18 +1470,6 @@ INPUT_NOT_ONLY_AN_INDEX = {
       assert(P(in, 0));
       assume(P(0, in));
       assert(0);
-    }""", "unsafe"),
-    "read-by-assume": ("""prog {
-      pred P(Int);
-      input in;
-      assume(in > 0);
-      assert(P(in));
-    }""", "safe"),
-    "read-by-if": ("""prog {
-      pred P(Int);
-      input in;
-      if (in = 2) { assert(0); }
-      assert(P(in));
     }""", "unsafe"),
     "inside-a-constructor": ("""prog {
       adt Box { box(v: Int); }
@@ -1494,6 +1498,72 @@ INPUT_NOT_ONLY_AN_INDEX = {
     }""", "unsafe"),
 }
 
+# The input is compared with the other value of each comparison, and P
+# holds it: each class's least input stands for the class.  Each entry is
+# the source, the verdict, its witness's input and the inputs of each class.
+INPUT_COMPARED = {
+    "read-by-assume": ("""prog {
+      pred P(Int);
+      input in;
+      assume(in > 0);
+      assert(P(in));
+    }""", "safe", None, [[-3, -2, -1, 0], [1, 2, 3]]),
+    # 2 is a class of one input
+    "read-by-if": ("""prog {
+      pred P(Int);
+      input in;
+      if (in = 2) { assert(0); }
+      assert(P(in));
+    }""", "unsafe", 2, [[-3, -2, -1, 0, 1, 3], [2]]),
+    "input-on-the-right": ("""prog {
+      pred P(Int);
+      input in;
+      assert(P(in));
+      assume(P(in));
+      if (0 < in) { assert(0); }
+    }""", "unsafe", 1, [[-3, -2, -1, 0], [1, 2, 3]]),
+    "not-equal": ("""prog {
+      pred P(Int);
+      input in;
+      if (in != -3) { assert(P(in)); }
+      assume(P(in));
+      assert(0);
+    }""", "unsafe", -2, [[-3], [-2, -1, 0, 1, 2, 3]]),
+    # the other value is drawn, so a class is the inputs between two drawn
+    # values that some run compared with
+    "drawn-value": ("""prog {
+      pred P(Int);
+      input in;
+      seed seed;
+      var x: Int;
+      havoc(x);
+      if (in < x) { assert(P(in)); assume(P(in)); assert(0); }
+    }""", "unsafe", -3, None),
+}
+
+# Every input above 0 adds P(in, 0), P(in, 1), P(in, 2) in three
+# iterations after P(in, 9); the others converge after P(in, 9).
+TWO_LENGTHS = """prog {
+  pred P(Int, Int);
+  input in;
+  var i: Int;
+  assert(P(in, 9));
+  assume(P(in, 9));
+  if (in GUARD) {
+    while (i < 3) { assert(P(in, i)); assume(P(in, i)); i := i + 1; }
+  }
+}"""
+
+# P(1) does not hold the input: asserted at the inputs above 0, it lets the
+# run at every input past the assume
+INPUT_FREE_PREDICATE = """prog {
+  pred P(Int);
+  input in;
+  if (in > 0) { assert(P(1)); }
+  assume(P(1));
+  assert(0);
+}"""
+
 # Once r-encoded, the input only indexes R, and every run spins in the loop.
 LOOP_AFTER_READ = """prog {
   adt Node { node(data: Int, next: Addr); }
@@ -1505,6 +1575,9 @@ LOOP_AFTER_READ = """prog {
   x := read(p);
   while (data(x) > 0) { i := i + 1; }
 }"""
+
+# encodings of generated programs classed at seed range 0..63
+CLASSED_GENERATED = 122
 
 
 def test_input_classing_keeps_the_full_grid():
@@ -1520,6 +1593,55 @@ def test_input_classing_keeps_the_full_grid():
     assert query_positions(p, "in") == {"P": (0,)}
     assert check_input_classing(p, InputDomain(), "indexed")
     assert not check_input_classing(p, InputDomain(in_range=(0, 0)), "0:0")
+
+
+def test_input_free_predicate_keeps_the_full_grid():
+    # a tuple asserted at one input unblocks the runs at the others, so the
+    # inputs are not independent: classed by comparison outcomes, the
+    # inputs -3..0 would be safe and the witness would be in = 1
+    d = InputDomain()
+    p = prog(INPUT_FREE_PREDICATE)
+    assert query_positions(p, "in") == {"P": ()}
+    assert input_positions(p, d) is None
+    assert not check_input_classing(p, d, "input-free")
+    v = check_safety(p, d)
+    assert (v.kind, v.witness.inputs["in"]) == ("unsafe", -3)
+    assert v.to_json() == verdict_from_executor(
+        p, d, full_grid_fixpoint_info(p, d)).to_json()
+
+
+def test_input_classing_by_comparison_outcomes():
+    d = InputDomain()
+    for label, (src, kind, witness, classes) in INPUT_COMPARED.items():
+        p = prog(src)
+        assert check_input_classing(p, d, label)
+        v = check_safety(p, d)
+        assert v.kind == kind, label
+        assert (v.witness and v.witness.inputs["in"]) == witness, label
+        if classes is not None:
+            assert class_inputs(p, d) == classes, label
+    # the drawn values reach above and below the range
+    assert len(class_inputs(prog(INPUT_COMPARED["drawn-value"][0]), d)) == 7
+
+
+def test_classed_cap_waits_for_every_class():
+    # one class needs four iterations and the other one; at each cap that
+    # the first or the second class exceeds, the error is the full grid's,
+    # which holds the tuples of both classes
+    for guard, classes in (("> 0", [[-3, -2, -1, 0], [1, 2, 3]]),
+                           ("< 1", [[-3, -2, -1, 0], [1, 2, 3]])):
+        p = prog(TWO_LENGTHS.replace("GUARD", guard))
+        assert class_inputs(p, InputDomain()) == classes
+        assert check_input_classing(p, InputDomain(), guard)
+        assert least_fixpoint_info(p, InputDomain()).iterations == 4
+        for cap in (0, 1, 2, 3):
+            d = InputDomain(iteration_cap=cap)
+            with pytest.raises(IterationCapExceeded) as want:
+                full_grid_fixpoint_info(p, d)
+            with pytest.raises(IterationCapExceeded) as got:
+                least_fixpoint_info(p, d)
+            assert str(got.value) == str(want.value), (guard, cap)
+            assert got.value.sizes == want.value.sizes
 
 
 def test_classed_inconclusive_count_is_the_full_grid_count():

@@ -21,8 +21,8 @@ from heapinv.chc import _Translator, emit_smtlib
 from heapinv.corpus import corpus_by_name, encode_variant, load_corpus
 from heapinv.encode import _HeapEncoder, enc_r
 from heapinv.fixpoint import (
-    GridExecutor, InputDomain, _AnyAddress, check_safety,
-    verdict_from_executor,
+    GridExecutor, InputDomain, _AnyAddress, _verdict, check_safety,
+    input_positions,
 )
 from heapinv.interp import _Compiler, draw_code
 from heapinv.lang import (
@@ -221,20 +221,35 @@ MUTANTS = {
         "col += len(gap)",
         lambda: test_front_end.check_tokens(test_front_end.corpus_sources())),
     # input classing: a predicate whose queries hold the input at
-    # different positions still lets the least input stand for the range
+    # different positions still lets the inputs be classed
     "input-positions-unchecked": (
         query_positions,
         "if positions.setdefault(s.pred, at) != at:\n"
         "                return None",
         "positions.setdefault(s.pred, at)",
         test_fixpoint.test_input_classing_keeps_the_full_grid),
-    # input classing: a class of the least input that exhausted its fuel
-    # counts once, not once per input of the range
+    # input classing: a seed class of an input class's executor that
+    # exhausted its fuel counts once, not once per input of the class
     "inconclusive-not-scaled": (
-        verdict_from_executor,
-        "info.interp.sizes(), True, inputs)",
-        "info.interp.sizes(), True)",
+        _verdict,
+        "fuel += spent * ex.collapsed_multiplier() * inputs",
+        "fuel += spent * ex.collapsed_multiplier()",
         test_fixpoint.test_classed_inconclusive_count_is_the_full_grid_count),
+    # input classing: a comparison with the input as its right operand is
+    # not recorded, so the inputs it tells apart share a class
+    "input-right-operand-unrecorded": (
+        _Compiler.binary,
+        "if on_left != (type(right) is Var and right.name == name):",
+        "if on_left:",
+        test_fixpoint.test_input_classing_by_comparison_outcomes),
+    # input classing: a queried predicate that does not hold the input
+    # still lets the inputs be classed, though a tuple asserted at one
+    # input can unblock the runs at another
+    "input-free-predicate-classed": (
+        input_positions,
+        "if positions is None or not all(positions.values()):",
+        "if positions is None:",
+        test_fixpoint.test_input_free_predicate_keeps_the_full_grid),
 }
 
 

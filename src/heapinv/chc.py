@@ -21,49 +21,57 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass, field
 
 from .lang import (
     ADDR, INT, Alloc, Assign, AssertExpr, AssertPred, AssumeExpr, AssumePred,
-    Binary, CtorApp, DefObj, Expr, HavocStmt, IntLit, NondetStmt, Null,
-    Program, Read, SelApp, TestApp, Type, Unary, Var, Write, layout,
+    Binary, CtorApp, DefObj, Expr, FrozenStruct, HavocStmt, InputError,
+    IntLit, NondetStmt, Null, Program, Read, SelApp, Struct, TestApp, Type,
+    Unary, Var, Write, layout, set_field,
 )
 
 Term = object  # str | tuple of Terms, rendered as S-expressions
 
 
-class ChcError(Exception):
+class ChcError(InputError):
     pass
 
 
-@dataclass
-class PredApp:
-    name: str
-    args: tuple
+class PredApp(Struct):
+    __slots__ = _fields = ("name", "args")
+
+    def __init__(self, name: str, args: tuple):
+        self.name = name
+        self.args = args
 
 
-@dataclass
-class Clause:
-    head: PredApp | None            # None encodes False
-    body: list[PredApp]
-    constraint: list                # conjunction of Bool terms
-    vars: tuple[tuple[str, str], ...]  # quantified variables with sorts
+class Clause(Struct):
+    __slots__ = _fields = ("head", "body", "constraint", "vars")
+
+    def __init__(self, head: PredApp | None, body: list[PredApp],
+                 constraint: list, vars: tuple[tuple[str, str], ...]):
+        self.head = head              # None encodes False
+        self.body = body
+        self.constraint = constraint  # conjunction of Bool terms
+        self.vars = vars              # quantified variables with sorts
 
 
-@dataclass
-class ClauseSet:
-    adts: list                      # AdtDecl list (declaration order)
-    preds: dict[str, tuple[str, ...]]  # name -> argument sorts
-    clauses: list[Clause] = field(default_factory=list)
-    entry: str = ""
-    state: tuple[tuple[str, str], ...] = ()  # every variable with its sort
-    state_args: tuple[str, ...] = ()         # the names of ``state``
+class ClauseSet(Struct):
+    __slots__ = _fields = ("adts", "preds", "clauses", "entry", "state",
+                           "state_args")
+
+    def __init__(self, adts: list, preds: dict[str, tuple[str, ...]],
+                 clauses: list[Clause] | None = None, entry: str = "",
+                 state: tuple[tuple[str, str], ...] = (),
+                 state_args: tuple[str, ...] = ()):
+        self.adts = adts    # AdtDecl list (declaration order)
+        self.preds = preds  # name -> argument sorts
+        self.clauses = [] if clauses is None else clauses
+        self.entry = entry
+        self.state = state            # every variable with its sort
+        self.state_args = state_args  # the names of ``state``
 
     def false_clauses(self) -> list[Clause]:
         return [c for c in self.clauses if c.head is None]
-
-    def max_body_atoms(self) -> int:
-        return max((len(c.body) for c in self.clauses), default=0)
 
 
 def _sort_of(ty: Type) -> str:
@@ -366,10 +374,12 @@ def emit_smtlib(cs: ClauseSet) -> str:
 # external solver driver
 
 
-@dataclass(frozen=True)
-class SolveResult:
-    kind: str  # "sat" | "unsat" | "unknown" | "error"
-    detail: str = ""
+class SolveResult(FrozenStruct):
+    __slots__ = _fields = ("kind", "detail")
+
+    def __init__(self, kind: str, detail: str = ""):
+        set_field(self, "kind", kind)  # "sat" | "unsat" | "unknown" | "error"
+        set_field(self, "detail", detail)
 
     @property
     def is_error(self) -> bool:

@@ -12,16 +12,17 @@ import argparse
 import json
 import math
 import sys
+from typing import TYPE_CHECKING
 
-from . import chc, fixpoint as fp, replay
-from .corpus import VARIANTS, encode_variant, load_corpus
-from .encode import EncodingConfig, EncodingError, enc_n, encode
-from .fixpoint import _value_json
-from .formula import load_interpretation
-from .interp import Bot, CompiledProgram, Top
+# Each command imports the modules it needs when it runs, so that it does
+# not pay for loading the others.
 from .lang import (
-    Program, SourceError, parse_program, pretty_print, typecheck,
+    InputError, Program, SourceError, parse_program, pretty_print, typecheck,
 )
+
+if TYPE_CHECKING:
+    from .encode import EncodingConfig
+    from .fixpoint import InputDomain
 
 EXIT_OK = 0
 EXIT_DISAGREE = 1
@@ -34,11 +35,18 @@ class CliError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """Rejects a bad command line with a ``CliError``, which ``main``
-    reports as one ``error:`` line like any other bad input.  Subcommand
-    parsers are made of the same class."""
+    reports as one ``error:`` line like any other bad input.  An option's
+    help given as a function is computed when the help is printed.
+    Subcommand parsers are made of the same class."""
 
     def error(self, message):
         raise CliError(f"{self.prog}: {message}")
+
+    def format_help(self):
+        for action in self._actions:
+            if callable(action.help):
+                action.help = action.help()
+        return super().format_help()
 
 
 def _load_program(path: str) -> Program:
@@ -73,7 +81,9 @@ def _json(report) -> str:
     return _render(json.dumps, report, sort_keys=True)
 
 
-def _parse_range(text: str) -> tuple[int, int]:
+def _parse_range(text: str | None) -> tuple[int, int] | None:
+    if text is None:  # the flag was left out
+        return None
     lo, sep, hi = text.rpartition(":")
     if not sep:
         raise CliError(f"range must look like LO:HI, got {text!r}")
@@ -103,24 +113,26 @@ def _join_ranges(argv: list[str]) -> list[str]:
     return out
 
 
+# The domain options have no default of their own: a field whose option is
+# left out keeps the InputDomain default.
 def _add_domain_args(p: argparse.ArgumentParser):
-    d = fp.InputDomain  # its field defaults are the options'
-    for flag, (lo, hi) in zip(_RANGE_FLAGS, (d.in_range, d.seed_range,
-                                             d.last_addr_range)):
-        p.add_argument(flag, default=f"{lo}:{hi}", metavar="LO:HI")
-    p.add_argument("--loop-fuel", type=int, default=d.loop_fuel)
-    p.add_argument("--heap-op-fuel", type=int, default=d.heap_op_fuel)
-    p.add_argument("--iteration-cap", type=int, default=d.iteration_cap)
+    for flag in _RANGE_FLAGS:
+        p.add_argument(flag, metavar="LO:HI")
+    p.add_argument("--loop-fuel", type=int)
+    p.add_argument("--heap-op-fuel", type=int)
+    p.add_argument("--iteration-cap", type=int)
 
 
-def _input_domain(**kw) -> fp.InputDomain:
+def _input_domain(**kw) -> InputDomain:
+    """The input domain with the fields given as other than None."""
+    from .fixpoint import InputDomain
     try:
-        return fp.InputDomain(**kw)
+        return InputDomain(**{k: v for k, v in kw.items() if v is not None})
     except ValueError as exc:
         raise CliError(str(exc))
 
 
-def _domain(args) -> fp.InputDomain:
+def _domain(args) -> InputDomain:
     return _input_domain(
         in_range=_parse_range(args.in_range),
         seed_range=_parse_range(args.seed_range),
@@ -151,6 +163,7 @@ def _add_encoding_args(p: argparse.ArgumentParser, require: bool = True):
 
 
 def _config(args) -> EncodingConfig:
+    from .encode import EncodingConfig
     drops = []
     for item in args.drop:
         pred, sep, idx = item.rpartition(":")
@@ -175,6 +188,7 @@ def _config(args) -> EncodingConfig:
 def _encode_program(prog: Program, args) -> Program:
     """The program under ``--enc``: unchanged without it, else encoded.  A
     configuration flag without an encoding it configures is an error."""
+    from .encode import enc_n, encode
     if args.enc in (None, "n"):
         for flag in _CONFIG_FLAGS:
             if getattr(args, flag[2:].replace("-", "_")):
@@ -210,6 +224,8 @@ def cmd_encode(args) -> int:
 
 
 def _outcome_json(o):
+    from .fixpoint import _value_json
+    from .interp import Bot, Top
     if isinstance(o, Top):
         return {"kind": "top"}
     if isinstance(o, Bot):
@@ -218,6 +234,9 @@ def _outcome_json(o):
 
 
 def cmd_run(args) -> int:
+    from . import fixpoint as fp
+    from .fixpoint import _value_json
+    from .interp import CompiledProgram
     prog = _load_program(args.file)
     # the point gets a domain's checks, also when --all-inputs replaces it
     _input_domain(in_range=(args.in_value,) * 2, seed_range=(args.seed,) * 2,
@@ -229,6 +248,7 @@ def cmd_run(args) -> int:
     elif args.interp == "fixpoint":
         interp = fp.least_fixpoint(prog, domain)
     else:
+        from .formula import load_interpretation
         try:
             interp = load_interpretation(args.interp, prog)
         except (OSError, ValueError, SourceError) as exc:
@@ -237,11 +257,11 @@ def cmd_run(args) -> int:
     compiled = CompiledProgram(prog, mode=mode)
 
     def one(in_v, seed, la) -> dict:
-        inputs = fp.initial_stack(prog, in_v, seed, la, args.heap_op_fuel)
+        inputs = fp.initial_stack(prog, in_v, seed, la, domain.heap_op_fuel)
         try:
             res = compiled.run(inputs=inputs, interp=interp,
-                               loop_fuel=args.loop_fuel,
-                               heap_fuel=args.heap_op_fuel)
+                               loop_fuel=domain.loop_fuel,
+                               heap_fuel=domain.heap_op_fuel)
         except ValueError as exc:
             raise CliError(str(exc))
         dump = {
@@ -272,8 +292,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_fixpoint(args) -> int:
+    from .fixpoint import check_safety
     prog = _load_program(args.file)
-    verdict = fp.check_safety(prog, _domain(args))
+    verdict = check_safety(prog, _domain(args))
     report = verdict.to_json()
     if args.format == "json":
         print(_json(report))
@@ -290,6 +311,8 @@ def cmd_fixpoint(args) -> int:
 
 
 def cmd_equisafe(args) -> int:
+    from .encode import enc_n, encode
+    from .fixpoint import check_equisafety
     prog = _load_program(args.file)
     domain = _domain(args)
     if args.cosim:
@@ -301,9 +324,11 @@ def cmd_equisafe(args) -> int:
         encoded = encode(p_star, config).program
     else:
         encoded = _encode_program(prog, args)
-    result = fp.check_equisafety(prog, encoded, domain)
-    cosim_report = (replay.cosim_check(p_star, encoded, domain)
-                    if args.cosim else None)
+    result = check_equisafety(prog, encoded, domain)
+    cosim_report = None
+    if args.cosim:
+        from .replay import cosim_check
+        cosim_report = cosim_check(p_star, encoded, domain)
     if args.format == "json":
         report = result.to_json()
         if cosim_report is not None:
@@ -325,8 +350,9 @@ def cmd_equisafe(args) -> int:
 
 
 def cmd_emit_chc(args) -> int:
+    from .chc import emit_smtlib, to_chc
     prog = _encode_program(_load_program(args.file), args)
-    _emit(chc.emit_smtlib(chc.to_chc(prog)), args.output)
+    _emit(emit_smtlib(to_chc(prog)), args.output)
     return EXIT_OK
 
 
@@ -339,7 +365,8 @@ def cmd_solve(args) -> int:
             pass
     except OSError as exc:
         raise CliError(f"cannot read {args.file}: {exc.strerror or exc}")
-    res = chc.solve(args.file, solver_cmd=args.solver, timeout=args.timeout)
+    from .chc import solve
+    res = solve(args.file, solver_cmd=args.solver, timeout=args.timeout)
     if res.is_error:
         print(f"error: {res.detail}", file=sys.stderr)
         return EXIT_ERROR
@@ -348,6 +375,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    from .corpus import VARIANTS, encode_variant, load_corpus
+    from .fixpoint import check_safety
     if args.filter is not None and args.filter == "":
         raise CliError("--filter needs a nonempty substring")
     variants = [v for v in args.enc.split(",") if v]
@@ -365,7 +394,7 @@ def cmd_corpus(args) -> int:
     ok_all = True
     for entry in sorted(entries, key=lambda e: e.name):
         prog = entry.load()
-        verdict = fp.check_safety(prog, domain)
+        verdict = check_safety(prog, domain)
         row = {"name": entry.name, "expected": entry.expected,
                "original": verdict.kind, "variants": {}, "ok": True}
         if verdict.kind != entry.expected:
@@ -375,7 +404,7 @@ def cmd_corpus(args) -> int:
             if encoded is None:
                 row["variants"][vname] = "skipped"
                 continue
-            ev = fp.check_safety(encoded, domain)
+            ev = check_safety(encoded, domain)
             row["variants"][vname] = ev.kind
             if vname == "rwmem":
                 expect = "unsafe" if entry.invalid_access else "safe"
@@ -401,6 +430,11 @@ def cmd_corpus(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _variants_help() -> str:
+    from .corpus import VARIANTS
+    return f"comma-separated variants ({', '.join(sorted(VARIANTS))})"
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="heapinv",
@@ -419,9 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="in_value", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--last-addr", type=int, default=0)
-    p.add_argument("--loop-fuel", type=int, default=fp.InputDomain.loop_fuel)
-    p.add_argument("--heap-op-fuel", type=int,
-                   default=fp.InputDomain.heap_op_fuel)
+    p.add_argument("--loop-fuel", type=int)
+    p.add_argument("--heap-op-fuel", type=int)
     p.add_argument("--interp", default="empty",
                    help="'empty', 'fixpoint', or a formula file")
     p.add_argument("--trace-mode", action="store_true")
@@ -460,9 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("corpus", help="run the bundled corpus")
-    p.add_argument("--enc", default="r",
-                   help="comma-separated variants "
-                        f"({', '.join(sorted(VARIANTS))})")
+    p.add_argument("--enc", default="r", help=_variants_help)
     p.add_argument("--filter", default=None)
     _add_domain_args(p)
     p.add_argument("--format", choices=["human", "json"], default="human")
@@ -476,8 +507,7 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(
             _join_ranges(sys.argv[1:] if argv is None else argv))
         return args.func(args)
-    except (CliError, EncodingError, chc.ChcError,
-            fp.IterationCapExceeded) as exc:
+    except (CliError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except MemoryError:

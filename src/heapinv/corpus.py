@@ -8,13 +8,15 @@ acceptance suite; none is hand-entered.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 
 from .encode import EncodingConfig, enc_n, encode
-from .lang import Program, parse_and_check
+from .lang import Program, parse_and_check, replace
 
 
+# A dataclass, unlike the package's other data classes: its users may copy
+# an entry with ``dataclasses.replace``.
 @dataclass(frozen=True)
 class CorpusEntry:
     name: str
@@ -46,10 +48,6 @@ def load_corpus() -> list[CorpusEntry]:
         rw_tagged_visible=e.get("rw_tagged_visible", True),
         note=e.get("note", ""),
     ) for e in data["entries"]]
-
-
-def corpus_by_name() -> dict[str, CorpusEntry]:
-    return {e.name: e for e in load_corpus()}
 
 
 # The encoding variants of the acceptance matrix: name -> (encoding, the

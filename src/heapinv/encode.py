@@ -28,15 +28,14 @@ with its scope arguments and without its removed positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .lang import (
     ADDR, COUNTER_VAR, INT, LAST_ADDR_VAR, AdtDecl, Alloc, Assign,
     AssertExpr, AssertPred, AssumeExpr, AssumePred, Binary, Block, CtorApp,
-    CtorDecl, DefObj, Expr, HavocStmt, If, IntLit, NondetStmt, Null,
-    PredDecl, Program, Read, SelApp, Skip, Stmt, TestApp, Type, Unary, Var,
-    Write, assign_locations, contains_heap_statements, expr_vars,
-    map_statements, obj_type, typecheck,
+    CtorDecl, DefObj, Expr, FrozenStruct, HavocStmt, If, InputError, IntLit,
+    NondetStmt, Null, PredDecl, Program, Read, SelApp, Skip, Stmt, Struct,
+    TestApp, Type, Unary, Var, Write, assign_locations,
+    contains_heap_statements, expr_vars, map_statements, obj_type, replace,
+    set_field, typecheck,
 )
 
 READ_PRED = "R"
@@ -54,27 +53,40 @@ V_CACHE_ADDR = "$lastc_addr"
 V_CACHE_DATA = "$lastc_data"
 
 
-@dataclass(frozen=True)
-class EncodingConfig:
-    base: str = "r"  # "r" | "rw" | "rwfun" | "rwmem"
-    tagging: bool = False
-    caching: bool = False
-    scope_vars: tuple[str, ...] = ()
-    drop_args: tuple[tuple[str, int], ...] = ()  # (predicate, index)
-    assume_memsafe: bool = False
-    native_havoc: bool = False
-    strip_asserts: bool = False      # rwmem: drop the source assert statements
-    alloc_init_write: bool = False   # rwfun/rwmem: record an object at alloc
+class EncodingConfig(FrozenStruct):
+    __slots__ = _fields = (
+        "base", "tagging", "caching", "scope_vars", "drop_args",
+        "assume_memsafe", "native_havoc", "strip_asserts", "alloc_init_write")
+
+    def __init__(self, base: str = "r", tagging: bool = False,
+                 caching: bool = False, scope_vars: tuple[str, ...] = (),
+                 drop_args: tuple[tuple[str, int], ...] = (),
+                 assume_memsafe: bool = False, native_havoc: bool = False,
+                 strip_asserts: bool = False, alloc_init_write: bool = False):
+        set_field(self, "base", base)  # "r" | "rw" | "rwfun" | "rwmem"
+        set_field(self, "tagging", tagging)
+        set_field(self, "caching", caching)
+        set_field(self, "scope_vars", scope_vars)
+        set_field(self, "drop_args", drop_args)  # (predicate, index) pairs
+        set_field(self, "assume_memsafe", assume_memsafe)
+        set_field(self, "native_havoc", native_havoc)
+        # rwmem: drop the source assert statements
+        set_field(self, "strip_asserts", strip_asserts)
+        # rwfun/rwmem: record an object at alloc
+        set_field(self, "alloc_init_write", alloc_init_write)
 
 
-@dataclass
-class EncodedProgram:
-    program: Program
-    source: Program
-    config: EncodingConfig
+class EncodedProgram(Struct):
+    __slots__ = _fields = ("program", "source", "config")
+
+    def __init__(self, program: Program, source: Program,
+                 config: EncodingConfig):
+        self.program = program
+        self.source = source
+        self.config = config
 
 
-class EncodingError(Exception):
+class EncodingError(InputError):
     pass
 
 

@@ -138,15 +138,15 @@ which allows five big savings without changing the computed sets:
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field, replace
 from typing import Iterator, NamedTuple
 
 from .interp import (
     Bot, CompiledProgram, DrawSite, FUEL_EXHAUSTED, ObjVal, Undefined, Value,
 )
 from .lang import (
-    COUNTER_VAR, FAILURE_PRED, LAST_ADDR_VAR, HavocStmt, NondetStmt, Program,
-    query_positions, variable_uses, walk_statements,
+    COUNTER_VAR, FAILURE_PRED, LAST_ADDR_VAR, FrozenStruct, HavocStmt,
+    InputError, NondetStmt, Program, Struct, query_positions, replace,
+    set_field, variable_uses, walk_statements,
 )
 
 
@@ -190,10 +190,6 @@ class Interpretation:
             out.rels.setdefault(name, set()).update(rel)
         return out
 
-    def is_subset(self, other: "Interpretation") -> bool:
-        return all(rel <= other.rels.get(name, set())
-                   for name, rel in self.rels.items())
-
     def sizes(self) -> dict[str, int]:
         return {name: len(rel) for name, rel in sorted(self.rels.items())
                 if rel}
@@ -216,33 +212,40 @@ class Interpretation:
 # Input domain
 
 
-@dataclass(frozen=True)
-class InputDomain:
+class InputDomain(FrozenStruct):
     """Finite restriction of the space of initial stacks."""
 
-    in_range: tuple[int, int] = (-3, 3)
-    seed_range: tuple[int, int] = (0, 255)
-    last_addr_range: tuple[int, int] = (0, 6)
-    loop_fuel: int = 64
-    heap_op_fuel: int = 32
-    iteration_cap: int | None = None
+    __slots__ = _fields = ("in_range", "seed_range", "last_addr_range",
+                           "loop_fuel", "heap_op_fuel", "iteration_cap")
 
-    def __post_init__(self):
-        for lo, hi in (self.in_range, self.seed_range, self.last_addr_range):
+    def __init__(self, in_range: tuple[int, int] = (-3, 3),
+                 seed_range: tuple[int, int] = (0, 255),
+                 last_addr_range: tuple[int, int] = (0, 6),
+                 loop_fuel: int = 64, heap_op_fuel: int = 32,
+                 iteration_cap: int | None = None):
+        for name, (lo, hi) in (("input", in_range), ("seed", seed_range),
+                               ("last address", last_addr_range)):
             if lo > hi:
-                raise ValueError("empty input range")
+                raise ValueError(f"empty {name} range {lo}:{hi}")
             # the executor lists and marks a range's values one by one
             if hi - lo >= sys.maxsize:
-                raise ValueError(f"input range {lo}:{hi} holds more than "
+                raise ValueError(f"{name} range {lo}:{hi} holds more than "
                                  f"{sys.maxsize} values")
-        if self.seed_range[0] < 0:
+        if seed_range[0] < 0:
             raise ValueError("seeds must be nonnegative")
-        if self.last_addr_range[0] < 0:
+        if last_addr_range[0] < 0:
             raise ValueError("addresses are naturals")
-        for name in ("loop_fuel", "heap_op_fuel", "iteration_cap"):
-            value = getattr(self, name)
+        for name, value in (("loop_fuel", loop_fuel),
+                            ("heap_op_fuel", heap_op_fuel),
+                            ("iteration_cap", iteration_cap)):
             if value is not None and value < 0:
                 raise ValueError(f"{name} must be nonnegative")
+        set_field(self, "in_range", in_range)
+        set_field(self, "seed_range", seed_range)
+        set_field(self, "last_addr_range", last_addr_range)
+        set_field(self, "loop_fuel", loop_fuel)
+        set_field(self, "heap_op_fuel", heap_op_fuel)
+        set_field(self, "iteration_cap", iteration_cap)
 
     def grid_size(self) -> int:
         return ((self.in_range[1] - self.in_range[0] + 1)
@@ -290,22 +293,26 @@ def initial_stack(program: Program, in_v: int | None, seed: int | None,
 # Grid executor
 
 
-@dataclass(slots=True)
-class Leaf:
-    seed: int            # representative (smallest in class)
-    outcome: object
-    blocker: tuple | None
-    weight: int          # number of seeds in the class within range
-    step: int            # 2^bits; the range size without seed classing
-    # a blocked run's resume point (``RunResult.resume``); for a sentinel
-    # run, the values it compared ``$last_addr`` with (up to the query when
-    # blocked)
-    resume: tuple | None = None
-    compared: frozenset = frozenset()
+class Leaf(Struct):
+    __slots__ = _fields = ("seed", "outcome", "blocker", "weight", "step",
+                           "resume", "compared")
+
+    def __init__(self, seed: int, outcome: object, blocker: tuple | None,
+                 weight: int, step: int, resume: tuple | None = None,
+                 compared: frozenset = frozenset()):
+        self.seed = seed      # representative (smallest in class)
+        self.outcome = outcome
+        self.blocker = blocker
+        self.weight = weight  # number of seeds in the class within range
+        self.step = step      # 2^bits; the range size without seed classing
+        # a blocked run's resume point (``RunResult.resume``); for a
+        # sentinel run, the values it compared ``$last_addr`` with (up to
+        # the query when blocked)
+        self.resume = resume
+        self.compared = compared
 
 
-@dataclass(slots=True, eq=False)
-class Record:
+class Record(Struct):
     """The seed classes of a draw-site node that the site's draw table
     settled: the node is the offsets ``offset, offset + stride, ...`` of
     the range, ``table`` is the site's inverted draw table over the node,
@@ -313,18 +320,27 @@ class Record:
     that is not ``excluded``, within the point's loop fuel.  Each is
     blocked at the node's point, on ``blocker`` with the drawn arguments
     replaced.  The point ends with the seed bits b consumed before the
-    draws, and ``stride`` is 2^b."""
-    resume: tuple        # the node's point: the state before the draws
-    site: DrawSite
-    outcome: object      # the blocked runs' outcome
-    blocker: tuple       # (pred, args) of the run that found the node
-    compared: frozenset  # as a blocked leaf's
-    offset: int
-    table: dict          # shared with every node of the site's shape
-    # the value tuples of the table whose classes do not stand here: in the
-    # relation at the visit, taken out by reruns, or with every class past
-    # the point's loop fuel
-    excluded: frozenset = frozenset()
+    draws, and ``stride`` is 2^b.  Equal only to itself."""
+
+    __slots__ = _fields = ("resume", "site", "outcome", "blocker",
+                           "compared", "offset", "table", "excluded")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, resume: tuple, site: DrawSite, outcome: object,
+                 blocker: tuple, compared: frozenset, offset: int,
+                 table: dict, excluded: frozenset = frozenset()):
+        self.resume = resume  # the node's point: the state before the draws
+        self.site = site
+        self.outcome = outcome    # the blocked runs' outcome
+        self.blocker = blocker    # (pred, args) of the run that found the node
+        self.compared = compared  # as a blocked leaf's
+        self.offset = offset
+        self.table = table        # shared with every node of the site's shape
+        # the value tuples of the table whose classes do not stand here: in
+        # the relation at the visit, taken out by reruns, or with every
+        # class past the point's loop fuel
+        self.excluded = excluded
 
     def settled(self) -> Iterator[tuple]:
         """The drawn value tuples whose classes stand here."""
@@ -332,15 +348,21 @@ class Record:
         return (v for v in self.table if v not in excluded)
 
 
-@dataclass
-class Cell:
-    in_v: int | None
-    last_addr: int | _AnyAddress | None
-    leaves: list[Leaf] = field(default_factory=list)
-    records: list[Record] = field(default_factory=list)
-    # with address classing, one mark per seed that a leaf or record of
-    # this (explicit-address) cell stands for
-    covered: bytearray | None = None
+class Cell(Struct):
+    __slots__ = _fields = ("in_v", "last_addr", "leaves", "records",
+                           "covered")
+
+    def __init__(self, in_v: int | None, last_addr: int | _AnyAddress | None,
+                 leaves: list[Leaf] | None = None,
+                 records: list[Record] | None = None,
+                 covered: bytearray | None = None):
+        self.in_v = in_v
+        self.last_addr = last_addr
+        self.leaves = [] if leaves is None else leaves
+        self.records = [] if records is None else records
+        # with address classing, one mark per seed that a leaf or record of
+        # this (explicit-address) cell stands for
+        self.covered = covered
 
     def blockers(self) -> set[tuple]:
         out = {l.blocker for l in self.leaves if l.blocker is not None}
@@ -774,23 +796,26 @@ def immediate_consequence(program: Program, interp: Interpretation,
     return out
 
 
-@dataclass
-class FixpointInfo:
-    interp: Interpretation
-    iterations: int
-    executor: GridExecutor  # the first class's
-    # (executor, inputs) of each input class, least input first: the inputs
-    # of the range the executor's runs stand for.  By default the executor
-    # alone, for the inputs of its own range.
-    classes: list[tuple[GridExecutor, range | list[int]]] | None = None
+class FixpointInfo(Struct):
+    __slots__ = _fields = ("interp", "iterations", "executor", "classes")
 
-    def __post_init__(self):
-        if self.classes is None:
-            lo, hi = self.executor.domain.in_range
-            self.classes = [(self.executor, range(lo, hi + 1))]
+    def __init__(self, interp: Interpretation, iterations: int,
+                 executor: GridExecutor,
+                 classes: list[tuple[GridExecutor, range | list[int]]]
+                 | None = None):
+        self.interp = interp
+        self.iterations = iterations
+        self.executor = executor  # the first class's
+        # (executor, inputs) of each input class, least input first: the
+        # inputs of the range the executor's runs stand for.  By default
+        # the executor alone, for the inputs of its own range.
+        if classes is None:
+            lo, hi = executor.domain.in_range
+            classes = [(executor, range(lo, hi + 1))]
+        self.classes = classes
 
 
-class IterationCapExceeded(Exception):
+class IterationCapExceeded(InputError):
     def __init__(self, cap: int, sizes: dict[str, int]):
         super().__init__(
             f"fixpoint iteration cap {cap} exceeded; predicate sizes {sizes}")
@@ -921,20 +946,27 @@ def least_fixpoint(program: Program, domain: InputDomain) -> Interpretation:
 # Safety
 
 
-@dataclass(frozen=True)
-class Witness:
-    inputs: dict
-    pred: str
-    args: tuple
+class Witness(FrozenStruct):
+    __slots__ = _fields = ("inputs", "pred", "args")
+
+    def __init__(self, inputs: dict, pred: str, args: tuple):
+        set_field(self, "inputs", inputs)
+        set_field(self, "pred", pred)
+        set_field(self, "args", args)
 
 
-@dataclass
-class SafetyVerdict:
-    kind: str  # "safe" | "unsafe" | "inconclusive"
-    witness: Witness | None = None
-    inconclusive_count: int = 0
-    iterations: int = 0
-    pred_sizes: dict = field(default_factory=dict)
+class SafetyVerdict(Struct):
+    __slots__ = _fields = ("kind", "witness", "inconclusive_count",
+                           "iterations", "pred_sizes")
+
+    def __init__(self, kind: str, witness: Witness | None = None,
+                 inconclusive_count: int = 0, iterations: int = 0,
+                 pred_sizes: dict | None = None):
+        self.kind = kind  # "safe" | "unsafe" | "inconclusive"
+        self.witness = witness
+        self.inconclusive_count = inconclusive_count
+        self.iterations = iterations
+        self.pred_sizes = {} if pred_sizes is None else pred_sizes
 
     def to_json(self) -> dict:
         return {
@@ -1030,11 +1062,14 @@ def sweep_under(program: Program, domain: InputDomain, interp) -> SafetyVerdict:
 # Equi-safety
 
 
-@dataclass
-class EquisafetyResult:
-    agree: bool
-    verdict_left: SafetyVerdict
-    verdict_right: SafetyVerdict
+class EquisafetyResult(Struct):
+    __slots__ = _fields = ("agree", "verdict_left", "verdict_right")
+
+    def __init__(self, agree: bool, verdict_left: SafetyVerdict,
+                 verdict_right: SafetyVerdict):
+        self.agree = agree
+        self.verdict_left = verdict_left
+        self.verdict_right = verdict_right
 
     @property
     def kind(self) -> str:

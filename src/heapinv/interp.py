@@ -76,16 +76,15 @@ their code.  What stays specialised:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from operator import add, eq, ge, gt, itemgetter, le, lt, mul, ne, sub
 from typing import Callable, NamedTuple
 
 from .lang import (
     AdtDecl, Alloc, Assign, AssertExpr, AssertPred, AssumeExpr, AssumePred,
-    Binary, CtorApp, DefObj, Expr, FAILURE_PRED, HavocStmt, INT, IntLit,
-    NondetStmt, Null, Program, Read, SelApp, Stmt, TestApp, Type, Unary, Var,
-    Write, expr_vars, layout, variable_uses,
+    Binary, CtorApp, DefObj, Expr, FAILURE_PRED, FrozenStruct, HavocStmt, INT,
+    IntLit, NondetStmt, Null, Program, Read, SelApp, Stmt, TestApp, Type,
+    Unary, Var, Write, expr_vars, layout, set_field, variable_uses,
 )
 
 
@@ -136,16 +135,19 @@ def trace_read(trace: list[tuple[int, ObjVal]], allocs: int, addr: int,
 # Outcomes
 
 
-@dataclass(frozen=True)
-class Top:
+class Top(FrozenStruct):
+    __slots__ = ()
+
     def __repr__(self):
         return "Top"
 
 
-@dataclass(frozen=True)
-class Bot:
-    pred: str
-    args: tuple
+class Bot(FrozenStruct):
+    __slots__ = _fields = ("pred", "args")
+
+    def __init__(self, pred: str, args: tuple):
+        set_field(self, "pred", pred)
+        set_field(self, "args", args)
 
     def __repr__(self):
         return f"Bot({self.pred}, {self.args!r})"
@@ -155,9 +157,11 @@ ASSUME_FAILED = "assume_failed"
 FUEL_EXHAUSTED = "fuel_exhausted"
 
 
-@dataclass(frozen=True)
-class Undefined:
-    reason: str  # ASSUME_FAILED | FUEL_EXHAUSTED
+class Undefined(FrozenStruct):
+    __slots__ = _fields = ("reason",)
+
+    def __init__(self, reason: str):
+        set_field(self, "reason", reason)  # ASSUME_FAILED | FUEL_EXHAUSTED
 
     def __repr__(self):
         return f"Undefined({self.reason})"

@@ -11,26 +11,106 @@ defined here.
 from __future__ import annotations
 
 import re
-from copy import copy
-from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
-# source positions, (line, col), are kept out of equality and printing
-_META = dict(compare=False, repr=False, kw_only=True)
+# ---------------------------------------------------------------------------
+# Data classes
+#
+# The package's data classes are plain classes with ``__slots__`` and a
+# hand-written ``__init__``: building them as dataclasses took about a third
+# of the time of importing the package.
+
+
+class Struct:
+    """Base of the package's data classes.  ``_fields`` names the fields
+    that the constructor takes first, in order, and that equality and
+    ``repr`` compare and show; ``_meta`` names the keyword-only ones left
+    out of both (source positions and statement locations).  Equal only
+    to an instance of the same class, and unhashable."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _meta: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+
+# how the __init__ of a frozen class sets its fields
+set_field = object.__setattr__
+
+
+class FrozenStruct(Struct):
+    """A ``Struct`` whose fields cannot be assigned or deleted once its
+    ``__init__`` has set them; hashed by its compared fields."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle build the copy through the constructor
+        return _construct, (type(self), _arguments(self))
+
+
+def _arguments(obj: Struct) -> dict:
+    return {f: getattr(obj, f) for f in obj._fields + obj._meta}
+
+
+def _construct(cls, arguments: dict):
+    return cls(**arguments)
+
+
+def replace(obj: Struct, **changes) -> Struct:
+    """A new instance of ``obj``'s class with ``obj``'s fields, positions
+    included, except those ``changes`` names; a shallow copy without
+    changes."""
+    return type(obj)(**{**_arguments(obj), **changes})
+
 
 # ---------------------------------------------------------------------------
 # Types
 
 
-@dataclass(frozen=True, slots=True)
-class Type:
+class Type(FrozenStruct):
     """Type tag: Int, Addr, or Obj(adt). Obj carries the ADT name.  A parsed
     Addr or Obj type carries the position of its type name; a parsed Int is
     the shared ``INT``."""
 
-    kind: str  # "Int" | "Addr" | "Obj"
-    adt: str | None = None
-    pos: tuple[int, int] = field(default=(0, 0), **_META)
+    __slots__ = ("kind", "adt", "pos")
+    _fields = ("kind", "adt")
+    _meta = ("pos",)
+
+    def __init__(self, kind: str, adt: str | None = None, *,
+                 pos: tuple[int, int] = (0, 0)):
+        set_field(self, "kind", kind)  # "Int" | "Addr" | "Obj"
+        set_field(self, "adt", adt)
+        set_field(self, "pos", pos)
+
+    # types are compared throughout checking and encoding: no tuples built
+    def __eq__(self, other):
+        if other.__class__ is Type:
+            return self.kind == other.kind and self.adt == other.adt
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.kind, self.adt))
 
     def __str__(self) -> str:
         if self.kind == "Obj":
@@ -46,188 +126,269 @@ def obj_type(adt_name: str) -> Type:
     return Type("Obj", adt_name)
 
 
-@dataclass(slots=True)
-class CtorDecl:
-    name: str
-    fields: list[tuple[str, Type]]
+class CtorDecl(Struct):
+    __slots__ = _fields = ("name", "fields")
+
+    def __init__(self, name: str, fields: list[tuple[str, Type]]):
+        self.name = name
+        self.fields = fields
 
 
-@dataclass(slots=True)
-class AdtDecl:
+class AdtDecl(Struct):
     """Non-recursive algebraic datatype; the first constructor is the default
     one (its all-defaults value serves as defObj when the ADT is the heap
     type)."""
 
-    name: str
-    ctors: list[CtorDecl]
-    pos: tuple[int, int] = field(default=(0, 0), **_META)
+    __slots__ = ("name", "ctors", "pos")
+    _fields = ("name", "ctors")
+    _meta = ("pos",)
+
+    def __init__(self, name: str, ctors: list[CtorDecl], *,
+                 pos: tuple[int, int] = (0, 0)):
+        self.name = name
+        self.ctors = ctors
+        self.pos = pos
 
 
-@dataclass(slots=True)
-class PredDecl:
-    name: str
-    arg_types: list[Type]
+class PredDecl(Struct):
+    __slots__ = _fields = ("name", "arg_types")
+
+    def __init__(self, name: str, arg_types: list[Type]):
+        self.name = name
+        self.arg_types = arg_types
 
 
 # ---------------------------------------------------------------------------
 # Expressions
 
 
-@dataclass(slots=True)
-class Expr:
-    pos: tuple[int, int] = field(default=(0, 0), **_META)
+class Expr(Struct):
+    __slots__ = ("pos",)
+    _meta = ("pos",)
+
+    def __init__(self, *, pos: tuple[int, int] = (0, 0)):
+        self.pos = pos
 
 
-@dataclass(slots=True)
 class IntLit(Expr):
-    value: int
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: int, *, pos: tuple[int, int] = (0, 0)):
+        self.value = value
+        self.pos = pos
 
 
-@dataclass(slots=True)
 class Var(Expr):
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str, *, pos: tuple[int, int] = (0, 0)):
+        self.name = name
+        self.pos = pos
 
 
-@dataclass(slots=True)
 class Null(Expr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(slots=True)
 class DefObj(Expr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(slots=True)
 class Unary(Expr):
-    op: str  # "-" | "!"
-    operand: Expr
+    __slots__ = _fields = ("op", "operand")
+
+    def __init__(self, op: str, operand: Expr, *,
+                 pos: tuple[int, int] = (0, 0)):
+        self.op = op  # "-" | "!"
+        self.operand = operand
+        self.pos = pos
 
 
-@dataclass(slots=True)
 class Binary(Expr):
-    op: str  # + - * / % < <= > >= = != && ||
-    left: Expr
-    right: Expr
+    __slots__ = _fields = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr, *,
+                 pos: tuple[int, int] = (0, 0)):
+        self.op = op  # + - * / % < <= > >= = != && ||
+        self.left = left
+        self.right = right
+        self.pos = pos
 
 
-@dataclass(slots=True)
 class CtorApp(Expr):
-    ctor: str
-    args: list[Expr]
+    __slots__ = _fields = ("ctor", "args")
+
+    def __init__(self, ctor: str, args: list[Expr], *,
+                 pos: tuple[int, int] = (0, 0)):
+        self.ctor = ctor
+        self.args = args
+        self.pos = pos
 
 
-@dataclass(slots=True)
 class SelApp(Expr):
-    sel: str
-    arg: Expr
+    __slots__ = _fields = ("sel", "arg")
+
+    def __init__(self, sel: str, arg: Expr, *,
+                 pos: tuple[int, int] = (0, 0)):
+        self.sel = sel
+        self.arg = arg
+        self.pos = pos
 
 
-@dataclass(slots=True)
 class TestApp(Expr):
     """Constructor tester, written ``is_<ctor>(e)``; yields 0/1."""
 
-    ctor: str
-    arg: Expr
+    __slots__ = _fields = ("ctor", "arg")
+
+    def __init__(self, ctor: str, arg: Expr, *,
+                 pos: tuple[int, int] = (0, 0)):
+        self.ctor = ctor
+        self.arg = arg
+        self.pos = pos
 
 
 # ---------------------------------------------------------------------------
 # Statements
 
 
-@dataclass(slots=True)
-class Stmt:
-    loc: int = field(default=0, **_META)
-    pos: tuple[int, int] = field(default=(0, 0), **_META)
+class Stmt(Struct):
+    __slots__ = ("loc", "pos")
+    _meta = ("loc", "pos")
+
+    def __init__(self, *, loc: int = 0, pos: tuple[int, int] = (0, 0)):
+        self.loc = loc
+        self.pos = pos
 
 
-@dataclass(slots=True)
 class Assign(Stmt):
-    target: str
-    expr: Expr
+    __slots__ = _fields = ("target", "expr")
+
+    def __init__(self, target: str, expr: Expr, *, loc: int = 0,
+                 pos: tuple[int, int] = (0, 0)):
+        self.target = target
+        self.expr = expr
+        self.loc = loc
+        self.pos = pos
 
 
-@dataclass(slots=True)
 class Alloc(Stmt):
-    target: str
-    expr: Expr
+    __slots__ = _fields = ("target", "expr")
+    __init__ = Assign.__init__
 
 
-@dataclass(slots=True)
 class Read(Stmt):
-    target: str
-    addr: str  # address operand must be a variable
+    __slots__ = _fields = ("target", "addr")
+
+    def __init__(self, target: str, addr: str, *, loc: int = 0,
+                 pos: tuple[int, int] = (0, 0)):
+        self.target = target
+        self.addr = addr  # address operand must be a variable
+        self.loc = loc
+        self.pos = pos
 
 
-@dataclass(slots=True)
 class Write(Stmt):
-    addr: str
-    expr: Expr
+    __slots__ = _fields = ("addr", "expr")
+
+    def __init__(self, addr: str, expr: Expr, *, loc: int = 0,
+                 pos: tuple[int, int] = (0, 0)):
+        self.addr = addr
+        self.expr = expr
+        self.loc = loc
+        self.pos = pos
 
 
-@dataclass(slots=True)
 class Skip(Stmt):
-    pass
+    __slots__ = ()
 
 
-@dataclass(slots=True)
 class Block(Stmt):
     """Statement sequence; carries no control location of its own."""
 
-    stmts: tuple[Stmt, ...] = ()
+    __slots__ = _fields = ("stmts",)
+
+    def __init__(self, stmts: tuple[Stmt, ...] = (), *, loc: int = 0,
+                 pos: tuple[int, int] = (0, 0)):
+        self.stmts = stmts
+        self.loc = loc
+        self.pos = pos
 
 
-@dataclass(slots=True)
 class If(Stmt):
-    cond: Expr
-    then: Stmt
-    els: Stmt  # empty Block when the source has no else branch
+    __slots__ = _fields = ("cond", "then", "els")
+
+    def __init__(self, cond: Expr, then: Stmt, els: Stmt, *, loc: int = 0,
+                 pos: tuple[int, int] = (0, 0)):
+        self.cond = cond
+        self.then = then
+        self.els = els  # empty Block when the source has no else branch
+        self.loc = loc
+        self.pos = pos
 
 
-@dataclass(slots=True)
 class While(Stmt):
-    cond: Expr
-    body: Stmt
+    __slots__ = _fields = ("cond", "body")
+
+    def __init__(self, cond: Expr, body: Stmt, *, loc: int = 0,
+                 pos: tuple[int, int] = (0, 0)):
+        self.cond = cond
+        self.body = body
+        self.loc = loc
+        self.pos = pos
 
 
-@dataclass(slots=True)
 class AssumeExpr(Stmt):
-    expr: Expr
+    __slots__ = _fields = ("expr",)
+
+    def __init__(self, expr: Expr, *, loc: int = 0,
+                 pos: tuple[int, int] = (0, 0)):
+        self.expr = expr
+        self.loc = loc
+        self.pos = pos
 
 
-@dataclass(slots=True)
 class AssertExpr(Stmt):
-    expr: Expr
+    __slots__ = _fields = ("expr",)
+    __init__ = AssumeExpr.__init__
 
 
-@dataclass(slots=True)
 class AssumePred(Stmt):
-    pred: str
-    args: list[Expr]
+    __slots__ = _fields = ("pred", "args")
+
+    def __init__(self, pred: str, args: list[Expr], *, loc: int = 0,
+                 pos: tuple[int, int] = (0, 0)):
+        self.pred = pred
+        self.args = args
+        self.loc = loc
+        self.pos = pos
 
 
-@dataclass(slots=True)
 class AssertPred(Stmt):
-    pred: str
-    args: list[Expr]
+    __slots__ = _fields = ("pred", "args")
+    __init__ = AssumePred.__init__
 
 
-@dataclass(slots=True)
 class HavocStmt(Stmt):
     """Macro statement ``havoc(x);``: sets x to an arbitrary value derived
     from the seed variable.  Evaluated with exactly the semantics of the
-    expansion produced by :func:`expand_havoc`."""
+    expansion produced by ``expand_havoc`` in ``tests/progen.py``."""
 
-    target: str
+    __slots__ = _fields = ("target",)
+
+    def __init__(self, target: str, *, loc: int = 0,
+                 pos: tuple[int, int] = (0, 0)):
+        self.target = target
+        self.loc = loc
+        self.pos = pos
 
 
-@dataclass(slots=True)
 class NondetStmt(Stmt):
     """Native nondeterministic assignment ``nondet(x);``.  Emitted instead of
     the havoc macro when encoding for CHC back-ends that support
     unconstrained assignments."""
 
-    target: str
+    __slots__ = _fields = ("target",)
+    __init__ = HavocStmt.__init__
 
 
 # ---------------------------------------------------------------------------
@@ -245,16 +406,31 @@ COUNTER_VAR = "$c"
 LAST_ADDR_VAR = "$last_addr"
 
 
-@dataclass(slots=True)
-class Program:
-    adts: list[AdtDecl] = field(default_factory=list)
-    heap_adt: str | None = None
-    heap_pos: tuple[int, int] = field(default=(0, 0), **_META)
-    preds: list[PredDecl] = field(default_factory=list)
-    input_var: str | None = None
-    seed_var: str | None = None
-    var_types: dict[str, Type] = field(default_factory=dict)
-    body: Block = field(default_factory=Block)
+class Program(Struct):
+    """A declaration list, variable map or body left out (None) is a new
+    empty one."""
+
+    __slots__ = ("adts", "heap_adt", "heap_pos", "preds", "input_var",
+                 "seed_var", "var_types", "body")
+    _fields = ("adts", "heap_adt", "preds", "input_var", "seed_var",
+               "var_types", "body")
+    _meta = ("heap_pos",)
+
+    def __init__(self, adts: list[AdtDecl] | None = None,
+                 heap_adt: str | None = None,
+                 preds: list[PredDecl] | None = None,
+                 input_var: str | None = None, seed_var: str | None = None,
+                 var_types: dict[str, Type] | None = None,
+                 body: Block | None = None, *,
+                 heap_pos: tuple[int, int] = (0, 0)):
+        self.adts = [] if adts is None else adts
+        self.heap_adt = heap_adt
+        self.heap_pos = heap_pos
+        self.preds = [] if preds is None else preds
+        self.input_var = input_var
+        self.seed_var = seed_var
+        self.var_types = {} if var_types is None else var_types
+        self.body = Block() if body is None else body
 
     def adts_by_name(self) -> dict[str, AdtDecl]:
         return {a.name: a for a in self.adts}
@@ -268,6 +444,11 @@ class Program:
         return obj_type(self.heap_adt)
 
 
+class InputError(Exception):
+    """A program, configuration or bound that the library cannot process as
+    asked; the command line reports it as one ``error:`` line."""
+
+
 class SourceError(Exception):
     """Parse error with position, formatted ``line:col: message``."""
 
@@ -278,11 +459,13 @@ class SourceError(Exception):
         self.message = message
 
 
-@dataclass(slots=True)
-class Diagnostic:
-    line: int
-    col: int
-    message: str
+class Diagnostic(Struct):
+    __slots__ = _fields = ("line", "col", "message")
+
+    def __init__(self, line: int, col: int, message: str):
+        self.line = line
+        self.col = col
+        self.message = message
 
     def __str__(self) -> str:
         return f"{self.line}:{self.col}: {self.message}"
@@ -837,10 +1020,6 @@ def assign_locations(program: Program) -> Program:
     return program
 
 
-def statement_locations(program: Program) -> list[int]:
-    return [s.loc for s in walk_statements(program.body)]
-
-
 # ---------------------------------------------------------------------------
 # Control-flow graph
 
@@ -926,7 +1105,7 @@ def _map_rebuild(s: Stmt, leaf, cond) -> list[Stmt]:
     if isinstance(s, While):
         return [While(cond(s.cond), _map_branch(s.body, leaf, cond),
                       pos=s.pos)]
-    return [copy(x) if x is s else x for x in leaf(s)]
+    return [replace(x) if x is s else x for x in leaf(s)]
 
 
 def _map_branch(s: Stmt, leaf, cond) -> Block:
@@ -1096,22 +1275,6 @@ def query_positions(program: Program, name: str) -> dict[str, tuple] | None:
 
 def contains_heap_statements(program: Program) -> bool:
     return any(isinstance(s, (Alloc, Read, Write)) for s in walk_statements(program.body))
-
-
-class FreshNames:
-    """Allocates ``$``-prefixed names that collide with nothing in use."""
-
-    def __init__(self, taken: set[str]):
-        self.taken = set(taken)
-
-    def fresh(self, base: str) -> str:
-        name = f"${base}"
-        k = 0
-        while name in self.taken:
-            k += 1
-            name = f"${base}{k}"
-        self.taken.add(name)
-        return name
 
 
 # ---------------------------------------------------------------------------
@@ -1529,131 +1692,3 @@ def pretty_print(program: Program) -> str:
     _print_stmt(program.body, 1, out)
     out.append("}")
     return "\n".join(out) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# The havoc macro
-
-
-def _int_havoc_stmts(x: str, seed: str) -> list[Stmt]:
-    """The bit-extraction macro: sign bit, then pairs of (continue, digit)
-    bits, then a terminating division."""
-    def sv() -> Expr:
-        return Var(seed)
-
-    def mod2(e: Expr) -> Expr:
-        return Binary("%", e, IntLit(2))
-
-    def half() -> Stmt:
-        return Assign(seed, Binary("/", sv(), IntLit(2)))
-
-    return [
-        Assign(x, Unary("-", mod2(sv()))),
-        half(),
-        While(Binary("=", mod2(sv()), IntLit(1)), Block((
-            half(),
-            Assign(x, Binary("+", Binary("*", IntLit(2), Var(x)), mod2(sv()))),
-            half(),
-        ))),
-        half(),
-    ]
-
-
-def expand_havoc(stmt: HavocStmt, program: Program,
-                 fresh: FreshNames | None = None,
-                 new_vars: dict[str, Type] | None = None) -> Stmt:
-    """Expand ``havoc(x)`` into plain statements reading bits from the seed.
-
-    For Int targets this is the exact four-statement macro.  Obj targets are
-    havoced field-wise through fresh Int temporaries (with a constructor
-    chooser drawn first when the ADT has several constructors); the
-    temporaries are reported through ``new_vars`` so callers can declare
-    them.
-    """
-    if program.seed_var is None:
-        raise ValueError("havoc expansion requires a seed declaration")
-    if fresh is None:
-        fresh = FreshNames(set(program.var_types))
-    if new_vars is None:
-        new_vars = {}
-    ty = program.var_types.get(stmt.target)
-    if ty is None:
-        raise ValueError(f"havoc of undeclared variable {stmt.target!r}")
-    if ty == INT:
-        return Block(tuple(_int_havoc_stmts(stmt.target, program.seed_var)))
-    if ty.kind != "Obj":
-        raise ValueError(f"cannot havoc variable of type {ty}")
-    stmts, final = _ObjHavoc(program, fresh, new_vars).obj(ty.adt)
-    return Block(tuple(stmts + [Assign(stmt.target, final)]))
-
-
-class _ObjHavoc:
-    """Field-wise havoc of an ADT value: ``obj`` returns the statements that
-    draw one and the expression that holds it, declaring each temporary in
-    ``new_vars``."""
-
-    def __init__(self, program: Program, fresh: FreshNames,
-                 new_vars: dict[str, Type]):
-        self.adts = program.adts_by_name()
-        self.seed_var = program.seed_var
-        self.fresh = fresh
-        self.new_vars = new_vars
-
-    def temp(self, base: str, ty: Type) -> str:
-        name = self.fresh.fresh(base)
-        self.new_vars[name] = ty
-        return name
-
-    def ctor(self, ctor: CtorDecl) -> tuple[list[Stmt], Expr]:
-        stmts: list[Stmt] = []
-        args: list[Expr] = []
-        for fname, fty in ctor.fields:
-            if fty == INT:
-                tmp = self.temp("h", INT)
-                stmts.extend(_int_havoc_stmts(tmp, self.seed_var))
-                args.append(Var(tmp))
-            elif fty.kind == "Obj":
-                sub_stmts, sub_expr = self.obj(fty.adt)
-                stmts.extend(sub_stmts)
-                args.append(sub_expr)
-            else:
-                raise ValueError(f"cannot havoc Addr field {fname!r}")
-        return stmts, CtorApp(ctor.name, args)
-
-    def obj(self, adt_name: str) -> tuple[list[Stmt], Expr]:
-        ctors = self.adts[adt_name].ctors
-        if len(ctors) == 1:
-            return self.ctor(ctors[0])
-        # several constructors: draw a chooser int; the default constructor
-        # catches every value without an explicit case, keeping totality
-        chooser = self.temp("h", INT)
-        tmp_obj = self.temp("ho", obj_type(adt_name))
-        stmts: list[Stmt] = list(_int_havoc_stmts(chooser, self.seed_var))
-        d_stmts, d_expr = self.ctor(ctors[0])
-        branch: Stmt = Block(tuple(d_stmts + [Assign(tmp_obj, d_expr)]))
-        for idx in range(len(ctors) - 1, 0, -1):
-            c_stmts, c_expr = self.ctor(ctors[idx])
-            branch = If(Binary("=", Var(chooser), IntLit(idx)),
-                        Block(tuple(c_stmts + [Assign(tmp_obj, c_expr)])),
-                        branch)
-        stmts.append(branch)
-        return stmts, Var(tmp_obj)
-
-
-def expand_program_havocs(program: Program) -> Program:
-    """Replace every havoc macro statement by its expansion, declaring the
-    temporaries it needs.  Nondet statements are left untouched."""
-    fresh = FreshNames(set(program.var_types))
-    new_vars: dict[str, Type] = {}
-
-    def tx(s: Stmt) -> list[Stmt]:
-        if isinstance(s, HavocStmt):
-            return [expand_havoc(s, program, fresh, new_vars)]
-        return [s]
-
-    body = map_statements(program.body, tx)
-    var_types = dict(program.var_types)
-    var_types.update(new_vars)
-    out = replace(program, var_types=var_types, body=body)
-    assign_locations(out)
-    return out

@@ -11,14 +11,12 @@ prophecy address.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .encode import READ_PRED, V_CNT_ALLOC, V_LAST
 from .fixpoint import InputDomain, Interpretation, initial_stack
 from .interp import (
     CompiledProgram, RunResult, Undefined, default_obj, draw_code, trace_read,
 )
-from .lang import Program
+from .lang import Program, Struct
 
 
 # ---------------------------------------------------------------------------
@@ -75,17 +73,21 @@ def _read_relation(runs: list[tuple[int, RunResult]]) -> Interpretation:
     return interp
 
 
-@dataclass
-class CosimPoint:
-    in_v: int
-    last_addr: int
-    ok: bool
-    detail: str = ""
+class CosimPoint(Struct):
+    __slots__ = _fields = ("in_v", "last_addr", "ok", "detail")
+
+    def __init__(self, in_v: int, last_addr: int, ok: bool, detail: str = ""):
+        self.in_v = in_v
+        self.last_addr = last_addr
+        self.ok = ok
+        self.detail = detail
 
 
-@dataclass
-class CosimReport:
-    points: list[CosimPoint]
+class CosimReport(Struct):
+    __slots__ = _fields = ("points",)
+
+    def __init__(self, points: list[CosimPoint]):
+        self.points = points
 
     @property
     def ok(self) -> bool:

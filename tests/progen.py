@@ -1,6 +1,9 @@
 """Random well-typed program generation for round-trip and differential
 tests.  Everything is driven by an explicit Random instance so failures
-reproduce."""
+reproduce.  Also the tests' references and helpers that the package does
+not need: the reference evaluator, the havoc macro written as plain
+statements (``expand_havoc``), and small queries on programs,
+interpretations and the corpus."""
 
 from __future__ import annotations
 
@@ -9,12 +12,15 @@ import random
 from heapinv.interp import (
     ASSUME_FAILED, Bot, FUEL_EXHAUSTED, ObjVal, TOP, Undefined,
 )
+from heapinv.corpus import CorpusEntry, load_corpus
+from heapinv.fixpoint import Interpretation
 from heapinv.lang import (
     ADDR, AdtDecl, Alloc, Assign, AssertExpr, AssertPred, AssumeExpr,
-    AssumePred, Binary, Block, CtorApp, CtorDecl, DefObj, FAILURE_PRED,
+    AssumePred, Binary, Block, CtorApp, CtorDecl, DefObj, Expr, FAILURE_PRED,
     HavocStmt, If, INT, IntLit, NondetStmt, Null, PredDecl, Program, Read,
-    SelApp, Skip, TestApp, Unary, Var, While, Write, assign_locations,
-    obj_type, typecheck,
+    SelApp, Skip, Stmt, TestApp, Type, Unary, Var, While, Write,
+    assign_locations, map_statements, obj_type, replace, typecheck,
+    walk_statements,
 )
 
 NODE_ADT = AdtDecl("Node", [CtorDecl("node", [("data", INT), ("next", ADDR)])])
@@ -412,3 +418,166 @@ def compare_heap_and_trace(program: Program, in_values, seed_range,
             step = 1 << rh.bits_consumed
             marked[i::step] = b"\x01" * len(range(i, n, step))
     return compared
+
+
+# ---------------------------------------------------------------------------
+# Queries on programs, interpretations and the corpus
+
+
+def statement_locations(program: Program) -> list[int]:
+    return [s.loc for s in walk_statements(program.body)]
+
+
+def is_subset(small: Interpretation, big: Interpretation) -> bool:
+    """Every tuple of ``small`` is in ``big``."""
+    return all(rel <= big.rels.get(name, set())
+               for name, rel in small.rels.items())
+
+
+def corpus_by_name() -> dict[str, CorpusEntry]:
+    return {e.name: e for e in load_corpus()}
+
+
+# ---------------------------------------------------------------------------
+# The havoc macro written as plain statements: the executable specification
+# of the draw that ``_draw_int`` above and ``heapinv.interp`` implement
+
+
+class FreshNames:
+    """Allocates ``$``-prefixed names that collide with nothing in use."""
+
+    def __init__(self, taken: set[str]):
+        self.taken = set(taken)
+
+    def fresh(self, base: str) -> str:
+        name = f"${base}"
+        k = 0
+        while name in self.taken:
+            k += 1
+            name = f"${base}{k}"
+        self.taken.add(name)
+        return name
+
+
+def _int_havoc_stmts(x: str, seed: str) -> list[Stmt]:
+    """The bit-extraction macro: sign bit, then pairs of (continue, digit)
+    bits, then a terminating division."""
+    def sv() -> Expr:
+        return Var(seed)
+
+    def mod2(e: Expr) -> Expr:
+        return Binary("%", e, IntLit(2))
+
+    def half() -> Stmt:
+        return Assign(seed, Binary("/", sv(), IntLit(2)))
+
+    return [
+        Assign(x, Unary("-", mod2(sv()))),
+        half(),
+        While(Binary("=", mod2(sv()), IntLit(1)), Block((
+            half(),
+            Assign(x, Binary("+", Binary("*", IntLit(2), Var(x)), mod2(sv()))),
+            half(),
+        ))),
+        half(),
+    ]
+
+
+def expand_havoc(stmt: HavocStmt, program: Program,
+                 fresh: FreshNames | None = None,
+                 new_vars: dict[str, Type] | None = None) -> Stmt:
+    """Expand ``havoc(x)`` into plain statements reading bits from the seed.
+
+    For Int targets this is the exact four-statement macro.  Obj targets are
+    havoced field-wise through fresh Int temporaries (with a constructor
+    chooser drawn first when the ADT has several constructors); the
+    temporaries are reported through ``new_vars`` so callers can declare
+    them.
+    """
+    if program.seed_var is None:
+        raise ValueError("havoc expansion requires a seed declaration")
+    if fresh is None:
+        fresh = FreshNames(set(program.var_types))
+    if new_vars is None:
+        new_vars = {}
+    ty = program.var_types.get(stmt.target)
+    if ty is None:
+        raise ValueError(f"havoc of undeclared variable {stmt.target!r}")
+    if ty == INT:
+        return Block(tuple(_int_havoc_stmts(stmt.target, program.seed_var)))
+    if ty.kind != "Obj":
+        raise ValueError(f"cannot havoc variable of type {ty}")
+    stmts, final = _ObjHavoc(program, fresh, new_vars).obj(ty.adt)
+    return Block(tuple(stmts + [Assign(stmt.target, final)]))
+
+
+class _ObjHavoc:
+    """Field-wise havoc of an ADT value: ``obj`` returns the statements that
+    draw one and the expression that holds it, declaring each temporary in
+    ``new_vars``."""
+
+    def __init__(self, program: Program, fresh: FreshNames,
+                 new_vars: dict[str, Type]):
+        self.adts = program.adts_by_name()
+        self.seed_var = program.seed_var
+        self.fresh = fresh
+        self.new_vars = new_vars
+
+    def temp(self, base: str, ty: Type) -> str:
+        name = self.fresh.fresh(base)
+        self.new_vars[name] = ty
+        return name
+
+    def ctor(self, ctor: CtorDecl) -> tuple[list[Stmt], Expr]:
+        stmts: list[Stmt] = []
+        args: list[Expr] = []
+        for fname, fty in ctor.fields:
+            if fty == INT:
+                tmp = self.temp("h", INT)
+                stmts.extend(_int_havoc_stmts(tmp, self.seed_var))
+                args.append(Var(tmp))
+            elif fty.kind == "Obj":
+                sub_stmts, sub_expr = self.obj(fty.adt)
+                stmts.extend(sub_stmts)
+                args.append(sub_expr)
+            else:
+                raise ValueError(f"cannot havoc Addr field {fname!r}")
+        return stmts, CtorApp(ctor.name, args)
+
+    def obj(self, adt_name: str) -> tuple[list[Stmt], Expr]:
+        ctors = self.adts[adt_name].ctors
+        if len(ctors) == 1:
+            return self.ctor(ctors[0])
+        # several constructors: draw a chooser int; the default constructor
+        # catches every value without an explicit case, keeping totality
+        chooser = self.temp("h", INT)
+        tmp_obj = self.temp("ho", obj_type(adt_name))
+        stmts: list[Stmt] = list(_int_havoc_stmts(chooser, self.seed_var))
+        d_stmts, d_expr = self.ctor(ctors[0])
+        branch: Stmt = Block(tuple(d_stmts + [Assign(tmp_obj, d_expr)]))
+        for idx in range(len(ctors) - 1, 0, -1):
+            c_stmts, c_expr = self.ctor(ctors[idx])
+            branch = If(Binary("=", Var(chooser), IntLit(idx)),
+                        Block(tuple(c_stmts + [Assign(tmp_obj, c_expr)])),
+                        branch)
+        stmts.append(branch)
+        return stmts, Var(tmp_obj)
+
+
+def expand_program_havocs(program: Program) -> Program:
+    """Replace every havoc macro statement by its expansion, declaring the
+    temporaries it needs.  Nondet statements are left untouched."""
+    fresh = FreshNames(set(program.var_types))
+    new_vars: dict[str, Type] = {}
+
+    def tx(s: Stmt) -> list[Stmt]:
+        if isinstance(s, HavocStmt):
+            return [expand_havoc(s, program, fresh, new_vars)]
+        return [s]
+
+    body = map_statements(program.body, tx)
+    var_types = dict(program.var_types)
+    var_types.update(new_vars)
+    out = replace(program, var_types=var_types, body=body)
+    assign_locations(out)
+    return out

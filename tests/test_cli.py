@@ -15,7 +15,7 @@ import pytest
 import heapinv
 import progen
 from heapinv.cli import EXIT_DISAGREE, EXIT_ERROR, EXIT_OK, build_parser, main
-from heapinv.corpus import VARIANTS, corpus_by_name
+from heapinv.corpus import VARIANTS
 from heapinv.encode import enc_n, enc_r
 from heapinv.lang import MAX_NESTING, pretty_print
 
@@ -26,7 +26,7 @@ SCHEMA = json.loads(
 
 def corpus_path(name):
     import importlib.resources as resources
-    entry = corpus_by_name()[name]
+    entry = progen.corpus_by_name()[name]
     return str(resources.files("heapinv.corpus_data").joinpath(entry.file))
 
 
@@ -52,7 +52,7 @@ def test_run_dump_schema(capsys):
 
 def test_run_trace_mode_prints_the_heap_model_line(capsys):
     lines = 0
-    for name in corpus_by_name():
+    for name in progen.corpus_by_name():
         path = corpus_path(name)
         for in_v in ("-1", "0", "2"):
             heap = run_cli(capsys, "run", path, "--in", in_v)
@@ -84,7 +84,7 @@ def test_run_with_bundled_invariant(capsys, tmp_path):
     import importlib.resources as resources
     from heapinv.encode import enc_r
     from heapinv.lang import parse_and_check, pretty_print
-    entry = corpus_by_name()["list-build-traverse"]
+    entry = progen.corpus_by_name()["list-build-traverse"]
     enc = enc_r(entry.load())
     enc_file = tmp_path / "encoded.up"
     enc_file.write_text(pretty_print(enc.program))
@@ -357,7 +357,7 @@ BAD_INPUT_FILES = {
     "arabic-digit.up": "prog { input in; var x: Int; x := \u0663; }",
     # declares $last_addr, an input no source program can name
     "list-r.up": pretty_print(
-        enc_r(corpus_by_name()["list-build-traverse"].load()).program),
+        enc_r(progen.corpus_by_name()["list-build-traverse"].load()).program),
 }
 # output paths under the temporary directory that cannot be written
 BAD_OUTPUT_PATHS = {"missing-dir": "no/such/dir/out", "a-directory": "."}
@@ -568,6 +568,18 @@ def test_range_starting_with_a_minus_follows_its_flag(capsys):
             (EXIT_ERROR, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("flag,name", [
+    ("--in-range", "input"), ("--seed-range", "seed"),
+    ("--last-addr-range", "last address")])
+def test_range_errors_name_the_range_and_its_value(capsys, flag, name):
+    path = corpus_path("list-build-traverse")
+    assert run_cli(capsys, "fixpoint", path, flag, "5:2") == \
+        (EXIT_ERROR, "", f"error: empty {name} range 5:2\n")
+    assert run_cli(capsys, "fixpoint", path, flag, f"0:{2 ** 70}") == \
+        (EXIT_ERROR, "", f"error: {name} range 0:{2 ** 70} holds more than "
+                         f"{sys.maxsize} values\n")
+
+
 def test_package_exports_do_not_shadow_submodules():
     import heapinv
     submodules = {m.name for m in pkgutil.iter_modules(heapinv.__path__)}
@@ -577,6 +589,15 @@ def test_package_exports_do_not_shadow_submodules():
 
 # ---------------------------------------------------------------------------
 # the corpus variant registry
+
+
+def test_corpus_help_lists_every_variant(capsys):
+    # the help text is computed when it is printed
+    with pytest.raises(SystemExit):
+        main(["corpus", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert f"--enc ENC comma-separated variants " \
+           f"({', '.join(sorted(VARIANTS))})" in out
 
 
 SMALL_DOMAIN = ("--in-range", "0:1", "--seed-range", "0:3",
@@ -592,7 +613,7 @@ def test_corpus_accepts_every_registry_variant(capsys):
     assert code in (EXIT_OK, EXIT_DISAGREE)
     payload = json.loads(out)
     validate(payload)
-    entries = corpus_by_name()
+    entries = progen.corpus_by_name()
     assert len(payload["entries"]) == len(entries)
     for row in payload["entries"]:
         entry = entries[row["name"]]

@@ -2,7 +2,6 @@ import gc
 import hashlib
 import json
 import pathlib
-from dataclasses import replace
 
 import pytest
 
@@ -16,12 +15,12 @@ from heapinv.fixpoint import InputDomain, check_equisafety, check_safety
 from heapinv.lang import (
     ADDR, INT, Alloc, Assign, AssertExpr, AssertPred, AssumeExpr, AssumePred,
     Binary, HavocStmt, If, IntLit, NondetStmt, PredDecl, Read, Var, While,
-    Write, assign_locations, expand_program_havocs, map_statements,
-    parse_and_check, parse_program, pretty_print, statement_locations,
-    typecheck, walk_statements,
+    Write, assign_locations, map_statements, parse_and_check, parse_program,
+    pretty_print, replace, typecheck, walk_statements,
 )
 
 import progen
+from progen import expand_program_havocs, statement_locations
 
 SINGLE_READ = """prog {
   adt Node { node(data: Int, next: Addr); }

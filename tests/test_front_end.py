@@ -15,7 +15,6 @@ character``.
 import copy
 import random
 import re
-from dataclasses import astuple
 
 import pytest
 
@@ -409,8 +408,9 @@ def check_diagnostics(programs) -> int:
     n = 0
     for label, p in programs:
         mine, ref = copy.deepcopy(p), copy.deepcopy(p)
-        got = [astuple(d) for d in TypeChecker(mine).run()]
-        want = [astuple(d) for d in RefTypeChecker(ref).run()]
+        got = [(d.line, d.col, d.message) for d in TypeChecker(mine).run()]
+        want = [(d.line, d.col, d.message)
+                for d in RefTypeChecker(ref).run()]
         assert got == want, label
         assert declarations(mine) == declarations(ref), label
         n += len(want)

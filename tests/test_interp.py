@@ -9,9 +9,10 @@ from heapinv.interp import (
     Undefined, _BotSignal, _Compiler, trunc_div, trunc_mod,
 )
 from heapinv.lang import TestApp as IsCtor  # a Test* name would be collected
-from heapinv.lang import Var, expand_program_havocs, parse_and_check
+from heapinv.lang import Var, parse_and_check
 
 import progen
+from progen import expand_program_havocs
 
 NODE = ObjVal("node", (7, 0))
 

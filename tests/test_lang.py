@@ -8,12 +8,13 @@ from hypothesis import example, given, strategies as st
 from heapinv.cli import EXIT_ERROR, main
 from heapinv.lang import (
     Assign, AssertPred, Binary, Block, IntLit, Read, SourceError, Var,
-    While, Write, assign_locations, expand_program_havocs, parse_and_check,
-    parse_program, pretty_print, statement_locations, typecheck,
+    While, Write, assign_locations, parse_and_check, parse_program,
+    pretty_print, typecheck,
 )
 from heapinv.interp import CompiledProgram, ObjVal, TOP, draw_code
 
 import progen
+from progen import expand_program_havocs, statement_locations
 
 
 def test_minimal_program():

@@ -18,7 +18,7 @@ import textwrap
 import pytest
 
 from heapinv.chc import _Translator, emit_smtlib
-from heapinv.corpus import corpus_by_name, encode_variant, load_corpus
+from heapinv.corpus import encode_variant, load_corpus
 from heapinv.encode import _HeapEncoder, enc_r
 from heapinv.fixpoint import (
     GridExecutor, InputDomain, _AnyAddress, _verdict, check_safety,
@@ -30,6 +30,7 @@ from heapinv.lang import (
     walk_statements,
 )
 
+import progen
 import test_acceptance
 import test_chc
 import test_chc_ground
@@ -76,7 +77,7 @@ def chc_layout_check():
 
 def verdict_check(name, variant):
     """The entry's verdict under the variant is the manifest's."""
-    entry = corpus_by_name()[name]
+    entry = progen.corpus_by_name()[name]
     p = encode_variant(entry, entry.load(), variant)
     assert check_safety(p, InputDomain()).kind == entry.expected, name
 

@@ -1,7 +1,8 @@
 import argparse
 import ast
+import subprocess
 import sys
-from dataclasses import fields
+from importlib import resources
 from pathlib import Path
 
 import heapinv
@@ -49,11 +50,59 @@ def test_runtime_imports_only_the_standard_library():
     assert not {"z3", "subprocess", "shlex", "shutil"} & seen
 
 
+# Written to standard error when the interpreter exits: the heapinv
+# modules it loaded.
+LOADED = """
+import atexit, sys
+atexit.register(lambda: print(*sorted(m for m in sys.modules
+                                      if m.startswith("heapinv.")),
+                              file=sys.stderr))
+"""
+
+
+def loaded_modules(code: str, *argv: str) -> tuple[set[str], str]:
+    """Run ``code`` with the arguments ``argv`` in a fresh interpreter that
+    imports the package under test; the heapinv modules it loaded, and its
+    standard output."""
+    env = {"PYTHONPATH": str(Path(heapinv.__file__).parent.parent),
+           "PATH": "", "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run([sys.executable, "-c", LOADED + code, *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    return set(done.stderr.splitlines()[-1].split()), done.stdout
+
+
+def test_importing_the_package_loads_no_module():
+    loaded, _ = loaded_modules("import heapinv")
+    assert loaded == set()
+
+
 def test_every_exported_name_resolves():
-    missing = [name for name in heapinv.__all__
-               if not hasattr(heapinv, name)]
-    assert missing == []
+    loaded, out = loaded_modules(
+        "import heapinv\n"
+        "print(*[n for n in heapinv.__all__ if not hasattr(heapinv, n)])\n"
+        "print(*sorted(set(heapinv.__all__) - set(dir(heapinv))))")
+    assert out == "\n\n"
+    assert loaded >= {f"heapinv.{m}" for m in (
+        "lang", "interp", "fixpoint", "replay", "encode", "chc", "formula",
+        "corpus")}
     assert len(set(heapinv.__all__)) == len(heapinv.__all__)
+
+
+# ``python -m heapinv ARGV``
+MAIN = "import runpy; runpy.run_module('heapinv', run_name='__main__')"
+
+
+def test_commands_load_only_the_modules_they_use():
+    program = str(resources.files("heapinv.corpus_data")
+                  .joinpath("list_build_traverse.up"))
+    loaded, out = loaded_modules(MAIN, "fixpoint", program)
+    assert out.startswith("verdict: safe\n")
+    assert not {"heapinv.chc", "heapinv.replay", "heapinv.formula"} & loaded
+    loaded, out = loaded_modules(MAIN, "emit-chc", program, "--enc", "r")
+    assert out.startswith("(set-logic HORN)")
+    assert not {"heapinv.fixpoint", "heapinv.interp"} & loaded
 
 
 ENCODING = ("--enc", "--tag", "--cache", "--scope-vars", "--drop",
@@ -88,8 +137,8 @@ def test_no_knob_is_added_or_removed_silently():
     ap = build_parser()
     (sub,) = [a for a in ap._actions
               if isinstance(a, argparse._SubParsersAction)]
-    got = {"EncodingConfig": {f.name for f in fields(EncodingConfig)},
-           "InputDomain": {f.name for f in fields(InputDomain)},
+    got = {"EncodingConfig": set(EncodingConfig._fields),
+           "InputDomain": set(InputDomain._fields),
            "heapinv": options(ap)}
     got.update({name: options(p) for name, p in sub.choices.items()})
     assert got == KNOBS, (

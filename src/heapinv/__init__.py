@@ -10,8 +10,8 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "lang": ("Program", "SourceError", "Diagnostic", "assign_locations",
-             "parse_and_check", "parse_program", "pretty_print", "typecheck"),
+    "lang": ("Program", "SourceError", "Diagnostic", "parse_and_check",
+             "parse_program", "pretty_print", "typecheck"),
     "interp": ("Bot", "CompiledProgram", "ObjVal", "Top", "Undefined"),
     "fixpoint": ("InputDomain", "Interpretation", "check_equisafety",
                  "check_safety", "immediate_consequence", "least_fixpoint"),

@@ -28,14 +28,15 @@ with its scope arguments and without its removed positions.
 
 from __future__ import annotations
 
+from itertools import count
+
 from .lang import (
     ADDR, COUNTER_VAR, INT, LAST_ADDR_VAR, AdtDecl, Alloc, Assign,
     AssertExpr, AssertPred, AssumeExpr, AssumePred, Binary, Block, CtorApp,
     CtorDecl, DefObj, Expr, FrozenStruct, HavocStmt, If, InputError, IntLit,
     NondetStmt, Null, PredDecl, Program, Read, SelApp, Skip, Stmt, Struct,
-    TestApp, Type, Unary, Var, Write, assign_locations,
-    contains_heap_statements, expr_vars, map_statements, obj_type, replace,
-    set_field, typecheck,
+    TestApp, Type, Unary, Var, Write, contains_heap_statements, expr_vars,
+    map_statements, obj_type, replace, set_field, typecheck,
 )
 
 READ_PRED = "R"
@@ -198,10 +199,8 @@ def enc_n(program: Program) -> Program:
 
     var_types = dict(program.var_types)
     var_types[COUNTER_VAR] = INT
-    out = replace(program, var_types=var_types,
-                  body=map_statements(program.body, tx))
-    assign_locations(out)
-    return out
+    return replace(program, var_types=var_types,
+                   body=map_statements(program.body, tx))
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +228,6 @@ class _HeapEncoder:
                 "encodings")
         self.src = program
         self.cfg = config
-        assign_locations(program)
         self.obj_ty = obj_type(program.heap_adt)
         self.in_var = program.input_var
         # the scope variables go on R only: a write asserts W with the
@@ -367,7 +365,7 @@ class _HeapEncoder:
         def track(addr: str, value: Expr, loc: int) -> If:
             return _if(_eq(_v(LAST_ADDR_VAR), _v(addr)), update(value, loc))
 
-        def tx_alloc(s: Alloc) -> list[Stmt]:
+        def tx_alloc(s: Alloc, loc: int) -> list[Stmt]:
             e = _tx_expr(s.expr)
             out: list[Stmt] = []
             if s.target in expr_vars(e):
@@ -379,11 +377,11 @@ class _HeapEncoder:
             out.append(_plus1(V_CNT_ALLOC))
             out.append(Assign(s.target, _v(V_CNT_ALLOC)))
             if base == "r":
-                out.append(track(s.target, e, s.loc))
+                out.append(track(s.target, e, loc))
             elif base == "rw" or cfg.alloc_init_write:
                 out.append(_plus1(V_CNT))
-                out.append(AssertPred(WRITE_PRED, self._w_args(_v(V_CNT), e, s.loc)))
-                out.append(track(s.target, _v(V_CNT), s.loc))
+                out.append(AssertPred(WRITE_PRED, self._w_args(_v(V_CNT), e, loc)))
+                out.append(track(s.target, _v(V_CNT), loc))
             else:
                 # rwfun/rwmem without the init-write adjustment: the operand
                 # is dropped, allocation is pure counter arithmetic
@@ -392,17 +390,17 @@ class _HeapEncoder:
                 out.extend(cache_update(s.target, e))
             return out
 
-        def read_core(s: Read) -> list[Stmt]:
+        def read_core(s: Read, loc: int) -> list[Stmt]:
             # R holds the history read; under rw* W maps it to the object
             dest = s.target if base == "r" else V_T
             then = [AssertPred(READ_PRED, self._r_args(
-                        _v(tracked), _v(V_LAST_LOC), s.loc)),
+                        _v(tracked), _v(V_LAST_LOC), loc)),
                     Assign(dest, _v(tracked))]
             els: list[Stmt] = [self._havoc(dest)]
             if cfg.tagging:
                 els.append(self._havoc(V_TAG_TMP))
             els.append(AssumePred(READ_PRED, self._r_args(
-                _v(dest), _v(V_TAG_TMP), s.loc)))
+                _v(dest), _v(V_TAG_TMP), loc)))
             out: list[Stmt] = [_if(_eq(_v(LAST_ADDR_VAR), _v(s.addr)), then, els)]
             if base != "r":
                 out.append(self._havoc(s.target))
@@ -412,12 +410,12 @@ class _HeapEncoder:
                     _v(V_T), _v(s.target), None)))
             return out
 
-        def tx_read(s: Read) -> list[Stmt]:
+        def tx_read(s: Read, loc: int) -> list[Stmt]:
             out: list[Stmt] = [_plus1(V_CNT)]
             if base == "rwmem":
                 # every read is validity-checked, cache hits included
                 out.append(AssertExpr(valid(s.addr)))
-            core = read_core(s)
+            core = read_core(s, loc)
             if cfg.caching:
                 hit = [Assign(s.target, _v(V_CACHE_DATA))]
                 miss = core + cache_update(s.addr, _v(s.target))
@@ -426,30 +424,42 @@ class _HeapEncoder:
                 out.extend(core)
             return out
 
-        def tx_write(s: Write) -> list[Stmt]:
+        def tx_write(s: Write, loc: int) -> list[Stmt]:
             e = _tx_expr(s.expr)
             if base == "r":
                 if cfg.caching:
                     # one validity test guards both the tracking update and
                     # the cache update (an invalid write changes nothing)
-                    return [_if(valid(s.addr), [track(s.addr, e, s.loc)]
+                    return [_if(valid(s.addr), [track(s.addr, e, loc)]
                                 + cache_update(s.addr, e))]
                 return [_if(_and(_eq(_v(LAST_ADDR_VAR), _v(s.addr)), valid(s.addr)),
-                            update(e, s.loc))]
-            then = [AssertPred(WRITE_PRED, self._w_args(_v(V_CNT), e, s.loc)),
-                    track(s.addr, _v(V_CNT), s.loc)]
+                            update(e, loc))]
+            then = [AssertPred(WRITE_PRED, self._w_args(_v(V_CNT), e, loc)),
+                    track(s.addr, _v(V_CNT), loc)]
             if cfg.caching:
                 then.extend(cache_update(s.addr, e))
             els = [AssertExpr(_n(0))] if base == "rwmem" else None
             return [_plus1(V_CNT), _if(valid(s.addr), then, els)]
 
+        # a heap statement's tag is its location: its pre-order number among
+        # the input's statements, counted from 1, blocks not counted.
+        # ``map_statements`` calls ``tx_cond`` on an if or a while before
+        # its branches and ``tx`` on every other statement, once per
+        # occurrence, so each call takes the next number.
+        locs = count(1)
+
+        def tx_cond(e: Expr) -> Expr:
+            next(locs)
+            return _tx_expr(e)
+
         def tx(s: Stmt) -> list[Stmt]:
+            loc = next(locs)
             if isinstance(s, Alloc):
-                return tx_alloc(s)
+                return tx_alloc(s, loc)
             if isinstance(s, Read):
-                return tx_read(s)
+                return tx_read(s, loc)
             if isinstance(s, Write):
-                return tx_write(s)
+                return tx_write(s, loc)
             if isinstance(s, (AssertExpr, AssertPred)) and base == "rwmem" \
                     and cfg.strip_asserts:
                 return []
@@ -462,7 +472,7 @@ class _HeapEncoder:
                 return [s]
             raise EncodingError(f"cannot encode statement {type(s).__name__}")
 
-        body_stmts = init + list(map_statements(self.src.body, tx, _tx_expr).stmts)
+        body_stmts = init + list(map_statements(self.src.body, tx, tx_cond).stmts)
 
         out = Program(
             adts=_addr_fields_to_int(self.src.adts),
@@ -473,7 +483,6 @@ class _HeapEncoder:
             var_types=var_types,
             body=_block(body_stmts),
         )
-        assign_locations(out)
         diags = typecheck(out)
         if diags:
             raise AssertionError(f"encoder produced an ill-typed program: {diags[0]}")

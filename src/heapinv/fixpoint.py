@@ -184,12 +184,6 @@ class Interpretation:
     def copy(self) -> "Interpretation":
         return Interpretation(self.rels)
 
-    def union(self, other: "Interpretation") -> "Interpretation":
-        out = self.copy()
-        for name, rel in other.rels.items():
-            out.rels.setdefault(name, set()).update(rel)
-        return out
-
     def sizes(self) -> dict[str, int]:
         return {name: len(rel) for name, rel in sorted(self.rels.items())
                 if rel}

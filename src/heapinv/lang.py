@@ -25,7 +25,7 @@ class Struct:
     """Base of the package's data classes.  ``_fields`` names the fields
     that the constructor takes first, in order, and that equality and
     ``repr`` compare and show; ``_meta`` names the keyword-only ones left
-    out of both (source positions and statement locations).  Equal only
+    out of both (source positions).  Equal only
     to an instance of the same class, and unhashable."""
 
     __slots__ = ()
@@ -252,22 +252,20 @@ class TestApp(Expr):
 
 
 class Stmt(Struct):
-    __slots__ = ("loc", "pos")
-    _meta = ("loc", "pos")
+    __slots__ = ("pos",)
+    _meta = ("pos",)
 
-    def __init__(self, *, loc: int = 0, pos: tuple[int, int] = (0, 0)):
-        self.loc = loc
+    def __init__(self, *, pos: tuple[int, int] = (0, 0)):
         self.pos = pos
 
 
 class Assign(Stmt):
     __slots__ = _fields = ("target", "expr")
 
-    def __init__(self, target: str, expr: Expr, *, loc: int = 0,
+    def __init__(self, target: str, expr: Expr, *,
                  pos: tuple[int, int] = (0, 0)):
         self.target = target
         self.expr = expr
-        self.loc = loc
         self.pos = pos
 
 
@@ -279,22 +277,20 @@ class Alloc(Stmt):
 class Read(Stmt):
     __slots__ = _fields = ("target", "addr")
 
-    def __init__(self, target: str, addr: str, *, loc: int = 0,
+    def __init__(self, target: str, addr: str, *,
                  pos: tuple[int, int] = (0, 0)):
         self.target = target
         self.addr = addr  # address operand must be a variable
-        self.loc = loc
         self.pos = pos
 
 
 class Write(Stmt):
     __slots__ = _fields = ("addr", "expr")
 
-    def __init__(self, addr: str, expr: Expr, *, loc: int = 0,
+    def __init__(self, addr: str, expr: Expr, *,
                  pos: tuple[int, int] = (0, 0)):
         self.addr = addr
         self.expr = expr
-        self.loc = loc
         self.pos = pos
 
 
@@ -303,47 +299,43 @@ class Skip(Stmt):
 
 
 class Block(Stmt):
-    """Statement sequence; carries no control location of its own."""
+    """Statement sequence: structure, not a statement of its own, so the
+    statement walks and the encoder's location tags skip it."""
 
     __slots__ = _fields = ("stmts",)
 
-    def __init__(self, stmts: tuple[Stmt, ...] = (), *, loc: int = 0,
+    def __init__(self, stmts: tuple[Stmt, ...] = (), *,
                  pos: tuple[int, int] = (0, 0)):
         self.stmts = stmts
-        self.loc = loc
         self.pos = pos
 
 
 class If(Stmt):
     __slots__ = _fields = ("cond", "then", "els")
 
-    def __init__(self, cond: Expr, then: Stmt, els: Stmt, *, loc: int = 0,
+    def __init__(self, cond: Expr, then: Stmt, els: Stmt, *,
                  pos: tuple[int, int] = (0, 0)):
         self.cond = cond
         self.then = then
         self.els = els  # empty Block when the source has no else branch
-        self.loc = loc
         self.pos = pos
 
 
 class While(Stmt):
     __slots__ = _fields = ("cond", "body")
 
-    def __init__(self, cond: Expr, body: Stmt, *, loc: int = 0,
+    def __init__(self, cond: Expr, body: Stmt, *,
                  pos: tuple[int, int] = (0, 0)):
         self.cond = cond
         self.body = body
-        self.loc = loc
         self.pos = pos
 
 
 class AssumeExpr(Stmt):
     __slots__ = _fields = ("expr",)
 
-    def __init__(self, expr: Expr, *, loc: int = 0,
-                 pos: tuple[int, int] = (0, 0)):
+    def __init__(self, expr: Expr, *, pos: tuple[int, int] = (0, 0)):
         self.expr = expr
-        self.loc = loc
         self.pos = pos
 
 
@@ -355,11 +347,10 @@ class AssertExpr(Stmt):
 class AssumePred(Stmt):
     __slots__ = _fields = ("pred", "args")
 
-    def __init__(self, pred: str, args: list[Expr], *, loc: int = 0,
+    def __init__(self, pred: str, args: list[Expr], *,
                  pos: tuple[int, int] = (0, 0)):
         self.pred = pred
         self.args = args
-        self.loc = loc
         self.pos = pos
 
 
@@ -375,10 +366,8 @@ class HavocStmt(Stmt):
 
     __slots__ = _fields = ("target",)
 
-    def __init__(self, target: str, *, loc: int = 0,
-                 pos: tuple[int, int] = (0, 0)):
+    def __init__(self, target: str, *, pos: tuple[int, int] = (0, 0)):
         self.target = target
-        self.loc = loc
         self.pos = pos
 
 
@@ -475,8 +464,8 @@ class Diagnostic(Struct):
 # Lexer
 
 # "input" and "seed" are contextual: they introduce declarations but remain
-# usable as variable names (the macro below manipulates a variable that is
-# conventionally called seed)
+# usable as variable names (the havoc macro's expansion in tests/progen.py
+# manipulates a variable that is conventionally called seed)
 _KEYWORDS = {
     "prog", "adt", "heaptype", "pred", "var",
     "if", "else", "while", "skip", "assume", "assert",
@@ -958,14 +947,12 @@ class _Parser:
 
 
 def parse_program(text: str) -> Program:
-    """Parse source text into a Program with assigned control locations.
+    """Parse source text into a Program.
 
     Raises SourceError on syntax errors, duplicate declarations, and unknown
     identifiers in call position.
     """
-    prog = _Parser(text).parse_program()
-    assign_locations(prog)
-    return prog
+    return _Parser(text).parse_program()
 
 
 def parse_expr_text(text: str, adts: list[AdtDecl] | None = None) -> Expr:
@@ -985,7 +972,7 @@ def parse_expr_text(text: str, adts: list[AdtDecl] | None = None) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Control locations
+# Statement walks
 
 
 def walk_statements(stmt: Stmt):
@@ -1009,15 +996,6 @@ def walk_statements(stmt: Stmt):
             push(s.then)
         elif t is While:
             push(s.body)
-
-
-def assign_locations(program: Program) -> Program:
-    """Assign consecutive location ids 1.. to statements in pre-order."""
-    n = 0
-    for s in walk_statements(program.body):
-        n += 1
-        s.loc = n
-    return program
 
 
 # ---------------------------------------------------------------------------
@@ -1083,10 +1061,10 @@ def map_statements(stmt: Stmt, leaf: Callable[[Stmt], list[Stmt]],
     returns for it, spliced into the enclosing block (an If/While branch
     that is not a Block becomes one).  Positions are kept.
 
-    A statement that ``leaf`` returns unchanged is copied: the callers
-    number the locations of their output in place (``assign_locations``),
-    so an output sharing a statement object with its input would renumber
-    the input, or any other program built from it."""
+    The calls come in pre-order, once per occurrence of a statement: an
+    If's or While's ``cond`` before the calls for its branches, and
+    ``leaf`` on each other statement.  What ``leaf`` returns is spliced in
+    as it is, so the output shares the statements it returns unchanged."""
     return _map_branch(stmt, leaf, cond)
 
 
@@ -1105,7 +1083,7 @@ def _map_rebuild(s: Stmt, leaf, cond) -> list[Stmt]:
     if isinstance(s, While):
         return [While(cond(s.cond), _map_branch(s.body, leaf, cond),
                       pos=s.pos)]
-    return [replace(x) if x is s else x for x in leaf(s)]
+    return leaf(s)
 
 
 def _map_branch(s: Stmt, leaf, cond) -> Block:

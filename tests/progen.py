@@ -13,14 +13,14 @@ from heapinv.interp import (
     ASSUME_FAILED, Bot, FUEL_EXHAUSTED, ObjVal, TOP, Undefined,
 )
 from heapinv.corpus import CorpusEntry, load_corpus
+from heapinv.encode import enc_rw
 from heapinv.fixpoint import Interpretation
 from heapinv.lang import (
     ADDR, AdtDecl, Alloc, Assign, AssertExpr, AssertPred, AssumeExpr,
     AssumePred, Binary, Block, CtorApp, CtorDecl, DefObj, Expr, FAILURE_PRED,
     HavocStmt, If, INT, IntLit, NondetStmt, Null, PredDecl, Program, Read,
     SelApp, Skip, Stmt, TestApp, Type, Unary, Var, While, Write,
-    assign_locations, map_statements, obj_type, replace, typecheck,
-    walk_statements,
+    map_statements, obj_type, replace, typecheck, walk_statements,
 )
 
 NODE_ADT = AdtDecl("Node", [CtorDecl("node", [("data", INT), ("next", ADDR)])])
@@ -187,7 +187,6 @@ class Gen:
         prog = Program(adts=adts, heap_adt="Node", preds=preds,
                        input_var="in", seed_var="seed",
                        var_types=var_types, body=body)
-        assign_locations(prog)
         diags = typecheck(prog)
         assert not diags, f"generator produced ill-typed program: {diags[0]}"
         return prog
@@ -424,8 +423,23 @@ def compare_heap_and_trace(program: Program, in_values, seed_range,
 # Queries on programs, interpretations and the corpus
 
 
-def statement_locations(program: Program) -> list[int]:
-    return [s.loc for s in walk_statements(program.body)]
+def heap_tags(program: Program) -> list[int]:
+    """The location tag that the tagging ``rw`` encoding gives each heap
+    statement of the program, in pre-order: an allocation's and a write's
+    on the ``W`` assertion that records it, a read's on its ``R``
+    assumption."""
+    q = enc_rw(program, tagging=True).program
+    tags = [s.args[-1].value for s in walk_statements(q.body)
+            if type(s) is AssertPred and s.pred == "W"
+            or type(s) is AssumePred and s.pred == "R"]
+    return tags[1:]  # the initial object's write is tagged 0
+
+
+def preorder_heap_numbers(program: Program) -> list[int]:
+    """The 1-based pre-order number of each heap statement among the
+    statements of the program, blocks not counted."""
+    return [i for i, s in enumerate(walk_statements(program.body), 1)
+            if type(s) in (Alloc, Read, Write)]
 
 
 def is_subset(small: Interpretation, big: Interpretation) -> bool:
@@ -578,6 +592,4 @@ def expand_program_havocs(program: Program) -> Program:
     body = map_statements(program.body, tx)
     var_types = dict(program.var_types)
     var_types.update(new_vars)
-    out = replace(program, var_types=var_types, body=body)
-    assign_locations(out)
-    return out
+    return replace(program, var_types=var_types, body=body)

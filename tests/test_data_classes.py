@@ -123,7 +123,6 @@ class TestApp(Expr):
 
 @dataclass(slots=True)
 class Stmt:
-    loc: int = field(default=0, **_META)
     pos: tuple[int, int] = field(default=(0, 0), **_META)
 
 
@@ -532,7 +531,7 @@ def instances() -> list:
             found)
     collect(lang.typecheck(lang.parse_program(ILL_TYPED)), found)
     collect([chc.SolveResult("sat"), chc.SolveResult("error", "no solver"),
-             lang.Expr(pos=(1, 2)), lang.Stmt(loc=3)], found)
+             lang.Expr(pos=(1, 2)), lang.Stmt(pos=(3, 4))], found)
     return list(found.values())
 
 
@@ -596,7 +595,7 @@ def test_positions_and_locations_are_left_out_of_equality(instances):
     for x in instances:
         if not x._meta:
             continue
-        moved = {m: -1 if m == "loc" else (-1, -1) for m in x._meta}
+        moved = {m: (-1, -1) for m in x._meta}
         y, ry = lang.replace(x, **moved), dataclasses.replace(
             to_ref(x, memo), **moved)
         assert all(getattr(y, m) == v for m, v in moved.items())

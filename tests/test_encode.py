@@ -14,13 +14,13 @@ from heapinv.encode import (
 from heapinv.fixpoint import InputDomain, check_equisafety, check_safety
 from heapinv.lang import (
     ADDR, INT, Alloc, Assign, AssertExpr, AssertPred, AssumeExpr, AssumePred,
-    Binary, HavocStmt, If, IntLit, NondetStmt, PredDecl, Read, Var, While,
-    Write, assign_locations, map_statements, parse_and_check, parse_program,
+    Binary, Block, HavocStmt, If, IntLit, NondetStmt, PredDecl, Read, Struct,
+    Var, While, Write, map_statements, parse_and_check, parse_program,
     pretty_print, replace, typecheck, walk_statements,
 )
 
 import progen
-from progen import expand_program_havocs, statement_locations
+from progen import expand_program_havocs
 
 SINGLE_READ = """prog {
   adt Node { node(data: Int, next: Addr); }
@@ -372,8 +372,6 @@ def read_at_location_seven():
 
 def test_tagged_read_carries_location_arguments():
     p = read_at_location_seven()
-    read_stmt = next(s for s in walk_statements(p.body) if isinstance(s, Read))
-    assert read_stmt.loc == 7
     e = enc_r(p, tagging=True)
     assumes = [s for s in stmts_of(e.program)
                if isinstance(s, AssumePred) and s.pred == "R"]
@@ -399,8 +397,6 @@ def test_tagged_write_records_location():
       write(p, node(1, null));
     }"""
     p = parse_and_check(src)
-    w = next(s for s in walk_statements(p.body) if isinstance(s, Write))
-    assert w.loc == 4
     e = enc_r(p, tagging=True)
     track = next(s for s in stmts_of(e.program)
                  if isinstance(s, If) and any(
@@ -409,6 +405,31 @@ def test_tagged_write_records_location():
     locs = [c for c in track.then.stmts
             if isinstance(c, Assign) and c.target == "$last_loc"]
     assert locs == [Assign("$last_loc", IntLit(4))]
+
+
+def test_each_occurrence_of_a_shared_statement_gets_its_own_tag():
+    # a program built in code may hold one statement object twice: each
+    # occurrence is tagged with its own location, as in the printed program
+    p = parse_and_check("""prog {
+      adt Node { node(data: Int, next: Addr); }
+      heaptype Node;
+      input in;
+      seed seed;
+      var p: Addr;
+      p := alloc(node(1, null));
+      write(p, node(2, null));
+    }""")
+    alloc, w = p.body.stmts
+    q = replace(p, body=Block((alloc, w, w)))
+    reparsed = parse_and_check(pretty_print(q))
+    for enc in (enc_r, enc_rw):
+        assert pretty_print(enc(q, tagging=True).program) == \
+            pretty_print(enc(reparsed, tagging=True).program), enc
+    # r records a write's location in $last_loc, rw on its W assertion
+    assert [s.expr for s in stmts_of(enc_r(q, tagging=True).program)
+            if isinstance(s, Assign) and s.target == "$last_loc"] == \
+        [IntLit(0), IntLit(1), IntLit(2), IntLit(3)]
+    assert progen.heap_tags(q) == [1, 2, 3]
 
 
 def test_rw_tagging_adds_one_write_location():
@@ -536,8 +557,7 @@ def test_scope_vars_keep_the_verdict(base):
 
 
 # The extension passes the encoder replaced, kept as the reference for its
-# one pass: each rebuilt the encoded program, numbered its locations and
-# checked it again.  Scope variables were appended to R, and then the
+# one pass: each rebuilt the encoded program and checked it again.  Scope variables were appended to R, and then the
 # removed positions (counting them) left R, W and the source predicates.
 
 
@@ -552,7 +572,6 @@ def ref_rewrite_pred_args(enc, preds, args, types, what):
     decls = [PredDecl(p.name, types(p.name, p.arg_types))
              if p.name in preds else p for p in prog.preds]
     out = replace(prog, preds=decls, body=map_statements(prog.body, tx))
-    assign_locations(out)
     diags = typecheck(out)
     if diags:
         raise AssertionError(f"{what} broke typing: {diags[0]}")
@@ -613,15 +632,15 @@ def ref_encode(program, config):
 
 def encoding_outcome(encoder, program, config):
     """What a test can see of an encoding: its printed program and
-    SMT-LIB text, every statement's location and position, its predicate
-    declarations, variables and config; or the refusal's message."""
+    SMT-LIB text, every statement's position, its predicate declarations,
+    variables and config; or the refusal's message."""
     try:
         enc = encoder(program, config)
     except EncodingError as exc:
         return "refused", str(exc)
     q = enc.program
     return (pretty_print(q), emit_smtlib(to_chc(q)),
-            [(s.loc, s.pos) for s in walk_statements(q.body)],
+            [s.pos for s in walk_statements(q.body)],
             [(d.name, d.arg_types) for d in q.preds],
             list(q.var_types.items()), enc.config)
 
@@ -784,32 +803,42 @@ def test_rwmem_with_cache_still_flags_invalid_reads(corpus, domain):
 # transformations build new programs
 
 
+def fields_and_positions(x):
+    """``x`` as nested tuples of each node's class, fields and positions,
+    so that two programs compare equal only if they match field by field,
+    positions included."""
+    if isinstance(x, Struct):
+        return (type(x).__name__,) + tuple(
+            fields_and_positions(getattr(x, f)) for f in x._fields + x._meta)
+    if type(x) in (list, tuple):
+        return tuple(fields_and_positions(y) for y in x)
+    if type(x) is dict:
+        return tuple((k, fields_and_positions(v)) for k, v in x.items())
+    return x
+
+
+def transformed(entry, source) -> list:
+    """The printed output of every transformation of the source: each
+    registry variant it is eligible for (None when not), the havoc
+    expansion, the budget instrumentation, and ``r`` with a scope variable
+    and with a removed position."""
+    out = [encode_variant(entry, source, variant) for variant in VARIANTS]
+    out += [expand_program_havocs(source), enc_n(source),
+            enc_r(source, scope_vars=(source.input_var,)).program,
+            enc_r(source, drop_args=(("R", 0),)).program]
+    return [None if p is None else pretty_print(p) for p in out]
+
+
 def test_transformations_leave_their_input_alone(corpus):
-    # every transformation numbers its output's locations in place, so a
-    # statement object shared with its input (or with another output) ends
-    # up with the location of whichever program was numbered last
+    # the transformations share the statements and expressions that they
+    # leave unchanged with their input: none may change one in place
     for entry in corpus:
         source = entry.load()
-        printed = pretty_print(source)
-        programs = [source]
-        for variant in VARIANTS:
-            encoded = encode_variant(entry, source, variant)
-            if encoded is not None:
-                programs.append(encoded)
-        programs.append(expand_program_havocs(source))
-        programs += [enc_r(source).program,
-                     enc_r(source, scope_vars=(source.input_var,)).program,
-                     enc_r(source, drop_args=(("R", 0),)).program]
-        seen = set()
-        for program in programs:
-            locs = statement_locations(program)
-            assert locs == list(range(1, len(locs) + 1)), entry.name
-            ids = {id(s) for s in walk_statements(program.body)}
-            assert not ids & seen, entry.name
-            seen |= ids
-        # the encoder shares expression leaves with its input: no pass may
-        # change one in place
-        assert pretty_print(source) == printed, entry.name
+        printed = transformed(entry, source)
+        assert fields_and_positions(source) == \
+            fields_and_positions(entry.load()), entry.name
+        # encoding the source again prints the same
+        assert transformed(entry, source) == printed, entry.name
 
 
 # A havoc of an ADT with several constructors around one with several: the

@@ -35,7 +35,6 @@ def test_interpretation_order():
     b = Interpretation({"P": {(1,), (2,)}, "Q": {(0, 0)}})
     assert progen.is_subset(a, b)
     assert not progen.is_subset(b, a)
-    assert a.union(b) == b
     assert a != b and a == Interpretation({"P": {(1,)}})
 
 

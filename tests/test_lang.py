@@ -7,14 +7,13 @@ from hypothesis import example, given, strategies as st
 
 from heapinv.cli import EXIT_ERROR, main
 from heapinv.lang import (
-    Assign, AssertPred, Binary, Block, IntLit, Read, SourceError, Var,
-    While, Write, assign_locations, parse_and_check, parse_program,
-    pretty_print, typecheck,
+    Assign, AssertPred, Binary, Block, IntLit, SourceError, Var, While,
+    parse_and_check, parse_program, pretty_print, typecheck,
 )
 from heapinv.interp import CompiledProgram, ObjVal, TOP, draw_code
 
 import progen
-from progen import expand_program_havocs, statement_locations
+from progen import expand_program_havocs, heap_tags, preorder_heap_numbers
 
 
 def test_minimal_program():
@@ -330,37 +329,53 @@ def test_operator_precedence_roundtrip():
     assert res.env["i"] == 9
 
 
+# A heap statement's location tag is its 1-based pre-order number among the
+# statements of the encoder's input, an if or a while before its branches,
+# blocks not counted.
+
+TAGGED = """prog {
+  adt Node { node(data: Int, next: Addr); }
+  heaptype Node;
+  input in;
+  seed seed;
+  var p: Addr; var x: Node; var i: Int;
+  %s
+}"""
+
+
 def test_locations_consecutive():
-    p = parse_program("prog { var x: Int; x := 0; x := 1; x := 2; }")
-    assert statement_locations(p) == [1, 2, 3]
+    # every statement counts, heap or not
+    p = parse_and_check(TAGGED % """i := 0; p := alloc(defObj); i := 1;
+      write(p, defObj); x := read(p); i := 2; x := read(p);""")
+    assert heap_tags(p) == [2, 4, 5, 7]
 
 
 def test_locations_idempotent_and_unique():
     for seed in range(30):
         p = progen.gen_program(seed)
-        locs = statement_locations(p)
-        assert locs == list(range(1, len(locs) + 1))
-        assign_locations(p)
-        assert statement_locations(p) == locs
+        tags = heap_tags(p)
+        assert tags == preorder_heap_numbers(p), f"seed {seed}"
+        assert len(set(tags)) == len(tags)
+        # encoding keeps no numbering: the same program, the same tags
+        assert heap_tags(p) == tags
+        assert heap_tags(parse_and_check(pretty_print(p))) == tags
 
 
 def test_preorder_write_before_read():
-    src = """prog {
-      adt Node { node(data: Int, next: Addr); }
-      heaptype Node;
-      var p: Addr; var x: Node;
-      write(p, defObj);
-      x := read(p);
-    }"""
-    p = parse_program(src)
-    w = next(s for s in p.body.stmts if isinstance(s, Write))
-    r = next(s for s in p.body.stmts if isinstance(s, Read))
-    assert w.loc < r.loc
+    # an if before its branches, the then branch before the else branch,
+    # a while before its body
+    p = parse_and_check(TAGGED % """write(p, defObj);
+      if (i = 0) { x := read(p); } else { write(p, x); }
+      while (i < 1) { i := i + 1; x := read(p); }
+      x := read(p);""")
+    assert heap_tags(p) == [1, 3, 4, 7, 8]
 
 
 def test_blocks_carry_no_location():
-    p = parse_program("prog { var i: Int; if (1) { i := 1; i := 2; } }")
-    assert statement_locations(p) == [1, 2, 3]  # if, then the two assigns
+    p = parse_and_check(TAGGED % """if (1 = 1) { i := 1; i := 2; }
+      p := alloc(defObj); if (1 = 1) { } else { } x := read(p);""")
+    # the if, then the two assigns; the empty branches are not counted
+    assert heap_tags(p) == [4, 6]
 
 
 def test_mutation_flips_accept_to_reject():

@@ -20,7 +20,7 @@ in both modes and checks that the two modes are observably equivalent.
 
 Every run starts from an empty heap.
 
-Statements are compiled once into a flat list of instruction closures
+Statements are compiled into a flat list of instruction closures
 (Feeley & Lapalme, "Using closures for code generation", 1987), one per
 node of the control-flow graph ``lang.layout`` gives, the graph the Horn
 translator (``chc``) reads too.  Evaluation is a pure function of
@@ -37,6 +37,16 @@ tests membership before it changes anything, so the point is the state
 just before the query, and ``run(resume=point)`` continues exactly where
 the stopped run left off, under any interpretation in which the queries it
 passed still hold.
+
+Each node is compiled once, when a run first gets to it:
+
+* the first run compiles the region of nodes reachable from the entry
+  without passing a predicate query, so one application of T from the
+  empty interpretation, whose runs all stop at their first query,
+  compiles that region alone;
+* the first run to pass a query compiles the rest, in node order;
+* a draw site is built when its first havoc is compiled, with its havocs
+  and its query.
 
 Under seed classing the assume of a draw site (``DrawSite``: a run of
 havoc/nondet instructions that no jump enters but at its first, followed
@@ -76,6 +86,7 @@ their code.  What stays specialised:
 
 from __future__ import annotations
 
+import weakref
 from functools import partial
 from operator import add, eq, ge, gt, itemgetter, le, lt, mul, ne, sub
 from typing import Callable, NamedTuple
@@ -449,16 +460,21 @@ class _Compiler:
         # every value of a one-constructor ADT is built by that constructor
         self.sole_ctors = {adt.ctors[0].name for adt in program.adts
                            if len(adt.ctors) == 1}
-        # the predicates queried by the code, in query-index order
+        # set by ``code``: the predicates queried by the code, in
+        # query-index order
         self.preds: dict[str, int] = {}
         # the length of the code, set by ``code``: the index a run ends at
         self.end = 0
-        # set by ``code``: the draw sites by first havoc index (a site's
-        # first havoc stores the bits, the loop fuel and the env), the first
-        # havoc index of each site's query, and every havoc's drawer
+        # the draw sites by first havoc index as they are compiled (a
+        # site's first havoc stores the bits, the loop fuel and the env);
+        # set by ``code``: the index of each site's query by its first
+        # havoc's, and the reverse; every compiled havoc's drawer
         self.sites: dict[int, DrawSite] = {}
+        self._spans: dict[int, int] = {}
         self._site_of: dict[int, int] = {}
         self._drawers: dict[int, Callable] = {}
+        # the sites' tables, by shape
+        self._shapes: dict[tuple, dict] = {}
         # one drawer per (drawn type, whether it charges loop fuel)
         self._drawer_of: dict[tuple, Callable] = {}
         # see ``CompiledProgram.input_compared``
@@ -623,38 +639,134 @@ class _Compiler:
         index i records its blocker and returns the stop index ``end + 1 +
         2i`` (assume) or ``end + 2 + 2i`` (assert); with ``find_sites``,
         the assume of a draw site whose first havoc is at index k returns
-        ``end + 1 + 2k`` instead."""
-        flat = layout(body)
+        ``end + 1 + 2k`` instead.
+
+        The nodes are compiled on first reach.  The list starts with a stub
+        at 0; a stub compiles what it leads to and returns its own index,
+        where the run then finds its node's instruction.  The stub at 0
+        compiles the region of the nodes reachable from 0 without passing a
+        predicate query, and puts a stub at the successor of each query in
+        it that is not compiled; such a stub compiles every node left, in
+        node order.  No other index is ever jumped to before it is
+        compiled.  So a run that passes no query, as every run under the
+        empty interpretation, compiles only the region it starts in.  A
+        draw site's havocs and query are compiled together.  The
+        predicates, bound by query index, and the draw sites' bounds are
+        read from the layout up front."""
+        flat = self._flat = layout(body)
         self.end = len(flat)
-        spans = self._draw_sites(flat) if find_sites else {}
-        self._site_of = {q: k for k, q in spans.items()}
-        code = [self.instr(node, me, nxt) if kind == "do"
-                else self.test(kind, node, nxt, els)
-                for me, (kind, node, nxt, els) in enumerate(flat)]
-        shapes: dict[tuple, dict] = {}  # the sites' tables, by shape
-        self.sites = {k: DrawSite(
-            k, self.program.seed_var,
-            [(flat[j][1].target, self._drawers[j]) for j in range(k, q)],
-            flat[q][1], shapes)
-            for k, q in spans.items()}
+        preds = self.preds
+        assumes = []  # the indices of the predicate assumes
+        for q, (_, node, _, _) in enumerate(flat):
+            t = type(node)
+            if t is AssumePred:
+                assumes.append(q)
+            elif t is not AssertPred:
+                continue
+            preds.setdefault(node.pred, len(preds))
+        self._spans = self._draw_sites(flat, assumes) if find_sites else {}
+        self._site_of = {q: k for k, q in self._spans.items()}
+        # the stubs reach the compiler by a weak reference, so that the
+        # code list is in no reference cycle
+        self._ref = weakref.ref(self)
+        # the indices that hold a stub
+        self._stubbed = [0] if flat else []
+        self._code = code = [None] * self.end
+        if code:
+            code[0] = self._stub(0, False)
         return code
 
-    def _draw_sites(self, flat: list[list]) -> dict[int, int]:
-        """The draw sites of the flat code: the index of each one's query by
-        the index of its first havoc.  A site is the longest run of
-        havoc/nondet instructions that ends right before a predicate assume
-        and that no jump enters except at its first instruction, when no
-        argument of the assume but a bare variable reads a drawn
-        variable."""
-        entries = [0] * (len(flat) + 1)
-        for _, _, nxt, els in flat:
-            entries[nxt] += 1
-            if els is not None:
-                entries[els] += 1
+    def _stub(self, i: int, rest: bool) -> Callable[[_State, dict], int]:
+        """The instruction at ``i`` until node i is compiled: it compiles
+        node i's region (every node left when ``rest``) and goes on at i,
+        where the run finds node i's instruction."""
+        ref = self._ref
+
+        def stub(st, env):
+            ref()._reach(i, rest)
+            return i
+        return stub
+
+    def _reach(self, i: int, rest: bool) -> None:
+        """Compile the nodes reachable from node i without passing a
+        predicate query (the stub at 0 asks this once), or when ``rest``
+        every node not compiled yet, in node order; then the draw sites
+        whose havocs are compiled.  Nothing is kept unless every node
+        compiles, so a node that cannot be compiled raises its error at
+        each run that reaches it."""
+        code, flat, end, sites = self._code, self._flat, self.end, self.sites
+        saved = code[:]
+        for j in self._stubbed:
+            code[j] = None
+        stubs = []  # the successors of the queries compiled
+        try:
+            if rest:
+                for j, (kind, node, nxt, els) in enumerate(flat):
+                    if code[j] is None:
+                        code[j] = (self.instr(node, j, nxt) if kind == "do"
+                                   else self.test(kind, node, nxt, els))
+            else:
+                # a depth-first walk that follows each node's next at once
+                todo = [i]
+                while todo:
+                    j = todo.pop()
+                    while j != end and code[j] is None:
+                        kind, node, nxt, els = flat[j]
+                        if kind != "do":
+                            code[j] = self.test(kind, node, nxt, els)
+                            todo.append(els)
+                        else:
+                            code[j] = self.instr(node, j, nxt)
+                            t = type(node)
+                            if t is AssumePred or t is AssertPred:
+                                stubs.append(nxt)
+                                break
+                        j = nxt
+        except BaseException:
+            code[:] = saved
+            raise
+        # a site's havocs and query are compiled together: no query lies
+        # between them and no jump enters the site but at its first havoc
+        for k, q in self._spans.items():
+            if k not in sites and code[k] is not None:
+                sites[k] = self._site(k, q)
+        # a run that passes a query goes on at a stub
+        self._stubbed = []
+        for j in stubs:
+            if j != end and code[j] is None:
+                code[j] = self._stub(j, True)
+                self._stubbed.append(j)
+
+    def _site(self, k: int, q: int) -> DrawSite:
+        """The draw site of the havocs at ``k`` up to the query at ``q``,
+        once they are compiled."""
+        flat = self._flat
+        return DrawSite(k, self.program.seed_var,
+                        [(flat[j][1].target, self._drawers[j])
+                         for j in range(k, q)],
+                        flat[q][1], self._shapes)
+
+    def _draw_sites(self, flat: list[list],
+                    assumes: list[int]) -> dict[int, int]:
+        """The draw sites of the flat code, given the indices of its
+        predicate assumes: the index of each one's query by the index of
+        its first havoc.  A site is the longest run of havoc/nondet
+        instructions that ends right before a predicate assume and that no
+        jump enters except at its first instruction, when no argument of
+        the assume but a bare variable reads a drawn variable."""
         spans = {}
-        for q, (_, node, _, _) in enumerate(flat):
-            if type(node) is not AssumePred:
+        entries = None  # the number of ways into each node, once needed
+        for q in assumes:
+            if (not q or flat[q - 1][2] != q
+                    or type(flat[q - 1][1]) not in (HavocStmt, NondetStmt)):
                 continue
+            node = flat[q][1]
+            if entries is None:
+                entries = [0] * (len(flat) + 1)
+                for _, _, nxt, els in flat:
+                    entries[nxt] += 1
+                    if els is not None:
+                        entries[els] += 1
             k = q
             while (k and entries[k] == 1 and flat[k - 1][2] == k
                    and type(flat[k - 1][1]) in (HavocStmt, NondetStmt)):
@@ -718,7 +830,7 @@ class _Compiler:
             # a query changes no state before it stops the run, so the run
             # can resume at it
             name = s.pred
-            k = self.preds.setdefault(name, len(self.preds))
+            k = self.preds[name]
             args_of = self.tuple_of(s.args)
             stop = (self.end + 1 + 2 * self._site_of.get(me, me)
                     + (kind is AssertPred))
@@ -805,7 +917,7 @@ class _Compiler:
         if kind not in self._drawer_of:
             self._drawer_of[kind] = self._drawer(*kind)
         draw = self._drawers[me] = self._drawer_of[kind]
-        if me in self._site_of.values():
+        if me in self._spans:
             # the first havoc of a draw site stores the state that the
             # site's resume point restores
             def fhavoc_site(st, env):
@@ -834,7 +946,12 @@ _NO_RELATION = frozenset()
 
 class CompiledProgram:
     """A program compiled to a flat instruction list, reusable across many
-    runs."""
+    runs.  Each node is compiled when a run first reaches its region (see
+    ``_Compiler.code``), so ``sites`` holds the draw sites compiled so far.
+    So a program the type checker would reject, such as one built in code
+    with ``defObj`` but no heap type or with a havoc but no seed, raises
+    its ``ValueError`` at each run that reaches the bad node's region, not
+    when it is built, and never when no run does."""
 
     def __init__(self, program: Program, mode: str = "heap"):
         self.program = program
@@ -851,13 +968,15 @@ class CompiledProgram:
         self.seed_classing = (self.seed_var is not None
                               and self.seed_var not in self.reads
                               and self.seed_var not in self.used_beyond_eq)
-        comp = _Compiler(program, mode)
+        # the stubs in the code reach the compiler by a weak reference
+        self._compiler = comp = _Compiler(program, mode)
         self.trace_mode = mode == "trace"
         # draw sites need seed classing: their resume point is taken before
         # the draws, when the seed variable held fewer consumed bits
         self.code = comp.code(
             program.body,
             find_sites=self.seed_classing and not self.trace_mode)
+        # grows as the draw sites are compiled
         self.sites = comp.sites
         self.preds = tuple(comp.preds)
         # grows by each comparison of the input variable that a run

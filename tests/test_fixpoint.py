@@ -886,7 +886,7 @@ def no_draw_sites():
     so that each seed class blocked at a site's assume is run."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(interp_module._Compiler, "_draw_sites",
-                   lambda self, flat: {})
+                   lambda self, flat, assumes: {})
         yield
 
 
@@ -905,6 +905,24 @@ def check_draw_sites(p, d, label, info=None) -> int:
     assert verdict_from_executor(p, d, plain).to_json() == verdict, label
     assert grid_rows(info.executor) == grid_rows(plain.executor), label
     return len(info.executor.compiled.sites)
+
+
+class EveryTuple:
+    """The interpretation that holds every tuple of every predicate."""
+
+    def relation(self, name):
+        return self
+
+    def __contains__(self, args):
+        return True
+
+
+def reached_sites(cp: CompiledProgram) -> list:
+    """The draw sites of the compiled program, in node order, after a run
+    at the default inputs under ``EveryTuple``: it passes the first query
+    it reaches, so every node is compiled, the sites' havocs included."""
+    cp.run(interp=EveryTuple())
+    return sorted(cp.sites.values(), key=lambda site: site.start)
 
 
 # A draw of a three-constructor ADT after an Int draw, in one site.
@@ -1022,7 +1040,7 @@ def test_draw_sites_match_per_seed_runs(corpus_matrix, domain, monkeypatch):
               (SITE_NOT_BARE, []), (SITE_NONDET, [2]))
     for src, havocs in shapes:
         p = prog(src)
-        assert [len(s._drawers) for s in CompiledProgram(p).sites.values()] \
+        assert [len(s._drawers) for s in reached_sites(CompiledProgram(p))] \
             == havocs, src
         for fuel in (0, 1, 2, 3, 64):
             check_draw_sites(p, replace(domain, loop_fuel=fuel), (src, fuel))
@@ -1118,13 +1136,13 @@ def test_draw_tables_match_per_seed_draws(corpus_matrix, domain):
             shared += len(compiled) - len(tables)
     assert sites > 300 and shared > 50, (sites, shared)
     for src in (SITE_ADT_DRAW, SITE_NONDET, SITE_SHAPES):
-        for site in CompiledProgram(prog(src)).sites.values():
+        for site in reached_sites(CompiledProgram(prog(src))):
             for s0, count in ranges:
                 check_draw_table(site, s0, count, (src, site.start, s0))
     # one table per shape and range in an executor, none shared between
     # executors
     p = prog(SITE_SHAPES)
-    first, second = (list(GridExecutor(p, domain).compiled.sites.values())
+    first, second = (reached_sites(GridExecutor(p, domain).compiled)
                      for _ in range(2))
     assert len(first) == 7
     tables = [[site.classes(0, 256)[0] for site in sites]

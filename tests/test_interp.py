@@ -9,7 +9,7 @@ from heapinv.interp import (
     Undefined, _BotSignal, _Compiler, trunc_div, trunc_mod,
 )
 from heapinv.lang import TestApp as IsCtor  # a Test* name would be collected
-from heapinv.lang import Var, parse_and_check
+from heapinv.lang import Var, parse_and_check, replace
 
 import progen
 from progen import expand_program_havocs
@@ -345,6 +345,40 @@ def test_flat_code_matches_statement_reference():
     assert min(seen.values()) >= 10, seen
 
 
+def test_compile_errors_surface_at_the_runs_that_reach_the_node():
+    # a program built in code that the type checker would reject (defObj
+    # without a heap type, a havoc without a seed) compiles its nodes when
+    # a run first reaches them: a run that stops at the query before the
+    # bad node raises nothing, and each run that gets past it raises the
+    # node's error
+    p = parse_and_check("""prog {
+      adt Node { node(val: Int, next: Addr); }
+      heaptype Node;
+      pred P(Int);
+      input in;
+      seed seed;
+      var x: Int; var o: Node;
+      x := in + 1;
+      assume(P(x));
+      o := defObj;
+      havoc(x);
+    }""")
+    holds = Interpretation({"P": {(2,)}})
+    for bad, error in ((replace(p, heap_adt=None), "defObj used without "
+                        "heaptype"),
+                       (replace(p, seed_var=None), "havoc/nondet requires a "
+                        "seed declaration")):
+        cp = CompiledProgram(bad)
+        for in_v in (0, 2, 3):
+            res = cp.run({"in": in_v}, interp=holds)
+            assert res.outcome == Undefined(ASSUME_FAILED), in_v
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"^{error}$"):
+                cp.run({"in": 1}, interp=holds)
+        assert cp.run({"in": 0}, interp=holds).blocker == ("P", (1,))
+    assert CompiledProgram(p).run({"in": 1}, interp=holds).outcome == TOP
+
+
 def test_draw_site_point_is_the_state_before_the_draws():
     # a run stopped by a draw site's assume resumes before the site's
     # draws: from the point, any seed runs as from scratch, also when its
@@ -362,9 +396,12 @@ def test_draw_site_point_is_the_state_before_the_draws():
       assume(P(x, y));
     }""")
     cp = CompiledProgram(p)
+    fuel = 2  # one unit is left for the draws
+    # the site is compiled when a run first reaches it
+    assert cp.sites == {}
+    cp.run({"seed": 0}, loop_fuel=fuel)
     (site,) = cp.sites.values()
     assert site.start == 4  # after x := 7, c := 4 and the loop
-    fuel = 2  # one unit is left for the draws
     points = []
     for seed in range(64):
         res = cp.run({"seed": seed}, loop_fuel=fuel)

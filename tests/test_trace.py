@@ -130,10 +130,11 @@ def test_trace_mode_records_draws_and_cannot_resume():
       assume(P(k));
     }""")
     heap, trace = CompiledProgram(p), CompiledProgram(p, mode="trace")
-    # draw sites are looked for in the sequence model only
-    assert list(heap.sites) == [0] and trace.sites == {}
     stopped = heap.run({"seed": 6})
     res = trace.run({"seed": 6})
+    # draw sites are looked for in the sequence model only; both runs
+    # reached the havoc
+    assert list(heap.sites) == [0] and trace.sites == {}
     # seed 6 = 0b0110: sign bit 0, one digit 1, then the stop bit
     assert res.env["k"] == stopped.env["k"] == 1
     assert res.events == [("draw", 6, 4)]

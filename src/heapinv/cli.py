@@ -279,10 +279,11 @@ def cmd_run(args) -> int:
         def dim(used, rng, default):
             return range(rng[0], rng[1] + 1) if used else (default,)
 
-        for in_v in dim(fp.program_uses_input(prog), domain.in_range,
+        uses = compiled.uses
+        for in_v in dim(prog.input_var in uses.read, domain.in_range,
                         args.in_value):
-            for seed in dim(fp.program_uses_seed(prog), domain.seed_range,
-                            args.seed):
+            for seed in dim(uses.draws or prog.seed_var in uses.read,
+                            domain.seed_range, args.seed):
                 for la in dim(fp.LAST_ADDR_VAR in prog.var_types,
                               domain.last_addr_range, args.last_addr):
                     print(_json(one(in_v, seed, la)))

@@ -8,7 +8,10 @@ it once more under the fixed point: only expression assertions can still
 fail there.
 
 Executions are deterministic given (input, seed, prophecy address, fuel),
-which allows five big savings without changing the computed sets:
+which allows five big savings without changing the computed sets.  Each
+rests on how a run can observe a grid variable, and each reads that from
+the one use analysis of the program (``lang.variable_uses``), which its
+``CompiledProgram`` makes once as ``uses``:
 
 * when the seed variable is only touched by havoc/nondet draws
   (``CompiledProgram.seed_classing``: never read by an expression or
@@ -39,7 +42,7 @@ which allows five big savings without changing the computed sets:
   rerunning the whole cell.  Every failing tuple of a kept leaf is already
   in the interpretation, so only the new leaves are harvested;
 * when the prophecy variable ``$last_addr`` is read only as an operand of
-  ``=`` / ``!=`` (``lang.variable_uses``), each input's seeds are run once
+  ``=`` / ``!=`` (not in ``uses.loose``), each input's seeds are run once
   with a sentinel address that equals nothing and records the set E of
   values it was compared with.  Every test was false, and a run at an
   address outside E makes the same tests, so it is the same run: the
@@ -101,15 +104,16 @@ which allows five big savings without changing the computed sets:
   rather than by recursion, which could exceed Python's recursion limit;
 * when the input variable is read only as a bare argument of predicate
   queries, at the same positions in every assume and assert of each
-  predicate, and as a bare operand of comparisons (``lang.query_positions``),
-  and every queried predicate holds it at some position, the least fixed
-  point is computed class by class of inputs.  A tuple that a run at input
-  b asserts holds b at its predicate's input positions, and a query at b
-  asks only for such tuples, so the runs at b see only the tuples at b,
-  and each input's iterates are independent of the others'.  A predicate
-  without the input breaks this: in ``if (in > 0) { assert(P(1)); }
-  assume(P(1)); assert(0);`` the tuple asserted at the inputs above 0
-  unblocks the runs at every input, so such a program runs the full grid.
+  predicate, and as a bare operand of comparisons (``uses.input_positions``),
+  and every queried predicate holds it at some position
+  (``input_positions``), the least fixed point is computed class by class
+  of inputs.  A tuple that a run at input b asserts holds b at its
+  predicate's input positions, and a query at b asks only for such tuples,
+  so the runs at b see only the tuples at b, and each input's iterates are
+  independent of the others'.  A predicate without the input breaks this:
+  in ``if (in > 0) { assert(P(1)); } assume(P(1)); assert(0);`` the tuple
+  asserted at the inputs above 0 unblocks the runs at every input, so such
+  a program runs the full grid.
   The compiled program records each comparison of the input that a run
   evaluates as (op, other value), with the input on the left.  A class's
   least input is the least input not yet covered; its fixed point is
@@ -144,9 +148,8 @@ from .interp import (
     Bot, CompiledProgram, DrawSite, FUEL_EXHAUSTED, ObjVal, Undefined, Value,
 )
 from .lang import (
-    COUNTER_VAR, FAILURE_PRED, LAST_ADDR_VAR, FrozenStruct, HavocStmt,
-    InputError, NondetStmt, Program, Struct, query_positions, replace,
-    set_field, variable_uses, walk_statements,
+    COUNTER_VAR, FAILURE_PRED, LAST_ADDR_VAR, FrozenStruct, InputError,
+    Program, Struct, replace, set_field,
 )
 
 
@@ -249,22 +252,6 @@ class InputDomain(FrozenStruct):
     def cap(self) -> int:
         return self.iteration_cap if self.iteration_cap is not None \
             else 10 * self.grid_size()
-
-
-def program_uses_seed(program: Program) -> bool:
-    """True when executions can depend on the seed: a draw statement exists
-    or the seed variable is read by an expression."""
-    if program.seed_var is None:
-        return False
-    if program.seed_var in variable_uses(program)[0]:
-        return True
-    return any(isinstance(s, (HavocStmt, NondetStmt))
-               for s in walk_statements(program.body))
-
-
-def program_uses_input(program: Program) -> bool:
-    return (program.input_var is not None
-            and program.input_var in variable_uses(program)[0])
 
 
 def initial_stack(program: Program, in_v: int | None, seed: int | None,
@@ -444,8 +431,9 @@ class GridExecutor:
         self.program = program
         self.domain = domain
         self.compiled = compiled or CompiledProgram(program)
+        uses = self.compiled.uses
         self.enumerate_in = (program.input_var is not None
-                             and program.input_var in self.compiled.reads)
+                             and program.input_var in uses.read)
         self.enumerate_last_addr = LAST_ADDR_VAR in program.var_types
         self.seed_var = program.seed_var
         # seed classing is sound only when the seed variable is touched by
@@ -455,7 +443,7 @@ class GridExecutor:
         # through equality tests alone
         self.address_classing = (
             self.enumerate_last_addr
-            and LAST_ADDR_VAR not in self.compiled.used_beyond_eq)
+            and LAST_ADDR_VAR not in uses.loose)
         self.any_address = _AnyAddress()
         # a program without a seed runs once per cell, at seed 0
         self.seed_range = domain.seed_range if self.seed_var is not None \
@@ -817,20 +805,22 @@ class IterationCapExceeded(InputError):
         self.sizes = sizes
 
 
-def input_positions(program: Program,
+def input_positions(compiled: CompiledProgram,
                     domain: InputDomain) -> dict[str, tuple] | None:
     """The positions of the input in each queried predicate's tuples when
-    the least fixed point is computed class by class of inputs (see the
-    module docstring), else None: every queried predicate must hold the
-    input, and the program must read it."""
-    if program.input_var is None or domain.in_range[0] == domain.in_range[1]:
+    the least fixed point of the compiled program is computed class by
+    class of inputs (see the module docstring), else None: the domain must
+    hold two inputs, every queried predicate must hold the input, and the
+    program must read it."""
+    uses = compiled.uses
+    positions = uses.input_positions
+    if positions is None or domain.in_range[0] == domain.in_range[1]:
         return None
-    positions = query_positions(program, program.input_var)
-    if positions is None or not all(positions.values()):
+    if not all(positions.values()):
         return None
     # a program without predicates may leave the input unread, and then
     # its grid has one input already
-    if not positions and not program_uses_input(program):
+    if not positions and compiled.program.input_var not in uses.read:
         return None
     return positions
 
@@ -875,18 +865,19 @@ def least_fixpoint_info(program: Program, domain: InputDomain) -> FixpointInfo:
     class of inputs when the input only indexes the predicates and is
     compared (``input_positions``).  A class's executor runs its least
     input; its other inputs give that input's outcome on every comparison
-    of the input that the class's runs evaluated."""
+    of the input that the class's runs evaluated.  The program is compiled
+    once, before the choice, and every executor runs that compilation."""
     # iterations counts the applications of T that grew the interpretation
     cap = domain.cap()
-    positions = input_positions(program, domain)
+    compiled = CompiledProgram(program)
+    positions = input_positions(compiled, domain)
     if positions is None:
-        ex = GridExecutor(program, domain)
+        ex = GridExecutor(program, domain, compiled)
         interp = Interpretation.empty()
         iterations = _iterate(ex, interp, cap + 1)
         if iterations > cap:
             raise IterationCapExceeded(cap, interp.sizes())
         return FixpointInfo(interp, iterations, ex)
-    compiled = CompiledProgram(program)
     compared = compiled.input_compared
     interp = Interpretation.empty()
     iterations = 0

@@ -946,7 +946,12 @@ _NO_RELATION = frozenset()
 
 class CompiledProgram:
     """A program compiled to a flat instruction list, reusable across many
-    runs.  Each node is compiled when a run first reaches its region (see
+    runs.  ``uses`` is the program's one use analysis
+    (``lang.variable_uses``), made here once: seed classing, the grid's
+    input dimension, address and input classing (``fixpoint``) and the
+    dimensions of ``run --all-inputs`` all read it.
+
+    Each node is compiled when a run first reaches its region (see
     ``_Compiler.code``), so ``sites`` holds the draw sites compiled so far.
     So a program the type checker would reject, such as one built in code
     with ``defObj`` but no heap type or with a havoc but no seed, raises
@@ -957,17 +962,16 @@ class CompiledProgram:
         self.program = program
         self.mode = mode
         self.seed_var = program.seed_var
-        # the variables the program's expressions and heap addresses read,
-        # and those used other than as an operand of = / != (statement
-        # targets included)
-        self.reads, self.used_beyond_eq = variable_uses(program)
+        # how a run can observe each variable: the one use analysis that
+        # the grid's savings and dimensions read
+        self.uses = uses = variable_uses(program)
         # when the seed is touched only by draws, a run's path depends on
         # its seed only through the bits it consumed: every seed congruent
         # mod 2^bits runs alike (seed classing), and at a resume point the
         # seed variable holds ``seed >> bits``
         self.seed_classing = (self.seed_var is not None
-                              and self.seed_var not in self.reads
-                              and self.seed_var not in self.used_beyond_eq)
+                              and self.seed_var not in uses.read
+                              and self.seed_var not in uses.loose)
         # the stubs in the code reach the compiler by a weak reference
         self._compiler = comp = _Compiler(program, mode)
         self.trace_mode = mode == "trace"

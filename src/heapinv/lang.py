@@ -1114,19 +1114,46 @@ def expr_vars(e: Expr) -> set[str]:
     return out
 
 
-def variable_uses(program: Program) -> tuple[set[str], set[str]]:
-    """Two facts from one walk of the program: the names that some
-    expression or heap address operand reads, and the names used other than
-    as a direct operand of ``=`` or ``!=`` (read anywhere else, a statement
-    target or a heap address operand).  A run depends on a variable outside
-    the second set only through those equality tests.
+class Uses(NamedTuple):
+    """How a run can observe each variable: what one walk of the program
+    finds (``variable_uses``)."""
+
+    # the names that some expression or heap address operand reads
+    read: set[str]
+    # the names used other than as a bare operand of ``=`` or ``!=``: read
+    # anywhere else, a statement target or a heap address operand
+    loose: set[str]
+    # the argument positions at which each queried predicate's assumes and
+    # asserts hold the input variable itself, or None when some query of a
+    # predicate holds it elsewhere or not at all, when something else but
+    # a comparison with it as a bare operand reads or assigns it, or when
+    # the program declares no input
+    input_positions: dict[str, tuple] | None
+    # whether a havoc or nondet statement draws from the seed
+    draws: bool
+
+
+def variable_uses(program: Program) -> Uses:
+    """The program's ``Uses``, from one walk.  A run depends on a variable
+    outside ``loose`` only through equality tests, and on an input with
+    ``input_positions`` only through the tuples of its queries and the
+    outcomes of its comparisons.
 
     One loop over an explicit stack of statements collects their targets,
-    address operands and expressions; a second loop over an explicit stack
-    of subexpressions visits each node once.  Order does not matter, as
-    both results are sets."""
+    address operands and expressions, and the input's positions in each
+    query; a second loop over an explicit stack of subexpressions visits
+    each node once.  The input's bare uses as a query argument or an
+    operand of ``<``, ``<=``, ``>`` or ``>=`` join ``read`` and ``loose``
+    last, so the input has positions unless ``loose`` holds it before.
+    Order does not matter, as the results are sets and a predicate's
+    positions must be the same in all of its queries."""
+    name = program.input_var
     read: set[str] = set()
     loose: set[str] = set()
+    positions: dict[str, tuple] = {}
+    # every query of a predicate holds the input at the same positions
+    same = True
+    bare = draws = False
     exprs: list[Expr] = []
     stmts: list[Stmt] = [program.body]
     pop, push = stmts.pop, stmts.append
@@ -1147,7 +1174,17 @@ def variable_uses(program: Program) -> tuple[set[str], set[str]]:
             expr(s.cond)
             push(s.body)
         elif t is AssumePred or t is AssertPred:
-            exprs.extend(s.args)
+            at = []
+            for i, a in enumerate(s.args):
+                if type(a) is Var and a.name == name:
+                    at.append(i)
+                else:
+                    expr(a)
+            if at:
+                bare = True
+            at = tuple(at)
+            if positions.setdefault(s.pred, at) != at:
+                same = False
         elif t is AssumeExpr or t is AssertExpr:
             expr(s.expr)
         elif t is Read:
@@ -1160,6 +1197,7 @@ def variable_uses(program: Program) -> tuple[set[str], set[str]]:
             expr(s.expr)
         elif t is HavocStmt or t is NondetStmt:
             loose.add(s.target)
+            draws = True
     pop, push = exprs.pop, exprs.append
     while exprs:
         e = pop()
@@ -1168,8 +1206,8 @@ def variable_uses(program: Program) -> tuple[set[str], set[str]]:
             read.add(e.name)
             loose.add(e.name)
         elif t is Binary:
-            left, right = e.left, e.right
-            if e.op == "=" or e.op == "!=":
+            op, left, right = e.op, e.left, e.right
+            if op == "=" or op == "!=":
                 # a bare variable operand of an equality test is read only
                 if type(left) is Var:
                     read.add(left.name)
@@ -1179,6 +1217,12 @@ def variable_uses(program: Program) -> tuple[set[str], set[str]]:
                     read.add(right.name)
                 else:
                     push(right)
+            elif op in ("<", "<=", ">", ">="):
+                for x in (left, right):
+                    if type(x) is Var and x.name == name:
+                        bare = True
+                    else:
+                        push(x)
             else:
                 push(left)
                 push(right)
@@ -1188,67 +1232,11 @@ def variable_uses(program: Program) -> tuple[set[str], set[str]]:
             push(e.arg)
         elif t is CtorApp:
             exprs.extend(e.args)
-    return read, loose
-
-
-COMPARISONS = frozenset(("<", "<=", ">", ">=", "=", "!="))
-
-
-def query_positions(program: Program, name: str) -> dict[str, tuple] | None:
-    """The argument positions at which each queried predicate's assumes
-    and asserts hold the variable ``name`` itself, or None unless every
-    query of a predicate holds it at the same positions and nothing else
-    reads or assigns it but a comparison (``COMPARISONS``) that has it as a
-    bare operand: no other expression, argument, heap address operand or
-    statement target.  A run then sees the variable only through the
-    tuples of its queries and the outcomes of those comparisons.  One walk
-    of the statements collects their expressions; one loop over an
-    explicit stack then visits each expression node once."""
-    positions: dict[str, tuple] = {}
-    exprs: list[Expr] = []
-    expr = exprs.append
-    for s in walk_statements(program.body):
-        t = type(s)
-        if t is AssumePred or t is AssertPred:
-            at = []
-            for i, a in enumerate(s.args):
-                if type(a) is Var and a.name == name:
-                    at.append(i)
-                else:
-                    expr(a)
-            at = tuple(at)
-            if positions.setdefault(s.pred, at) != at:
-                return None
-            continue
-        if name in (getattr(s, "target", None), getattr(s, "addr", None)):
-            return None
-        e = s.cond if t is If or t is While else getattr(s, "expr", None)
-        if e is not None:
-            expr(e)
-    pop, push = exprs.pop, exprs.append
-    while exprs:
-        e = pop()
-        t = type(e)
-        if t is Var:
-            if e.name == name:
-                return None
-        elif t is Binary:
-            left, right = e.left, e.right
-            if e.op in COMPARISONS:
-                if type(left) is not Var or left.name != name:
-                    push(left)
-                if type(right) is not Var or right.name != name:
-                    push(right)
-            else:
-                push(left)
-                push(right)
-        elif t is Unary:
-            push(e.operand)
-        elif t is SelApp or t is TestApp:
-            push(e.arg)
-        elif t is CtorApp:
-            exprs.extend(e.args)
-    return positions
+    hidden = same and name is not None and name not in loose
+    if bare:
+        read.add(name)
+        loose.add(name)
+    return Uses(read, loose, positions if hidden else None, draws)
 
 
 def contains_heap_statements(program: Program) -> bool:

@@ -316,6 +316,45 @@ def test_run_all_inputs_jsonl(capsys):
         assert payload["outcome"] == {"kind": "top"}
 
 
+# Each is a program, the dimension it can observe and the values it takes:
+# one line per value, and the other dimensions collapse to the default 0.
+ALL_INPUTS_DIMENSIONS = {
+    # draws, so each seed is a line; no input is declared
+    "draws": ("""prog {
+      seed seed;
+      var x: Int;
+      havoc(x);
+    }""", "seed", range(256)),
+    # the input is declared and never read, and the seed never used
+    "input-unread": ("""prog {
+      input in;
+      seed seed;
+      var x: Int;
+      x := 1;
+    }""", None, [0]),
+    "last-addr": ("""prog {
+      var $last_addr: Int;
+      var x: Int;
+      if ($last_addr = 2) { x := 1; }
+    }""", "$last_addr", range(7)),
+}
+
+
+@pytest.mark.parametrize("name", ALL_INPUTS_DIMENSIONS)
+def test_run_all_inputs_dimensions(capsys, tmp_path, name):
+    src, dim, values = ALL_INPUTS_DIMENSIONS[name]
+    path = tmp_path / f"{name}.up"
+    path.write_text(src, encoding="utf-8")
+    code, out, _ = run_cli(capsys, "run", str(path), "--all-inputs")
+    assert code == EXIT_OK
+    lines = [json.loads(line) for line in out.strip().splitlines()]
+    assert len(lines) == len(values)
+    validate(lines[0])
+    for payload, v in zip(lines, values):
+        assert all(x == (v if k == dim else 0)
+                   for k, x in payload["inputs"].items()), payload
+
+
 # ---------------------------------------------------------------------------
 # exit-code contract: bad input is a one-line error and exit 2
 

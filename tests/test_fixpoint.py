@@ -19,7 +19,7 @@ from heapinv.interp import (
 )
 from heapinv.lang import (
     Assign, AssertExpr, AssumeExpr, Binary, Block, If, IntLit, Var,
-    parse_and_check, query_positions, replace, variable_uses,
+    parse_and_check, replace, variable_uses,
 )
 from heapinv.replay import cosim_check
 
@@ -550,10 +550,14 @@ def test_delta_rerun_runs_only_blocked_classes():
 def plain_addresses():
     """Make every executor built inside the context enumerate ``$last_addr``
     address by address, as for programs that fail the static check."""
-    uses = interp_module.variable_uses
+    walk = interp_module.variable_uses
+
+    def uses(p):
+        found = walk(p)
+        return found._replace(loose=found.loose | {LAST_ADDR_VAR})
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(interp_module, "variable_uses", lambda p: (
-            uses(p)[0], uses(p)[1] | {LAST_ADDR_VAR}))
+        mp.setattr(interp_module, "variable_uses", uses)
         yield
 
 
@@ -665,7 +669,7 @@ def test_address_read_outside_equality_is_enumerated(corpus, domain):
     assert GridExecutor(p, domain).address_classing
     for stmt in edits:
         q = replace(p, body=Block((stmt,) + p.body.stmts))
-        assert LAST_ADDR_VAR in variable_uses(q)[1]
+        assert LAST_ADDR_VAR in variable_uses(q).loose
         assert not GridExecutor(q, domain).address_classing
         assert least_fixpoint(q, domain) == least_fixpoint(p, domain)
         assert check_safety(q, domain).to_json() == want
@@ -1412,7 +1416,7 @@ def check_input_classing(p, d, label, info=None) -> bool:
     assert info.iterations == full.iterations, label
     assert verdict_from_executor(p, d, info).to_json() == \
         verdict_from_executor(p, d, full).to_json(), label
-    positions = input_positions(p, d)
+    positions = input_positions(CompiledProgram(p), d)
     classed = info.executor.domain != d
     assert classed == (positions is not None), label
     if not classed:
@@ -1450,7 +1454,8 @@ def test_input_classing_matches_full_grid_on_matrix(corpus_matrix, domain):
             continue
         for variant, info in row.fixinfo.items():
             if info.executor.domain == domain:
-                assert input_positions(info.executor.program, domain) is None
+                assert input_positions(info.executor.compiled,
+                                       domain) is None
                 continue
             p = row.program if variant == "orig" else row.encoded[variant]
             classed += check_input_classing(p, domain, (name, variant), info)
@@ -1469,7 +1474,7 @@ def test_input_classing_matches_full_grid_generated(domain):
             p = progen.gen_program(seed, allow_havoc=havoc)
             for variant in ("r", "rw", "r_t", "rw_c", "rw_ct"):
                 q = encode(p, VARIANTS[variant][0]).program
-                if input_positions(q, d) is not None:
+                if input_positions(CompiledProgram(q), d) is not None:
                     assert check_input_classing(q, d, (seed, havoc, variant))
                     classed += 1
     assert classed == CLASSED_GENERATED, classed
@@ -1493,6 +1498,15 @@ INPUT_NOT_ONLY_AN_INDEX = {
       input in;
       assert(P(box(in)));
       assume(P(box(0)));
+      assert(0);
+    }""", "unsafe"),
+    # held bare at position 0 too, so every query of P holds it there
+    "beside-a-constructor": ("""prog {
+      adt Box { box(v: Int); }
+      pred P(Int, Box);
+      input in;
+      assert(P(in, box(in)));
+      assume(P(in, box(0)));
       assert(0);
     }""", "unsafe"),
     "assigned": ("""prog {
@@ -1600,13 +1614,13 @@ def test_input_classing_keeps_the_full_grid():
     d = InputDomain()
     for label, (src, kind) in INPUT_NOT_ONLY_AN_INDEX.items():
         p = prog(src)
-        assert query_positions(p, "in") is None, label
+        assert variable_uses(p).input_positions is None, label
         assert not check_input_classing(p, d, label)
         assert check_safety(p, d).kind == kind, label
     # one input: the least input is the range
     p = prog("prog { pred P(Int); input in; assert(P(in)); assume(P(in));"
              " assert(0); }")
-    assert query_positions(p, "in") == {"P": (0,)}
+    assert variable_uses(p).input_positions == {"P": (0,)}
     assert check_input_classing(p, InputDomain(), "indexed")
     assert not check_input_classing(p, InputDomain(in_range=(0, 0)), "0:0")
 
@@ -1617,8 +1631,8 @@ def test_input_free_predicate_keeps_the_full_grid():
     # inputs -3..0 would be safe and the witness would be in = 1
     d = InputDomain()
     p = prog(INPUT_FREE_PREDICATE)
-    assert query_positions(p, "in") == {"P": ()}
-    assert input_positions(p, d) is None
+    assert variable_uses(p).input_positions == {"P": ()}
+    assert input_positions(CompiledProgram(p), d) is None
     assert not check_input_classing(p, d, "input-free")
     v = check_safety(p, d)
     assert (v.kind, v.witness.inputs["in"]) == ("unsafe", -3)
@@ -1677,7 +1691,7 @@ def test_classed_iteration_cap_reports_full_grid_sizes(corpus):
     p = encode_variant(entry, entry.load(), "rw_c")
     for cap in (0, 2, 5):
         d = InputDomain(iteration_cap=cap)
-        assert input_positions(p, d) is not None
+        assert input_positions(CompiledProgram(p), d) is not None
         with pytest.raises(IterationCapExceeded) as want:
             full_grid_fixpoint_info(p, d)
         with pytest.raises(IterationCapExceeded) as got:

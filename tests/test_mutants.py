@@ -26,8 +26,7 @@ from heapinv.fixpoint import (
 )
 from heapinv.interp import _Compiler, draw_code
 from heapinv.lang import (
-    _tokenize, parse_and_check, query_positions, variable_uses,
-    walk_statements,
+    _tokenize, parse_and_check, variable_uses, walk_statements,
 )
 
 import progen
@@ -40,6 +39,7 @@ import test_fixpoint
 import test_front_end
 import test_interp
 import test_lang
+import test_plain_oracle
 import test_walks
 
 
@@ -146,8 +146,8 @@ MUTANTS = {
     # a bare variable operand of != counts as a use beyond equality tests
     "ne-operand-used-loosely": (
         variable_uses,
-        'if e.op == "=" or e.op == "!=":',
-        'if e.op == "=":',
+        'if op == "=" or op == "!=":',
+        'if op == "=":',
         lambda: test_walks.check_walks(
             test_walks.progen_programs(range(200)))),
     # encoder: a read havocs its value and assumes R whatever its address,
@@ -224,9 +224,9 @@ MUTANTS = {
     # input classing: a predicate whose queries hold the input at
     # different positions still lets the inputs be classed
     "input-positions-unchecked": (
-        query_positions,
+        variable_uses,
         "if positions.setdefault(s.pred, at) != at:\n"
-        "                return None",
+        "                same = False",
         "positions.setdefault(s.pred, at)",
         test_fixpoint.test_input_classing_keeps_the_full_grid),
     # input classing: a seed class of an input class's executor that
@@ -243,13 +243,34 @@ MUTANTS = {
         "if on_left != (type(right) is Var and right.name == name):",
         "if on_left:",
         test_fixpoint.test_input_classing_by_comparison_outcomes),
+    # address classing: $last_addr compared by < counts as seen through
+    # equality tests alone
+    "address-ordered-as-equality": (
+        variable_uses,
+        'if op == "=" or op == "!=":',
+        'if op in ("=", "!=", "<"):',
+        test_plain_oracle.check_hand_written),
+    # input classing: the input inside a query argument that is not the
+    # bare input goes unseen
+    "input-inside-an-argument-ignored": (
+        variable_uses,
+        "else:\n                    expr(a)",
+        "elif type(a) is Var:\n                    expr(a)",
+        test_plain_oracle.check_hand_written),
+    # seed classing: an assignment to the seed variable is not counted as
+    # a use beyond equality tests
+    "seed-assignment-uncounted": (
+        variable_uses,
+        "loose.add(s.target)\n            expr(s.expr)",
+        "expr(s.expr)",
+        test_plain_oracle.check_hand_written),
     # input classing: a queried predicate that does not hold the input
     # still lets the inputs be classed, though a tuple asserted at one
     # input can unblock the runs at another
     "input-free-predicate-classed": (
         input_positions,
-        "if positions is None or not all(positions.values()):",
-        "if positions is None:",
+        "if not all(positions.values()):",
+        "if False:",
         test_fixpoint.test_input_free_predicate_keeps_the_full_grid),
 }
 
